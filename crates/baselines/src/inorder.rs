@@ -12,9 +12,9 @@
 use std::borrow::Cow;
 
 use ff_engine::{
-    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, RetireEvent,
-    RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
-    TickMode,
+    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, PipelineProbe,
+    RetireEvent, RetireHook, RetireMode, RetireTee, RunError, RunResult, RunStats, Scoreboard,
+    SimCase, StallKind, TickMode,
 };
 use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
@@ -51,10 +51,11 @@ impl ExecutionModel for InOrder {
         self.tick = mode;
     }
 
-    fn try_run_hooked(
+    fn run_observed(
         &mut self,
         case: &SimCase<'_>,
         hook: &mut dyn RetireHook,
+        probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
         let program = case.program;
         let cfg = &self.config;
@@ -71,6 +72,7 @@ impl ExecutionModel for InOrder {
         let mut fu = FuPool::new(cfg);
         let mut stats = RunStats::default();
         let mut activity = Activity::new();
+        let hook = &mut RetireTee::new(hook, probe);
         let hook_enabled = hook.enabled();
 
         let mut now: u64 = 0;
@@ -291,7 +293,10 @@ impl ExecutionModel for InOrder {
 
         stats.cycles = now;
         activity.cycles = now;
-        Ok(RunResult { stats, activity, mem_stats: mem.final_stats(), final_state: state })
+        let result =
+            RunResult { stats, activity, mem_stats: mem.final_stats(), final_state: state };
+        probe.on_run_end(&result);
+        Ok(result)
     }
 }
 
@@ -304,7 +309,7 @@ mod tests {
 
     fn run_model(p: &Program, mem: MemoryImage) -> RunResult {
         let case = SimCase::new(p, mem);
-        InOrder::new(MachineConfig::default()).run(&case)
+        InOrder::new(MachineConfig::default()).try_run(&case).unwrap()
     }
 
     fn check_against_interpreter(p: &Program, mem: MemoryImage) -> RunResult {

@@ -23,8 +23,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ff_engine::{
-    Activity, DynTrace, ExecutionModel, FuPool, MachineConfig, RetireEvent, RetireHook, RetireMode,
-    RunError, RunResult, RunStats, SimCase, StallKind, TickMode, TraceInst,
+    Activity, DynTrace, ExecutionModel, FuPool, MachineConfig, PipelineProbe, RetireEvent,
+    RetireHook, RetireMode, RetireTee, RunError, RunResult, RunStats, SimCase, StallKind, TickMode,
+    TraceInst,
 };
 use ff_frontend::Gshare;
 use ff_isa::{FuClass, Op};
@@ -120,10 +121,11 @@ impl ExecutionModel for OutOfOrder {
         self.tick = mode;
     }
 
-    fn try_run_hooked(
+    fn run_observed(
         &mut self,
         case: &SimCase<'_>,
         hook: &mut dyn RetireHook,
+        probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
@@ -131,6 +133,7 @@ impl ExecutionModel for OutOfOrder {
             .expect("trace recording failed — invalid workload program");
         let insts = trace.insts();
         let n = insts.len();
+        let hook = &mut RetireTee::new(hook, probe);
         let hook_enabled = hook.enabled();
 
         let mut mem = MemorySystem::new(cfg.hierarchy);
@@ -625,14 +628,16 @@ impl ExecutionModel for OutOfOrder {
 
         stats.cycles = now;
         activity.cycles = now;
-        Ok(RunResult {
+        let result = RunResult {
             stats,
             activity,
             mem_stats: mem.final_stats(),
             // The run is over: move the recorded final state out of the
             // trace instead of cloning the whole memory image.
             final_state: trace.into_final_state(),
-        })
+        };
+        probe.on_run_end(&result);
+        Ok(result)
     }
 }
 
@@ -671,7 +676,7 @@ mod tests {
     fn final_state_matches_interpreter() {
         let (p, mem) = chase(16);
         let case = SimCase::new(&p, mem.clone());
-        let r = OutOfOrder::new(MachineConfig::default()).run(&case);
+        let r = OutOfOrder::new(MachineConfig::default()).try_run(&case).unwrap();
         let mut s = ArchState::new();
         s.mem = mem;
         let mut i = Interpreter::with_state(&p, s);
@@ -701,8 +706,8 @@ mod tests {
             mem.store(0x10_0000 + i * 8192, i);
         }
         let case = SimCase::new(&p, mem);
-        let base = InOrder::new(MachineConfig::default()).run(&case);
-        let ooo = OutOfOrder::new(MachineConfig::default()).run(&case);
+        let base = InOrder::new(MachineConfig::default()).try_run(&case).unwrap();
+        let ooo = OutOfOrder::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(
             (ooo.stats.cycles as f64) < 0.6 * base.stats.cycles as f64,
             "ooo {} not ≪ inorder {}",
@@ -715,8 +720,8 @@ mod tests {
     fn dependent_chase_gets_no_ooo_benefit() {
         let (p, mem) = chase(32);
         let case = SimCase::new(&p, mem);
-        let base = InOrder::new(MachineConfig::default()).run(&case);
-        let ooo = OutOfOrder::new(MachineConfig::default()).run(&case);
+        let base = InOrder::new(MachineConfig::default()).try_run(&case).unwrap();
+        let ooo = OutOfOrder::new(MachineConfig::default()).try_run(&case).unwrap();
         // Serial dependence: OOO cannot be much faster than in-order.
         assert!(
             ooo.stats.cycles as f64 > 0.8 * base.stats.cycles as f64,
@@ -747,8 +752,8 @@ mod tests {
             mem.store(0x10_0000 + i * 8192, i);
         }
         let case = SimCase::new(&p, mem);
-        let ideal = OutOfOrder::new(MachineConfig::default()).run(&case);
-        let real = OutOfOrder::realistic(MachineConfig::default()).run(&case);
+        let ideal = OutOfOrder::new(MachineConfig::default()).try_run(&case).unwrap();
+        let real = OutOfOrder::realistic(MachineConfig::default()).try_run(&case).unwrap();
         assert!(
             real.stats.cycles > ideal.stats.cycles,
             "realistic {} should trail ideal {}",
@@ -761,7 +766,7 @@ mod tests {
     fn attribution_covers_every_cycle() {
         let (p, mem) = chase(16);
         let case = SimCase::new(&p, mem);
-        let r = OutOfOrder::new(MachineConfig::default()).run(&case);
+        let r = OutOfOrder::new(MachineConfig::default()).try_run(&case).unwrap();
         assert_eq!(r.stats.breakdown.total(), r.stats.cycles);
         assert!(r.stats.breakdown.load > 0);
     }
@@ -806,9 +811,12 @@ mod tests {
         }
         let random_p = build(48);
         let biased_p = build(1000);
-        let r_random =
-            OutOfOrder::new(MachineConfig::default()).run(&SimCase::new(&random_p, mem.clone()));
-        let r_biased = OutOfOrder::new(MachineConfig::default()).run(&SimCase::new(&biased_p, mem));
+        let r_random = OutOfOrder::new(MachineConfig::default())
+            .try_run(&SimCase::new(&random_p, mem.clone()))
+            .unwrap();
+        let r_biased = OutOfOrder::new(MachineConfig::default())
+            .try_run(&SimCase::new(&biased_p, mem))
+            .unwrap();
         assert!(r_random.stats.mispredicts > 10);
         assert!(
             r_random.stats.cycles > r_biased.stats.cycles,
@@ -845,10 +853,10 @@ mod tests {
             mem.store(0x20_0000 + i * 8192, i);
         }
         let case = SimCase::new(&p, mem);
-        let big = OutOfOrder::new(MachineConfig::default()).run(&case);
+        let big = OutOfOrder::new(MachineConfig::default()).try_run(&case).unwrap();
         // A tiny ROB: barely more than one iteration in flight.
         let small_machine = MachineConfig { ooo_rob: 20, ..MachineConfig::default() };
-        let small = OutOfOrder::new(small_machine).run(&case);
+        let small = OutOfOrder::new(small_machine).try_run(&case).unwrap();
         assert!(small.final_state.semantically_eq(&big.final_state));
         assert!(
             small.stats.cycles as f64 > 1.5 * big.stats.cycles as f64,
@@ -862,7 +870,7 @@ mod tests {
     fn rename_activity_is_counted() {
         let (p, mem) = chase(8);
         let case = SimCase::new(&p, mem);
-        let r = OutOfOrder::new(MachineConfig::default()).run(&case);
+        let r = OutOfOrder::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(r.activity.rat_reads > 0);
         assert!(r.activity.rat_writes > 0);
         assert!(r.activity.wakeup_broadcasts > 0);

@@ -22,9 +22,9 @@
 use std::borrow::Cow;
 
 use ff_engine::{
-    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, RetireEvent,
-    RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
-    TickMode,
+    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, PipelineProbe,
+    RetireEvent, RetireHook, RetireMode, RetireTee, RunError, RunResult, RunStats, Scoreboard,
+    SimCase, StallKind, TickMode,
 };
 use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
@@ -125,10 +125,11 @@ impl ExecutionModel for Runahead {
         self.tick = mode;
     }
 
-    fn try_run_hooked(
+    fn run_observed(
         &mut self,
         case: &SimCase<'_>,
         hook: &mut dyn RetireHook,
+        probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
         let program = case.program;
         let cfg = &self.config;
@@ -145,6 +146,7 @@ impl ExecutionModel for Runahead {
         let mut fu = FuPool::new(cfg);
         let mut stats = RunStats::default();
         let mut activity = Activity::new();
+        let hook = &mut RetireTee::new(hook, probe);
         let hook_enabled = hook.enabled();
 
         // Runahead episode state: `Some(peek_seq)` while running ahead of a
@@ -574,7 +576,10 @@ impl ExecutionModel for Runahead {
 
         stats.cycles = now;
         activity.cycles = now;
-        Ok(RunResult { stats, activity, mem_stats: mem.final_stats(), final_state: state })
+        let result =
+            RunResult { stats, activity, mem_stats: mem.final_stats(), final_state: state };
+        probe.on_run_end(&result);
+        Ok(result)
     }
 }
 
@@ -623,7 +628,7 @@ mod tests {
     fn matches_interpreter() {
         let (p, mem) = chase_with_stream(20);
         let case = SimCase::new(&p, mem.clone());
-        let r = Runahead::new(MachineConfig::default()).run(&case);
+        let r = Runahead::new(MachineConfig::default()).try_run(&case).unwrap();
         let mut s = ArchState::new();
         s.mem = mem;
         let mut i = Interpreter::with_state(&p, s);
@@ -636,8 +641,8 @@ mod tests {
     fn runahead_beats_inorder_on_chased_misses() {
         let (p, mem) = chase_with_stream(64);
         let case = SimCase::new(&p, mem);
-        let base = InOrder::new(MachineConfig::default()).run(&case);
-        let ra = Runahead::new(MachineConfig::default()).run(&case);
+        let base = InOrder::new(MachineConfig::default()).try_run(&case).unwrap();
+        let ra = Runahead::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(
             ra.stats.cycles < base.stats.cycles,
             "runahead {} !< inorder {}",
@@ -652,7 +657,7 @@ mod tests {
     fn runahead_issues_speculative_prefetches() {
         let (p, mem) = chase_with_stream(64);
         let case = SimCase::new(&p, mem);
-        let ra = Runahead::new(MachineConfig::default()).run(&case);
+        let ra = Runahead::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(ra.mem_stats.speculative_reads > 0);
     }
 
@@ -669,7 +674,7 @@ mod tests {
         p.push(b1, Inst::new(Op::Br { target: b1 }).qp(Reg::pred(1)).stop());
         p.push(b2, Inst::new(Op::Halt).stop());
         let case = SimCase::new(&p, MemoryImage::new());
-        let ra = Runahead::new(MachineConfig::default()).run(&case);
+        let ra = Runahead::new(MachineConfig::default()).try_run(&case).unwrap();
         assert_eq!(ra.stats.spec_mode_entries, 0);
     }
 
@@ -679,7 +684,7 @@ mod tests {
         // executions exceed retirements on miss-heavy code.
         let (p, mem) = chase_with_stream(64);
         let case = SimCase::new(&p, mem);
-        let ra = Runahead::new(MachineConfig::default()).run(&case);
+        let ra = Runahead::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(
             ra.stats.executions > ra.stats.retired,
             "executions {} should exceed retired {}",

@@ -39,7 +39,9 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
-use ff_engine::{ExecutionModel, MachineConfig, RetireEvent, RetireHook, SimCase, TickMode};
+use ff_engine::{
+    ExecutionModel, MachineConfig, NullProbe, RetireEvent, RetireHook, SimCase, TickMode,
+};
 use ff_harness::json::Json;
 use ff_multipass::Multipass;
 use ff_workloads::{Scale, Workload};
@@ -161,7 +163,7 @@ fn steady_rate(
     // Warm-up run: the first `warmup` retirements train the host
     // (allocator, caches, branch predictors) and are excluded.
     let mut hook = WarmupHook { threshold: warmup, seen: 0, mark: None };
-    let first = m.run_hooked(case, &mut hook);
+    let first = m.run_observed(case, &mut hook, &mut NullProbe).map_err(|e| e.to_string())?;
     let Some((start, warm_cycle)) = hook.mark else {
         return Err(format!(
             "kernel retired only {} instructions — fewer than the warm-up \
@@ -181,7 +183,7 @@ fn steady_rate(
     // long enough for a stable average.
     let mut reps = 0u64;
     while start.elapsed() < min_sample {
-        let r = m.run(case);
+        let r = m.try_run(case).map_err(|e| e.to_string())?;
         cycles += r.stats.cycles;
         insts += r.stats.retired;
         reps += 1;

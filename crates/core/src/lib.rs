@@ -43,7 +43,7 @@
 //! p.push(b, Inst::new(Op::Add).dst(Reg::int(2)).src(Reg::int(1)).src(Reg::int(1)).stop());
 //! p.push(b, Inst::new(Op::Halt).stop());
 //! let case = SimCase::new(&p, MemoryImage::new());
-//! let result = Multipass::new(MachineConfig::default()).run(&case);
+//! let result = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
 //! assert_eq!(result.final_state.int(2), 42);
 //! ```
 

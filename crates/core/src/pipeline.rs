@@ -20,9 +20,9 @@
 
 use ff_engine::{
     operand_stall, operand_wake, Activity, AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel,
-    FuPool, InFlightIndex, MachineConfig, MemAccessObs, NullProbe, NullRetireHook, PendingKind,
-    PipelineProbe, RetireEvent, RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard,
-    SimCase, StallKind, TickMode,
+    FuPool, InFlightIndex, MachineConfig, MemAccessObs, PendingKind, PipelineProbe, RetireEvent,
+    RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
+    TickMode,
 };
 use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
@@ -131,8 +131,6 @@ struct Core<'a> {
     /// a restart (footnote 2 of the paper: the restart is timed so the
     /// restarted instruction meets its input at the REG stage).
     advance_wait_until: u64,
-    /// When enabled, records every mode transition as `(cycle, mode)`.
-    mode_trace: Option<Vec<(u64, Mode)>>,
     /// Retirement observer (triage tooling); `hook_enabled` is hoisted so
     /// the unhooked path never constructs events.
     hook: &'a mut dyn RetireHook,
@@ -203,7 +201,6 @@ impl<'a> Core<'a> {
             slot_executed: false,
             consec_deferrals: 0,
             advance_wait_until: 0,
-            mode_trace: None,
             hook,
             hook_enabled,
             probe,
@@ -219,8 +216,8 @@ impl<'a> Core<'a> {
 
     fn set_mode(&mut self, mode: Mode) {
         self.mode = mode;
-        if let Some(trace) = &mut self.mode_trace {
-            trace.push((self.now, mode));
+        if self.probe_enabled {
+            self.probe.on_mode(self.now, self.retire_mode());
         }
     }
 
@@ -1471,24 +1468,13 @@ impl ExecutionModel for Multipass {
         self.tick = mode;
     }
 
-    fn try_run_hooked(
-        &mut self,
-        case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
-    ) -> Result<RunResult, RunError> {
-        let mut probe = NullProbe;
-        let mut core = Core::new(self.config, case, hook, &mut probe);
-        core.tick = self.tick;
-        core.run(case)
-    }
-
-    fn try_run_probed(
+    fn run_observed(
         &mut self,
         case: &SimCase<'_>,
         hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
-        // Unlike the default tee, the multipass core publishes the deep
+        // Unlike the baselines' tee, the multipass core publishes the deep
         // per-cycle observations itself; retirements reach both the hook
         // and the probe directly.
         let mut core = Core::new(self.config, case, hook, probe);
@@ -1496,21 +1482,6 @@ impl ExecutionModel for Multipass {
         let result = core.run(case)?;
         probe.on_run_end(&result);
         Ok(result)
-    }
-}
-
-impl Multipass {
-    /// Runs `case` while recording every mode transition as
-    /// `(cycle, mode)` — useful for visualizing the
-    /// architectural → advance → rally choreography of Figure 4.
-    pub fn run_traced(&mut self, case: &SimCase<'_>) -> (RunResult, Vec<(u64, Mode)>) {
-        let mut null = NullRetireHook;
-        let mut null_probe = NullProbe;
-        let mut core = Core::new(self.config, case, &mut null, &mut null_probe);
-        core.tick = self.tick;
-        core.mode_trace = Some(Vec::new());
-        let result = core.run(case).unwrap_or_else(|e| panic!("{e} — runaway program?"));
-        (result, core.mode_trace.take().unwrap_or_default())
     }
 }
 
@@ -1522,7 +1493,7 @@ mod tests {
 
     fn check_vs_interpreter(p: &Program, mem: &MemoryImage) -> RunResult {
         let case = SimCase::new(p, mem.clone());
-        let r = Multipass::new(MachineConfig::default()).run(&case);
+        let r = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         let mut s = ArchState::new();
         s.mem = mem.clone();
         let mut i = Interpreter::with_state(p, s);
@@ -1608,9 +1579,9 @@ mod tests {
         use ff_baselines::{InOrder, Runahead};
         let (p, mem) = figure1_workload(64);
         let case = SimCase::new(&p, mem);
-        let base = InOrder::new(MachineConfig::default()).run(&case);
-        let ra = Runahead::new(MachineConfig::default()).run(&case);
-        let mp = Multipass::new(MachineConfig::default()).run(&case);
+        let base = InOrder::new(MachineConfig::default()).try_run(&case).unwrap();
+        let ra = Runahead::new(MachineConfig::default()).try_run(&case).unwrap();
+        let mp = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(
             mp.stats.cycles < base.stats.cycles,
             "MP {} !< inorder {}",
@@ -1629,7 +1600,7 @@ mod tests {
     fn advance_restart_fires_on_critical_loads() {
         let (p, mem) = figure1_workload(48);
         let case = SimCase::new(&p, mem);
-        let mp = Multipass::new(MachineConfig::default()).run(&case);
+        let mp = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(mp.stats.advance_restarts > 0, "RESTART never triggered a pass restart");
     }
 
@@ -1672,10 +1643,10 @@ mod tests {
         let cfg = MultipassConfig::with_hardware_restart(MachineConfig::default(), 6);
         let mut model = Multipass::with_config(cfg);
         assert_eq!(model.name(), "MP-hwrestart");
-        let r = model.run(&case);
+        let r = model.try_run(&case).unwrap();
         assert!(r.stats.advance_restarts > 0, "hardware detector never fired");
         // Still architecturally correct.
-        let full = Multipass::new(MachineConfig::default()).run(&case);
+        let full = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(r.final_state.semantically_eq(&full.final_state));
     }
 
@@ -1684,7 +1655,7 @@ mod tests {
         let (p, mem) = figure1_workload(48);
         let case = SimCase::new(&p, mem);
         let cfg = MultipassConfig::without_restart(MachineConfig::default());
-        let mp = Multipass::with_config(cfg).run(&case);
+        let mp = Multipass::with_config(cfg).try_run(&case).unwrap();
         assert_eq!(mp.stats.advance_restarts, 0);
         assert!(mp.final_state.int(1) == 0, "program still runs correctly");
     }
@@ -1693,9 +1664,9 @@ mod tests {
     fn regrouping_ablation_still_correct_and_not_faster() {
         let (p, mem) = figure1_workload(48);
         let case = SimCase::new(&p, mem.clone());
-        let full = Multipass::new(MachineConfig::default()).run(&case);
+        let full = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         let cfg = MultipassConfig::without_regrouping(MachineConfig::default());
-        let ablated = Multipass::with_config(cfg).run(&case);
+        let ablated = Multipass::with_config(cfg).try_run(&case).unwrap();
         assert!(ablated.final_state.semantically_eq(&full.final_state));
         assert!(
             ablated.stats.cycles >= full.stats.cycles,
@@ -1732,17 +1703,27 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_records_mode_transitions() {
+    fn mode_probe_records_transitions() {
+        struct Modes(Vec<(u64, RetireMode)>);
+        impl PipelineProbe for Modes {
+            fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+                self.0.push((cycle, mode));
+            }
+        }
         let (p, mem) = figure1_workload(24);
         let case = SimCase::new(&p, mem);
-        let (r, trace) = Multipass::new(MachineConfig::default()).run_traced(&case);
+        let mut modes = Modes(Vec::new());
+        let r = Multipass::new(MachineConfig::default())
+            .run_observed(&case, &mut ff_engine::NullRetireHook, &mut modes)
+            .unwrap();
+        let trace = modes.0;
         assert!(!trace.is_empty(), "no transitions recorded");
         // Cycles are non-decreasing, and advance/rally both appear.
         assert!(trace.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(trace.iter().any(|(_, m)| *m == Mode::Advance));
-        assert!(trace.iter().any(|(_, m)| *m == Mode::Rally));
-        // Tracing must not perturb timing.
-        let plain = Multipass::new(MachineConfig::default()).run(&case);
+        assert!(trace.iter().any(|(_, m)| *m == RetireMode::Advance));
+        assert!(trace.iter().any(|(_, m)| *m == RetireMode::Rally));
+        // Observing must not perturb timing.
+        let plain = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert_eq!(plain.stats.cycles, r.stats.cycles);
     }
 
@@ -1776,7 +1757,7 @@ mod tests {
         let mut mem = MemoryImage::new();
         mem.store(0x10_0000, 5);
         let case = SimCase::new(&p, mem);
-        let r = Multipass::new(MachineConfig::default()).run(&case);
+        let r = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(r.stats.value_flushes > 0, "expected a value-misspeculation flush");
         // Architectural correctness after the flush.
         assert_eq!(r.final_state.int(11), 99, "S-bit load must re-execute");
@@ -1794,9 +1775,10 @@ mod tests {
         // (See the `ablation_structures` bench for numbers.)
         let (p, mem) = figure1_workload(48);
         let case = SimCase::new(&p, mem);
-        let paper = Multipass::new(MachineConfig::default()).run(&case);
+        let paper = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         let alt = Multipass::with_config(MultipassConfig::with_ideal_waw(MachineConfig::default()))
-            .run(&case);
+            .try_run(&case)
+            .unwrap();
         assert!(alt.final_state.semantically_eq(&paper.final_state));
         assert_eq!(alt.stats.retired, paper.stats.retired);
     }
@@ -1810,8 +1792,8 @@ mod tests {
         let case = SimCase::new(&p, mem);
         let mut tiny = MultipassConfig::new(MachineConfig::default());
         tiny.smaq_entries = 4;
-        let small = Multipass::with_config(tiny).run(&case);
-        let full = Multipass::new(MachineConfig::default()).run(&case);
+        let small = Multipass::with_config(tiny).try_run(&case).unwrap();
+        let full = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(small.final_state.semantically_eq(&full.final_state));
         assert!(
             small.stats.cycles >= full.stats.cycles,
@@ -1853,7 +1835,7 @@ mod tests {
         let mut mem = MemoryImage::new();
         mem.store(0x10_0000, 42);
         let case = SimCase::new(&p, mem);
-        let r = Multipass::new(MachineConfig::default()).run(&case);
+        let r = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         // The stale value at 0x6000 is 0 (branch not taken speculatively);
         // the real value is 1 (taken). Correctness: the then-block was
         // skipped architecturally.
@@ -1865,7 +1847,7 @@ mod tests {
     fn modes_are_tracked() {
         let (p, mem) = figure1_workload(32);
         let case = SimCase::new(&p, mem);
-        let mp = Multipass::new(MachineConfig::default()).run(&case);
+        let mp = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(mp.stats.spec_mode_cycles > 0);
         assert!(mp.stats.rally_cycles > 0);
         assert_eq!(mp.stats.breakdown.total(), mp.stats.cycles);
@@ -1876,8 +1858,8 @@ mod tests {
         use ff_baselines::InOrder;
         let (p, mem) = figure1_workload(64);
         let case = SimCase::new(&p, mem);
-        let base = InOrder::new(MachineConfig::default()).run(&case);
-        let mp = Multipass::new(MachineConfig::default()).run(&case);
+        let base = InOrder::new(MachineConfig::default()).try_run(&case).unwrap();
+        let mp = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(
             mp.stats.breakdown.load < base.stats.breakdown.load,
             "MP load stalls {} !< base {}",
@@ -1890,7 +1872,7 @@ mod tests {
     fn activity_counters_populated() {
         let (p, mem) = figure1_workload(24);
         let case = SimCase::new(&p, mem);
-        let mp = Multipass::new(MachineConfig::default()).run(&case);
+        let mp = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert!(mp.activity.iq_writes > 0);
         assert!(mp.activity.rs_writes > 0);
         assert!(mp.activity.rs_reads > 0);

@@ -34,8 +34,8 @@
 use std::fmt;
 
 use ff_engine::{
-    EpisodeWindow, ExecutionModel, RetireEvent, RetireHook, RetireMode, RetireRing, RunResult,
-    SimCase,
+    EpisodeWindow, ExecutionModel, NullProbe, RetireEvent, RetireHook, RetireMode, RetireRing,
+    RunResult, SimCase,
 };
 use ff_isa::eval::effective_address;
 use ff_isa::interp::Interpreter;
@@ -379,7 +379,9 @@ impl fmt::Display for ComparisonReport {
 /// reports the first divergence (if any) plus end-of-run comparisons.
 pub fn compare_model(model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> ComparisonReport {
     let mut checker = LockstepChecker::new(case);
-    let result = model.run_hooked(case, &mut checker);
+    let result = model
+        .run_observed(case, &mut checker, &mut NullProbe)
+        .unwrap_or_else(|e| panic!("{e} — runaway program?"));
 
     let mut golden = Interpreter::with_state(case.program, case.initial_state());
     golden.run(case.max_insts).expect("golden interpreter failed on workload program");

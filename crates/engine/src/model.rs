@@ -6,7 +6,7 @@ use ff_isa::{ArchState, MemoryImage, Program};
 use ff_mem::MemStats;
 
 use crate::activity::Activity;
-use crate::probe::{PipelineProbe, RetireTee};
+use crate::probe::{NullProbe, PipelineProbe};
 use crate::retire::{NullRetireHook, RetireHook};
 use crate::stats::RunStats;
 
@@ -131,91 +131,44 @@ pub trait ExecutionModel: Send {
 
     /// Selects how the model advances simulated time (see [`TickMode`]).
     ///
-    /// Every mode must produce identical results; models that have no
-    /// event-driven fast path simply ignore the setting, which is why the
-    /// default implementation is a no-op.
-    fn set_tick_mode(&mut self, mode: TickMode) {
-        let _ = mode;
-    }
+    /// Every mode must produce identical results.
+    fn set_tick_mode(&mut self, mode: TickMode);
 
     /// Simulates `case` until the program halts or the effective cycle
     /// cap ([`SimCase::cycle_cap`]) is hit, reporting every retired
-    /// dynamic instruction to `hook` in retirement order. The hook must
-    /// not affect timing: all `run*` variants produce identical
-    /// [`RunResult`]s.
+    /// dynamic instruction to `hook` in retirement order and publishing
+    /// pipeline observations to `probe` (see [`PipelineProbe`]), ending
+    /// with [`PipelineProbe::on_run_end`]. Observers are strictly
+    /// read-only: an observed run produces a [`RunResult`] identical to
+    /// an unobserved one.
+    ///
+    /// Every model delivers retirements and the end-of-run result; the
+    /// multipass pipeline also publishes per-cycle, mode-transition,
+    /// memory-completion, and store-forwarding observations.
     ///
     /// # Errors
     ///
-    /// [`RunError::CycleBudgetExceeded`] if the cap is reached first.
+    /// [`RunError::CycleBudgetExceeded`] if the cap is reached first. On
+    /// error the probe receives no end-of-run observation.
     ///
     /// # Panics
     ///
     /// Implementations panic if the program exceeds the case's instruction
     /// budget (indicating a malformed workload).
-    fn try_run_hooked(
-        &mut self,
-        case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
-    ) -> Result<RunResult, RunError>;
-
-    /// Simulates `case` to completion, reporting retirements to `hook`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`RunError`] (cycle cap exceeded — runaway program?) and
-    /// on an exceeded instruction budget.
-    fn run_hooked(&mut self, case: &SimCase<'_>, hook: &mut dyn RetireHook) -> RunResult {
-        match self.try_run_hooked(case, hook) {
-            Ok(r) => r,
-            Err(e) => panic!("{e} — runaway program?"),
-        }
-    }
-
-    /// Simulates `case` while publishing pipeline observations to `probe`
-    /// (see [`PipelineProbe`]) in addition to reporting retirements to
-    /// `hook`. Probes are strictly read-only: a probed run produces a
-    /// [`RunResult`] identical to an unprobed one.
-    ///
-    /// The default implementation tees retirements into the probe and
-    /// publishes the end-of-run result; models with deeper instrumentation
-    /// (the multipass pipeline) override it to also publish per-cycle,
-    /// memory-completion, and store-forwarding observations.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecutionModel::try_run_hooked`]. On error the probe receives
-    /// no end-of-run observation.
-    fn try_run_probed(
+    fn run_observed(
         &mut self,
         case: &SimCase<'_>,
         hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
-    ) -> Result<RunResult, RunError> {
-        let result = {
-            let mut tee = RetireTee::new(hook, probe);
-            self.try_run_hooked(case, &mut tee)?
-        };
-        probe.on_run_end(&result);
-        Ok(result)
-    }
+    ) -> Result<RunResult, RunError>;
 
-    /// Fallible variant of [`ExecutionModel::run`]: simulates `case` and
-    /// returns the results, or a [`RunError`] if the cycle cap was hit.
+    /// Simulates `case` with no observers and returns the run's results.
     ///
     /// # Errors
     ///
-    /// See [`ExecutionModel::try_run_hooked`].
+    /// See [`ExecutionModel::run_observed`].
     fn try_run(&mut self, case: &SimCase<'_>) -> Result<RunResult, RunError> {
-        self.try_run_hooked(case, &mut NullRetireHook)
-    }
-
-    /// Simulates `case` to completion and returns the run's results.
-    ///
-    /// # Panics
-    ///
-    /// See [`ExecutionModel::run_hooked`].
-    fn run(&mut self, case: &SimCase<'_>) -> RunResult {
-        self.run_hooked(case, &mut NullRetireHook)
+        self.run_observed(case, &mut NullRetireHook, &mut NullProbe)
     }
 }
 

@@ -7,10 +7,10 @@
 //! consumes them without ever feeding anything back, so a probed run is
 //! cycle-for-cycle identical to an unprobed one.
 //!
-//! All models deliver retirements and the end-of-run result through the
-//! default [`ExecutionModel::try_run_probed`](crate::ExecutionModel::try_run_probed)
-//! plumbing; the multipass pipeline additionally publishes the deep
-//! per-cycle observations ([`CycleObs`], [`MemAccessObs`],
+//! Every model delivers retirements and the end-of-run result through
+//! [`ExecutionModel::run_observed`](crate::ExecutionModel::run_observed);
+//! the multipass pipeline additionally publishes its mode transitions and
+//! the deep per-cycle observations ([`CycleObs`], [`MemAccessObs`],
 //! [`AscForwardObs`]) from inside its core loop.
 
 use ff_isa::Reg;
@@ -110,6 +110,14 @@ pub trait PipelineProbe {
         let _ = event;
     }
 
+    /// The pipeline switched to `mode` at `cycle` (multipass only).
+    /// Called on every transition, including ones that a later
+    /// transition in the same top-of-cycle step supersedes before the
+    /// [`PipelineProbe::on_cycle`] snapshot.
+    fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+        let _ = (cycle, mode);
+    }
+
     /// Top-of-cycle pipeline snapshot (multipass only).
     fn on_cycle(&mut self, obs: &CycleObs) {
         let _ = obs;
@@ -143,32 +151,38 @@ impl PipelineProbe for NullProbe {
 }
 
 /// Retire-hook adapter that tees retirements to both a caller's hook and
-/// a probe — the default [`ExecutionModel::try_run_probed`](crate::ExecutionModel::try_run_probed)
-/// plumbing for models without deeper instrumentation.
+/// a probe — the [`ExecutionModel::run_observed`](crate::ExecutionModel::run_observed)
+/// plumbing for models without deeper instrumentation. It reports itself
+/// enabled only when one of the two sides is, so an unobserved run never
+/// constructs retirement events.
 pub struct RetireTee<'a> {
     hook: &'a mut dyn RetireHook,
     hook_enabled: bool,
     probe: &'a mut dyn PipelineProbe,
+    probe_enabled: bool,
 }
 
 impl<'a> RetireTee<'a> {
-    /// Tees retirements into `hook` (when it is enabled) and `probe`.
+    /// Tees retirements into `hook` and `probe`, each when it is enabled.
     pub fn new(hook: &'a mut dyn RetireHook, probe: &'a mut dyn PipelineProbe) -> Self {
         let hook_enabled = hook.enabled();
-        RetireTee { hook, hook_enabled, probe }
+        let probe_enabled = probe.enabled();
+        RetireTee { hook, hook_enabled, probe, probe_enabled }
     }
 }
 
 impl RetireHook for RetireTee<'_> {
     fn enabled(&self) -> bool {
-        true
+        self.hook_enabled || self.probe_enabled
     }
 
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         if self.hook_enabled {
             self.hook.on_retire(event);
         }
-        self.probe.on_retire(event);
+        if self.probe_enabled {
+            self.probe.on_retire(event);
+        }
     }
 }
 
@@ -210,5 +224,7 @@ mod tests {
         tee.on_retire(&ev);
         assert_eq!(ring.total(), 1);
         assert_eq!(probe.0, 1);
+        // With neither side enabled, models skip building events.
+        assert!(!RetireTee::new(&mut crate::NullRetireHook, &mut NullProbe).enabled());
     }
 }

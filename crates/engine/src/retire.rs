@@ -4,7 +4,7 @@
 //! (that is the whole point of the equivalence oracle), so a hook at
 //! retirement granularity is the natural place to observe a model's
 //! architectural effects without perturbing its timing. A model invoked
-//! through [`crate::ExecutionModel::run_hooked`] reports one
+//! through [`crate::ExecutionModel::run_observed`] reports one
 //! [`RetireEvent`] per retired dynamic instruction — its location, the
 //! register it wrote, the store it performed, and (for multipass) the mode
 //! and advance-episode window active at retirement. The `ff-debug` crate
@@ -173,7 +173,7 @@ pub trait RetireHook {
     fn on_retire(&mut self, event: &RetireEvent<'_>);
 }
 
-/// A hook that ignores every event (the default for plain `run`).
+/// A hook that ignores every event (the one [`crate::ExecutionModel::try_run`] passes).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullRetireHook;
 

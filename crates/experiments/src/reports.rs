@@ -23,8 +23,16 @@ fn mean_speedup(machine: MachineConfig, mp_cfg: MultipassConfig, ws: &[Workload]
     let mut total = 0.0;
     for w in ws {
         let case = SimCase::new(&w.program, w.mem.clone());
-        let base = InOrder::new(machine).run(&case).stats.cycles as f64;
-        let mp = Multipass::with_config(mp_cfg).run(&case).stats.cycles as f64;
+        let base = InOrder::new(machine)
+            .try_run(&case)
+            .expect("kernel halts within the cycle cap")
+            .stats
+            .cycles as f64;
+        let mp = Multipass::with_config(mp_cfg)
+            .try_run(&case)
+            .expect("kernel halts within the cycle cap")
+            .stats
+            .cycles as f64;
         total += base / mp;
     }
     total / ws.len() as f64
@@ -164,9 +172,10 @@ pub fn unroll_effect() -> String {
         let program = ff_compiler::compile(&raw, &options);
         assert!(ff_compiler::verify_schedule(&program).is_ok());
         let case = SimCase::new(&program, mem.clone());
-        let base = InOrder::new(machine).run(&case);
-        let mp = Multipass::new(machine).run(&case);
-        let ooo = OutOfOrder::new(machine).run(&case);
+        let base = InOrder::new(machine).try_run(&case).expect("kernel halts within the cycle cap");
+        let mp = Multipass::new(machine).try_run(&case).expect("kernel halts within the cycle cap");
+        let ooo =
+            OutOfOrder::new(machine).try_run(&case).expect("kernel halts within the cycle cap");
         // Memory semantics must be identical across factors.
         match &golden_mem {
             None => golden_mem = Some(base.final_state.mem.clone()),

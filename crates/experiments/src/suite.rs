@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
-use ff_engine::{ExecutionModel, MachineConfig, RetireHook, RunError, RunResult, SimCase};
+use ff_engine::{ExecutionModel, MachineConfig, RunResult, SimCase};
 use ff_mem::HierarchyConfig;
 use ff_multipass::{Multipass, MultipassConfig};
 use ff_workloads::{Scale, Workload};
@@ -243,42 +243,12 @@ impl Suite {
     /// Panics if the machine's cycle cap is exceeded (runaway program).
     pub fn execute(model: ModelKind, hier: HierKind, workload: &Workload) -> RunResult {
         let case = SimCase::new(&workload.program, workload.mem.clone());
-        Self::execute_case(model, hier, &case).unwrap_or_else(|e| panic!("{e} — runaway program?"))
+        Self::build_model(model, hier)
+            .try_run(&case)
+            .unwrap_or_else(|e| panic!("{e} — runaway program?"))
     }
 
-    /// Fallible variant of [`Suite::execute`] over a prepared [`SimCase`]
-    /// (which may carry a watchdog cycle budget).
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::CycleBudgetExceeded`] if the case's effective cycle cap
-    /// is hit before the program halts.
-    pub fn execute_case(
-        model: ModelKind,
-        hier: HierKind,
-        case: &SimCase<'_>,
-    ) -> Result<RunResult, RunError> {
-        Self::build_model(model, hier).try_run(case)
-    }
-
-    /// Variant of [`Suite::execute_case`] that reports every retired
-    /// dynamic instruction to `hook` — campaign runners attach a
-    /// [`ff_engine::RetireRing`] here so a failing job can leave a crash
-    /// bundle with the retirements leading up to the failure.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::execute_case`].
-    pub fn execute_case_hooked(
-        model: ModelKind,
-        hier: HierKind,
-        case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
-    ) -> Result<RunResult, RunError> {
-        Self::build_model(model, hier).try_run_hooked(case, hook)
-    }
-
-    /// Builds the exact model instance [`Suite::execute_case`] runs: the
+    /// Builds the exact model instance [`Suite::execute`] runs: the
     /// Table 2 machine with `hier`'s cache hierarchy.
     pub fn build_model(model: ModelKind, hier: HierKind) -> Box<dyn ExecutionModel> {
         model.build(MachineConfig::itanium2_base().with_hierarchy(hier.config()))

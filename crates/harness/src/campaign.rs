@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ff_engine::{RetireRing, TickMode};
+use ff_engine::{NullProbe, RetireRing, TickMode};
 use ff_experiments::{reports, HierKind, ModelKind, Suite};
 use ff_workloads::{Scale, Workload};
 
@@ -396,7 +396,7 @@ fn compute_artifact(
                 }
                 report.outcome
             } else {
-                m.try_run_hooked(&case, &mut debris.ring)
+                m.run_observed(&case, &mut debris.ring, &mut NullProbe)
             };
             match outcome {
                 Ok(result) => Ok(render_sim_artifact(spec, &result)),
@@ -415,7 +415,7 @@ fn compute_artifact(
 }
 
 /// Whether a valid, hash-matching artifact for `spec` already exists
-/// (sharded layout or legacy flat fallback). Integrity-checked: a file
+/// Integrity-checked: a file
 /// that fails its checksum footer is moved to the `corrupt/` ledger and
 /// reads as absent, so the resume path transparently re-simulates it.
 pub fn artifact_is_current(out_dir: &Path, spec: &JobSpec) -> bool {

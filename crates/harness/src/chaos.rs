@@ -34,7 +34,7 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The filesystem operation a policy is consulted about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,34 +88,45 @@ pub trait ChaosPolicy: Send + Sync {
 static ARMED: AtomicBool = AtomicBool::new(false);
 static POLICY: Mutex<Option<Arc<dyn ChaosPolicy>>> = Mutex::new(None);
 
+/// Held by the live [`ChaosGuard`], so at most one policy is installed
+/// at a time.
+static INSTALLED: Mutex<()> = Mutex::new(());
+
 /// Uninstalls the global policy when dropped, so a panicking test cannot
-/// leave chaos armed for the rest of the process.
-pub struct ChaosGuard(());
+/// leave chaos armed for the rest of the process. It holds the install
+/// lock until then, so no other [`install`] can replace or disarm its
+/// policy.
+pub struct ChaosGuard {
+    _installed: MutexGuard<'static, ()>,
+}
 
 impl Drop for ChaosGuard {
     fn drop(&mut self) {
-        let mut slot = POLICY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = POLICY.lock().unwrap_or_else(PoisonError::into_inner);
         *slot = None;
         ARMED.store(false, Ordering::SeqCst);
     }
 }
 
-/// Installs `policy` as the process-global fault injector, replacing any
-/// previous one. Scope policies by path (see [`SeededChaos::scoped`]) so
-/// unrelated I/O — including other tests in the same process — is
-/// unaffected.
+/// Installs `policy` as the process-global fault injector, first waiting
+/// for any other installed policy's guard to drop. Scope policies by path
+/// (see [`SeededChaos::scoped`]) so unrelated I/O — including other tests
+/// in the same process — is unaffected.
 pub fn install(policy: Arc<dyn ChaosPolicy>) -> ChaosGuard {
-    let mut slot = POLICY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    // The lock guards no data, so a guard dropped while panicking leaves
+    // nothing to repair.
+    let held = INSTALLED.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut slot = POLICY.lock().unwrap_or_else(PoisonError::into_inner);
     *slot = Some(policy);
     ARMED.store(true, Ordering::SeqCst);
-    ChaosGuard(())
+    ChaosGuard { _installed: held }
 }
 
 fn decide(op: FsOp, path: &Path) -> Option<Fault> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
-    let slot = POLICY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let slot = POLICY.lock().unwrap_or_else(PoisonError::into_inner);
     slot.as_ref().and_then(|p| p.decide(op, path))
 }
 

@@ -15,17 +15,13 @@
 //! byte-identity contracts between served and locally-rendered
 //! artifacts, report rendering — sees pure payload bytes.
 //!
-//! Footerless files are accepted as **legacy** artifacts only when their
-//! payload still parses as JSON. The JSON parser rejects both partial
-//! documents and trailing garbage, so a sealed artifact truncated
-//! anywhere (mid-payload or mid-footer) can never masquerade as legacy:
-//! truncation mid-payload leaves unbalanced JSON, truncation mid-footer
-//! leaves `#…` trailing garbage, and truncation exactly at the footer
-//! boundary leaves the complete, valid payload — harmless by
-//! construction.
+//! A file without a footer is corrupt: the store seals every artifact it
+//! writes, so a footerless file is either a sealed one truncated at or
+//! before its footer, or foreign. Either way it is quarantined and
+//! re-simulated as a miss.
 //!
-//! [`fsck`] walks a store, classifies every artifact ok / legacy /
-//! corrupt, sweeps orphaned `.tmp-*` files left by crashed writers, and
+//! [`fsck`] walks a store, classifies every artifact ok / corrupt,
+//! sweeps orphaned `.tmp-*` files left by crashed writers, and
 //! moves corrupt files into a `corrupt/` ledger directory so the
 //! scheduler transparently re-simulates them as memoization misses
 //! (self-healing). The same routine backs `ff-campaign fsck` and the
@@ -35,7 +31,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::chaos;
-use crate::json::Json;
 use crate::store::artifact_hash_of;
 
 /// The footer tag. A versioned format: v2 readers can accept v1 files.
@@ -76,34 +71,21 @@ pub fn seal(payload: &str) -> String {
     text
 }
 
-/// Where a verified artifact's integrity came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Provenance {
-    /// The file carried a valid checksum footer.
-    Sealed,
-    /// A footerless pre-checksum file whose payload still parses.
-    Legacy,
-}
-
-/// Verifies `text` and strips its footer, returning the payload.
+/// Verifies `text` and strips its footer, returning the payload and
+/// its verified CRC-64.
 ///
 /// # Errors
 ///
-/// With a human-readable reason when the footer is malformed, the
-/// length or checksum mismatches, or a footerless file fails to parse
-/// as JSON (the legacy gate).
-pub fn open(text: &str) -> Result<(&str, Provenance), String> {
+/// With a human-readable reason when the footer is missing or
+/// malformed, or the length or checksum mismatches.
+pub fn open(text: &str) -> Result<(&str, u64), String> {
     let footer_start = if text.starts_with(FOOTER_TAG) {
         Some(0)
     } else {
         text.rfind(&format!("\n{FOOTER_TAG}")).map(|i| i + 1)
     };
     let Some(footer_start) = footer_start else {
-        // No footer at all: legacy only if the payload is intact JSON.
-        return match Json::parse(text) {
-            Ok(_) => Ok((text, Provenance::Legacy)),
-            Err(e) => Err(format!("no checksum footer and payload is not valid JSON ({e})")),
-        };
+        return Err("no checksum footer".into());
     };
     let payload = &text[..footer_start];
     let footer = &text[footer_start..];
@@ -136,7 +118,7 @@ pub fn open(text: &str) -> Result<(&str, Provenance), String> {
     if actual != crc {
         return Err(format!("checksum mismatch: footer says {crc:016x}, payload is {actual:016x}"));
     }
-    Ok((payload, Provenance::Sealed))
+    Ok((payload, crc))
 }
 
 /// Why a verified read failed.
@@ -158,16 +140,16 @@ impl std::fmt::Display for ReadError {
 }
 
 /// Reads `path` (through the chaos layer) and verifies its integrity,
-/// returning the footer-stripped payload.
+/// returning the footer-stripped payload and its verified CRC-64.
 ///
 /// # Errors
 ///
 /// [`ReadError::Io`] when the file cannot be read, [`ReadError::Corrupt`]
 /// when it fails verification.
-pub fn read_verified(path: &Path) -> Result<(String, Provenance), ReadError> {
+pub fn read_verified(path: &Path) -> Result<(String, u64), ReadError> {
     let text = chaos::read_to_string(path).map_err(ReadError::Io)?;
     match open(&text) {
-        Ok((payload, provenance)) => Ok((payload.to_string(), provenance)),
+        Ok((payload, crc)) => Ok((payload.to_string(), crc)),
         Err(reason) => Err(ReadError::Corrupt(reason)),
     }
 }
@@ -215,8 +197,6 @@ pub fn quarantine_corrupt(root: &Path, path: &Path, reason: &str) -> std::io::Re
 pub struct FsckReport {
     /// Artifacts with a valid checksum footer.
     pub ok: usize,
-    /// Footerless pre-checksum artifacts that still parse.
-    pub legacy: usize,
     /// Corrupt artifacts, as (store-relative path, reason); each has
     /// been moved to the `corrupt/` ledger.
     pub corrupt: Vec<(String, String)>,
@@ -233,9 +213,8 @@ impl FsckReport {
     /// A one-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} ok, {} legacy, {} corrupt (moved to {CORRUPT_DIR}/), {} orphaned tmp swept",
+            "{} ok, {} corrupt (moved to {CORRUPT_DIR}/), {} orphaned tmp swept",
             self.ok,
-            self.legacy,
             self.corrupt.len(),
             self.orphan_tmp,
         )
@@ -252,7 +231,7 @@ pub fn is_tmp_name(name: &str) -> bool {
     name.starts_with(".tmp-")
 }
 
-/// Walks the store at `root` — the flat root plus every shard directory
+/// Walks the store at `root` — the root itself plus every shard directory
 /// — verifying every artifact and sweeping every orphaned `.tmp-*`
 /// file. Corrupt artifacts are moved to `<root>/corrupt/` and ledgered;
 /// a subsequent campaign or server run transparently re-simulates them
@@ -290,8 +269,7 @@ pub fn fsck(root: &Path) -> std::io::Result<FsckReport> {
                 continue; // manifest.json, quarantine.json, bundles, …
             }
             match read_verified(&path) {
-                Ok((_, Provenance::Sealed)) => report.ok += 1,
-                Ok((_, Provenance::Legacy)) => report.legacy += 1,
+                Ok(_) => report.ok += 1,
                 Err(e) => {
                     let reason = e.to_string();
                     let rel =
@@ -324,46 +302,23 @@ mod tests {
     }
 
     #[test]
-    fn seal_then_open_round_trips_and_reports_sealed() {
+    fn seal_then_open_round_trips() {
         let payload = "{\n  \"x\": 1\n}\n";
         let sealed = seal(payload);
         assert!(sealed.starts_with(payload));
         assert!(sealed.contains(FOOTER_TAG));
-        let (back, prov) = open(&sealed).unwrap();
+        let (back, crc) = open(&sealed).unwrap();
         assert_eq!(back, payload);
-        assert_eq!(prov, Provenance::Sealed);
-    }
-
-    #[test]
-    fn open_accepts_intact_legacy_json_only() {
-        let (payload, prov) = open("{\n  \"x\": 1\n}\n").unwrap();
-        assert_eq!(prov, Provenance::Legacy);
-        assert_eq!(payload, "{\n  \"x\": 1\n}\n");
-        // A truncated legacy file is corrupt, not legacy.
-        assert!(open("{\n  \"x\": ").is_err());
-        // Trailing garbage is corrupt too.
-        assert!(open("{\"x\": 1}\ngarbage\n").is_err());
+        assert_eq!(crc, crc64(payload.as_bytes()));
     }
 
     #[test]
     fn every_truncation_point_of_a_sealed_artifact_is_detected() {
-        let original = "{\n  \"answer\": 42\n}\n";
-        let sealed = seal(original);
-        let full = Json::parse(original).unwrap();
+        let sealed = seal("{\n  \"answer\": 42\n}\n");
         for cut in 1..sealed.len() {
-            let clipped = &sealed[..cut];
-            // Either the cut is detected, or — for cuts that land exactly
-            // on the end of the JSON document (the legacy-acceptance
-            // boundary) — the surviving payload is the *complete*
-            // document: a JSON object has no valid proper prefix, so no
-            // cut can ever expose a partial artifact.
-            if let Ok((payload, _)) = open(clipped) {
-                assert_eq!(
-                    Json::parse(payload).unwrap(),
-                    full,
-                    "cut {cut} served a document that differs from the original",
-                );
-            }
+            // Every proper prefix is corrupt, including the cut exactly at
+            // the footer boundary that leaves the complete payload.
+            assert!(open(&sealed[..cut]).is_err(), "cut {cut} was accepted");
         }
     }
 
@@ -402,22 +357,24 @@ mod tests {
         let bad_spec = JobSpec::sim(ModelKind::InOrder, HierKind::Base, "mcf", 0, Scale::Test);
         crate::store::write_artifact(&dir, &ok_spec, "{\"ok\": 1}\n").unwrap();
         let bad_path = crate::store::write_artifact(&dir, &bad_spec, "{\"bad\": 1}\n").unwrap();
-        // Silently truncate one artifact and plant a legacy flat one plus
+        // Silently truncate one artifact and plant a footerless one plus
         // an orphaned tmp file and a bystander.
         let text = std::fs::read_to_string(&bad_path).unwrap();
         std::fs::write(&bad_path, &text[..text.len() / 2]).unwrap();
-        let legacy_spec = JobSpec::sim(ModelKind::Ooo, HierKind::Base, "art", 0, Scale::Test);
-        std::fs::write(dir.join(legacy_spec.artifact_filename()), "{\"legacy\": 1}\n").unwrap();
+        let unsealed_spec = JobSpec::sim(ModelKind::Ooo, HierKind::Base, "art", 0, Scale::Test);
+        let unsealed_path = crate::store::sharded_path(&dir, &unsealed_spec);
+        std::fs::create_dir_all(unsealed_path.parent().unwrap()).unwrap();
+        std::fs::write(&unsealed_path, "{\"unsealed\": 1}\n").unwrap();
         std::fs::write(dir.join(".tmp-123-0-sim-x.json"), "partial").unwrap();
         std::fs::write(dir.join("manifest.json"), "not json, not an artifact").unwrap();
 
         let report = fsck(&dir).unwrap();
         assert_eq!(report.ok, 1);
-        assert_eq!(report.legacy, 1);
         assert_eq!(report.orphan_tmp, 1);
-        assert_eq!(report.corrupt.len(), 1, "{report:?}");
+        assert_eq!(report.corrupt.len(), 2, "{report:?}");
         assert!(!report.clean());
         assert!(!bad_path.exists(), "corrupt artifact must be moved out");
+        assert!(!unsealed_path.exists(), "footerless artifact must be moved out");
         let ledger = std::fs::read_to_string(dir.join(CORRUPT_DIR).join(LEDGER_NAME)).unwrap();
         assert!(ledger.contains(&bad_spec.artifact_filename()), "{ledger}");
         assert!(dir.join("manifest.json").exists(), "bystanders stay put");
@@ -425,7 +382,7 @@ mod tests {
         // Idempotent: a second pass finds a clean store.
         let again = fsck(&dir).unwrap();
         assert!(again.clean(), "{again:?}");
-        assert_eq!((again.ok, again.legacy), (1, 1));
+        assert_eq!(again.ok, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -27,8 +27,7 @@
 //!   seeds, scale, git revision, per-job wall time, and worker count;
 //! * **a sharded, memoizing artifact store** — artifacts are
 //!   content-addressed by config hash and sharded across 256 directories
-//!   by hash prefix ([`store`]), with transparent read-fallback to the
-//!   legacy flat layout and a one-shot `ff-campaign migrate-store`;
+//!   by hash prefix ([`store`]);
 //! * **artifact-backed rendering** — [`store::ArtifactStore`] implements
 //!   [`ff_experiments::ResultSource`], so every figure/table under
 //!   `results/` re-renders from checkpointed artifacts without
@@ -79,6 +78,4 @@ pub use manifest::{read_manifest, write_manifest, ManifestSummary};
 pub use quarantine::Quarantine;
 pub use remote::{CampaignRequest, CampaignStatus, RemoteSource, RetryPolicy, ServerUrl};
 pub use render_results::render_all;
-pub use store::{
-    durable_write, migrate_flat, parse_hash16, sweep_tmp, ArtifactStore, ShardedStore,
-};
+pub use store::{durable_write, parse_hash16, sweep_tmp, ArtifactStore, ShardedStore};

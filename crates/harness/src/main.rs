@@ -6,7 +6,6 @@
 //! ff-campaign resume --all
 //! ff-campaign list --all --scale paper
 //! ff-campaign status
-//! ff-campaign migrate-store --out results/campaign/test
 //! ff-campaign submit --server http://127.0.0.1:7878 --scale test --wait
 //! ff-campaign status --server http://127.0.0.1:7878 --id c1
 //! ff-campaign fetch  --server http://127.0.0.1:7878 --id c1 --out fetched/
@@ -27,7 +26,7 @@ use ff_harness::{
     read_manifest,
     remote::{campaign_status, fetch_artifact, submit_campaign},
     render_all, run_campaign,
-    store::{find_artifact, migrate_flat, write_artifact},
+    store::{find_artifact, write_artifact},
     write_manifest, ArtifactStore, CampaignOptions, CampaignReport, CampaignRequest, JobFilter,
     JobKind, JobSpec, JobStatus, RemoteSource, ServerUrl,
 };
@@ -41,9 +40,6 @@ USAGE:
     ff-campaign resume [OPTIONS]   alias for `run`
     ff-campaign list   [OPTIONS]   print the job plan without running it
     ff-campaign status [--out DIR] summarize the last run's manifest
-    ff-campaign migrate-store [--out DIR]
-                                   move a legacy flat artifact tree into the
-                                   sharded layout (idempotent)
     ff-campaign fsck   [--out DIR] verify every artifact's checksum footer:
                                    corrupt files move to <out>/corrupt/ (with a
                                    ledger line), orphaned .tmp files are swept;
@@ -153,15 +149,7 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
     }
     if !matches!(
         cmd.as_str(),
-        "run"
-            | "resume"
-            | "list"
-            | "status"
-            | "migrate-store"
-            | "fsck"
-            | "submit"
-            | "fetch"
-            | "render"
+        "run" | "resume" | "list" | "status" | "fsck" | "submit" | "fetch" | "render"
     ) {
         return Err(usage_err(&format!("unknown command `{cmd}`")));
     }
@@ -272,20 +260,6 @@ fn parse_server(cli: &Cli) -> Result<ServerUrl, String> {
         .as_deref()
         .ok_or_else(|| usage_err("this command needs --server http://host:port"))?;
     ServerUrl::parse(raw).map_err(|e| usage_err(&e))
-}
-
-fn cmd_migrate_store(cli: &Cli) -> ExitCode {
-    let dir = out_dir(cli);
-    match migrate_flat(&dir) {
-        Ok(moved) => {
-            eprintln!("ff-campaign: moved {moved} artifacts into shards under {}", dir.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("ff-campaign: migrate-store {}: {e}", dir.display());
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn cmd_fsck(cli: &Cli) -> ExitCode {
@@ -696,7 +670,6 @@ fn main() -> ExitCode {
         "list" => cmd_list(&cli),
         "status" if cli.server.is_some() => cmd_remote_status(&cli),
         "status" => cmd_status(&cli),
-        "migrate-store" => cmd_migrate_store(&cli),
         "fsck" => cmd_fsck(&cli),
         "submit" => cmd_submit(&cli),
         "fetch" => cmd_fetch(&cli),

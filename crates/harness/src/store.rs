@@ -4,15 +4,13 @@
 //! out in 256 shard directories named by the hash's first two hex chars
 //! (`<root>/ab/sim-…-ab12….json`), so a long-running service never puts
 //! millions of files in one directory and per-shard locks never contend
-//! across shards. Pre-sharding `results/` trees keep working: every read
-//! falls back to the legacy flat layout, and `ff-campaign migrate-store`
-//! moves a flat tree into shards in one shot.
+//! across shards.
 //!
-//! Two layers live here:
+//! Three layers live here:
 //!
 //! * free functions ([`find_artifact`], [`write_artifact`],
-//!   [`find_by_hash`], [`migrate_flat`]) — the layout rules, used by the
-//!   batch campaign runner;
+//!   [`find_by_hash`]) — the layout rules, used by the batch campaign
+//!   runner;
 //! * [`ShardedStore`] — the same layout behind per-shard mutexes, used by
 //!   `ff-server` as a process-wide memoization cache shared by every
 //!   campaign and client (writes are tmp-file + atomic rename, so readers
@@ -33,7 +31,7 @@ use ff_workloads::{Scale, Workload};
 
 use crate::artifact::{parse_report_artifact, parse_sim_artifact};
 use crate::chaos;
-use crate::integrity::{self, Provenance, ReadError};
+use crate::integrity::{self, ReadError};
 use crate::job::JobSpec;
 
 /// Number of shard directories (two hex chars of the config hash).
@@ -45,45 +43,27 @@ pub fn shard_name(hash: u64) -> String {
     format!("{:02x}", (hash >> 56) as u8)
 }
 
-/// The artifact path for `spec` in the sharded layout (where new
-/// artifacts are written).
+/// The artifact path for `spec` in the sharded layout.
 pub fn sharded_path(root: &Path, spec: &JobSpec) -> PathBuf {
     root.join(shard_name(spec.config_hash())).join(spec.artifact_filename())
 }
 
-/// The artifact path for `spec` in the legacy flat layout (read-only
-/// fallback for pre-sharding `results/` trees).
-pub fn flat_path(root: &Path, spec: &JobSpec) -> PathBuf {
-    root.join(spec.artifact_filename())
-}
-
-/// Finds an existing artifact for `spec`: the sharded layout first, then
-/// the legacy flat layout.
+/// Finds an existing artifact for `spec`.
 pub fn find_artifact(root: &Path, spec: &JobSpec) -> Option<PathBuf> {
-    let sharded = sharded_path(root, spec);
-    if sharded.is_file() {
-        return Some(sharded);
-    }
-    let flat = flat_path(root, spec);
-    if flat.is_file() {
-        return Some(flat);
-    }
-    None
+    let path = sharded_path(root, spec);
+    path.is_file().then_some(path)
 }
 
 /// Finds an artifact by config hash alone (the `GET /jobs/{hash}` lookup):
-/// scans the hash's shard directory, then the flat root, for a file whose
-/// name ends in `-{hash:016x}.json`.
+/// scans the hash's shard directory for a file whose name ends in
+/// `-{hash:016x}.json`.
 pub fn find_by_hash(root: &Path, hash: u64) -> Option<PathBuf> {
     let suffix = format!("-{hash:016x}.json");
-    for dir in [root.join(shard_name(hash)), root.to_path_buf()] {
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(&suffix) && entry.path().is_file() {
-                return Some(entry.path());
-            }
+    let entries = std::fs::read_dir(root.join(shard_name(hash))).ok()?;
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        if name.to_string_lossy().ends_with(&suffix) && entry.path().is_file() {
+            return Some(entry.path());
         }
     }
     None
@@ -195,33 +175,6 @@ pub fn artifact_hash_of(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Migrates a legacy flat artifact tree into the sharded layout: every
-/// `sim-*.json` / `report-*.json` directly under `root` moves into its
-/// hash's shard directory. Non-artifact files (`manifest.json`,
-/// `quarantine.json`, `bundles/`) stay put. Returns the number of files
-/// moved. Idempotent: a second run moves nothing.
-///
-/// # Errors
-///
-/// On a filesystem error while scanning or moving.
-pub fn migrate_flat(root: &Path) -> std::io::Result<usize> {
-    let mut moved = 0;
-    for entry in std::fs::read_dir(root)? {
-        let entry = entry?;
-        if !entry.path().is_file() {
-            continue;
-        }
-        let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        let Some(hash) = artifact_hash_of(&name) else { continue };
-        let shard = root.join(shard_name(hash));
-        std::fs::create_dir_all(&shard)?;
-        std::fs::rename(entry.path(), shard.join(&name))?;
-        moved += 1;
-    }
-    Ok(moved)
-}
-
 /// The sharded artifact layout behind per-shard mutexes: the write side
 /// of the `ff-server` global memoization cache. Lookups and publishes for
 /// the same shard serialize; different shards never contend. (In-flight
@@ -241,8 +194,6 @@ pub struct ShardedStore {
 pub struct StoreCounters {
     /// Reads that verified a checksum footer.
     pub sealed_reads: AtomicU64,
-    /// Reads that accepted a footerless legacy artifact.
-    pub legacy_reads: AtomicU64,
     /// Corrupt artifacts detected (and moved to the `corrupt/` ledger).
     pub corrupt_detected: AtomicU64,
     /// Orphaned `.tmp-*` files swept at open.
@@ -256,7 +207,6 @@ impl StoreCounters {
         use crate::json::Json;
         Json::obj(vec![
             ("sealed_reads", Json::U64(self.sealed_reads.load(Ordering::Relaxed))),
-            ("legacy_reads", Json::U64(self.legacy_reads.load(Ordering::Relaxed))),
             ("corrupt_detected", Json::U64(self.corrupt_detected.load(Ordering::Relaxed))),
             ("tmp_swept", Json::U64(self.tmp_swept.load(Ordering::Relaxed))),
         ])
@@ -306,12 +256,8 @@ impl ShardedStore {
     /// re-simulates) and reads as absent. Caller holds the shard lock.
     fn read_verified_locked(&self, path: &Path) -> Option<String> {
         match integrity::read_verified(path) {
-            Ok((payload, Provenance::Sealed)) => {
+            Ok((payload, _)) => {
                 self.counters.sealed_reads.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
-            }
-            Ok((payload, Provenance::Legacy)) => {
-                self.counters.legacy_reads.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
             }
             Err(ReadError::Io(_)) => None,
@@ -323,43 +269,23 @@ impl ShardedStore {
         }
     }
 
-    /// Whether a *verified* artifact for `spec` exists (sharded or
-    /// legacy flat). A corrupt entry counts as absent — and is healed
-    /// away — so memoization can never serve damaged bytes.
+    /// Whether a *verified* artifact for `spec` exists. A corrupt entry
+    /// counts as absent — and is healed away — so memoization can never
+    /// serve damaged bytes.
     pub fn contains(&self, spec: &JobSpec) -> bool {
-        let _guard = self.lock(spec.config_hash());
-        self.read_locked(spec).is_some()
-    }
-
-    fn read_locked(&self, spec: &JobSpec) -> Option<String> {
-        // Two probes: if the sharded copy is corrupt it is quarantined
-        // by the first pass, and a legacy flat fallback (hidden behind
-        // it until now) may still satisfy the read.
-        for _ in 0..2 {
-            let path = find_artifact(&self.root, spec)?;
-            if let Some(payload) = self.read_verified_locked(&path) {
-                return Some(payload);
-            }
-        }
-        None
+        self.read(spec).is_some()
     }
 
     /// Reads the artifact for `spec`, if present and intact.
     pub fn read(&self, spec: &JobSpec) -> Option<String> {
         let _guard = self.lock(spec.config_hash());
-        self.read_locked(spec)
+        self.read_verified_locked(&find_artifact(&self.root, spec)?)
     }
 
     /// Reads an artifact by config hash alone, verifying integrity.
     pub fn read_by_hash(&self, hash: u64) -> Option<String> {
         let _guard = self.lock(hash);
-        for _ in 0..2 {
-            let path = find_by_hash(&self.root, hash)?;
-            if let Some(payload) = self.read_verified_locked(&path) {
-                return Some(payload);
-            }
-        }
-        None
+        self.read_verified_locked(&find_by_hash(&self.root, hash)?)
     }
 
     /// Runs a full integrity scan over the store (see
@@ -413,8 +339,7 @@ impl ArtifactStore {
         sharded_path(&self.dir, spec)
     }
 
-    /// Whether a (content-address-matching) artifact exists for `spec`,
-    /// in the sharded layout or the legacy flat one.
+    /// Whether a (content-address-matching) artifact exists for `spec`.
     pub fn contains(&self, spec: &JobSpec) -> bool {
         find_artifact(&self.dir, spec).is_some()
     }
@@ -561,60 +486,20 @@ mod tests {
     }
 
     #[test]
-    fn flat_layout_reads_still_work() {
-        let dir = temp_dir("flat");
-        let w = Workload::by_name("mesa", Scale::Test).unwrap();
-        let live = Suite::execute(ModelKind::InOrder, HierKind::Base, &w);
-        let spec = JobSpec::sim(ModelKind::InOrder, HierKind::Base, "mesa", 0, Scale::Test);
-        // Legacy flat layout: artifact directly under the root.
-        std::fs::write(dir.join(spec.artifact_filename()), render_sim_artifact(&spec, &live))
-            .unwrap();
-
-        let mut store = ArtifactStore::new(&dir, Scale::Test);
-        assert!(store.contains(&spec));
-        let loaded = store.result(ModelKind::InOrder, HierKind::Base, "mesa");
-        assert_eq!(loaded.stats, live.stats);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn migrate_flat_moves_artifacts_into_shards() {
-        let dir = temp_dir("migrate");
-        let w = Workload::by_name("mesa", Scale::Test).unwrap();
-        let live = Suite::execute(ModelKind::InOrder, HierKind::Base, &w);
-        let spec = JobSpec::sim(ModelKind::InOrder, HierKind::Base, "mesa", 0, Scale::Test);
-        let flat = dir.join(spec.artifact_filename());
-        std::fs::write(&flat, render_sim_artifact(&spec, &live)).unwrap();
-        // Bystanders must not move.
-        std::fs::write(dir.join("manifest.json"), "{}\n").unwrap();
-        std::fs::write(dir.join("quarantine.json"), "{}\n").unwrap();
-
-        assert_eq!(migrate_flat(&dir).unwrap(), 1);
-        assert!(!flat.exists(), "flat copy must move");
-        assert!(sharded_path(&dir, &spec).is_file(), "artifact must land in its shard");
-        assert!(dir.join("manifest.json").is_file());
-        assert!(dir.join("quarantine.json").is_file());
-        // Idempotent.
-        assert_eq!(migrate_flat(&dir).unwrap(), 0);
-
-        let mut store = ArtifactStore::new(&dir, Scale::Test);
-        assert!(store.contains(&spec));
-        assert_eq!(store.result(ModelKind::InOrder, HierKind::Base, "mesa").stats, live.stats);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn find_by_hash_searches_shard_then_flat() {
+    fn lookups_search_only_the_hash_shard() {
         let dir = temp_dir("byhash");
         let spec = JobSpec::sim(ModelKind::Ooo, HierKind::Base, "mcf", 0, Scale::Test);
         let hash = spec.config_hash();
         assert!(find_by_hash(&dir, hash).is_none());
         write_artifact(&dir, &spec, "{}\n").unwrap();
         assert_eq!(find_by_hash(&dir, hash), Some(sharded_path(&dir, &spec)));
-        // A flat legacy artifact is found too once the sharded one is gone.
+        assert_eq!(find_artifact(&dir, &spec), Some(sharded_path(&dir, &spec)));
+        // A copy directly under the root is not part of the layout.
         std::fs::remove_file(sharded_path(&dir, &spec)).unwrap();
-        std::fs::write(dir.join(spec.artifact_filename()), "{}\n").unwrap();
-        assert_eq!(find_by_hash(&dir, hash), Some(dir.join(spec.artifact_filename())));
+        std::fs::write(dir.join(spec.artifact_filename()), integrity::seal("{}\n")).unwrap();
+        assert!(find_by_hash(&dir, hash).is_none());
+        assert!(find_artifact(&dir, &spec).is_none());
+        assert!(ShardedStore::open(&dir).unwrap().read(&spec).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -697,25 +582,6 @@ mod tests {
         // Republish: the store is whole again.
         store.publish(&spec, "{\"x\": 42}\n").unwrap();
         assert_eq!(store.read(&spec).unwrap(), "{\"x\": 42}\n");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_sharded_copy_falls_back_to_intact_flat_legacy() {
-        let dir = temp_dir("fallback");
-        let store = ShardedStore::open(&dir).unwrap();
-        let spec = JobSpec::sim(ModelKind::InOrder, HierKind::Config2, "art", 0, Scale::Test);
-        let sharded = store.publish(&spec, "{\"v\": 1}\n").unwrap();
-        // Plant an intact legacy flat copy *behind* the sharded one, then
-        // corrupt the sharded copy.
-        std::fs::write(dir.join(spec.artifact_filename()), "{\"v\": 1}\n").unwrap();
-        std::fs::write(&sharded, "{\"v\"").unwrap();
-        assert_eq!(
-            store.read(&spec).unwrap(),
-            "{\"v\": 1}\n",
-            "flat fallback must satisfy the read"
-        );
-        assert!(!sharded.exists(), "corrupt sharded copy healed away");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,9 +19,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Collects every artifact in the store (sharded layout and legacy flat
-/// root alike), keyed by file name — manifests, quarantine ledgers, and
-/// crash bundles are not artifacts and are excluded.
+/// Collects every artifact in the store, keyed by file name — manifests,
+/// quarantine ledgers, crash bundles, and `corrupt/` specimens are not
+/// artifacts and are excluded.
 fn artifact_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     let mut dirs = vec![dir.to_path_buf()];
@@ -136,12 +136,12 @@ fn checkpoint_resume_reruns_only_missing_jobs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A pre-sharding (flat) artifact tree still checkpoints: resume sees the
-/// flat artifacts as cached, `migrate-store` moves them into shards, and
-/// the migrated tree is byte-identical and still fully cached.
+/// An artifact without its checksum footer is corrupt even when its
+/// payload is intact JSON: resume quarantines it into the `corrupt/`
+/// ledger and re-simulates it as a miss, restoring the sealed bytes.
 #[test]
-fn flat_legacy_store_resumes_and_migrates() {
-    let dir = temp_dir("flatlegacy");
+fn footerless_artifact_is_quarantined_and_resimulated() {
+    let dir = temp_dir("footerless");
     let jobs: Vec<JobSpec> = ["mcf", "gzip"]
         .into_iter()
         .map(|bench| JobSpec::sim(ModelKind::InOrder, HierKind::Base, bench, 0, Scale::Test))
@@ -150,27 +150,20 @@ fn flat_legacy_store_resumes_and_migrates() {
     opts.workers = 1;
     let first = run_campaign(&jobs, &opts).unwrap();
     assert_eq!(first.ok(), 2);
-    let sharded = artifact_bytes(&dir);
+    let sealed = artifact_bytes(&dir);
 
-    // Demote the store to the legacy flat layout (artifacts directly
-    // under the root), as a pre-sharding checkout would have left it.
-    for job in &jobs {
-        let from = ff_harness::store::sharded_path(&dir, job);
-        std::fs::rename(&from, dir.join(job.artifact_filename())).unwrap();
-    }
+    // Strip the footer, leaving exactly the payload the seal covered.
+    let victim = ff_harness::store::sharded_path(&dir, &jobs[0]);
+    let text = std::fs::read_to_string(&victim).unwrap();
+    let footer = text.find(ff_harness::integrity::FOOTER_TAG).unwrap();
+    std::fs::write(&victim, &text[..footer]).unwrap();
+
     let resumed = run_campaign(&jobs, &opts).unwrap();
-    assert_eq!(resumed.cached(), 2, "flat fallback must keep the checkpoint warm");
-
-    // One-shot migration: everything moves into its shard, nothing
-    // re-simulates afterwards, and the bytes are untouched.
-    assert_eq!(ff_harness::migrate_flat(&dir).unwrap(), 2);
-    for job in &jobs {
-        assert!(ff_harness::store::sharded_path(&dir, job).is_file());
-        assert!(!dir.join(job.artifact_filename()).exists());
-    }
-    assert_eq!(artifact_bytes(&dir), sharded);
-    let migrated = run_campaign(&jobs, &opts).unwrap();
-    assert_eq!(migrated.cached(), 2);
+    assert_eq!(resumed.cached(), 1, "the intact artifact stays a hit");
+    assert_eq!(resumed.ok(), 1, "the footerless artifact re-simulates");
+    let ledger = dir.join(ff_harness::integrity::CORRUPT_DIR);
+    assert!(ledger.join(jobs[0].artifact_filename()).is_file(), "specimen kept in the ledger");
+    assert_eq!(artifact_bytes(&dir), sealed, "re-simulation restores the sealed bytes");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

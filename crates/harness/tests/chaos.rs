@@ -9,12 +9,13 @@
 //! re-simulated.
 //!
 //! The chaos policy slot is process-global, so scenarios that *install* a
-//! policy serialize on [`CHAOS`]; manual-damage scenarios (truncation,
-//! bit flips applied with plain `std::fs`) need no policy and run freely.
+//! policy serialize on the [`chaos::ChaosGuard`] they hold; manual-damage
+//! scenarios (truncation, bit flips applied with plain `std::fs`) need no
+//! policy and run freely.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ff_experiments::{HierKind, ModelKind};
 use ff_harness::chaos::{self, Fault, FsOp, NthOp};
@@ -23,9 +24,6 @@ use ff_harness::json::Json;
 use ff_harness::store::{sharded_path, ShardedStore};
 use ff_harness::{run_campaign, CampaignOptions, CampaignReport, JobSpec};
 use ff_workloads::Scale;
-
-/// Serializes the tests that install a global chaos policy.
-static CHAOS: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ff-chaos-e2e-{tag}-{}", std::process::id()));
@@ -99,7 +97,6 @@ fn kill_during_write_recovers_to_byte_identical_artifacts() {
 
     let dir = temp_dir("torn");
     {
-        let _serial = CHAOS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let _guard = chaos::install(Arc::new(NthOp::new(
             FsOp::Write,
             Fault::TornWrite { keep_pct: 40 },
@@ -138,7 +135,6 @@ fn disk_full_fails_the_job_and_the_next_run_heals() {
 
     let dir = temp_dir("full");
     {
-        let _serial = CHAOS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let _guard = chaos::install(Arc::new(NthOp::new(
             FsOp::Write,
             Fault::DiskFull,
@@ -296,7 +292,6 @@ fn repeated_resumes_under_a_seeded_fault_storm_converge() {
 
     let dir = temp_dir("storm");
     {
-        let _serial = CHAOS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut policy = chaos::SeededChaos::new(0xbad_5eed);
         policy.torn_every = 3;
         policy.diskfull_every = 5;

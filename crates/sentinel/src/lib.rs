@@ -142,7 +142,7 @@ pub const MAX_VIOLATIONS: usize = 64;
 /// A set of sentinels driven by one probed run.
 ///
 /// Implements [`PipelineProbe`], so it plugs directly into
-/// [`ExecutionModel::try_run_probed`].
+/// [`ExecutionModel::run_observed`].
 pub struct SentinelSuite<'a> {
     sentinels: Vec<Box<dyn Sentinel + 'a>>,
     violations: Vec<Violation>,
@@ -269,7 +269,7 @@ pub fn check_model_hooked(
     hook: &mut dyn RetireHook,
 ) -> SentinelReport {
     let mut suite = SentinelSuite::with_golden(case);
-    let outcome = model.try_run_probed(case, hook, &mut suite);
+    let outcome = model.run_observed(case, hook, &mut suite);
     SentinelReport { outcome, violations: suite.into_violations() }
 }
 

@@ -72,7 +72,7 @@ fn forwarding_kernel_exercises_a_speculative_asc_forward() {
     let mut probe = CountForwards(0);
     let mut model = Multipass::new(MachineConfig::default());
     model
-        .try_run_probed(&case, &mut ff_engine::NullRetireHook, &mut probe)
+        .run_observed(&case, &mut ff_engine::NullRetireHook, &mut probe)
         .expect("forwarding kernel must complete");
     assert!(probe.0 > 0, "no S-bit ASC forward — the stale-asc fault site is unreachable");
 }
@@ -219,7 +219,7 @@ fn accounting_sentinel_flags_unbalanced_counters() {
     let (p, mem) = demo::chase(4);
     let case = SimCase::new(&p, mem);
     let mut model = Multipass::new(MachineConfig::default());
-    let mut good = model.run(&case);
+    let mut good = model.try_run(&case).unwrap();
 
     fn audit(result: &RunResult) -> Vec<Violation> {
         let mut suite = SentinelSuite::new();

@@ -22,17 +22,22 @@
 //!   [`TransportCounters`] field, surfaced on `GET /healthz`.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ff_harness::json::Json;
 
 /// Per-connection read/write timeout: a stalled client must never wedge
 /// an HTTP worker for good.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long, and how many bytes, an early reply drains of the unread
+/// request before closing (see [`close_unread`]).
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(100);
+const DRAIN_LIMIT: usize = 64 * 1024;
 
 /// Largest accepted request body (a full-grid campaign request is < 2 KiB;
 /// anything near this bound is hostile or corrupt).
@@ -215,6 +220,28 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) {
     let _ = stream.flush();
 }
 
+/// Closes a connection whose request was answered before it was fully
+/// read (a 503 shed or a 413). Closing a socket with unread input makes
+/// the kernel send RST, which can discard the response before the client
+/// reads it; so half-close the write side (the client sees the response,
+/// then EOF) and drain the input, bounded in time and bytes, first.
+fn close_unread(mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let mut drained = 0;
+    let mut buf = [0u8; 4096];
+    while drained < DRAIN_LIMIT {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
 /// Tuning knobs for [`HttpServer::start_with`].
 #[derive(Clone, Debug)]
 pub struct HttpOptions {
@@ -291,7 +318,10 @@ impl HttpServer {
                     let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
                     let Ok(mut stream) = next else { return };
                     counters.requests.fetch_add(1, Ordering::Relaxed);
-                    let response = match read_request(&mut stream) {
+                    let request = read_request(&mut stream);
+                    // A 413 answers from the headers, leaving the body unread.
+                    let unread = matches!(request, Err(RequestError::TooLarge(_)));
+                    let response = match request {
                         Ok(request) => handler(&request),
                         Err(RequestError::TooLarge(msg)) => {
                             counters.oversized.fetch_add(1, Ordering::Relaxed);
@@ -301,6 +331,9 @@ impl HttpServer {
                     };
                     counters.record_status(response.status);
                     write_response(&mut stream, &response);
+                    if unread {
+                        close_unread(stream);
+                    }
                 })
             })
             .collect();
@@ -326,6 +359,7 @@ impl HttpServer {
                                 SHED_RETRY_AFTER_S,
                             ),
                         );
+                        close_unread(stream);
                     }
                     Err(mpsc::TrySendError::Disconnected(_)) => break,
                 }

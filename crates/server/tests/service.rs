@@ -296,18 +296,14 @@ fn a_full_accept_queue_sheds_load_with_503_and_retry_after() {
         assert!(Instant::now() < deadline, "first request never reached the handler");
         std::thread::sleep(Duration::from_millis(1));
     }
-    // B: fills the one-deep queue.
-    let url_b = url.clone();
-    let b = std::thread::spawn(move || http_request(&url_b, "GET", "/b", None));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while counters.requests.load(Ordering::SeqCst) < 1 {
-        assert!(Instant::now() < deadline, "worker never dequeued");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    std::thread::sleep(Duration::from_millis(50)); // let the accept thread queue B
+    // B: fills the one-deep queue. Once `connect` returns, B sits in the
+    // listener's accept queue, so the accept thread takes it before C.
+    let mut b = TcpStream::connect(http.addr()).expect("connect B");
+    b.write_all(b"GET /b HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").expect("send B");
 
     // C: must be shed by the accept thread, with the backoff hint.
     let mut stream = TcpStream::connect(http.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     stream.write_all(b"GET /c HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").expect("send");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
@@ -318,7 +314,9 @@ fn a_full_accept_queue_sheds_load_with_503_and_retry_after() {
 
     release.store(true, Ordering::SeqCst);
     assert_eq!(a.join().unwrap().expect("A completes").0, 200);
-    assert_eq!(b.join().unwrap().expect("B completes").0, 200);
+    let mut response = String::new();
+    b.read_to_string(&mut response).expect("read B");
+    assert!(response.starts_with("HTTP/1.1 200 "), "response: {response}");
     http.shutdown();
 }
 

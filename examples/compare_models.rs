@@ -19,13 +19,13 @@ fn main() {
     );
     for w in Workload::all(Scale::Test) {
         let case = SimCase::new(&w.program, w.mem.clone());
-        let base = InOrder::new(machine).run(&case);
+        let base = InOrder::new(machine).try_run(&case).unwrap();
         let runs: Vec<(&str, RunResult)> = vec![
             ("inorder", base.clone()),
-            ("runahead", Runahead::new(machine).run(&case)),
-            ("MP", Multipass::new(machine).run(&case)),
-            ("OOO", OutOfOrder::new(machine).run(&case)),
-            ("OOO-real", OutOfOrder::realistic(machine).run(&case)),
+            ("runahead", Runahead::new(machine).try_run(&case).unwrap()),
+            ("MP", Multipass::new(machine).try_run(&case).unwrap()),
+            ("OOO", OutOfOrder::new(machine).try_run(&case).unwrap()),
+            ("OOO-real", OutOfOrder::realistic(machine).try_run(&case).unwrap()),
         ];
         for (name, r) in &runs {
             assert!(

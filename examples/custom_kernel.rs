@@ -51,12 +51,12 @@ fn main() {
 
     let machine = MachineConfig::itanium2_base();
     let case = SimCase::new(&program, mem);
-    let base_run = InOrder::new(machine).run(&case);
+    let base_run = InOrder::new(machine).try_run(&case).unwrap();
     println!("{:<10} {:>8} cycles", "inorder", base_run.stats.cycles);
     for (name, r) in [
-        ("runahead", Runahead::new(machine).run(&case)),
-        ("multipass", Multipass::new(machine).run(&case)),
-        ("ooo", OutOfOrder::new(machine).run(&case)),
+        ("runahead", Runahead::new(machine).try_run(&case).unwrap()),
+        ("multipass", Multipass::new(machine).try_run(&case).unwrap()),
+        ("ooo", OutOfOrder::new(machine).try_run(&case).unwrap()),
     ] {
         assert!(r.final_state.semantically_eq(&base_run.final_state));
         println!(

@@ -44,21 +44,23 @@ fn main() {
     let machine = MachineConfig::itanium2_base();
     let case = SimCase::new(&w.program, w.mem.clone());
 
-    let base = InOrder::new(machine).run(&case);
+    let base = InOrder::new(machine).try_run(&case).unwrap();
     println!("== {bench} ({scale:?}) ==");
     dump("inorder", &base, base.stats.cycles);
-    dump("runahead", &Runahead::new(machine).run(&case), base.stats.cycles);
-    dump("MP", &Multipass::new(machine).run(&case), base.stats.cycles);
+    dump("runahead", &Runahead::new(machine).try_run(&case).unwrap(), base.stats.cycles);
+    dump("MP", &Multipass::new(machine).try_run(&case).unwrap(), base.stats.cycles);
     dump(
         "MP-norestart",
-        &Multipass::with_config(MultipassConfig::without_restart(machine)).run(&case),
+        &Multipass::with_config(MultipassConfig::without_restart(machine)).try_run(&case).unwrap(),
         base.stats.cycles,
     );
     dump(
         "MP-noregroup",
-        &Multipass::with_config(MultipassConfig::without_regrouping(machine)).run(&case),
+        &Multipass::with_config(MultipassConfig::without_regrouping(machine))
+            .try_run(&case)
+            .unwrap(),
         base.stats.cycles,
     );
-    dump("OOO", &OutOfOrder::new(machine).run(&case), base.stats.cycles);
-    dump("OOO-real", &OutOfOrder::realistic(machine).run(&case), base.stats.cycles);
+    dump("OOO", &OutOfOrder::new(machine).try_run(&case).unwrap(), base.stats.cycles);
+    dump("OOO-real", &OutOfOrder::realistic(machine).try_run(&case).unwrap(), base.stats.cycles);
 }

@@ -18,10 +18,11 @@ fn main() {
     let machine = MachineConfig::itanium2_base();
     let case = SimCase::new(&w.program, w.mem.clone());
 
-    let base = InOrder::new(machine).run(&case);
-    let ra = Runahead::new(machine).run(&case);
-    let mp = Multipass::new(machine).run(&case);
-    let mp_nr = Multipass::with_config(MultipassConfig::without_restart(machine)).run(&case);
+    let base = InOrder::new(machine).try_run(&case).unwrap();
+    let ra = Runahead::new(machine).try_run(&case).unwrap();
+    let mp = Multipass::new(machine).try_run(&case).unwrap();
+    let mp_nr =
+        Multipass::with_config(MultipassConfig::without_restart(machine)).try_run(&case).unwrap();
 
     println!("mcf-like pointer chase ({} dynamic instructions)\n", base.stats.retired);
     println!(

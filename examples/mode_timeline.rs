@@ -6,9 +6,20 @@
 //! cargo run --release -p flea-flicker --example mode_timeline
 //! ```
 
-use flea_flicker::engine::{MachineConfig, SimCase};
+use flea_flicker::engine::{
+    ExecutionModel, MachineConfig, NullRetireHook, PipelineProbe, RetireMode, SimCase,
+};
 use flea_flicker::isa::{Inst, MemoryImage, Op, Program, Reg};
-use flea_flicker::multipass::{Mode, Multipass};
+use flea_flicker::multipass::Multipass;
+
+/// Records every mode transition as `(cycle, mode)`.
+struct ModeTrace(Vec<(u64, RetireMode)>);
+
+impl PipelineProbe for ModeTrace {
+    fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+        self.0.push((cycle, mode));
+    }
+}
 
 fn main() {
     // The Figure 1 scenario in miniature: a long-miss load, a stall-on-use,
@@ -41,15 +52,18 @@ fn main() {
     }
 
     let case = SimCase::new(&p, mem);
-    let (result, trace) = Multipass::new(MachineConfig::itanium2_base()).run_traced(&case);
+    let mut trace = ModeTrace(Vec::new());
+    let result = Multipass::new(MachineConfig::itanium2_base())
+        .run_observed(&case, &mut NullRetireHook, &mut trace)
+        .unwrap();
 
     println!("cycle  mode          (total {} cycles)", result.stats.cycles);
     let mut prev_cycle = 0;
-    for (cycle, mode) in &trace {
+    for (cycle, mode) in &trace.0 {
         let label = match mode {
-            Mode::Architectural => "ARCHITECTURAL",
-            Mode::Advance => "ADVANCE",
-            Mode::Rally => "RALLY",
+            RetireMode::Architectural => "ARCHITECTURAL",
+            RetireMode::Advance => "ADVANCE",
+            RetireMode::Rally => "RALLY",
         };
         println!("{cycle:>5}  {label:<13} (+{} cycles in previous mode)", cycle - prev_cycle);
         prev_cycle = *cycle;

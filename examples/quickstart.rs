@@ -39,7 +39,7 @@ fn main() {
 
     // Run on the multipass pipeline with the paper's Table 2 machine.
     let case = SimCase::new(&program, mem);
-    let result = Multipass::new(MachineConfig::itanium2_base()).run(&case);
+    let result = Multipass::new(MachineConfig::itanium2_base()).try_run(&case).unwrap();
 
     println!("sum               = {}", result.final_state.int(3));
     println!("cycles            = {}", result.stats.cycles);

@@ -30,7 +30,7 @@
 ///
 /// let w = Workload::by_name("mesa", Scale::Test).unwrap();
 /// let case = SimCase::new(&w.program, w.mem.clone());
-/// let r = Multipass::new(MachineConfig::itanium2_base()).run(&case);
+/// let r = Multipass::new(MachineConfig::itanium2_base()).try_run(&case).unwrap();
 /// assert!(r.stats.cycles > 0);
 /// ```
 pub mod prelude {

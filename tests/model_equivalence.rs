@@ -45,7 +45,7 @@ fn every_model_matches_the_interpreter_on_every_workload() {
         let (golden, retired) = interpreter_state(&w);
         let case = SimCase::new(&w.program, w.mem.clone());
         for (name, mut model) in models(machine) {
-            let r = model.run(&case);
+            let r = model.try_run(&case).unwrap();
             assert!(
                 r.final_state.semantically_eq(&golden),
                 "{name} diverges from the interpreter on {}\n{}",
@@ -73,8 +73,8 @@ fn models_are_deterministic() {
     let w = Workload::by_name("bzip2", Scale::Test).unwrap();
     let case = SimCase::new(&w.program, w.mem.clone());
     for (name, mut model) in models(machine) {
-        let a = model.run(&case);
-        let b = model.run(&case);
+        let a = model.try_run(&case).unwrap();
+        let b = model.try_run(&case).unwrap();
         // Bit-for-bit: every counter of two identical runs must agree.
         assert_eq!(a.stats, b.stats, "{name} is nondeterministic");
         assert!(a.final_state.semantically_eq(&b.final_state), "{name} state varies");
@@ -90,7 +90,7 @@ fn alternative_hierarchies_preserve_semantics() {
         let machine = MachineConfig::itanium2_base().with_hierarchy(h);
         let case = SimCase::new(&w.program, w.mem.clone());
         for (name, mut model) in models(machine) {
-            let r = model.run(&case);
+            let r = model.try_run(&case).unwrap();
             assert!(
                 r.final_state.semantically_eq(&golden),
                 "{name} diverges under hierarchy {}",

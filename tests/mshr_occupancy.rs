@@ -92,7 +92,8 @@ proptest! {
         for model in [ModelKind::InOrder, ModelKind::Multipass] {
             for hier in HierKind::ALL {
                 let case = SimCase::new(&program, mem.clone());
-                let r = Suite::execute_case(model, hier, &case)
+                let r = Suite::build_model(model, hier)
+                    .try_run(&case)
                     .expect("bounded loop kernels finish without a budget");
                 let m = &r.mem_stats;
                 prop_assert_eq!(

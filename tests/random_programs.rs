@@ -149,7 +149,7 @@ fn divergence_reports(golden: &ArchState, case: &SimCase<'_>) -> Vec<String> {
     let machine = MachineConfig::itanium2_base();
     let mut failures = Vec::new();
     for (name, mut model) in all_models(machine) {
-        let r = model.run(case);
+        let r = model.try_run(case).unwrap();
         if !r.final_state.semantically_eq(golden) || r.stats.breakdown.total() != r.stats.cycles {
             let report = flea_flicker::debug::compare_model(&mut *model, case);
             failures.push(format!("model {name}:\n{report}"));

@@ -11,7 +11,8 @@ use std::fmt::Write as _;
 use flea_flicker::baselines::{InOrder, OutOfOrder, Runahead};
 use flea_flicker::engine::probe::{AscForwardObs, CycleObs, MemAccessObs, PipelineProbe};
 use flea_flicker::engine::{
-    ExecutionModel, MachineConfig, RetireEvent, RetireHook, RunResult, SimCase, TickMode,
+    ExecutionModel, MachineConfig, NullProbe, RetireEvent, RetireHook, RetireMode, RunResult,
+    SimCase, TickMode,
 };
 use flea_flicker::harness::artifact::render_sim_artifact;
 use flea_flicker::harness::JobSpec;
@@ -57,7 +58,7 @@ fn run_with(
 ) -> (RunResult, Vec<String>) {
     model.set_tick_mode(tick);
     let mut hook = StreamHook::default();
-    let result = model.run_hooked(case, &mut hook);
+    let result = model.run_observed(case, &mut hook, &mut NullProbe).unwrap();
     (result, hook.lines)
 }
 
@@ -115,7 +116,7 @@ fn artifacts_are_byte_identical_across_tick_modes() {
             let render = |tick| {
                 let mut model = model_kind.build(machine);
                 model.set_tick_mode(tick);
-                render_sim_artifact(&spec, &model.run(&case))
+                render_sim_artifact(&spec, &model.try_run(&case).unwrap())
             };
             let polled = render(TickMode::Polling);
             let event = render(TickMode::EventDriven);
@@ -142,7 +143,7 @@ fn in_flight_containers_do_not_allocate_in_steady_state() {
     let w = Workload::by_name("mcf", Scale::Test).unwrap();
     let case = SimCase::new(&w.program, w.mem.clone());
     for (name, mut model) in models(machine) {
-        let result = model.run(&case);
+        let result = model.try_run(&case).unwrap();
         assert!(
             result.stats.retired > 2_000,
             "{name}: kernel too small to exercise steady state ({} retired)",
@@ -181,6 +182,10 @@ impl PipelineProbe for StreamProbe {
         self.lines.push(format!("retire {event}"));
     }
 
+    fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+        self.lines.push(format!("mode {mode:?} cy={cycle}"));
+    }
+
     fn on_cycle(&mut self, obs: &CycleObs) {
         self.lines.push(format!("cycle {obs:?}"));
     }
@@ -202,8 +207,9 @@ impl PipelineProbe for StreamProbe {
 
 /// Regression guard for the quiescence fast-forward: a probed run forces
 /// per-cycle observation, so if the fast-forward ever skipped a cycle with
-/// a pending sentinel-visible event (a CycleObs snapshot, a memory
-/// completion, an ASC forward), the observation streams would diverge.
+/// a pending sentinel-visible event (a CycleObs snapshot, a mode
+/// transition, a memory completion, an ASC forward), the observation
+/// streams would diverge.
 #[test]
 fn fast_forward_never_skips_a_probe_visible_event() {
     let machine = MachineConfig::itanium2_base();
@@ -216,7 +222,7 @@ fn fast_forward_never_skips_a_probe_visible_event() {
             let mut hook = StreamHook::default();
             let mut probe = StreamProbe::default();
             model
-                .try_run_probed(&case, &mut hook, &mut probe)
+                .run_observed(&case, &mut hook, &mut probe)
                 .expect("test workloads halt within budget");
             probe.lines
         };
