@@ -7,11 +7,18 @@
 //! reorder buffer, at the cost of 3 additional pipeline stages.
 //!
 //! This model is *trace driven*: the correct-path dynamic stream (with
-//! dataflow and same-address store→load links) comes from
-//! [`ff_engine::DynTrace`], and this module schedules it cycle by cycle
+//! dataflow and same-address store→load links) comes from an
+//! [`ff_engine::TraceStream`], and this module schedules it cycle by cycle
 //! under fetch, window, ROB, functional-unit, and MSHR constraints.
 //! Wrong-path work affects timing through branch-resolution bubbles but
 //! does not pollute the caches, consistent with the idealization.
+//!
+//! Fetch pulls one trace entry at a time into a window that holds only the
+//! in-flight span — the reorder buffer, the decode pipe behind it, and the
+//! few just-retired entries whose results a consumer may still be waiting
+//! to see — together with each entry's completion cycle and wakeup links.
+//! The window is sized to that bound up front, so a run's memory does not
+//! grow with the program's length.
 //!
 //! [`OutOfOrder::realistic`] models §5.2's more practical design:
 //! decentralized 16-entry scheduling queues for memory, integer, and
@@ -20,12 +27,13 @@
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::ops::{Index, IndexMut};
 
 use ff_engine::{
-    Activity, DynTrace, ExecutionModel, FuPool, MachineConfig, PipelineProbe, RetireEvent,
-    RetireHook, RetireMode, RetireTee, RunError, RunResult, RunStats, SimCase, StallKind, TickMode,
-    TraceInst,
+    Activity, ExecutionModel, FuPool, MachineConfig, PipelineProbe, RetireEvent, RetireHook,
+    RetireMode, RetireTee, RunError, RunResult, RunStats, SimCase, StallKind, TickMode, TraceInst,
+    TraceStream,
 };
 use ff_frontend::Gshare;
 use ff_isa::{FuClass, Op};
@@ -63,7 +71,7 @@ impl OutOfOrder {
         OutOfOrder { config, kind: WindowKind::Decentralized, tick: TickMode::default() }
     }
 
-    fn queue_of(inst: &TraceInst) -> usize {
+    fn queue_of(inst: &TraceInst<'_>) -> usize {
         match inst.inst.op().fu_class() {
             FuClass::Mem => 0,
             FuClass::Fp => 1,
@@ -75,23 +83,148 @@ impl OutOfOrder {
 const NOT_DONE: u64 = u64::MAX;
 
 /// Sentinel for an empty intrusive waiter list.
-const NO_WAITER: u32 = u32::MAX;
+const NO_WAITER: usize = usize::MAX;
 
-/// Classifies a window entry for the wakeup-driven ready state: if any
-/// dependence has not issued yet, returns `Err(producer_idx)` for the first
-/// such producer (the entry links into that producer's waiter list and is
-/// re-classified when it issues); otherwise returns `Ok(wake_at)`, the first
-/// cycle at which every dependence is visible through the bypass network.
-fn classify(ti: &TraceInst, complete: &[u64], wakeup_delay: u64) -> Result<u64, usize> {
-    let mut wake_at = 0u64;
-    for &d in ti.reg_deps.iter().chain(ti.mem_dep.as_ref()) {
-        let c = complete[d as usize];
-        if c == NOT_DONE {
-            return Err(d as usize);
-        }
-        wake_at = wake_at.max(c + wakeup_delay);
+const TRACE_FAILED: &str = "trace recording failed — invalid workload program";
+
+/// One fetched trace entry and its scheduling state.
+struct Slot<'p> {
+    ti: TraceInst<'p>,
+    /// First cycle at which the entry may leave the decode pipe.
+    dispatch_at: u64,
+    /// Completion cycle (`NOT_DONE` until issued).
+    complete: u64,
+    /// Head of the intrusive list of window entries waiting on this one.
+    first_waiter: usize,
+    /// Next entry in the waiter list this entry is linked into.
+    next_waiter: usize,
+}
+
+/// The in-flight span of the trace, indexed by sequence number: up to
+/// `retain` retired entries, then the reorder buffer, then the decode
+/// pipe. Its end is the next sequence number fetch will pull.
+///
+/// Retired entries stay only as long as their completion cycle can still
+/// delay a consumer: with at most `issue_width` retirements per cycle,
+/// an entry followed by `wakeup_delay * issue_width` younger retirements
+/// retired more than `wakeup_delay` cycles before any cycle that can
+/// classify a consumer, so its result is already visible and the exact
+/// cycle cannot change a wakeup decision.
+struct Window<'p> {
+    /// Sequence number of `slots[0]`.
+    base: usize,
+    /// The reorder-buffer head: the next sequence number to retire.
+    rob_head: usize,
+    /// Cycles between a producer's completion and its consumers' issue.
+    wakeup_delay: u64,
+    /// Retired entries kept: `wakeup_delay * issue_width`.
+    retain: usize,
+    slots: VecDeque<Slot<'p>>,
+}
+
+impl<'p> Window<'p> {
+    /// A window pre-sized for `in_flight` ROB and decode entries plus the
+    /// retained retired ones.
+    fn new(in_flight: usize, issue_width: u32, wakeup_delay: u64) -> Self {
+        let retain = wakeup_delay as usize * issue_width as usize;
+        let slots = VecDeque::with_capacity(in_flight + retain);
+        Window { base: 0, rob_head: 0, wakeup_delay, retain, slots }
     }
-    Ok(wake_at)
+
+    /// One past the youngest fetched sequence number.
+    fn end(&self) -> usize {
+        self.base + self.slots.len()
+    }
+
+    /// Appends a freshly fetched entry, counting growth past the pre-sized
+    /// bound as an allocation event.
+    fn push(&mut self, ti: TraceInst<'p>, dispatch_at: u64, activity: &mut Activity) {
+        debug_assert_eq!(ti.seq as usize, self.end());
+        if self.slots.len() == self.slots.capacity() {
+            activity.alloc_count += 1;
+        }
+        self.slots.push_back(Slot {
+            ti,
+            dispatch_at,
+            complete: NOT_DONE,
+            first_waiter: NO_WAITER,
+            next_waiter: NO_WAITER,
+        });
+    }
+
+    /// Retires the ROB head in cycle `now` and evicts retired entries
+    /// beyond `retain`.
+    fn retire_head(&mut self, now: u64) {
+        self.rob_head += 1;
+        while self.rob_head - self.base > self.retain {
+            let evicted = self.slots.pop_front().expect("retired entries are in the window");
+            // The next classification happens at `now + 1` at the earliest.
+            debug_assert!(
+                evicted.complete + self.wakeup_delay <= now,
+                "evicted a result a consumer could still be waiting to see"
+            );
+            self.base += 1;
+        }
+    }
+
+    /// Completion cycle of `seq`; an evicted entry's result is visible to
+    /// every consumer still in flight (see [`Window`]), reported as 0.
+    fn complete(&self, seq: usize) -> u64 {
+        if seq < self.base {
+            0
+        } else {
+            self[seq].complete
+        }
+    }
+
+    /// Classifies entry `idx` for the wakeup-driven ready state: if any
+    /// dependence has not issued yet, returns `Err(producer)` for the first
+    /// such producer (the entry links into that producer's waiter list and
+    /// is re-classified when it issues); otherwise returns `Ok(wake_at)`,
+    /// the first cycle at which every dependence is visible through the
+    /// bypass network.
+    fn classify(&self, idx: usize) -> Result<u64, usize> {
+        let ti = &self[idx].ti;
+        let mut wake_at = 0u64;
+        for &d in ti.reg_deps.iter().chain(ti.mem_dep.as_ref()) {
+            let c = self.complete(d as usize);
+            if c == NOT_DONE {
+                return Err(d as usize);
+            }
+            wake_at = wake_at.max(c + self.wakeup_delay);
+        }
+        Ok(wake_at)
+    }
+
+    /// Stall class of a cycle that issued nothing (paper §5.2: charge the
+    /// oldest instruction). The oldest's producers have all retired, so an
+    /// oldest that has not issued is never waiting on a load: only an
+    /// executing load at the head is a load stall.
+    fn idle_stall(&self, rob_tail: usize) -> StallKind {
+        if self.rob_head >= rob_tail {
+            return StallKind::FrontEnd;
+        }
+        let head = &self[self.rob_head];
+        if head.complete != NOT_DONE && head.ti.inst.op().is_load() {
+            StallKind::Load
+        } else {
+            StallKind::Other
+        }
+    }
+}
+
+impl<'p> Index<usize> for Window<'p> {
+    type Output = Slot<'p>;
+
+    fn index(&self, seq: usize) -> &Slot<'p> {
+        &self.slots[seq - self.base]
+    }
+}
+
+impl<'p> IndexMut<usize> for Window<'p> {
+    fn index_mut(&mut self, seq: usize) -> &mut Slot<'p> {
+        &mut self.slots[seq - self.base]
+    }
 }
 
 /// Pushes onto the wakeup timer, counting heap growth as an allocation
@@ -129,10 +262,7 @@ impl ExecutionModel for OutOfOrder {
     ) -> Result<RunResult, RunError> {
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
-        let trace = DynTrace::record(case.program, case.initial_state(), case.max_insts)
-            .expect("trace recording failed — invalid workload program");
-        let insts = trace.insts();
-        let n = insts.len();
+        let mut trace = TraceStream::new(case.program, case.initial_state(), case.max_insts);
         let hook = &mut RetireTee::new(hook, probe);
         let hook_enabled = hook.enabled();
 
@@ -142,18 +272,22 @@ impl ExecutionModel for OutOfOrder {
         let mut stats = RunStats::default();
         let mut activity = Activity::new();
 
-        // Completion cycle per dynamic instruction (NOT_DONE until issued).
-        let mut complete: Vec<u64> = vec![NOT_DONE; n];
-        let mut issued_flag: Vec<bool> = vec![false; n];
+        // The idealized model folds scheduling and register read into the
+        // REG stage ("eliminating the need for speculative wakeup", §5.1);
+        // the realistic design pays a non-speculative wakeup/select loop
+        // between a producer's completion and its consumers' issue.
+        let wakeup_delay: u64 = match self.kind {
+            WindowKind::Unified => 0,
+            WindowKind::Decentralized => 2,
+        };
+        let mut win = Window::new(cfg.ooo_rob + cfg.inorder_buffer, cfg.issue_width, wakeup_delay);
 
-        // Front end: pointer into the trace, plus in-flight decode pipe.
-        let mut fetch_idx: usize = 0;
+        // Front end: the fetch stop, plus the decode pipe — the window's
+        // entries from `rob_tail` to its end, each dispatchable from its
+        // `dispatch_at` cycle.
         let mut fetch_blocked_until: u64 = 0;
         // A mispredicted branch stops fetch until it resolves; `Some(idx)`.
         let mut waiting_branch: Option<usize> = None;
-        // Decode pipe: (trace idx, cycle at which it may dispatch).
-        let mut decode: std::collections::VecDeque<(usize, u64)> =
-            std::collections::VecDeque::new();
 
         // Scheduling window, held as wakeup-driven ready state instead of a
         // per-cycle-scanned vector: an un-issued entry is (a) linked into
@@ -163,8 +297,6 @@ impl ExecutionModel for OutOfOrder {
         // only `ready`, so its cost scales with instructions that *become*
         // ready rather than window size × cycles, and the containers are
         // pre-sized to the window bound so steady state never allocates.
-        let mut first_waiter: Vec<u32> = vec![NO_WAITER; n];
-        let mut next_waiter: Vec<u32> = vec![NO_WAITER; n];
         let window_cap = match self.kind {
             WindowKind::Unified => cfg.ooo_window,
             WindowKind::Decentralized => 3 * cfg.ooo_decentralized_queue,
@@ -176,25 +308,17 @@ impl ExecutionModel for OutOfOrder {
         let mut merged: Vec<usize> = Vec::with_capacity(window_cap);
         let mut timer: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(window_cap);
         let mut window_len = 0usize;
-        activity.alloc_count += 4; // the four scheduling containers above
+        activity.alloc_count += 5; // the trace window and four scheduling containers
         let mut queue_len = [0usize; 3];
         // Decentralized queues hold entries until completion: in-flight
         // (complete_at, queue) pairs pending release.
         let mut queue_release: Vec<(u64, usize)> = Vec::new();
-        // Reorder buffer: dispatched, not yet retired (contiguous range).
-        let mut rob_head: usize = 0; // next to retire
+        // Reorder buffer: dispatched, not yet retired (contiguous range
+        // from `win.rob_head`).
         let mut rob_tail: usize = 0; // next to dispatch
         let mut retired_halt = false;
 
         let mispredict_penalty = cfg.mispredict_penalty + cfg.ooo_extra_stages;
-        // The idealized model folds scheduling and register read into the
-        // REG stage ("eliminating the need for speculative wakeup", §5.1);
-        // the realistic design pays a non-speculative wakeup/select loop
-        // between a producer's completion and its consumers' issue.
-        let wakeup_delay: u64 = match self.kind {
-            WindowKind::Unified => 0,
-            WindowKind::Decentralized => 2,
-        };
         let mut now: u64 = 0;
 
         while !retired_halt {
@@ -206,9 +330,13 @@ impl ExecutionModel for OutOfOrder {
             }
 
             // ---- fetch ----
-            if now >= fetch_blocked_until && waiting_branch.is_none() && fetch_idx < n {
+            let fetch_pc = if now >= fetch_blocked_until && waiting_branch.is_none() {
+                trace.peek().expect(TRACE_FAILED).map(|(pc, _)| pc)
+            } else {
+                None
+            };
+            if let Some(pc) = fetch_pc {
                 // One I-cache access for the fetch group.
-                let pc = insts[fetch_idx].pc;
                 match mem.access(pc.fetch_address(), AccessKind::InstFetch, now) {
                     MemAccess::Done { complete_at, .. } if complete_at > now + 1 => {
                         fetch_blocked_until = complete_at;
@@ -216,31 +344,31 @@ impl ExecutionModel for OutOfOrder {
                     MemAccess::Retry => fetch_blocked_until = now + 1,
                     MemAccess::Done { .. } => {
                         let mut fetched = 0;
-                        while fetched < cfg.fetch_width
-                            && fetch_idx < n
-                            && decode.len() < cfg.inorder_buffer
+                        while fetched < cfg.fetch_width && win.end() - rob_tail < cfg.inorder_buffer
                         {
-                            let ti = &insts[fetch_idx];
-                            decode.push_back((fetch_idx, now + 1 + cfg.ooo_extra_stages));
-                            fetch_idx += 1;
+                            let Some(ti) = trace.next() else { break };
+                            let ti = ti.expect(TRACE_FAILED);
+                            let (seq, pc, taken) = (ti.seq as usize, ti.pc, ti.taken);
+                            let conditional = ti.is_conditional_branch();
+                            win.push(ti, now + 1 + cfg.ooo_extra_stages, &mut activity);
                             fetched += 1;
-                            if ti.is_conditional_branch() {
+                            if conditional {
                                 stats.branches += 1;
-                                let (pred, snap) = predictor.predict(ti.pc);
-                                predictor.update(ti.pc, snap, ti.taken);
-                                if pred != ti.taken {
+                                let (pred, snap) = predictor.predict(pc);
+                                predictor.update(pc, snap, taken);
+                                if pred != taken {
                                     stats.mispredicts += 1;
-                                    predictor.repair(snap, ti.taken);
+                                    predictor.repair(snap, taken);
                                     // Fetch stops until this branch resolves.
-                                    waiting_branch = Some(fetch_idx - 1);
+                                    waiting_branch = Some(seq);
                                     break;
                                 }
-                                if ti.taken {
+                                if taken {
                                     // Redirect bubble on a taken branch.
                                     fetch_blocked_until = now + 2;
                                     break;
                                 }
-                            } else if ti.taken {
+                            } else if taken {
                                 // Unconditional taken branch: redirect bubble.
                                 fetch_blocked_until = now + 2;
                                 break;
@@ -253,14 +381,11 @@ impl ExecutionModel for OutOfOrder {
             // ---- dispatch (in order, bounded by window/queues and ROB) ----
             let mut dispatched = 0;
             while dispatched < cfg.issue_width {
-                let &(idx, ready_at) = match decode.front() {
-                    Some(e) => e,
-                    None => break,
-                };
-                if ready_at > now {
+                let idx = rob_tail;
+                if idx == win.end() || win[idx].dispatch_at > now {
                     break;
                 }
-                if rob_tail - rob_head >= cfg.ooo_rob {
+                if rob_tail - win.rob_head >= cfg.ooo_rob {
                     break; // ROB full
                 }
                 match self.kind {
@@ -270,19 +395,18 @@ impl ExecutionModel for OutOfOrder {
                         }
                     }
                     WindowKind::Decentralized => {
-                        let q = Self::queue_of(&insts[idx]);
+                        let q = Self::queue_of(&win[idx].ti);
                         if queue_len[q] >= cfg.ooo_decentralized_queue {
                             break;
                         }
                         queue_len[q] += 1;
                     }
                 }
-                decode.pop_front();
                 window_len += 1;
-                match classify(&insts[idx], &complete, wakeup_delay) {
+                match win.classify(idx) {
                     Err(p) => {
-                        next_waiter[idx] = first_waiter[p];
-                        first_waiter[p] = idx as u32;
+                        win[idx].next_waiter = win[p].first_waiter;
+                        win[p].first_waiter = idx;
                     }
                     Ok(t) if t <= now => {
                         if woken.len() == woken.capacity() {
@@ -292,13 +416,13 @@ impl ExecutionModel for OutOfOrder {
                     }
                     Ok(t) => timer_push(&mut timer, &mut activity, t, idx),
                 }
-                debug_assert_eq!(idx, rob_tail);
                 rob_tail += 1;
                 dispatched += 1;
                 // Rename activity: one RAT lookup per source, one update per
                 // destination.
-                activity.rat_reads += insts[idx].inst.reads().count() as u64;
-                if insts[idx].inst.writes().is_some() {
+                let inst = win[idx].ti.inst;
+                activity.rat_reads += inst.reads().count() as u64;
+                if inst.writes().is_some() {
                     activity.rat_writes += 1;
                 }
             }
@@ -349,7 +473,7 @@ impl ExecutionModel for OutOfOrder {
                     break;
                 }
                 let idx = ready[r];
-                let ti = &insts[idx];
+                let ti = &win[idx].ti;
                 activity.select_visits += 1;
                 if self.kind == WindowKind::Decentralized && queue_issued[Self::queue_of(ti)] >= 2 {
                     ready[kept] = idx;
@@ -360,9 +484,10 @@ impl ExecutionModel for OutOfOrder {
                 // Ready-list membership implies every dependence is visible;
                 // the old per-cycle re-check is now an invariant.
                 debug_assert!(ti.reg_deps.iter().chain(ti.mem_dep.as_ref()).all(|&d| {
-                    complete[d as usize] != NOT_DONE && complete[d as usize] + wakeup_delay <= now
+                    let c = win.complete(d as usize);
+                    c != NOT_DONE && c + wakeup_delay <= now
                 }));
-                if !fu.try_issue(&ti.inst, now) {
+                if !fu.try_issue(ti.inst, now) {
                     ready[kept] = idx;
                     kept += 1;
                     r += 1;
@@ -392,8 +517,6 @@ impl ExecutionModel for OutOfOrder {
                     now + 1 // predicated off: flows through in one cycle
                 };
                 debug_assert!(done_at > now, "results are never visible in their issue cycle");
-                complete[idx] = done_at;
-                issued_flag[idx] = true;
                 stats.executions += u64::from(ti.qp_true);
                 activity.issue_selections += 1;
                 activity.wakeup_broadcasts += 1;
@@ -403,9 +526,11 @@ impl ExecutionModel for OutOfOrder {
                 }
                 if self.kind == WindowKind::Decentralized {
                     // The queue entry is released when the result returns.
-                    queue_release.push((done_at, Self::queue_of(ti)));
-                    queue_issued[Self::queue_of(ti)] += 1;
+                    let q = Self::queue_of(ti);
+                    queue_release.push((done_at, q));
+                    queue_issued[q] += 1;
                 }
+                win[idx].complete = done_at;
                 // A resolved mispredicted branch releases fetch.
                 if waiting_branch == Some(idx) {
                     waiting_branch = None;
@@ -415,15 +540,14 @@ impl ExecutionModel for OutOfOrder {
                 // next unissued producer or into the wakeup timer (never
                 // into this cycle's ready set — results land at now+1 or
                 // later, so in-flight select order is undisturbed).
-                let mut wtr = first_waiter[idx];
-                first_waiter[idx] = NO_WAITER;
+                let mut wtr = std::mem::replace(&mut win[idx].first_waiter, NO_WAITER);
                 while wtr != NO_WAITER {
-                    let widx = wtr as usize;
-                    wtr = next_waiter[widx];
-                    match classify(&insts[widx], &complete, wakeup_delay) {
+                    let widx = wtr;
+                    wtr = win[widx].next_waiter;
+                    match win.classify(widx) {
                         Err(p) => {
-                            next_waiter[widx] = first_waiter[p];
-                            first_waiter[p] = widx as u32;
+                            win[widx].next_waiter = win[p].first_waiter;
+                            win[p].first_waiter = widx;
                         }
                         Ok(t) => timer_push(&mut timer, &mut activity, t, widx),
                     }
@@ -455,11 +579,10 @@ impl ExecutionModel for OutOfOrder {
             // ---- retire (in order) ----
             let mut retired_now = 0;
             while retired_now < cfg.issue_width as usize
-                && rob_head < rob_tail
-                && complete[rob_head] != NOT_DONE
-                && complete[rob_head] <= now
+                && win.rob_head < rob_tail
+                && win[win.rob_head].complete <= now
             {
-                let ti = &insts[rob_head];
+                let ti = &win[win.rob_head].ti;
                 if matches!(ti.inst.op(), Op::Halt) && ti.qp_true {
                     retired_halt = true;
                 }
@@ -468,7 +591,7 @@ impl ExecutionModel for OutOfOrder {
                         seq: ti.seq,
                         cycle: now,
                         pc: ti.pc,
-                        inst: Cow::Borrowed(&ti.inst),
+                        inst: Cow::Borrowed(ti.inst),
                         qp_true: Some(ti.qp_true),
                         wrote: ti.wrote,
                         stored: ti.stored,
@@ -478,39 +601,15 @@ impl ExecutionModel for OutOfOrder {
                     });
                 }
                 stats.retired += 1;
-                rob_head += 1;
+                win.retire_head(now);
                 retired_now += 1;
             }
 
             // ---- attribution (paper §5.2: charge the oldest instruction) ----
             if issued > 0 {
                 stats.breakdown.charge(StallKind::Execution);
-            } else if rob_head >= rob_tail && decode.is_empty() {
-                stats.breakdown.charge(StallKind::FrontEnd);
-            } else if rob_head < rob_tail {
-                let oldest = rob_head;
-                let kind = if issued_flag[oldest] {
-                    // Oldest is executing: charge its own latency class.
-                    if insts[oldest].inst.op().is_load() {
-                        StallKind::Load
-                    } else {
-                        StallKind::Other
-                    }
-                } else {
-                    // Oldest is waiting on a producer.
-                    let blocking_load = insts[oldest].reg_deps.iter().any(|&d| {
-                        (complete[d as usize] == NOT_DONE || complete[d as usize] > now)
-                            && insts[d as usize].inst.op().is_load()
-                    });
-                    if blocking_load {
-                        StallKind::Load
-                    } else {
-                        StallKind::Other
-                    }
-                };
-                stats.breakdown.charge(kind);
             } else {
-                stats.breakdown.charge(StallKind::FrontEnd);
+                stats.breakdown.charge(win.idle_stall(rob_tail));
             }
 
             now += 1;
@@ -523,22 +622,23 @@ impl ExecutionModel for OutOfOrder {
             // constant inside the window and bulk-charged.
             if self.tick == TickMode::EventDriven && !retired_halt {
                 'ff: {
-                    let mut wake = if fetch_idx >= n || waiting_branch.is_some() {
+                    let mut wake = if trace.is_done() || waiting_branch.is_some() {
                         u64::MAX
                     } else if now < fetch_blocked_until {
                         fetch_blocked_until
                     } else {
                         break 'ff; // fetch would access the I-cache: poll
                     };
-                    if let Some(&(idx, ready_at)) = decode.front() {
+                    if rob_tail < win.end() {
+                        let ready_at = win[rob_tail].dispatch_at;
                         if ready_at > now {
                             wake = wake.min(ready_at);
                         } else {
-                            let rob_full = rob_tail - rob_head >= cfg.ooo_rob;
+                            let rob_full = rob_tail - win.rob_head >= cfg.ooo_rob;
                             let slot_full = match self.kind {
                                 WindowKind::Unified => window_len >= cfg.ooo_window,
                                 WindowKind::Decentralized => {
-                                    queue_len[Self::queue_of(&insts[idx])]
+                                    queue_len[Self::queue_of(&win[rob_tail].ti)]
                                         >= cfg.ooo_decentralized_queue
                                 }
                             };
@@ -565,23 +665,13 @@ impl ExecutionModel for OutOfOrder {
                         }
                         wake = wake.min(t);
                     }
-                    if rob_head < rob_tail {
-                        let c = complete[rob_head];
+                    if win.rob_head < rob_tail {
+                        let c = win[win.rob_head].complete;
                         if c != NOT_DONE {
                             if c <= now {
                                 break 'ff; // would retire: poll
                             }
                             wake = wake.min(c);
-                        }
-                        // The stall attribution (load vs other) can flip
-                        // when a pending dependence of the oldest completes.
-                        if !issued_flag[rob_head] {
-                            for &d in &insts[rob_head].reg_deps {
-                                let cd = complete[d as usize];
-                                if cd != NOT_DONE && cd > now {
-                                    wake = wake.min(cd);
-                                }
-                            }
                         }
                     }
                     for &(done, _) in &queue_release {
@@ -597,30 +687,7 @@ impl ExecutionModel for OutOfOrder {
                     }
                     // Attribution for an idle cycle, identical to the
                     // polled path with issued == 0.
-                    let kind = if rob_head >= rob_tail && decode.is_empty() {
-                        StallKind::FrontEnd
-                    } else if rob_head < rob_tail {
-                        if issued_flag[rob_head] {
-                            if insts[rob_head].inst.op().is_load() {
-                                StallKind::Load
-                            } else {
-                                StallKind::Other
-                            }
-                        } else {
-                            let blocking_load = insts[rob_head].reg_deps.iter().any(|&d| {
-                                (complete[d as usize] == NOT_DONE || complete[d as usize] > now)
-                                    && insts[d as usize].inst.op().is_load()
-                            });
-                            if blocking_load {
-                                StallKind::Load
-                            } else {
-                                StallKind::Other
-                            }
-                        }
-                    } else {
-                        StallKind::FrontEnd
-                    };
-                    stats.breakdown.charge_n(kind, wake - now);
+                    stats.breakdown.charge_n(win.idle_stall(rob_tail), wake - now);
                     now = wake;
                 }
             }
@@ -632,9 +699,9 @@ impl ExecutionModel for OutOfOrder {
             stats,
             activity,
             mem_stats: mem.final_stats(),
-            // The run is over: move the recorded final state out of the
-            // trace instead of cloning the whole memory image.
-            final_state: trace.into_final_state(),
+            // The run is over: move the stream's final state out instead of
+            // cloning the whole memory image.
+            final_state: trace.into_state(),
         };
         probe.on_run_end(&result);
         Ok(result)
@@ -864,6 +931,57 @@ mod tests {
             small.stats.cycles,
             big.stats.cycles
         );
+    }
+
+    /// A streaming loop of `trips` iterations: a load, an add and a store
+    /// per trip over a 4 KiB ring, so the footprint stays fixed while the
+    /// dynamic trace grows with the trip count.
+    fn ring_loop(trips: i64) -> Program {
+        let mut p = Program::new();
+        let b0 = p.add_block();
+        let b1 = p.add_block();
+        let b2 = p.add_block();
+        p.push(b0, Inst::new(Op::MovImm).dst(Reg::int(2)).imm(trips));
+        p.push(b0, Inst::new(Op::MovImm).dst(Reg::int(6)).imm(0xff8).stop());
+        p.push(b1, Inst::new(Op::And).dst(Reg::int(5)).src(Reg::int(1)).src(Reg::int(6)).stop());
+        p.push(b1, Inst::new(Op::Load).dst(Reg::int(4)).src(Reg::int(5)).imm(0x4000).stop());
+        p.push(b1, Inst::new(Op::Add).dst(Reg::int(3)).src(Reg::int(3)).src(Reg::int(4)));
+        p.push(b1, Inst::new(Op::AddImm).dst(Reg::int(1)).src(Reg::int(1)).imm(8));
+        p.push(b1, Inst::new(Op::AddImm).dst(Reg::int(2)).src(Reg::int(2)).imm(-1).stop());
+        p.push(b1, Inst::new(Op::Store).src(Reg::int(5)).src(Reg::int(3)).imm(0x4000));
+        p.push(b1, Inst::new(Op::CmpNe).dst(Reg::pred(1)).src(Reg::int(2)).src(Reg::int(0)).stop());
+        p.push(b1, Inst::new(Op::Br { target: b1 }).qp(Reg::pred(1)).stop());
+        p.push(b2, Inst::new(Op::Halt).stop());
+        p
+    }
+
+    #[test]
+    fn window_memory_is_independent_of_trace_length() {
+        let (short, long) = (ring_loop(1_000), ring_loop(100_000));
+        for build in [OutOfOrder::new, OutOfOrder::realistic] {
+            let run = |p: &Program| {
+                build(MachineConfig::default())
+                    .try_run(&SimCase::new(p, MemoryImage::new()))
+                    .unwrap()
+            };
+            let (a, b) = (run(&short), run(&long));
+            assert!(b.stats.retired > 90 * a.stats.retired);
+            // Only the pre-sized containers allocate: the trace window and
+            // the scheduling state never grow, however long the trace.
+            assert_eq!(a.activity.alloc_count, b.activity.alloc_count);
+            assert_eq!(b.activity.alloc_count, 5);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace recording failed — invalid workload program: OutOfFuel")]
+    fn a_failing_trace_stream_panics() {
+        let mut p = Program::new();
+        let b = p.add_block();
+        p.push(b, Inst::new(Op::Br { target: b }).stop()); // never halts
+        let mut case = SimCase::new(&p, MemoryImage::new());
+        case.max_insts = 1_000;
+        let _ = OutOfOrder::new(MachineConfig::default()).try_run(&case);
     }
 
     #[test]

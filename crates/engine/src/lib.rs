@@ -14,8 +14,9 @@
 //!   cycle-attribution categories;
 //! * [`Activity`] — per-structure access counters consumed by the Wattch
 //!   power models in `ff-power`;
-//! * [`DynTrace`] — a dynamic trace with dataflow and memory dependence
-//!   links, used by the trace-driven out-of-order timing models;
+//! * [`TraceStream`] — the dynamic trace with dataflow and memory
+//!   dependence links, stepped one instruction at a time for the
+//!   trace-driven out-of-order timing models;
 //! * [`ExecutionModel`] — the trait every pipeline model implements, and
 //!   [`SimCase`]/[`RunResult`] — its input/output types;
 //! * [`RetireHook`]/[`RetireEvent`] — retirement-granularity
@@ -47,4 +48,4 @@ pub use retire::{EpisodeWindow, NullRetireHook, RetireEvent, RetireHook, RetireM
 pub use scoreboard::{operand_stall, operand_wake, PendingKind, Scoreboard};
 pub use slab::{InFlightIndex, Slab, SlotId};
 pub use stats::{RunStats, StallKind};
-pub use trace::{DynTrace, TraceInst};
+pub use trace::{DepList, TraceError, TraceInst, TraceStream};

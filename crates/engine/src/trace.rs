@@ -1,4 +1,4 @@
-//! Dynamic-trace recording for the trace-driven out-of-order models.
+//! Streamed dynamic traces for the trace-driven out-of-order models.
 //!
 //! The out-of-order timing models are *trace driven*: the golden functional
 //! semantics produce the correct-path dynamic instruction stream with
@@ -8,27 +8,64 @@
 //! affect timing through branch-resolution bubbles but do not pollute the
 //! caches — consistent with the paper's *idealized* out-of-order model
 //! (§5.1), which deliberately excludes several realistic overheads.
+//!
+//! [`TraceStream`] steps the golden semantics one instruction at a time, as
+//! the timing model fetches, so no run ever holds the whole dynamic trace:
+//! its memory is the architectural state plus a register-producer table
+//! and a last-store map, both bounded by the program's footprint rather
+//! than its length.
 
-use std::collections::HashMap;
+use std::ops::Deref;
 
 use ff_isa::eval::{alu, effective_address};
-use ff_isa::{ArchState, Inst, Op, Pc, Program, Reg};
+use ff_isa::{ArchState, Inst, MemoryImage, Op, Pc, Program, Reg};
 
-/// One dynamic instruction in a recorded trace.
+/// The register producers of one dynamic instruction, in ascending
+/// sequence order without duplicates: at most the qualifying predicate and
+/// the two sources, held inline.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DepList {
+    len: u8,
+    seqs: [u64; 3],
+}
+
+impl DepList {
+    /// Inserts `seq`, keeping the list sorted and duplicate-free.
+    fn insert(&mut self, seq: u64) {
+        let len = self.len as usize;
+        let at = match self.seqs[..len].binary_search(&seq) {
+            Ok(_) => return,
+            Err(at) => at,
+        };
+        self.seqs.copy_within(at..len, at + 1);
+        self.seqs[at] = seq;
+        self.len += 1;
+    }
+}
+
+impl Deref for DepList {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.seqs[..self.len as usize]
+    }
+}
+
+/// One dynamic instruction of a trace.
 #[derive(Clone, Debug)]
-pub struct TraceInst {
+pub struct TraceInst<'p> {
     /// Position in the dynamic stream.
     pub seq: u64,
     /// Static location.
     pub pc: Pc,
-    /// The static instruction.
-    pub inst: Inst,
+    /// The static instruction, borrowed from the program.
+    pub inst: &'p Inst,
     /// Whether the qualifying predicate evaluated true.
     pub qp_true: bool,
-    /// Trace indices of the register producers this instruction must wait
-    /// for: the qualifying predicate and, when `qp_true`, each source.
-    pub reg_deps: Vec<u64>,
-    /// Trace index of the most recent store to the same word, for loads
+    /// Sequence numbers of the register producers this instruction must
+    /// wait for: the qualifying predicate and, when `qp_true`, each source.
+    pub reg_deps: DepList,
+    /// Sequence number of the most recent store to the same word, for loads
     /// (perfect memory disambiguation, per the idealized model).
     pub mem_dep: Option<u64>,
     /// Effective address for memory operations that executed.
@@ -42,188 +79,192 @@ pub struct TraceInst {
     pub stored: Option<(u64, u64)>,
 }
 
-impl TraceInst {
+impl TraceInst<'_> {
     /// Whether this entry is a conditional (predictor-consulting) branch.
     pub fn is_conditional_branch(&self) -> bool {
         matches!(self.inst.op(), Op::Br { .. }) && self.inst.is_predicated()
     }
 }
 
-/// A recorded correct-path dynamic trace.
-#[derive(Clone, Debug)]
-pub struct DynTrace {
-    insts: Vec<TraceInst>,
-    final_state: ArchState,
-}
-
-/// Error produced when trace recording fails.
+/// Why a trace stream could not produce its next instruction.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecordTraceError {
+pub enum TraceError {
     /// The program exceeded the dynamic-instruction budget without halting.
     OutOfFuel,
     /// Control escaped the program.
     InvalidControl,
 }
 
-impl std::fmt::Display for RecordTraceError {
+impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecordTraceError::OutOfFuel => write!(f, "instruction budget exhausted"),
-            RecordTraceError::InvalidControl => write!(f, "control escaped the program"),
+            TraceError::OutOfFuel => write!(f, "instruction budget exhausted"),
+            TraceError::InvalidControl => write!(f, "control escaped the program"),
         }
     }
 }
 
-impl std::error::Error for RecordTraceError {}
+impl std::error::Error for TraceError {}
 
-impl DynTrace {
-    /// Records the dynamic trace of `program` starting from `initial`,
-    /// stopping at `Halt`.
+/// The correct-path dynamic trace of a program, produced one instruction
+/// at a time by the golden functional semantics.
+///
+/// Iterating yields each [`TraceInst`] in dynamic order and ends after the
+/// `Halt`; an `Err` item reports a malformed program.
+#[derive(Debug)]
+pub struct TraceStream<'p> {
+    program: &'p Program,
+    state: ArchState,
+    /// Last dynamic writer of each register (flat index).
+    last_writer: Box<[Option<u64>]>,
+    /// One more than the sequence number of the last store to each word;
+    /// zero (the image's default) means no store yet.
+    last_store: MemoryImage,
+    /// The next instruction's pc; `None` once control escaped.
+    pc: Option<Pc>,
+    seq: u64,
+    max_insts: u64,
+    halted: bool,
+}
+
+impl<'p> TraceStream<'p> {
+    /// Starts the trace of `program` from `initial`, allowing at most
+    /// `max_insts` dynamic instructions before the `Halt`.
+    pub fn new(program: &'p Program, initial: ArchState, max_insts: u64) -> Self {
+        TraceStream {
+            program,
+            state: initial,
+            last_writer: vec![None; Reg::FLAT_COUNT].into_boxed_slice(),
+            last_store: MemoryImage::new(),
+            pc: program.first_pc_from(ff_isa::program::BlockId(0)),
+            seq: 0,
+            max_insts,
+            halted: false,
+        }
+    }
+
+    /// Whether the `Halt` has been produced (the stream is exhausted).
+    pub fn is_done(&self) -> bool {
+        self.halted
+    }
+
+    /// The static location and instruction the next item will carry, or
+    /// `Ok(None)` once the `Halt` has been produced.
     ///
     /// # Errors
     ///
-    /// Returns [`RecordTraceError::OutOfFuel`] if more than `max_insts`
-    /// dynamic instructions execute, or
-    /// [`RecordTraceError::InvalidControl`] if control leaves the program.
-    pub fn record(
-        program: &Program,
-        initial: ArchState,
-        max_insts: u64,
-    ) -> Result<DynTrace, RecordTraceError> {
-        let mut state = initial;
-        let mut insts: Vec<TraceInst> = Vec::new();
-        // Last dynamic writer of each register (trace index).
-        let mut last_writer: Vec<Option<u64>> = vec![None; Reg::FLAT_COUNT];
-        // Last dynamic store to each word address.
-        let mut last_store: HashMap<u64, u64> = HashMap::new();
-        let mut pc = match program.first_pc_from(ff_isa::program::BlockId(0)) {
-            Some(pc) => pc,
-            None => return Err(RecordTraceError::InvalidControl),
-        };
-
-        for seq in 0..max_insts {
-            let inst = match program.inst(pc) {
-                Some(i) => i.clone(),
-                None => return Err(RecordTraceError::InvalidControl),
-            };
-            let qp_true = state.read(inst.qp_reg()) != 0;
-            let mut reg_deps: Vec<u64> = Vec::new();
-            let mut push_dep = |r: Reg, lw: &[Option<u64>]| {
-                if !r.is_hardwired() {
-                    if let Some(w) = lw[r.flat_index()] {
-                        reg_deps.push(w);
-                    }
-                }
-            };
-            if inst.is_predicated() {
-                push_dep(inst.qp_reg(), &last_writer);
-            }
-            if qp_true {
-                for s in inst.srcs() {
-                    push_dep(s, &last_writer);
-                }
-            }
-            reg_deps.sort_unstable();
-            reg_deps.dedup();
-
-            let mut addr = None;
-            let mut mem_dep = None;
-            let mut taken = false;
-            let mut wrote = None;
-            let mut stored = None;
-            let mut next = program.next_pc(pc);
-            let mut halted = false;
-
-            if qp_true {
-                match inst.op() {
-                    Op::Halt => halted = true,
-                    Op::Br { target } => {
-                        taken = true;
-                        next = program.first_pc_from(*target);
-                    }
-                    Op::Load | Op::LoadFp => {
-                        let base = state.read(inst.src_n(0).expect("load base"));
-                        let a = effective_address(base, inst.imm_val());
-                        addr = Some(a);
-                        mem_dep = last_store.get(&ff_isa::MemoryImage::word_addr(a)).copied();
-                        let v = state.mem.load(a);
-                        if let Some(d) = inst.writes() {
-                            state.write(d, v);
-                            wrote = Some((d, v));
-                        }
-                    }
-                    Op::Store => {
-                        let base = state.read(inst.src_n(0).expect("store base"));
-                        let data = state.read(inst.src_n(1).expect("store data"));
-                        let a = effective_address(base, inst.imm_val());
-                        addr = Some(a);
-                        state.mem.store(a, data);
-                        stored = Some((a, data));
-                        last_store.insert(ff_isa::MemoryImage::word_addr(a), seq);
-                    }
-                    Op::Nop | Op::Restart => {}
-                    op => {
-                        let a = inst.src_n(0).map(|r| state.read(r)).unwrap_or(0);
-                        let b = inst.src_n(1).map(|r| state.read(r)).unwrap_or(0);
-                        let v = alu(op, a, b, inst.imm_val());
-                        if let Some(d) = inst.writes() {
-                            state.write(d, v);
-                            wrote = Some((d, v));
-                        }
-                    }
-                }
-                if let Some(d) = inst.writes() {
-                    last_writer[d.flat_index()] = Some(seq);
-                }
-            }
-
-            insts.push(TraceInst {
-                seq,
-                pc,
-                inst,
-                qp_true,
-                reg_deps,
-                mem_dep,
-                addr,
-                taken,
-                wrote,
-                stored,
-            });
-            if halted {
-                return Ok(DynTrace { insts, final_state: state });
-            }
-            pc = match next {
-                Some(p) => p,
-                None => return Err(RecordTraceError::InvalidControl),
-            };
+    /// [`TraceError::OutOfFuel`] once `max_insts` instructions have been
+    /// produced without a `Halt`, [`TraceError::InvalidControl`] if control
+    /// left the program.
+    pub fn peek(&self) -> Result<Option<(Pc, &'p Inst)>, TraceError> {
+        if self.halted {
+            return Ok(None);
         }
-        Err(RecordTraceError::OutOfFuel)
+        if self.seq >= self.max_insts {
+            return Err(TraceError::OutOfFuel);
+        }
+        let pc = self.pc.ok_or(TraceError::InvalidControl)?;
+        let inst = self.program.inst(pc).ok_or(TraceError::InvalidControl)?;
+        Ok(Some((pc, inst)))
     }
 
-    /// The trace entries in dynamic order.
-    pub fn insts(&self) -> &[TraceInst] {
-        &self.insts
+    /// The architectural state after every instruction produced so far —
+    /// the final state once the stream is done.
+    pub fn state(&self) -> &ArchState {
+        &self.state
     }
 
-    /// Number of dynamic instructions (including the final `Halt`).
-    pub fn len(&self) -> usize {
-        self.insts.len()
+    /// Consumes the stream, yielding its architectural state without
+    /// cloning the memory image.
+    pub fn into_state(self) -> ArchState {
+        self.state
     }
 
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
+    /// Executes the next instruction and records its dataflow links.
+    fn step(&mut self, pc: Pc, inst: &'p Inst) -> TraceInst<'p> {
+        let seq = self.seq;
+        let state = &mut self.state;
+        let qp_true = state.read(inst.qp_reg()) != 0;
+        let mut reg_deps = DepList::default();
+        let mut depend_on = |r: Reg| {
+            if !r.is_hardwired() {
+                if let Some(w) = self.last_writer[r.flat_index()] {
+                    reg_deps.insert(w);
+                }
+            }
+        };
+        if inst.is_predicated() {
+            depend_on(inst.qp_reg());
+        }
+        if qp_true {
+            inst.srcs().for_each(&mut depend_on);
+        }
 
-    /// The architectural state after the trace completes.
-    pub fn final_state(&self) -> &ArchState {
-        &self.final_state
-    }
+        let mut addr = None;
+        let mut mem_dep = None;
+        let mut taken = false;
+        let mut wrote = None;
+        let mut stored = None;
+        let mut next = self.program.next_pc(pc);
 
-    /// Consumes the trace, yielding the final architectural state without
-    /// cloning its memory image.
-    pub fn into_final_state(self) -> ArchState {
-        self.final_state
+        if qp_true {
+            match inst.op() {
+                Op::Halt => self.halted = true,
+                Op::Br { target } => {
+                    taken = true;
+                    next = self.program.first_pc_from(*target);
+                }
+                Op::Load | Op::LoadFp => {
+                    let base = state.read(inst.src_n(0).expect("load base"));
+                    let a = effective_address(base, inst.imm_val());
+                    addr = Some(a);
+                    mem_dep = self.last_store.load(a).checked_sub(1);
+                    let v = state.mem.load(a);
+                    if let Some(d) = inst.writes() {
+                        state.write(d, v);
+                        wrote = Some((d, v));
+                    }
+                }
+                Op::Store => {
+                    let base = state.read(inst.src_n(0).expect("store base"));
+                    let data = state.read(inst.src_n(1).expect("store data"));
+                    let a = effective_address(base, inst.imm_val());
+                    addr = Some(a);
+                    state.mem.store(a, data);
+                    stored = Some((a, data));
+                    self.last_store.store(a, seq + 1);
+                }
+                Op::Nop | Op::Restart => {}
+                op => {
+                    let a = inst.src_n(0).map(|r| state.read(r)).unwrap_or(0);
+                    let b = inst.src_n(1).map(|r| state.read(r)).unwrap_or(0);
+                    let v = alu(op, a, b, inst.imm_val());
+                    if let Some(d) = inst.writes() {
+                        state.write(d, v);
+                        wrote = Some((d, v));
+                    }
+                }
+            }
+            if let Some(d) = inst.writes() {
+                self.last_writer[d.flat_index()] = Some(seq);
+            }
+        }
+
+        self.seq += 1;
+        self.pc = next;
+        TraceInst { seq, pc, inst, qp_true, reg_deps, mem_dep, addr, taken, wrote, stored }
+    }
+}
+
+impl<'p> Iterator for TraceStream<'p> {
+    type Item = Result<TraceInst<'p>, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.peek() {
+            Ok(Some((pc, inst))) => Some(Ok(self.step(pc, inst))),
+            Ok(None) => None,
+            Err(e) => Some(Err(e)),
+        }
     }
 }
 
@@ -257,24 +298,53 @@ mod tests {
         (p, s)
     }
 
+    /// Drains a whole stream: every entry plus the final state.
+    fn drain(
+        p: &Program,
+        s: ArchState,
+        max_insts: u64,
+    ) -> Result<(Vec<TraceInst<'_>>, ArchState), TraceError> {
+        let mut t = TraceStream::new(p, s, max_insts);
+        let insts = t.by_ref().collect::<Result<Vec<_>, _>>()?;
+        assert!(t.is_done());
+        Ok((insts, t.into_state()))
+    }
+
     #[test]
     fn trace_matches_interpreter_final_state() {
         let (p, s) = memory_loop();
-        let t = DynTrace::record(&p, s.clone(), 100_000).unwrap();
+        let (t, fin) = drain(&p, s.clone(), 100_000).unwrap();
         let mut i = Interpreter::with_state(&p, s);
         i.run(100_000).unwrap();
-        assert!(t.final_state().semantically_eq(i.state()));
+        assert!(fin.semantically_eq(i.state()));
         assert_eq!(t.len() as u64, i.retired());
+    }
+
+    #[test]
+    fn stream_steps_in_lockstep_with_the_interpreter() {
+        let (p, s) = memory_loop();
+        let mut t = TraceStream::new(&p, s.clone(), 100_000);
+        let mut i = Interpreter::with_state(&p, s);
+        while let Some((pc, _)) = t.peek().unwrap() {
+            // Peeking never advances the stream.
+            assert_eq!(t.peek().unwrap().map(|(pc, _)| pc), Some(pc));
+            assert_eq!(Some(pc), i.pc());
+            let ti = t.next().unwrap().unwrap();
+            i.step().unwrap();
+            assert_eq!(ti.pc, pc);
+            assert_eq!(ti.seq + 1, i.retired());
+            assert!(t.state().semantically_eq(i.state()));
+        }
+        assert!(t.next().is_none());
     }
 
     #[test]
     fn register_deps_point_at_producers() {
         let (p, s) = memory_loop();
-        let t = DynTrace::record(&p, s, 100_000).unwrap();
+        let (t, _) = drain(&p, s, 100_000).unwrap();
         // Dynamic inst 3 is `r3 += r4` of iteration 1: depends on the load
         // (seq 2) and on nothing else fetched earlier that writes r3.
-        let add = &t.insts()[3];
-        assert!(add.reg_deps.contains(&2));
+        assert!(t[3].reg_deps.contains(&2));
     }
 
     #[test]
@@ -285,8 +355,8 @@ mod tests {
         p.push(b, Inst::new(Op::Store).src(Reg::int(1)).src(Reg::int(1)));
         p.push(b, Inst::new(Op::Load).dst(Reg::int(2)).src(Reg::int(1)));
         p.push(b, Inst::new(Op::Halt));
-        let t = DynTrace::record(&p, ArchState::new(), 100).unwrap();
-        assert_eq!(t.insts()[2].mem_dep, Some(1));
+        let (t, _) = drain(&p, ArchState::new(), 100).unwrap();
+        assert_eq!(t[2].mem_dep, Some(1));
     }
 
     #[test]
@@ -294,21 +364,20 @@ mod tests {
         let mut p = Program::new();
         let b = p.add_block();
         p.push(b, Inst::new(Op::CmpEq).dst(Reg::pred(1)).src(Reg::int(0)).src(Reg::int(1)));
-        // r5 differs from r0 -> predicate false... wait, r0==0 and r1==0.
         p.push(b, Inst::new(Op::MovImm).dst(Reg::int(3)).imm(9).qp(Reg::pred(2)));
         p.push(b, Inst::new(Op::Halt));
-        let t = DynTrace::record(&p, ArchState::new(), 100).unwrap();
-        let mv = &t.insts()[1];
+        let (t, fin) = drain(&p, ArchState::new(), 100).unwrap();
+        let mv = &t[1];
         assert!(!mv.qp_true); // p2 was never written -> false
         assert!(mv.reg_deps.is_empty()); // p2 has no producer
-        assert_eq!(t.final_state().int(3), 0);
+        assert_eq!(fin.int(3), 0);
     }
 
     #[test]
     fn branch_outcomes_recorded() {
         let (p, s) = memory_loop();
-        let t = DynTrace::record(&p, s, 100_000).unwrap();
-        let branches: Vec<_> = t.insts().iter().filter(|i| i.is_conditional_branch()).collect();
+        let (t, _) = drain(&p, s, 100_000).unwrap();
+        let branches: Vec<_> = t.iter().filter(|i| i.is_conditional_branch()).collect();
         assert_eq!(branches.len(), 4);
         assert!(branches[..3].iter().all(|b| b.taken));
         assert!(!branches[3].taken);
@@ -322,11 +391,11 @@ mod tests {
         p.push(b, Inst::new(Op::Load).dst(Reg::int(1)).src(Reg::int(2)).qp(Reg::pred(2)));
         p.push(b, Inst::new(Op::Store).src(Reg::int(2)).src(Reg::int(3)).qp(Reg::pred(2)));
         p.push(b, Inst::new(Op::Halt));
-        let t = DynTrace::record(&p, ArchState::new(), 100).unwrap();
-        assert!(!t.insts()[0].qp_true);
-        assert_eq!(t.insts()[0].addr, None);
-        assert_eq!(t.insts()[1].addr, None);
-        assert_eq!(t.insts()[0].mem_dep, None);
+        let (t, _) = drain(&p, ArchState::new(), 100).unwrap();
+        assert!(!t[0].qp_true);
+        assert_eq!(t[0].addr, None);
+        assert_eq!(t[1].addr, None);
+        assert_eq!(t[0].mem_dep, None);
     }
 
     #[test]
@@ -334,11 +403,18 @@ mod tests {
         let mut p = Program::new();
         let b = p.add_block();
         p.push(b, Inst::new(Op::MovImm).dst(Reg::int(1)).imm(3));
+        p.push(b, Inst::new(Op::MovImm).dst(Reg::pred(1)).imm(1));
         // Both sources come from the same producer.
         p.push(b, Inst::new(Op::Add).dst(Reg::int(2)).src(Reg::int(1)).src(Reg::int(1)));
+        // Producers arrive out of order (qp from seq 1, sources from 0).
+        p.push(
+            b,
+            Inst::new(Op::Add).dst(Reg::int(3)).src(Reg::int(2)).src(Reg::int(1)).qp(Reg::pred(1)),
+        );
         p.push(b, Inst::new(Op::Halt));
-        let t = DynTrace::record(&p, ArchState::new(), 100).unwrap();
-        assert_eq!(t.insts()[1].reg_deps, vec![0]);
+        let (t, _) = drain(&p, ArchState::new(), 100).unwrap();
+        assert_eq!(*t[2].reg_deps, [0]);
+        assert_eq!(*t[3].reg_deps, [0, 1, 2]);
     }
 
     #[test]
@@ -346,7 +422,9 @@ mod tests {
         let mut p = Program::new();
         let b = p.add_block();
         p.push(b, Inst::new(Op::Br { target: b })); // infinite loop
-        let r = DynTrace::record(&p, ArchState::new(), 100);
-        assert_eq!(r.unwrap_err(), RecordTraceError::OutOfFuel);
+        let mut t = TraceStream::new(&p, ArchState::new(), 100);
+        assert_eq!(t.by_ref().take_while(Result::is_ok).count(), 100);
+        assert_eq!(t.peek().unwrap_err(), TraceError::OutOfFuel);
+        assert!(!t.is_done());
     }
 }

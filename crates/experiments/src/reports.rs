@@ -19,20 +19,51 @@ use crate::suite::{HierKind, ModelKind, ResultSource};
 /// The diverse four-benchmark subset the structure ablations sweep.
 pub const ABLATION_BENCHES: [&str; 4] = ["mcf", "gap", "art", "twolf"];
 
-fn mean_speedup(machine: MachineConfig, mp_cfg: MultipassConfig, ws: &[Workload]) -> f64 {
+/// Per-workload cycle counts of each configuration already simulated, so
+/// a configuration that recurs across the ablation sweeps (the Table 2
+/// machine underlies most rows) is simulated once per benchmark.
+#[derive(Default)]
+struct CycleMemo {
+    inorder: Vec<(MachineConfig, Vec<f64>)>,
+    multipass: Vec<(MultipassConfig, Vec<f64>)>,
+}
+
+/// The cycles of `key`'s model on every workload, simulated on first use.
+fn memo_cycles<'m, K: PartialEq + Copy>(
+    memo: &'m mut Vec<(K, Vec<f64>)>,
+    key: K,
+    ws: &[Workload],
+    run: impl Fn(K, &SimCase<'_>) -> u64,
+) -> &'m [f64] {
+    let at = match memo.iter().position(|(k, _)| *k == key) {
+        Some(at) => at,
+        None => {
+            let cycles = ws
+                .iter()
+                .map(|w| run(key, &SimCase::new(&w.program, w.mem.clone())) as f64)
+                .collect();
+            memo.push((key, cycles));
+            memo.len() - 1
+        }
+    };
+    &memo[at].1
+}
+
+fn mean_speedup(
+    machine: MachineConfig,
+    mp_cfg: MultipassConfig,
+    ws: &[Workload],
+    memo: &mut CycleMemo,
+) -> f64 {
+    let halts = "kernel halts within the cycle cap";
+    let base = memo_cycles(&mut memo.inorder, machine, ws, |m, case| {
+        InOrder::new(m).try_run(case).expect(halts).stats.cycles
+    });
+    let mp = memo_cycles(&mut memo.multipass, mp_cfg, ws, |c, case| {
+        Multipass::with_config(c).try_run(case).expect(halts).stats.cycles
+    });
     let mut total = 0.0;
-    for w in ws {
-        let case = SimCase::new(&w.program, w.mem.clone());
-        let base = InOrder::new(machine)
-            .try_run(&case)
-            .expect("kernel halts within the cycle cap")
-            .stats
-            .cycles as f64;
-        let mp = Multipass::with_config(mp_cfg)
-            .try_run(&case)
-            .expect("kernel halts within the cycle cap")
-            .stats
-            .cycles as f64;
+    for (base, mp) in base.iter().zip(mp) {
         total += base / mp;
     }
     total / ws.len() as f64
@@ -47,6 +78,9 @@ pub fn ablation_structures(scale: Scale) -> String {
         .iter()
         .map(|n| Workload::by_name(n, scale).expect("known benchmark"))
         .collect();
+    let mut memo = CycleMemo::default();
+    let mut speedup =
+        |machine: MachineConfig, cfg: MultipassConfig| mean_speedup(machine, cfg, &ws, &mut memo);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -58,11 +92,8 @@ pub fn ablation_structures(scale: Scale) -> String {
         let mut machine = MachineConfig::itanium2_base();
         machine.multipass_iq = iq;
         let cfg = MultipassConfig::new(machine);
-        let _ = writeln!(
-            out,
-            "  IQ {iq:>4} entries: mean MP speedup {:.3}x",
-            mean_speedup(machine, cfg, &ws)
-        );
+        let _ =
+            writeln!(out, "  IQ {iq:>4} entries: mean MP speedup {:.3}x", speedup(machine, cfg));
     }
 
     let _ = writeln!(out, "\nadvance-store-cache sweep:");
@@ -74,7 +105,7 @@ pub fn ablation_structures(scale: Scale) -> String {
         let _ = writeln!(
             out,
             "  ASC {entries:>3} entries / {assoc}-way: mean MP speedup {:.3}x",
-            mean_speedup(machine, cfg, &ws)
+            speedup(machine, cfg)
         );
     }
 
@@ -83,34 +114,26 @@ pub fn ablation_structures(scale: Scale) -> String {
         let mut machine = MachineConfig::itanium2_base();
         machine.hierarchy.max_outstanding = mshrs;
         let cfg = MultipassConfig::new(machine);
-        let _ = writeln!(
-            out,
-            "  {mshrs:>2} MSHRs: mean MP speedup {:.3}x",
-            mean_speedup(machine, cfg, &ws)
-        );
+        let _ = writeln!(out, "  {mshrs:>2} MSHRs: mean MP speedup {:.3}x", speedup(machine, cfg));
     }
 
     let _ = writeln!(out, "\nrestart mechanism:");
     let machine = MachineConfig::itanium2_base();
     let compiler = MultipassConfig::new(machine);
-    let _ =
-        writeln!(out, "  compiler RESTART markers : {:.3}x", mean_speedup(machine, compiler, &ws));
+    let _ = writeln!(out, "  compiler RESTART markers : {:.3}x", speedup(machine, compiler));
     for threshold in [4u32, 8, 16] {
         let hw = MultipassConfig::with_hardware_restart(machine, threshold);
-        let _ = writeln!(
-            out,
-            "  hardware detector (run {threshold:>2}): {:.3}x",
-            mean_speedup(machine, hw, &ws)
-        );
+        let _ =
+            writeln!(out, "  hardware detector (run {threshold:>2}): {:.3}x", speedup(machine, hw));
     }
     let none = MultipassConfig::without_restart(machine);
-    let _ = writeln!(out, "  no restart               : {:.3}x", mean_speedup(machine, none, &ws));
+    let _ = writeln!(out, "  no restart               : {:.3}x", speedup(machine, none));
 
     let _ = writeln!(out, "\nWAW policy for advance loads that miss the L1:");
     let paper = MultipassConfig::new(machine);
-    let _ = writeln!(out, "  skip SRF (paper, simple) : {:.3}x", mean_speedup(machine, paper, &ws));
+    let _ = writeln!(out, "  skip SRF (paper, simple) : {:.3}x", speedup(machine, paper));
     let ideal = MultipassConfig::with_ideal_waw(machine);
-    let _ = writeln!(out, "  write SRF (idealized)    : {:.3}x", mean_speedup(machine, ideal, &ws));
+    let _ = writeln!(out, "  write SRF (idealized)    : {:.3}x", speedup(machine, ideal));
     out
 }
 

@@ -281,11 +281,12 @@ impl JobFilter {
 }
 
 /// Per-worker state: a lazily generated workload cache, so a worker
-/// generates each (bench, seed) workload once no matter how many grid
-/// points reuse it. Public so `ff-server` workers thread one through
-/// [`attempt_job`] exactly like the batch pool does.
+/// generates each (bench, scale, seed) workload once no matter how many
+/// grid points reuse it. Public so `ff-server` workers thread one through
+/// [`attempt_job`] exactly like the batch pool does; a server worker sees
+/// jobs of every scale over its lifetime, so the scale is part of the key.
 pub struct JobContext {
-    workloads: BTreeMap<(&'static str, u64), Workload>,
+    workloads: BTreeMap<(&'static str, Scale, u64), Workload>,
 }
 
 impl JobContext {
@@ -372,7 +373,7 @@ fn compute_artifact(
     match &spec.kind {
         JobKind::Sim { model, hier, bench, seed } => {
             let scale = spec.scale;
-            let w = state.workloads.entry((bench, *seed)).or_insert_with(|| {
+            let w = state.workloads.entry((bench, scale, *seed)).or_insert_with(|| {
                 Workload::by_name_seeded(bench, scale, *seed).expect("plan uses known benchmarks")
             });
             let mut case = ff_engine::SimCase::new(&w.program, w.mem.clone());

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 
 use ff_experiments::{HierKind, ModelKind};
 use ff_harness::{
-    full_grid, list_bundles, manifest::render_manifest, run_campaign, CampaignOptions, CrashBundle,
-    FailureInjection, JobErrorKind, JobSpec, JobStatus,
+    attempt_job, full_grid, list_bundles, manifest::render_manifest, run_campaign, CampaignOptions,
+    CrashBundle, ExecOptions, FailureInjection, JobContext, JobErrorKind, JobSpec, JobStatus,
 };
 use ff_workloads::Scale;
 
@@ -333,4 +333,21 @@ fn full_grid_hashes_are_unique_across_scales() {
             assert!(hashes.insert(job.config_hash()), "duplicate hash for {}", job.id());
         }
     }
+}
+
+/// One worker context serves jobs of both scales (an `ff-server` worker
+/// keeps its context for life): a paper-scale job that follows the
+/// test-scale job of the same benchmark and seed must simulate the
+/// paper-scale program, not the cached test-scale one.
+#[test]
+fn job_context_caches_workloads_per_scale() {
+    let job = |scale| JobSpec::sim(ModelKind::InOrder, HierKind::Base, "gzip", 0, scale);
+    let exec = ExecOptions::default();
+    let mut shared = JobContext::new();
+    let test = attempt_job(&mut shared, &job(Scale::Test), &exec, None).result.unwrap();
+    let paper = attempt_job(&mut shared, &job(Scale::Paper), &exec, None).result.unwrap();
+    let fresh =
+        attempt_job(&mut JobContext::new(), &job(Scale::Paper), &exec, None).result.unwrap();
+    assert_eq!(paper, fresh);
+    assert_ne!(paper, test);
 }

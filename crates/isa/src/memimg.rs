@@ -6,11 +6,66 @@
 //! byte addresses; accesses are 8-byte-aligned words (the compiler stand-in
 //! only emits aligned word accesses, matching the ILP32-on-64-bit-words
 //! simplification documented in DESIGN.md).
+//!
+//! Words live in 4 KiB pages (512 words) held in a map keyed by page
+//! number, so a load or store is one fixed-hasher probe plus an array
+//! index, and an image costs one page per touched 4 KiB of address space
+//! rather than a hash-table slot per word. Each page carries a written-bit
+//! mask, which keeps [`MemoryImage::written_words`], `==` and
+//! [`MemoryImage::iter`] exact: an explicit zero store is a written word.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Word size of every memory access, in bytes.
 pub const WORD_BYTES: u64 = 8;
+
+/// Words per page (4 KiB pages).
+const PAGE_WORDS: usize = 512;
+/// `log2` of the page size in bytes.
+const PAGE_SHIFT: u32 = 12;
+
+/// One 4 KiB page: its words plus a bit per word recording whether it was
+/// ever stored to. Unwritten words are zero.
+#[derive(Clone, PartialEq, Eq)]
+struct Page {
+    words: [u64; PAGE_WORDS],
+    written: [u64; PAGE_WORDS / 64],
+}
+
+impl Page {
+    fn zeroed() -> Box<Page> {
+        Box::new(Page { words: [0; PAGE_WORDS], written: [0; PAGE_WORDS / 64] })
+    }
+
+    fn is_written(&self, slot: usize) -> bool {
+        (self.written[slot / 64] >> (slot % 64)) & 1 == 1
+    }
+}
+
+/// A fixed (unseeded) multiplicative hasher for page numbers: iteration
+/// order and probe sequences are the same in every process, and a probe
+/// costs one multiply instead of a SipHash round. The keys are simulated
+/// addresses, so a program whose pages collide slows only its own run.
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Sparse functional memory, word-granular, zero-initialized.
 ///
@@ -23,9 +78,14 @@ pub const WORD_BYTES: u64 = 8;
 /// m.store(0x1000, 42);
 /// assert_eq!(m.load(0x1000), 42);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct MemoryImage {
-    words: HashMap<u64, u64>,
+    pages: HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Splits a byte address into its page number and word slot in the page.
+fn locate(addr: u64) -> (u64, usize) {
+    (addr >> PAGE_SHIFT, (addr / WORD_BYTES) as usize % PAGE_WORDS)
 }
 
 impl MemoryImage {
@@ -42,40 +102,60 @@ impl MemoryImage {
     /// Loads the 64-bit word containing byte address `addr`. Unwritten
     /// locations read as zero.
     pub fn load(&self, addr: u64) -> u64 {
-        self.words.get(&Self::word_addr(addr)).copied().unwrap_or(0)
+        let (page, slot) = locate(addr);
+        self.pages.get(&page).map_or(0, |p| p.words[slot])
     }
 
     /// Stores a 64-bit word at the word containing byte address `addr`,
     /// returning the previous value.
     pub fn store(&mut self, addr: u64, value: u64) -> u64 {
-        self.words.insert(Self::word_addr(addr), value).unwrap_or(0)
+        let (page, slot) = locate(addr);
+        let p = self.pages.entry(page).or_insert_with(Page::zeroed);
+        p.written[slot / 64] |= 1 << (slot % 64);
+        std::mem::replace(&mut p.words[slot], value)
     }
 
     /// Number of words that have been written (footprint proxy).
     pub fn written_words(&self) -> usize {
-        self.words.len()
+        self.pages.values().flat_map(|p| p.written).map(|m| m.count_ones() as usize).sum()
     }
 
     /// Iterates over `(word_address, value)` pairs of written words in an
     /// unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.words.iter().map(|(&a, &v)| (a, v))
+        self.pages.iter().flat_map(|(&page, p)| {
+            (0..PAGE_WORDS)
+                .filter(|&slot| p.is_written(slot))
+                .map(move |slot| ((page << PAGE_SHIFT) + slot as u64 * WORD_BYTES, p.words[slot]))
+        })
     }
 
     /// Compares two images as mathematical functions (treating absent words
     /// as zero), so an explicit zero store equals an untouched word.
     pub fn semantically_eq(&self, other: &MemoryImage) -> bool {
-        let covers = |a: &MemoryImage, b: &MemoryImage| a.iter().all(|(addr, v)| b.load(addr) == v);
+        // Unwritten words are zero, so whole pages compare directly.
+        let covers = |a: &MemoryImage, b: &MemoryImage| {
+            a.pages.iter().all(|(page, p)| match b.pages.get(page) {
+                Some(q) => p.words == q.words,
+                None => p.words.iter().all(|&w| w == 0),
+            })
+        };
         covers(self, other) && covers(other, self)
+    }
+}
+
+impl fmt::Debug for MemoryImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut words: Vec<(u64, u64)> = self.iter().collect();
+        words.sort_unstable();
+        f.debug_map().entries(words).finish()
     }
 }
 
 impl FromIterator<(u64, u64)> for MemoryImage {
     fn from_iter<T: IntoIterator<Item = (u64, u64)>>(iter: T) -> Self {
         let mut m = MemoryImage::new();
-        for (addr, v) in iter {
-            m.store(addr, v);
-        }
+        m.extend(iter);
         m
     }
 }
@@ -125,6 +205,7 @@ mod tests {
         a.store(8, 0);
         let b = MemoryImage::new();
         assert!(a.semantically_eq(&b));
+        assert_ne!(a, b, "an explicit zero store is a written word");
         a.store(8, 1);
         assert!(!a.semantically_eq(&b));
     }

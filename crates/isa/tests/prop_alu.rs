@@ -1,5 +1,7 @@
 //! Property tests for the functional ALU semantics and the memory image.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use ff_isa::eval::{alu, effective_address};
@@ -65,22 +67,63 @@ proptest! {
         );
     }
 
-    /// The memory image behaves like a word-granular map with zero default.
+    /// The paged memory image behaves exactly like a word-granular map with
+    /// zero default: loads, the previous value a store returns, the written
+    /// set (`written_words`, `iter`, `==`) and semantic equality. Addresses
+    /// cluster on page boundaries and at the top of the address space, and
+    /// a third of the stores write an explicit zero.
     #[test]
     fn memory_image_matches_hashmap_model(
-        writes in proptest::collection::vec((0u64..0x1000, any::<u64>()), 0..64),
-        probes in proptest::collection::vec(0u64..0x1000, 0..32),
+        writes in proptest::collection::vec((address(), value()), 0..96),
+        probes in proptest::collection::vec(address(), 0..48),
     ) {
-        use std::collections::HashMap;
         let mut mem = MemoryImage::new();
         let mut model: HashMap<u64, u64> = HashMap::new();
         for (addr, v) in &writes {
-            mem.store(*addr, *v);
-            model.insert(MemoryImage::word_addr(*addr), *v);
+            let prev = model.insert(MemoryImage::word_addr(*addr), *v).unwrap_or(0);
+            prop_assert_eq!(mem.store(*addr, *v), prev);
         }
-        for p in &probes {
+        for p in probes.iter().chain(writes.iter().map(|(a, _)| a)) {
             let expect = model.get(&MemoryImage::word_addr(*p)).copied().unwrap_or(0);
             prop_assert_eq!(mem.load(*p), expect);
         }
+        prop_assert_eq!(mem.written_words(), model.len());
+        let listed: Vec<(u64, u64)> = mem.iter().collect();
+        prop_assert_eq!(listed.len(), model.len());
+        prop_assert_eq!(listed.into_iter().collect::<HashMap<u64, u64>>(), model.clone());
+
+        // `==` compares written sets exactly, whatever the store order.
+        let mut sorted: Vec<(u64, u64)> = model.iter().map(|(&a, &v)| (a, v)).collect();
+        sorted.sort_unstable();
+        let rebuilt: MemoryImage = sorted.iter().rev().copied().collect();
+        prop_assert!(rebuilt == mem);
+        prop_assert!(rebuilt.semantically_eq(&mem));
+
+        // An explicit zero at an unwritten word changes `==` but not the
+        // semantics; a nonzero value changes both.
+        if let Some(fresh) = probes.iter().map(|&p| MemoryImage::word_addr(p)).find(|a| !model.contains_key(a)) {
+            let mut zeroed = mem.clone();
+            zeroed.store(fresh, 0);
+            prop_assert!(zeroed != mem);
+            prop_assert!(zeroed.semantically_eq(&mem) && mem.semantically_eq(&zeroed));
+            zeroed.store(fresh, 1);
+            prop_assert!(!zeroed.semantically_eq(&mem) && !mem.semantically_eq(&zeroed));
+        }
     }
+}
+
+/// Byte addresses that stress the paging: the low words, a few bytes
+/// either side of a 4 KiB page boundary, and the top of the address space.
+fn address() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..0x2000,
+        (1u64..64, 0u64..32)
+            .prop_map(|(page, off)| (page << 12).wrapping_add(off).wrapping_sub(16)),
+        (0u64..0x2000).prop_map(|off| u64::MAX - off),
+    ]
+}
+
+/// Stored values, a third of them an explicit zero.
+fn value() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), any::<u64>(), 1u64..4]
 }

@@ -41,7 +41,7 @@ use ff_engine::SimCase;
 use ff_isa::{MemoryImage, Program};
 
 /// Workload sizing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scale {
     /// Small footprints and trip counts for unit/integration tests.
     Test,

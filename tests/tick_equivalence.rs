@@ -134,9 +134,9 @@ fn artifacts_are_byte_identical_across_tick_modes() {
 /// The "zero heap allocation per instruction in steady state" invariant
 /// (DESIGN.md §7e): across full runs retiring thousands of instructions,
 /// `alloc_count` stays a small warm-up constant — the in-flight
-/// containers (OOO ready sets/timers, the runahead register overlay, the
-/// multipass seq ring) are sized to their windows up front and never
-/// grow on the hot path.
+/// containers (the OOO trace window and ready sets/timers, the runahead
+/// register overlay, the multipass seq ring) are sized to their windows
+/// up front and never grow on the hot path.
 #[test]
 fn in_flight_containers_do_not_allocate_in_steady_state() {
     let machine = MachineConfig::itanium2_base();
