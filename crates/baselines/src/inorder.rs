@@ -8,18 +8,16 @@
 //! until the producer's result is ready. This is the `base` bar of
 //! Figure 6: every cycle in which no instruction issues is charged to the
 //! stall cause of the oldest unissued instruction.
-
-use std::borrow::Cow;
+//!
+//! The machine state, the execute step and the stalled-head skip analysis
+//! live in [`InOrderStage`]; this model is a short loop over it, and
+//! `issue_group` is the issue loop runahead reuses for its architectural
+//! regime.
 
 use ff_engine::{
-    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, PipelineProbe,
-    RetireEvent, RetireHook, RetireMode, RetireTee, RunError, RunResult, RunStats, Scoreboard,
-    SimCase, StallKind, TickMode,
+    ExecutionModel, InOrderStage, MachineConfig, PipelineProbe, RetireHook, RetireMode, RetireTee,
+    RunError, RunResult, SimCase, StallKind, TickMode,
 };
-use ff_frontend::{FetchUnit, Gshare};
-use ff_isa::eval::{alu, effective_address};
-use ff_isa::{ArchState, Op};
-use ff_mem::{AccessKind, MemAccess, MemorySystem};
 
 /// The baseline in-order model.
 #[derive(Clone, Debug)]
@@ -40,7 +38,35 @@ impl InOrder {
     }
 }
 
-pub(crate) use ff_engine::operand_stall;
+/// One cycle of baseline issue: the head's compiler group in program
+/// order, up to `width` instructions, split at the first stall. Returns
+/// the number issued and the stall that ended issue, if any.
+/// Retirements go to `hook` when one is enabled.
+pub(crate) fn issue_group(
+    stage: &mut InOrderStage<'_>,
+    width: u32,
+    mut hook: Option<&mut RetireTee<'_>>,
+) -> (u32, Option<StallKind>) {
+    let mut issued = 0u32;
+    while issued < width {
+        let Some(head) = stage.select_head() else { break };
+        let done = match stage.execute(&head, true, head.predicted_next) {
+            Ok(done) => done,
+            Err(stall) => return (issued, Some(stall)),
+        };
+        if let Some((d, ready_at, kind)) = done.pend {
+            stage.sb.set_pending(d, ready_at, kind);
+        }
+        if let Some(hook) = hook.as_deref_mut() {
+            hook.on_retire(&done.event(&stage.state, stage.now, RetireMode::Architectural, None));
+        }
+        issued += 1;
+        if stage.halted || done.flushed || head.inst.ends_group() {
+            break;
+        }
+    }
+    (issued, None)
+}
 
 impl ExecutionModel for InOrder {
     fn name(&self) -> &'static str {
@@ -57,244 +83,22 @@ impl ExecutionModel for InOrder {
         hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
-        let program = case.program;
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
-        let mut state: ArchState = case.initial_state();
-        let mut mem = MemorySystem::new(cfg.hierarchy);
-        let mut fetch = FetchUnit::new(
-            program,
-            cfg.inorder_buffer,
-            cfg.fetch_width as usize,
-            Gshare::new(cfg.gshare_entries),
-        );
-        let mut sb = Scoreboard::new();
-        let mut fu = FuPool::new(cfg);
-        let mut stats = RunStats::default();
-        let mut activity = Activity::new();
-        let hook = &mut RetireTee::new(hook, probe);
-        let hook_enabled = hook.enabled();
-
-        let mut now: u64 = 0;
-        let mut halted = false;
-
-        while !halted {
-            if now >= cycle_cap {
-                return Err(RunError::CycleBudgetExceeded {
-                    limit: cycle_cap,
-                    retired: stats.retired,
-                });
-            }
-            assert!(stats.retired < case.max_insts, "instruction budget exceeded");
-            fetch.tick(program, &mut mem, now);
-            fu.new_cycle(now);
-
-            let mut issued_this_cycle = 0u32;
-            let mut stall: Option<StallKind> = None;
-
-            while issued_this_cycle < cfg.issue_width {
-                let (pc, seq, predicted_next, snap) = match fetch.get(fetch.head_seq()) {
-                    Some(e) if e.fetched_at <= now => {
-                        (e.pc, e.seq, e.predicted_next, e.history_snapshot)
-                    }
-                    _ => break, // empty buffer (or entry still in flight)
-                };
-                // The fetch buffer holds a verbatim copy of the static
-                // instruction; borrow the program's original rather than
-                // cloning it into every issue slot.
-                let inst = program.inst(pc).expect("fetched pc is valid");
-                activity.select_visits += 1;
-
-                if let Some(kind) = operand_stall(inst, &sb, now) {
-                    stall = Some(kind);
-                    break;
-                }
-                if !fu.try_issue(inst, now) {
-                    stall = Some(StallKind::Other);
-                    break;
-                }
-
-                // Read operands (bypass/regfile) and execute eagerly.
-                let qp_true = state.read(inst.qp_reg()) != 0;
-                activity.regfile_reads += inst.reads().count() as u64;
-                let ends_group = inst.ends_group();
-                let mut flushed = false;
-                let mut stored = None;
-
-                if qp_true {
-                    match inst.op() {
-                        Op::Halt => {
-                            halted = true;
-                        }
-                        Op::Br { target } => {
-                            let actual_next = program.first_pc_from(*target);
-                            if inst.is_predicated() {
-                                stats.branches += 1;
-                                fetch.predictor_mut().update(pc, snap, true);
-                            }
-                            if predicted_next != actual_next {
-                                stats.mispredicts += 1;
-                                fetch.flush_after(
-                                    seq,
-                                    actual_next,
-                                    now + cfg.mispredict_penalty,
-                                    snap,
-                                    true,
-                                );
-                                flushed = true;
-                            }
-                        }
-                        Op::Load | Op::LoadFp => {
-                            let base = state.read(inst.src_n(0).expect("load base"));
-                            let addr = effective_address(base, inst.imm_val());
-                            match mem.access(addr, AccessKind::DataRead, now) {
-                                MemAccess::Done { complete_at, .. } => {
-                                    let v = state.mem.load(addr);
-                                    if let Some(d) = inst.writes() {
-                                        state.write(d, v);
-                                        sb.set_pending(d, complete_at, PendingKind::Load);
-                                        activity.regfile_writes += 1;
-                                    }
-                                    stats.executions += 1;
-                                }
-                                MemAccess::Retry => {
-                                    // MSHRs full: replay next cycle. The FU
-                                    // slot is wasted, as in hardware.
-                                    stall = Some(StallKind::Other);
-                                    break;
-                                }
-                            }
-                        }
-                        Op::Store => {
-                            let base = state.read(inst.src_n(0).expect("store base"));
-                            let data = state.read(inst.src_n(1).expect("store data"));
-                            let addr = effective_address(base, inst.imm_val());
-                            state.mem.store(addr, data);
-                            let _ = mem.access(addr, AccessKind::DataWrite, now);
-                            stored = Some((addr, data));
-                            stats.executions += 1;
-                        }
-                        Op::Nop | Op::Restart => {}
-                        op => {
-                            let a = inst.src_n(0).map(|r| state.read(r)).unwrap_or(0);
-                            let b = inst.src_n(1).map(|r| state.read(r)).unwrap_or(0);
-                            let v = alu(op, a, b, inst.imm_val());
-                            if let Some(d) = inst.writes() {
-                                state.write(d, v);
-                                sb.set_pending(d, now + op.latency() as u64, PendingKind::Exec);
-                                activity.regfile_writes += 1;
-                            }
-                            stats.executions += 1;
-                        }
-                    }
-                } else {
-                    // Predicated off: retires as a no-op, but a predicated
-                    // branch still resolves (not-taken) against prediction.
-                    if let Op::Br { .. } = inst.op() {
-                        let actual_next = program.next_pc(pc);
-                        stats.branches += 1;
-                        fetch.predictor_mut().update(pc, snap, false);
-                        if predicted_next != actual_next {
-                            stats.mispredicts += 1;
-                            fetch.flush_after(
-                                seq,
-                                actual_next,
-                                now + cfg.mispredict_penalty,
-                                snap,
-                                false,
-                            );
-                            flushed = true;
-                        }
-                    }
-                }
-
-                if hook_enabled {
-                    hook.on_retire(&RetireEvent {
-                        seq,
-                        cycle: now,
-                        pc,
-                        inst: Cow::Borrowed(inst),
-                        qp_true: Some(qp_true),
-                        wrote: if qp_true {
-                            inst.writes().map(|d| (d, state.read(d)))
-                        } else {
-                            None
-                        },
-                        stored,
-                        mode: RetireMode::Architectural,
-                        merged: false,
-                        episode: None,
-                    });
-                }
-                fetch.pop_front();
-                stats.retired += 1;
-                issued_this_cycle += 1;
-
-                if halted || flushed || ends_group {
-                    break;
-                }
-            }
-
-            if issued_this_cycle > 0 {
-                stats.breakdown.charge(StallKind::Execution);
-            } else if let Some(kind) = stall {
-                stats.breakdown.charge(kind);
-            } else {
-                stats.breakdown.charge(StallKind::FrontEnd);
-            }
-            now += 1;
-
-            // Event-driven quiescence fast-forward: when fetch is idle
-            // and the head of the issue queue is provably blocked on a
-            // known-latency event, skip ahead to the earliest wake point,
-            // charging every skipped cycle exactly as the polled loop
-            // would have. Bit-for-bit identical stats by construction.
-            if self.tick == TickMode::EventDriven && !halted {
-                if let Some(fetch_wake) = fetch.quiescent_until(now) {
-                    // The third tuple element is issue-select visits per
-                    // skipped cycle: a live stalled head is examined once
-                    // every polled cycle, a drained or not-yet-fetched head
-                    // is never examined.
-                    let window = match fetch.get(fetch.head_seq()) {
-                        None => Some((u64::MAX, StallKind::FrontEnd, 0)),
-                        Some(e) if e.fetched_at > now => {
-                            Some((e.fetched_at, StallKind::FrontEnd, 0))
-                        }
-                        Some(e) => {
-                            let inst = program.inst(e.pc).expect("fetched pc is valid");
-                            match operand_stall(inst, &sb, now) {
-                                // The stall *kind* may change once the
-                                // earliest operand readies: wake at the
-                                // min crossing and re-evaluate there.
-                                Some(kind) => operand_wake(inst, &sb, now).map(|w| (w, kind, 1)),
-                                // Blocked purely on an occupied
-                                // unpipelined FP unit.
-                                None if !fu.can_issue_fresh(inst, now) => {
-                                    Some((fu.next_fp_release(now), StallKind::Other, 1))
-                                }
-                                // Would issue (or needs a memory access,
-                                // which mutates hierarchy stats): poll.
-                                None => None,
-                            }
-                        }
-                    };
-                    if let Some((target, kind, visits)) = window {
-                        let wake =
-                            target.min(fetch_wake).min(mem.next_mshr_fill(now)).min(cycle_cap);
-                        if wake > now {
-                            stats.breakdown.charge_n(kind, wake - now);
-                            activity.select_visits += visits * (wake - now);
-                            now = wake;
-                        }
-                    }
-                }
+        let mut stage = InOrderStage::new(case, cfg, cfg.inorder_buffer);
+        let mut tee = RetireTee::new(hook, probe);
+        let mut hook = tee.enabled().then_some(&mut tee);
+        while !stage.halted {
+            stage.begin_cycle(case, cycle_cap)?;
+            let (issued, stall) = issue_group(&mut stage, cfg.issue_width, hook.as_deref_mut());
+            stage.charge_issue(issued, stall);
+            stage.now += 1;
+            // Event-driven quiescence fast-forward (DESIGN.md §7c).
+            if self.tick == TickMode::EventDriven && !stage.halted {
+                stage.fast_forward(true, cycle_cap);
             }
         }
-
-        stats.cycles = now;
-        activity.cycles = now;
-        let result =
-            RunResult { stats, activity, mem_stats: mem.final_stats(), final_state: state };
+        let result = stage.finish();
         probe.on_run_end(&result);
         Ok(result)
     }
@@ -305,7 +109,7 @@ mod tests {
     use super::*;
     use ff_compiler::{compile, CompilerOptions};
     use ff_isa::interp::Interpreter;
-    use ff_isa::{Inst, MemoryImage, Program, Reg};
+    use ff_isa::{ArchState, Inst, MemoryImage, Op, Program, Reg};
 
     fn run_model(p: &Program, mem: MemoryImage) -> RunResult {
         let case = SimCase::new(p, mem);

@@ -4,10 +4,13 @@
 //!
 //! * [`InOrder`] — the baseline EPIC in-order pipeline ("base" in
 //!   Figure 6): scoreboarded stall-on-use, one compiler issue group per
-//!   cycle, split issue within a group.
-//! * [`Runahead`] — the Dundas–Mudge runahead scheme (§2, §5.4): on a
-//!   load-use stall the pipeline pre-executes ahead purely for prefetching;
-//!   no results are preserved and there is no advance restart.
+//!   cycle, split issue within a group. It is a short loop over
+//!   [`ff_engine::InOrderStage`], the in-order stage it shares with
+//!   runahead and multipass.
+//! * [`Runahead`] — the Dundas–Mudge runahead scheme (§2, §5.4): the same
+//!   in-order loop plus an episode policy. On a load-use stall the pipeline
+//!   pre-executes ahead purely for prefetching; no results are preserved
+//!   and there is no advance restart.
 //! * [`OutOfOrder`] — the idealized dynamic-scheduling model of §5.1
 //!   (128-entry window, 256-entry ROB, ideal predicate renaming, 3 extra
 //!   pipe stages), plus the *realistic* decentralized variant of §5.2

@@ -1,9 +1,12 @@
 //! Dundas–Mudge runahead preexecution (§2 and §5.4 of the paper).
 //!
-//! The pipeline behaves exactly like [`crate::InOrder`] until the oldest
-//! instruction stalls on an unready *load* result. It then checkpoints
-//! (architectural issue pauses without consuming the buffer) and
-//! pre-executes subsequent instructions speculatively:
+//! Runahead is the in-order stage plus an episode policy. Its architectural
+//! regime *is* [`crate::InOrder`]: the same [`InOrderStage`] driven by the
+//! same issue loop, so on code without load-use stalls the two models are
+//! cycle-for-cycle identical. When the oldest instruction stalls on an
+//! unready *load* result, the pipeline checkpoints (architectural issue
+//! pauses without consuming the buffer) and pre-executes subsequent
+//! instructions speculatively:
 //!
 //! * operands produced by deferred instructions are *invalid* and poison
 //!   their consumers;
@@ -19,19 +22,15 @@
 //! limitations (no persistence, no restart) that motivate multipass
 //! pipelining.
 
-use std::borrow::Cow;
-
 use ff_engine::{
-    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, PipelineProbe,
-    RetireEvent, RetireHook, RetireMode, RetireTee, RunError, RunResult, RunStats, Scoreboard,
-    SimCase, StallKind, TickMode,
+    operand_stall, operand_wake, ExecutionModel, InOrderStage, MachineConfig, PipelineProbe,
+    RetireHook, RetireTee, RunError, RunResult, Scoreboard, SimCase, StallKind, TickMode,
 };
-use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
 use ff_isa::{ArchState, Op, Reg};
-use ff_mem::{AccessKind, MemAccess, MemorySystem};
+use ff_mem::{AccessKind, MemAccess};
 
-use crate::inorder::operand_stall;
+use crate::inorder::issue_group;
 
 /// A speculative value in the runahead overlay: either a real value
 /// available at some cycle, or invalid.
@@ -102,6 +101,141 @@ impl SpecRegs {
     }
 }
 
+/// One cycle of pre-execution from `peek`: up to `width` instructions of
+/// one group, executed against the speculative overlay purely to prefetch.
+fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs, width: u32) {
+    let (program, now) = (stage.program, stage.now);
+    let mut pseudo_issued = 0u32;
+    while pseudo_issued < width {
+        let (pc, predicted_next, snap) = match stage.fetch.get(*peek) {
+            Some(e) if e.fetched_at <= now => (e.pc, e.predicted_next, e.history_snapshot),
+            _ => break,
+        };
+        let inst = program.inst(pc).expect("fetched pc is valid");
+        stage.activity.select_visits += 1;
+        if !stage.fu.try_issue(inst, now) {
+            break;
+        }
+        let (state, sb) = (&stage.state, &stage.sb);
+        let read = |r: Reg| spec.read(r, state, sb, now);
+        let qp = if inst.is_predicated() { read(inst.qp_reg()) } else { Some(1) };
+        let mut redirected = false;
+
+        match (qp, inst.op()) {
+            (None, _) => {
+                // Unknown predicate: defer the whole instruction.
+                if let Some(d) = inst.writes() {
+                    spec.write(d, SpecVal::Invalid);
+                }
+            }
+            (Some(0), _) => {} // predicated off: no-op
+            // Stop pre-executing past the end of the program.
+            (Some(_), Op::Halt) => break,
+            (Some(_), Op::Br { target }) => {
+                // Valid branch: train the predictor early. (Runahead
+                // discards all work on exit, so fetch is *not* redirected —
+                // the architectural re-execution resolves the branch.)
+                let actual_next = program.first_pc_from(*target);
+                if inst.is_predicated() {
+                    stage.fetch.predictor_mut().update(pc, snap, true);
+                }
+                if predicted_next != actual_next {
+                    stage.stats.early_resolved_mispredicts += 1;
+                    // Pre-executing past a known-wrong branch is useless;
+                    // stop this cycle's group here.
+                    redirected = true;
+                }
+            }
+            (Some(_), Op::Load | Op::LoadFp) => {
+                let mut value = SpecVal::Invalid;
+                if let Some(b) = inst.src_n(0).and_then(read) {
+                    let addr = effective_address(b, inst.imm_val());
+                    let access = stage.mem.access(addr, AccessKind::SpeculativeRead, now);
+                    if let MemAccess::Done { complete_at, level } = access {
+                        stage.stats.executions += 1;
+                        // Missing loads defer their consumers (prefetch only).
+                        if !level.is_miss() {
+                            let v = stage.state.mem.load(addr);
+                            value = SpecVal::Valid { value: v, ready_at: complete_at };
+                        }
+                    }
+                }
+                if let Some(d) = inst.writes() {
+                    spec.write(d, value);
+                }
+            }
+            (Some(_), Op::Store) => {
+                // Stores are dropped in runahead; a valid address still
+                // prefetches the line.
+                if let Some(b) = inst.src_n(0).and_then(read) {
+                    let addr = effective_address(b, inst.imm_val());
+                    let _ = stage.mem.access(addr, AccessKind::DataWrite, now);
+                    stage.stats.executions += 1;
+                }
+            }
+            (Some(_), Op::Nop | Op::Restart) => {}
+            (Some(_), op) => {
+                // Per source: `None` when absent, `Some(None)` when invalid.
+                let a = inst.src_n(0).map(read);
+                let b = inst.src_n(1).map(read);
+                let valid = a != Some(None) && b != Some(None);
+                if valid {
+                    stage.stats.executions += 1;
+                }
+                if let Some(d) = inst.writes() {
+                    let value = if valid {
+                        let v = alu(
+                            op,
+                            a.flatten().unwrap_or(0),
+                            b.flatten().unwrap_or(0),
+                            inst.imm_val(),
+                        );
+                        SpecVal::Valid { value: v, ready_at: now + op.latency() as u64 }
+                    } else {
+                        SpecVal::Invalid
+                    };
+                    spec.write(d, value);
+                }
+            }
+        }
+
+        *peek += 1;
+        pseudo_issued += 1;
+        if redirected {
+            // Fetch was truncated; peek continues at the next (corrected)
+            // sequence number when it arrives.
+            *peek = (*peek).min(stage.fetch.next_seq());
+            break;
+        }
+        if inst.ends_group() {
+            break;
+        }
+    }
+}
+
+/// The wake point of an idle episode: `None` while pre-execution has a
+/// live instruction at `peek` or the exit check would fire; otherwise the
+/// earliest arrival at `peek` or at the blocked head, or operand wake of
+/// the head.
+fn episode_wake(stage: &InOrderStage<'_>, peek: u64) -> Option<u64> {
+    let now = stage.now;
+    let peek_wake = match stage.fetch.get(peek) {
+        None => u64::MAX,
+        Some(e) if e.fetched_at > now => e.fetched_at,
+        Some(_) => return None, // live entry: pre-execution would run
+    };
+    let e = stage.fetch.get(stage.fetch.head_seq())?;
+    let head_wake = if e.fetched_at > now {
+        e.fetched_at
+    } else {
+        let inst = stage.program.inst(e.pc).expect("fetched pc is valid");
+        // The exit check fires: poll.
+        operand_stall(inst, &stage.sb, now)?;
+        operand_wake(inst, &stage.sb, now).unwrap_or(u64::MAX)
+    };
+    Some(peek_wake.min(head_wake))
+}
+
 /// The Dundas–Mudge runahead model.
 #[derive(Clone, Debug)]
 pub struct Runahead {
@@ -131,453 +265,78 @@ impl ExecutionModel for Runahead {
         hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
-        let program = case.program;
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
-        let mut state: ArchState = case.initial_state();
-        let mut mem = MemorySystem::new(cfg.hierarchy);
-        let mut fetch = FetchUnit::new(
-            program,
-            cfg.inorder_buffer,
-            cfg.fetch_width as usize,
-            Gshare::new(cfg.gshare_entries),
-        );
-        let mut sb = Scoreboard::new();
-        let mut fu = FuPool::new(cfg);
-        let mut stats = RunStats::default();
-        let mut activity = Activity::new();
-        let hook = &mut RetireTee::new(hook, probe);
-        let hook_enabled = hook.enabled();
+        let mut stage = InOrderStage::new(case, cfg, cfg.inorder_buffer);
+        let mut tee = RetireTee::new(hook, probe);
+        let mut hook = tee.enabled().then_some(&mut tee);
 
         // Runahead episode state: `Some(peek_seq)` while running ahead of a
         // blocking load. The speculative overlay persists across episodes
         // (reset is an epoch bump), so episode entry allocates nothing.
         let mut episode: Option<u64> = None;
         let mut spec = SpecRegs::new();
-        activity.alloc_count += 1; // the overlay's single allocation
+        stage.activity.alloc_count += 1; // the overlay's single allocation
 
-        let mut now: u64 = 0;
-        let mut halted = false;
-
-        while !halted {
-            if now >= cycle_cap {
-                return Err(RunError::CycleBudgetExceeded {
-                    limit: cycle_cap,
-                    retired: stats.retired,
-                });
-            }
-            assert!(stats.retired < case.max_insts, "instruction budget exceeded");
-            fetch.tick(program, &mut mem, now);
-            fu.new_cycle(now);
-
-            let mut issued_arch = 0u32;
-            let mut stall: Option<StallKind> = None;
-            let mut blocked_on_load = false;
-
-            // ---- architectural issue (identical to the in-order core) ----
+        while !stage.halted {
+            stage.begin_cycle(case, cycle_cap)?;
             if episode.is_none() {
-                while issued_arch < cfg.issue_width {
-                    let (pc, seq, predicted_next, snap) = match fetch.get(fetch.head_seq()) {
-                        Some(e) if e.fetched_at <= now => {
-                            (e.pc, e.seq, e.predicted_next, e.history_snapshot)
-                        }
-                        _ => break,
-                    };
-                    // Borrow the program's instruction rather than cloning
-                    // the fetch buffer's copy into every issue slot.
-                    let inst = program.inst(pc).expect("fetched pc is valid");
-                    activity.select_visits += 1;
-
-                    if let Some(kind) = operand_stall(inst, &sb, now) {
-                        stall = Some(kind);
-                        blocked_on_load = kind == StallKind::Load;
-                        break;
-                    }
-                    if !fu.try_issue(inst, now) {
-                        stall = Some(StallKind::Other);
-                        break;
-                    }
-
-                    let qp_true = state.read(inst.qp_reg()) != 0;
-                    activity.regfile_reads += inst.reads().count() as u64;
-                    let ends_group = inst.ends_group();
-                    let mut flushed = false;
-                    let mut stored = None;
-
-                    if qp_true {
-                        match inst.op() {
-                            Op::Halt => halted = true,
-                            Op::Br { target } => {
-                                let actual_next = program.first_pc_from(*target);
-                                if inst.is_predicated() {
-                                    stats.branches += 1;
-                                    fetch.predictor_mut().update(pc, snap, true);
-                                }
-                                if predicted_next != actual_next {
-                                    stats.mispredicts += 1;
-                                    fetch.flush_after(
-                                        seq,
-                                        actual_next,
-                                        now + cfg.mispredict_penalty,
-                                        snap,
-                                        true,
-                                    );
-                                    flushed = true;
-                                }
-                            }
-                            Op::Load | Op::LoadFp => {
-                                let base = state.read(inst.src_n(0).expect("load base"));
-                                let addr = effective_address(base, inst.imm_val());
-                                match mem.access(addr, AccessKind::DataRead, now) {
-                                    MemAccess::Done { complete_at, .. } => {
-                                        let v = state.mem.load(addr);
-                                        if let Some(d) = inst.writes() {
-                                            state.write(d, v);
-                                            sb.set_pending(d, complete_at, PendingKind::Load);
-                                            activity.regfile_writes += 1;
-                                        }
-                                        stats.executions += 1;
-                                    }
-                                    MemAccess::Retry => {
-                                        stall = Some(StallKind::Other);
-                                        break;
-                                    }
-                                }
-                            }
-                            Op::Store => {
-                                let base = state.read(inst.src_n(0).expect("store base"));
-                                let data = state.read(inst.src_n(1).expect("store data"));
-                                let addr = effective_address(base, inst.imm_val());
-                                state.mem.store(addr, data);
-                                let _ = mem.access(addr, AccessKind::DataWrite, now);
-                                stored = Some((addr, data));
-                                stats.executions += 1;
-                            }
-                            Op::Nop | Op::Restart => {}
-                            op => {
-                                let a = inst.src_n(0).map(|r| state.read(r)).unwrap_or(0);
-                                let b = inst.src_n(1).map(|r| state.read(r)).unwrap_or(0);
-                                let v = alu(op, a, b, inst.imm_val());
-                                if let Some(d) = inst.writes() {
-                                    state.write(d, v);
-                                    sb.set_pending(d, now + op.latency() as u64, PendingKind::Exec);
-                                    activity.regfile_writes += 1;
-                                }
-                                stats.executions += 1;
-                            }
-                        }
-                    } else if let Op::Br { .. } = inst.op() {
-                        let actual_next = program.next_pc(pc);
-                        stats.branches += 1;
-                        fetch.predictor_mut().update(pc, snap, false);
-                        if predicted_next != actual_next {
-                            stats.mispredicts += 1;
-                            fetch.flush_after(
-                                seq,
-                                actual_next,
-                                now + cfg.mispredict_penalty,
-                                snap,
-                                false,
-                            );
-                            flushed = true;
-                        }
-                    }
-
-                    if hook_enabled {
-                        hook.on_retire(&RetireEvent {
-                            seq,
-                            cycle: now,
-                            pc,
-                            inst: Cow::Borrowed(inst),
-                            qp_true: Some(qp_true),
-                            wrote: if qp_true {
-                                inst.writes().map(|d| (d, state.read(d)))
-                            } else {
-                                None
-                            },
-                            stored,
-                            mode: RetireMode::Architectural,
-                            merged: false,
-                            episode: None,
-                        });
-                    }
-                    fetch.pop_front();
-                    stats.retired += 1;
-                    issued_arch += 1;
-                    if halted || flushed || ends_group {
-                        break;
-                    }
-                }
-
-                // Enter runahead on a load-use stall.
-                if issued_arch == 0 && blocked_on_load && !halted {
-                    episode = Some(fetch.head_seq());
+                // The architectural regime is the in-order pipeline.
+                let (issued, stall) = issue_group(&mut stage, cfg.issue_width, hook.as_deref_mut());
+                if issued == 0 && stall == Some(StallKind::Load) {
+                    // Enter runahead on a load-use stall.
+                    episode = Some(stage.fetch.head_seq());
                     spec.reset();
-                    stats.spec_mode_entries += 1;
+                    stage.stats.spec_mode_entries += 1;
+                } else {
+                    stage.charge_issue(issued, stall);
+                    stage.now += 1;
+                    // A load stall enters an episode the very cycle it is
+                    // detected, so only the other head stalls are skipped.
+                    if self.tick == TickMode::EventDriven && !stage.halted {
+                        stage.fast_forward(false, cycle_cap);
+                    }
+                    continue;
                 }
             }
 
             // ---- runahead pre-execution ----
-            if episode.is_some() {
-                // Exit check: is the blocking instruction ready now?
-                let head_ready = fetch
-                    .get(fetch.head_seq())
-                    .map(|e| {
-                        let inst = program.inst(e.pc).expect("fetched pc is valid");
-                        operand_stall(inst, &sb, now).is_none()
-                    })
-                    .unwrap_or(false);
-                if head_ready {
-                    // Discard all speculative state; architectural execution
-                    // resumes next cycle and re-executes everything.
-                    episode = None;
-                    stats.breakdown.charge(StallKind::Load);
-                    stats.spec_mode_cycles += 1;
-                    now += 1;
-                    continue;
-                }
-            }
-            if let Some(peek) = &mut episode {
-                let spec = &mut spec;
-                let mut pseudo_issued = 0u32;
-                while pseudo_issued < cfg.issue_width {
-                    let (pc, predicted_next, snap) = match fetch.get(*peek) {
-                        Some(e) if e.fetched_at <= now => {
-                            (e.pc, e.predicted_next, e.history_snapshot)
-                        }
-                        _ => break,
-                    };
-                    let inst = program.inst(pc).expect("fetched pc is valid");
-                    activity.select_visits += 1;
-                    if !fu.try_issue(inst, now) {
-                        break;
-                    }
-                    let ends_group = inst.ends_group();
-                    let qp = if inst.is_predicated() {
-                        spec.read(inst.qp_reg(), &state, &sb, now)
-                    } else {
-                        Some(1)
-                    };
-                    let mut redirected = false;
-
-                    match (qp, inst.op()) {
-                        (None, _) => {
-                            // Unknown predicate: defer the whole instruction.
-                            if let Some(d) = inst.writes() {
-                                spec.write(d, SpecVal::Invalid);
-                            }
-                        }
-                        (Some(0), _) => {} // predicated off: no-op
-                        (Some(_), Op::Halt) => {
-                            // Stop pre-executing past the end of the program.
-                            break;
-                        }
-                        (Some(_), Op::Br { target }) => {
-                            // Valid branch: train the predictor early.
-                            // (Runahead discards all work on exit, so fetch
-                            // is *not* redirected — the architectural
-                            // re-execution resolves the branch normally.)
-                            let actual_next = program.first_pc_from(*target);
-                            if inst.is_predicated() {
-                                fetch.predictor_mut().update(pc, snap, true);
-                            }
-                            if predicted_next != actual_next {
-                                stats.early_resolved_mispredicts += 1;
-                                // Pre-executing past a known-wrong branch is
-                                // useless; stop this cycle's group here.
-                                redirected = true;
-                            }
-                        }
-                        (Some(_), Op::Load | Op::LoadFp) => {
-                            let base = inst.src_n(0).and_then(|r| spec.read(r, &state, &sb, now));
-                            match base {
-                                Some(b) => {
-                                    let addr = effective_address(b, inst.imm_val());
-                                    match mem.access(addr, AccessKind::SpeculativeRead, now) {
-                                        MemAccess::Done { complete_at, level } => {
-                                            stats.executions += 1;
-                                            if let Some(d) = inst.writes() {
-                                                if level.is_miss() {
-                                                    // Missing loads defer their
-                                                    // consumers (prefetch only).
-                                                    spec.write(d, SpecVal::Invalid);
-                                                } else {
-                                                    spec.write(
-                                                        d,
-                                                        SpecVal::Valid {
-                                                            value: state.mem.load(addr),
-                                                            ready_at: complete_at,
-                                                        },
-                                                    );
-                                                }
-                                            }
-                                        }
-                                        MemAccess::Retry => {
-                                            if let Some(d) = inst.writes() {
-                                                spec.write(d, SpecVal::Invalid);
-                                            }
-                                        }
-                                    }
-                                }
-                                None => {
-                                    if let Some(d) = inst.writes() {
-                                        spec.write(d, SpecVal::Invalid);
-                                    }
-                                }
-                            }
-                        }
-                        (Some(_), Op::Store) => {
-                            // Stores are dropped in runahead; a valid address
-                            // still prefetches the line.
-                            if let Some(b) =
-                                inst.src_n(0).and_then(|r| spec.read(r, &state, &sb, now))
-                            {
-                                let addr = effective_address(b, inst.imm_val());
-                                let _ = mem.access(addr, AccessKind::DataWrite, now);
-                                stats.executions += 1;
-                            }
-                        }
-                        (Some(_), Op::Nop | Op::Restart) => {}
-                        (Some(_), op) => {
-                            let a = inst.src_n(0).and_then(|r| spec.read(r, &state, &sb, now));
-                            let b = inst.src_n(1).and_then(|r| spec.read(r, &state, &sb, now));
-                            let a_ok = inst.src_n(0).is_none() || a.is_some();
-                            let b_ok = inst.src_n(1).is_none() || b.is_some();
-                            if let Some(d) = inst.writes() {
-                                if a_ok && b_ok {
-                                    let v = alu(op, a.unwrap_or(0), b.unwrap_or(0), inst.imm_val());
-                                    spec.write(
-                                        d,
-                                        SpecVal::Valid {
-                                            value: v,
-                                            ready_at: now + op.latency() as u64,
-                                        },
-                                    );
-                                    stats.executions += 1;
-                                } else {
-                                    spec.write(d, SpecVal::Invalid);
-                                }
-                            } else if a_ok && b_ok {
-                                stats.executions += 1;
-                            }
-                        }
-                    }
-
-                    *peek += 1;
-                    pseudo_issued += 1;
-                    if redirected {
-                        // Fetch was truncated; peek continues at the next
-                        // (corrected) sequence number when it arrives.
-                        *peek = (*peek).min(fetch.next_seq());
-                        break;
-                    }
-                    if ends_group {
-                        break;
-                    }
-                }
-
-                // All runahead cycles are charged to the blocking load
-                // (architecturally the pipeline is stalled on it).
-                stats.breakdown.charge(StallKind::Load);
-                stats.spec_mode_cycles += 1;
-                now += 1;
-
-                // Event-driven fast-forward inside an episode: skip ahead
-                // only while the exit check provably stays false, the
-                // pseudo-issue loop has nothing to chew on (PEEK ran past
-                // fetch), and fetch itself is idle. Each skipped cycle is
-                // charged to the blocking load, exactly as polled.
-                if self.tick == TickMode::EventDriven && !halted {
-                    if let Some(fetch_wake) = fetch.quiescent_until(now) {
-                        let peek_wake = match fetch.get(*peek) {
-                            None => Some(u64::MAX),
-                            Some(e) if e.fetched_at > now => Some(e.fetched_at),
-                            Some(_) => None, // live entry: pre-execution would run
-                        };
-                        let head_wake = fetch.get(fetch.head_seq()).and_then(|e| {
-                            if e.fetched_at > now {
-                                return Some(e.fetched_at);
-                            }
-                            let inst = program.inst(e.pc).expect("fetched pc is valid");
-                            if operand_stall(inst, &sb, now).is_none() {
-                                None // exit check fires: poll
-                            } else {
-                                Some(operand_wake(inst, &sb, now).unwrap_or(u64::MAX))
-                            }
-                        });
-                        if let (Some(p), Some(h)) = (peek_wake, head_wake) {
-                            let wake = p
-                                .min(h)
-                                .min(fetch_wake)
-                                .min(mem.next_mshr_fill(now))
-                                .min(cycle_cap);
-                            if wake > now {
-                                let skipped = wake - now;
-                                stats.breakdown.charge_n(StallKind::Load, skipped);
-                                stats.spec_mode_cycles += skipped;
-                                now = wake;
-                            }
-                        }
-                    }
-                }
+            let now = stage.now;
+            // Exit check: is the blocking instruction ready now?
+            let head_ready = stage.fetch.get(stage.fetch.head_seq()).is_some_and(|e| {
+                let inst = stage.program.inst(e.pc).expect("fetched pc is valid");
+                operand_stall(inst, &stage.sb, now).is_none()
+            });
+            // Every runahead cycle is charged to the blocking load
+            // (architecturally the pipeline is stalled on it).
+            stage.stats.breakdown.charge(StallKind::Load);
+            stage.stats.spec_mode_cycles += 1;
+            if head_ready {
+                // Discard all speculative state; architectural execution
+                // resumes next cycle and re-executes everything.
+                episode = None;
+                stage.now += 1;
                 continue;
             }
+            let peek = episode.as_mut().expect("in an episode");
+            pre_execute(&mut stage, peek, &mut spec, cfg.issue_width);
+            stage.now += 1;
 
-            if issued_arch > 0 {
-                stats.breakdown.charge(StallKind::Execution);
-            } else if let Some(kind) = stall {
-                stats.breakdown.charge(kind);
-            } else {
-                stats.breakdown.charge(StallKind::FrontEnd);
-            }
-            now += 1;
-
-            // Event-driven fast-forward in the architectural regime: same
-            // analysis as the in-order baseline, except a predicted *load*
-            // stall is never skipped — it enters a runahead episode the
-            // very cycle it is detected.
-            if self.tick == TickMode::EventDriven && !halted {
-                if let Some(fetch_wake) = fetch.quiescent_until(now) {
-                    // The third tuple element is issue-select visits per
-                    // skipped cycle: a live stalled head is examined once
-                    // every polled cycle, a drained or not-yet-fetched head
-                    // is never examined.
-                    let window = match fetch.get(fetch.head_seq()) {
-                        None => Some((u64::MAX, StallKind::FrontEnd, 0)),
-                        Some(e) if e.fetched_at > now => {
-                            Some((e.fetched_at, StallKind::FrontEnd, 0))
-                        }
-                        Some(e) => {
-                            let inst = program.inst(e.pc).expect("fetched pc is valid");
-                            match operand_stall(inst, &sb, now) {
-                                Some(kind) if kind != StallKind::Load => {
-                                    operand_wake(inst, &sb, now).map(|w| (w, kind, 1))
-                                }
-                                Some(_) => None,
-                                None if !fu.can_issue_fresh(inst, now) => {
-                                    Some((fu.next_fp_release(now), StallKind::Other, 1))
-                                }
-                                None => None,
-                            }
-                        }
-                    };
-                    if let Some((target, kind, visits)) = window {
-                        let wake =
-                            target.min(fetch_wake).min(mem.next_mshr_fill(now)).min(cycle_cap);
-                        if wake > now {
-                            stats.breakdown.charge_n(kind, wake - now);
-                            activity.select_visits += visits * (wake - now);
-                            now = wake;
-                        }
-                    }
+            // Event-driven fast-forward inside an episode: skip ahead only
+            // while the exit check provably stays false, the pseudo-issue
+            // loop has nothing to chew on (PEEK ran past fetch), and fetch
+            // itself is idle. Each skipped cycle is charged to the blocking
+            // load, exactly as polled.
+            if self.tick == TickMode::EventDriven {
+                if let Some(wake) = episode_wake(&stage, *peek)
+                    .and_then(|target| stage.skip_until(target, cycle_cap))
+                {
+                    stage.stats.spec_mode_cycles += stage.skip_to(wake, StallKind::Load, 0);
                 }
             }
         }
 
-        stats.cycles = now;
-        activity.cycles = now;
-        let result =
-            RunResult { stats, activity, mem_stats: mem.final_stats(), final_state: state };
+        let result = stage.finish();
         probe.on_run_end(&result);
         Ok(result)
     }

@@ -1,30 +1,12 @@
-//! Benchmark harness for the flea-flicker reproduction.
+//! Simulator-throughput benchmark for the flea-flicker reproduction.
 //!
-//! Each bench target (`cargo bench -p ff-bench`) regenerates one table or
-//! figure of the paper:
+//! One bench target, `sim_throughput` (`cargo bench -p ff-bench --bench
+//! sim_throughput`): steady-state simulator throughput (cycles/sec and
+//! insts/sec per model x kernel x tick mode), written to
+//! `BENCH_<git-describe>.json` and gated against `BENCH_main.json` by the
+//! CI `perf-gate` job (see [`throughput`]).
 //!
-//! * `table1_power` — Table 1 power ratios
-//! * `table2_config` — Table 2 machine configuration
-//! * `figure6_cycles` — Figure 6 normalized cycle breakdown
-//! * `figure7_hierarchies` — Figure 7 cache-hierarchy sweep
-//! * `figure8_ablation` — Figure 8 regrouping/restart ablation
-//! * `realistic_ooo` — §5.2 decentralized-OOO comparison
-//! * `runahead_compare` — §5.4 Dundas–Mudge comparison
-//! * `sim_throughput` — steady-state simulator throughput (cycles/sec and
-//!   insts/sec per model x kernel x tick mode), written to
-//!   `BENCH_<git-describe>.json` and gated against `BENCH_main.json` by
-//!   the CI `perf-gate` job (see [`throughput`])
-//!
-//! Set `FF_SCALE=test` to run the figure benches on miniature workloads
-//! (useful for CI); the default is the paper-scale configuration.
+//! The paper's tables and figures are not bench targets: `ff-campaign run
+//! --all` renders every one of them into `results/`.
 
 pub mod throughput;
-
-/// Reads the workload scale from `FF_SCALE` (`test` or `paper`, default
-/// `paper`).
-pub fn scale_from_env() -> ff_workloads::Scale {
-    match std::env::var("FF_SCALE").as_deref() {
-        Ok("test") => ff_workloads::Scale::Test,
-        _ => ff_workloads::Scale::Paper,
-    }
-}

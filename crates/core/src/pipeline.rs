@@ -3,7 +3,10 @@
 //! One physical in-order pipeline operating in three modes:
 //!
 //! * **Architectural** — indistinguishable from the baseline in-order
-//!   pipeline; multipass structures are clock-gated.
+//!   pipeline; multipass structures are clock-gated. Architectural and
+//!   rally issue of instructions without a preserved result run the
+//!   baseline's own execute step ([`ff_engine::InOrderStage::execute`]),
+//!   and their event-driven skip its stalled-head analysis.
 //! * **Advance** — triggered when the oldest instruction stalls on an
 //!   unready load result. The PEEK pointer walks forward from the trigger,
 //!   executing whatever has valid operands into the SRF and the result
@@ -19,15 +22,13 @@
 //!   mode once DEQ catches the high-water PEEK mark.
 
 use ff_engine::{
-    operand_stall, operand_wake, Activity, AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel,
-    FuPool, InFlightIndex, MachineConfig, MemAccessObs, PendingKind, PipelineProbe, RetireEvent,
-    RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
-    TickMode,
+    operand_stall, operand_wake, AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel,
+    InFlightIndex, InOrderStage, MachineConfig, MemAccessObs, PendingKind, PipelineProbe,
+    RetireEvent, RetireHook, RetireMode, RunError, RunResult, SimCase, StallKind, TickMode,
 };
-use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
-use ff_isa::{ArchState, Op, Program, Reg};
-use ff_mem::{AccessKind, MemAccess, MemorySystem};
+use ff_isa::{Op, Reg};
+use ff_mem::{AccessKind, MemAccess};
 use std::borrow::Cow;
 
 use crate::asc::{AdvanceStoreCache, AscData, AscLookup};
@@ -85,17 +86,12 @@ impl Multipass {
     }
 }
 
-/// Whole-run mutable state, split out so the mode handlers can be methods.
+/// Whole-run mutable state, split out so the mode handlers can be methods:
+/// the baseline in-order pipeline plus the multipass structures.
 struct Core<'a> {
     cfg: MultipassConfig,
-    program: &'a Program,
-    state: ArchState,
-    mem: MemorySystem,
-    fetch: FetchUnit,
-    sb: Scoreboard,
-    fu: FuPool,
-    stats: RunStats,
-    activity: Activity,
+    /// The baseline pipeline, which architectural and rally issue drive.
+    base: InOrderStage<'a>,
     srf: Srf,
     asc: AdvanceStoreCache,
     /// Multipass per-instruction state, keyed by sequence number. The
@@ -148,8 +144,6 @@ struct Core<'a> {
     /// identical to polling; the fast-forward only ever skips cycles it
     /// can prove the polled loop would spend idle.
     tick: TickMode,
-    now: u64,
-    halted: bool,
 }
 
 impl<'a> Core<'a> {
@@ -162,28 +156,16 @@ impl<'a> Core<'a> {
         let hook_enabled = hook.enabled();
         let probe_enabled = probe.enabled();
         let machine = config.machine;
-        let mut mem = MemorySystem::new(machine.hierarchy);
+        let mut base = InOrderStage::new(case, &machine, machine.multipass_iq);
         if let Some(n) = config.fault_warp_cache_latency {
-            mem.inject_warp_latency(n);
+            base.mem.inject_warp_latency(n);
         }
         if let Some(n) = config.fault_lose_mshr_dealloc {
-            mem.inject_lost_mshr_dealloc(n);
+            base.mem.inject_lost_mshr_dealloc(n);
         }
         Core {
             cfg: config,
-            program: case.program,
-            state: case.initial_state(),
-            mem,
-            fetch: FetchUnit::new(
-                case.program,
-                machine.multipass_iq,
-                machine.fetch_width as usize,
-                Gshare::new(machine.gshare_entries),
-            ),
-            sb: Scoreboard::new(),
-            fu: FuPool::new(&machine),
-            stats: RunStats::default(),
-            activity: Activity::new(),
+            base,
             srf: Srf::new(),
             asc: AdvanceStoreCache::new(config.asc_entries, config.asc_assoc),
             // In-flight seqs span at most the fetch buffer (entries are
@@ -209,15 +191,13 @@ impl<'a> Core<'a> {
             exec_pends: 0,
             speculative_forwards: 0,
             tick: TickMode::default(),
-            now: 0,
-            halted: false,
         }
     }
 
     fn set_mode(&mut self, mode: Mode) {
         self.mode = mode;
         if self.probe_enabled {
-            self.probe.on_mode(self.now, self.retire_mode());
+            self.probe.on_mode(self.base.now, self.retire_mode());
         }
     }
 
@@ -234,7 +214,7 @@ impl<'a> Core<'a> {
             }
             self.load_pends += 1;
         }
-        self.sb.set_pending(d, at, PendingKind::Load);
+        self.base.sb.set_pending(d, at, PendingKind::Load);
     }
 
     /// Schedules an execution-op writeback wakeup, routing through the
@@ -249,13 +229,23 @@ impl<'a> Core<'a> {
             }
             self.exec_pends += 1;
         }
-        self.sb.set_pending(d, at, PendingKind::Exec);
+        self.base.sb.set_pending(d, at, PendingKind::Exec);
+    }
+
+    /// Publishes a retirement to the hook and the probe.
+    fn publish_retire(&mut self, event: &RetireEvent<'_>) {
+        if self.hook_enabled {
+            self.hook.on_retire(event);
+        }
+        if self.probe_enabled {
+            self.probe.on_retire(event);
+        }
     }
 
     /// Publishes a completed data access to the probe.
     fn probe_mem_access(&mut self, complete_at: u64, level: ff_mem::HitLevel) {
         if self.probe_enabled {
-            self.probe.on_mem_access(&MemAccessObs { cycle: self.now, complete_at, level });
+            self.probe.on_mem_access(&MemAccessObs { cycle: self.base.now, complete_at, level });
         }
     }
 
@@ -265,19 +255,19 @@ impl<'a> Core<'a> {
             return;
         }
         let obs = CycleObs {
-            cycle: self.now,
+            cycle: self.base.now,
             mode: self.retire_mode(),
             trigger: self.trigger,
             peek: self.peek,
             peek_high: self.peek_high,
-            deq: self.fetch.head_seq(),
+            deq: self.base.fetch.head_seq(),
             srf_abits: self.srf.abit_count(),
             asc_live: self.asc.live_entries(),
             asc_capacity: self.asc.capacity(),
             asc_assoc_ok: self.asc.assoc_ok(),
             smaq_live: self.smaq_count,
             smaq_capacity: self.cfg.smaq_entries,
-            sb_drain: self.sb.drain_cycle(),
+            sb_drain: self.base.sb.drain_cycle(),
         };
         self.probe.on_cycle(&obs);
     }
@@ -290,7 +280,7 @@ impl<'a> Core<'a> {
         let e = self.entries.get_or_default(seq);
         if e.smaq_addr.is_none() {
             self.smaq_count += 1;
-            self.activity.smaq_accesses += 1;
+            self.base.activity.smaq_accesses += 1;
         }
         e.smaq_addr = Some(addr);
     }
@@ -339,21 +329,21 @@ impl<'a> Core<'a> {
     /// execution latencies.
     fn adv_read(&mut self, r: Reg) -> AdvRead {
         if r.is_hardwired() {
-            return AdvRead::Value(self.state.read(r), false);
+            return AdvRead::Value(self.base.state.read(r), false);
         }
         match self.srf.read(r) {
             Some(SrfVal::Valid { value, ready_at, tainted }) => {
-                if ready_at <= self.now {
+                if ready_at <= self.base.now {
                     AdvRead::Value(value, tainted)
                 } else {
                     AdvRead::NotYet
                 }
             }
             Some(SrfVal::Pending { .. }) | Some(SrfVal::Invalid) => AdvRead::Deferred,
-            None => match self.sb.pending_kind(r, self.now) {
+            None => match self.base.sb.pending_kind(r, self.base.now) {
                 PendingKind::None => {
-                    self.activity.regfile_reads += 1;
-                    AdvRead::Value(self.state.read(r), false)
+                    self.base.activity.regfile_reads += 1;
+                    AdvRead::Value(self.base.state.read(r), false)
                 }
                 PendingKind::Load => AdvRead::Deferred,
                 PendingKind::Exec => AdvRead::NotYet,
@@ -364,18 +354,18 @@ impl<'a> Core<'a> {
     /// Whether the head (trigger) instruction could issue in rally mode at
     /// the current cycle — the advance→rally transition condition.
     fn head_issueable(&self) -> bool {
-        let Some(fe) = self.fetch.get(self.fetch.head_seq()) else {
+        let Some(fe) = self.base.fetch.get(self.base.fetch.head_seq()) else {
             return false;
         };
-        if fe.fetched_at > self.now {
+        if fe.fetched_at > self.base.now {
             return false;
         }
         let ent = self.entry(fe.seq);
         if ent.e_bit {
-            ent.rs_available(self.now)
+            ent.rs_available(self.base.now)
         } else {
-            let inst = self.program.inst(fe.pc).expect("fetched pc is valid");
-            operand_stall(inst, &self.sb, self.now).is_none()
+            let inst = self.base.program.inst(fe.pc).expect("fetched pc is valid");
+            operand_stall(inst, &self.base.sb, self.base.now).is_none()
         }
     }
 
@@ -390,7 +380,7 @@ impl<'a> Core<'a> {
         self.pass_progress = false;
         self.consec_deferrals = 0;
         self.advance_wait_until = 0;
-        self.stats.spec_mode_entries += 1;
+        self.base.stats.spec_mode_entries += 1;
     }
 
     fn restart_pass(&mut self) {
@@ -400,7 +390,7 @@ impl<'a> Core<'a> {
         self.peek = self.trigger;
         self.pass_progress = false;
         self.consec_deferrals = 0;
-        self.stats.advance_restarts += 1;
+        self.base.stats.advance_restarts += 1;
     }
 
     fn enter_rally(&mut self) {
@@ -414,43 +404,32 @@ impl<'a> Core<'a> {
 
     /// One cycle of architectural/rally issue. Returns `(issued, stall)`.
     fn issue_architectural(&mut self) -> (u32, Option<StallKind>) {
+        let now = self.base.now;
         let regroup = self.cfg.enable_regrouping && self.mode != Mode::Architectural;
         let width = self.cfg.machine.issue_width;
-        let program = self.program;
         let mut issued = 0u32;
         let mut stall: Option<StallKind> = None;
         let mut prev_ended_group = false;
 
         while issued < width {
-            let seq = self.fetch.head_seq();
-            let Some(fe) = self.fetch.get(seq) else { break };
-            if fe.fetched_at > self.now {
-                break;
-            }
-            let pc = fe.pc;
-            let predicted_next = fe.predicted_next;
-            let snap = fe.history_snapshot;
-            // The fetch buffer holds a verbatim copy of the static
-            // instruction, so borrow the program's original rather than
-            // cloning it into every issue slot.
-            let inst = program.inst(pc).expect("fetched pc is valid");
+            let Some(head) = self.base.select_head() else { break };
+            let (seq, pc, inst) = (head.seq, head.pc, head.inst);
             let ends_group = inst.ends_group();
             let ent = self.entry(seq);
-            self.activity.select_visits += 1;
 
             // Crossing a compiler stop bit requires regrouping.
             if issued > 0 && prev_ended_group {
                 if !regroup {
                     break;
                 }
-                self.stats.regroup_merges += 1;
+                self.base.stats.regroup_merges += 1;
             }
 
             let mut flushed = false;
-            if ent.rs_available(self.now) {
+            if ent.rs_available(now) {
                 // ---- merge a preserved result (E-bit) ----
-                self.activity.rs_reads += 1;
-                self.activity.iq_reads += 1;
+                self.base.activity.rs_reads += 1;
+                self.base.activity.iq_reads += 1;
                 let mut wrote = None;
                 let mut stored = None;
                 match ent.result.expect("E-bit entry has a result") {
@@ -458,15 +437,15 @@ impl<'a> Core<'a> {
                         if ent.s_bit {
                             // Data-speculative load: reperform the access
                             // using the SMAQ address and verify the value.
-                            if !self.fu.try_issue(inst, self.now) {
+                            if !self.base.fu.try_issue(inst, now) {
                                 stall = Some(StallKind::Other);
                                 break;
                             }
                             let addr = ent.smaq_addr.expect("S-bit load has a SMAQ address");
-                            self.activity.smaq_accesses += 1;
-                            let cur = self.state.mem.load(addr);
+                            self.base.activity.smaq_accesses += 1;
+                            let cur = self.base.state.mem.load(addr);
                             let complete_at =
-                                match self.mem.access(addr, AccessKind::DataRead, self.now) {
+                                match self.base.mem.access(addr, AccessKind::DataRead, now) {
                                     MemAccess::Done { complete_at, level } => {
                                         self.probe_mem_access(complete_at, level);
                                         complete_at
@@ -478,58 +457,58 @@ impl<'a> Core<'a> {
                                 };
                             if cur != v {
                                 // Value misspeculation: pipeline flush.
-                                self.stats.value_flushes += 1;
+                                self.base.stats.value_flushes += 1;
                                 self.squash_entries_from(seq);
                                 self.srf.clear();
                                 self.asc.clear();
                                 self.peek_high = self.peek_high.min(seq);
-                                self.stall_until = self.now + self.cfg.flush_penalty;
+                                self.stall_until = now + self.cfg.flush_penalty;
                                 stall = Some(StallKind::Other);
                                 break;
                             }
                             if let Some(d) = inst.writes() {
-                                self.state.write(d, cur);
+                                self.base.state.write(d, cur);
                                 self.pend_load(d, complete_at);
-                                self.activity.regfile_writes += 1;
+                                self.base.activity.regfile_writes += 1;
                                 wrote = Some((d, cur));
                             }
                         } else if let Some(d) = inst.writes() {
                             let mut v = v;
-                            if self.cfg.fault_corrupt_rs_merge == Some(self.stats.rs_reuses) {
+                            if self.cfg.fault_corrupt_rs_merge == Some(self.base.stats.rs_reuses) {
                                 // Deliberate single-bit corruption used to
                                 // exercise the ff-debug triage path.
                                 v ^= 1;
                             }
-                            self.state.write(d, v);
+                            self.base.state.write(d, v);
                             // Result is immediately bypassable (already
                             // computed): no scoreboard pendency.
-                            self.sb.set_pending(d, self.now, PendingKind::None);
-                            self.activity.regfile_writes += 1;
+                            self.base.sb.set_pending(d, now, PendingKind::None);
+                            self.base.activity.regfile_writes += 1;
                             wrote = Some((d, v));
                         }
                     }
                     RsResult::Nop => {}
                     RsResult::Store { addr, data } => {
-                        if !self.fu.try_issue(inst, self.now) {
+                        if !self.base.fu.try_issue(inst, now) {
                             stall = Some(StallKind::Other);
                             break;
                         }
-                        self.activity.smaq_accesses += 1;
-                        self.state.mem.store(addr, data);
-                        let _ = self.mem.access(addr, AccessKind::DataWrite, self.now);
+                        self.base.activity.smaq_accesses += 1;
+                        self.base.state.mem.store(addr, data);
+                        let _ = self.base.mem.access(addr, AccessKind::DataWrite, now);
                         stored = Some((addr, data));
                     }
                 }
                 if self.probe_enabled {
-                    self.probe.on_issue(seq, self.now);
+                    self.probe.on_issue(seq, now);
                     if let Some((r, _)) = wrote {
-                        self.probe.on_writeback(seq, r, self.now);
+                        self.probe.on_writeback(seq, r, now);
                     }
                 }
                 if self.hook_enabled || self.probe_enabled {
                     let event = RetireEvent {
                         seq,
-                        cycle: self.now,
+                        cycle: now,
                         pc,
                         inst: Cow::Borrowed(inst),
                         qp_true: None,
@@ -539,17 +518,12 @@ impl<'a> Core<'a> {
                         merged: true,
                         episode: self.episode_window(seq),
                     };
-                    if self.hook_enabled {
-                        self.hook.on_retire(&event);
-                    }
-                    if self.probe_enabled {
-                        self.probe.on_retire(&event);
-                    }
+                    self.publish_retire(&event);
                 }
-                self.stats.rs_reuses += 1;
-                self.fetch.pop_front();
+                self.base.stats.rs_reuses += 1;
+                self.base.fetch.pop_front();
                 self.drop_entry(seq);
-                self.stats.retired += 1;
+                self.base.stats.retired += 1;
                 issued += 1;
             } else if ent.e_bit {
                 // Preserved result still in flight (outstanding miss).
@@ -557,146 +531,49 @@ impl<'a> Core<'a> {
                 break;
             } else {
                 // ---- ordinary architectural issue (baseline semantics) ----
-                if let Some(kind) = operand_stall(inst, &self.sb, self.now) {
-                    stall = Some(kind);
-                    break;
-                }
-                if !self.fu.try_issue(inst, self.now) {
-                    stall = Some(StallKind::Other);
-                    break;
-                }
-                let qp_true = self.state.read(inst.qp_reg()) != 0;
-                self.activity.regfile_reads += inst.reads().count() as u64;
-                let mut stored = None;
-
-                if qp_true {
-                    match inst.op() {
-                        Op::Halt => self.halted = true,
-                        Op::Br { target } => {
-                            let actual_next = self.program.first_pc_from(*target);
-                            if inst.is_predicated() {
-                                self.stats.branches += 1;
-                                if !ent.branch_trained {
-                                    self.fetch.predictor_mut().update(pc, snap, true);
-                                }
-                            }
-                            let stream_next = ent.resolved_next.unwrap_or(predicted_next);
-                            if stream_next != actual_next {
-                                self.stats.mispredicts += 1;
-                                self.fetch.flush_after(
-                                    seq,
-                                    actual_next,
-                                    self.now + self.cfg.machine.mispredict_penalty,
-                                    snap,
-                                    true,
-                                );
-                                self.after_fetch_flush();
-                                flushed = true;
-                            }
-                        }
-                        Op::Load | Op::LoadFp => {
-                            let base = self.state.read(inst.src_n(0).expect("load base"));
-                            let addr = effective_address(base, inst.imm_val());
-                            match self.mem.access(addr, AccessKind::DataRead, self.now) {
-                                MemAccess::Done { complete_at, level } => {
-                                    self.probe_mem_access(complete_at, level);
-                                    let v = self.state.mem.load(addr);
-                                    if let Some(d) = inst.writes() {
-                                        self.state.write(d, v);
-                                        self.pend_load(d, complete_at);
-                                        self.activity.regfile_writes += 1;
-                                    }
-                                    self.stats.executions += 1;
-                                }
-                                MemAccess::Retry => {
-                                    stall = Some(StallKind::Other);
-                                    break;
-                                }
-                            }
-                        }
-                        Op::Store => {
-                            let base = self.state.read(inst.src_n(0).expect("store base"));
-                            let data = self.state.read(inst.src_n(1).expect("store data"));
-                            let addr = effective_address(base, inst.imm_val());
-                            self.state.mem.store(addr, data);
-                            let _ = self.mem.access(addr, AccessKind::DataWrite, self.now);
-                            stored = Some((addr, data));
-                            self.stats.executions += 1;
-                        }
-                        Op::Nop | Op::Restart => {}
-                        op => {
-                            let a = inst.src_n(0).map(|r| self.state.read(r)).unwrap_or(0);
-                            let b = inst.src_n(1).map(|r| self.state.read(r)).unwrap_or(0);
-                            let v = alu(op, a, b, inst.imm_val());
-                            if let Some(d) = inst.writes() {
-                                self.state.write(d, v);
-                                self.pend_exec(d, self.now + op.latency() as u64);
-                                self.activity.regfile_writes += 1;
-                            }
-                            self.stats.executions += 1;
-                        }
+                // A branch advance already resolved trained the predictor
+                // then, and fetch follows the stream advance redirected.
+                let stream_next = ent.resolved_next.unwrap_or(head.predicted_next);
+                let done = match self.base.execute(&head, !ent.branch_trained, stream_next) {
+                    Ok(done) => done,
+                    Err(kind) => {
+                        stall = Some(kind);
+                        break;
                     }
-                } else if let Op::Br { .. } = inst.op() {
-                    let actual_next = self.program.next_pc(pc);
-                    self.stats.branches += 1;
-                    if !ent.branch_trained {
-                        self.fetch.predictor_mut().update(pc, snap, false);
-                    }
-                    let stream_next = ent.resolved_next.unwrap_or(predicted_next);
-                    if stream_next != actual_next {
-                        self.stats.mispredicts += 1;
-                        self.fetch.flush_after(
-                            seq,
-                            actual_next,
-                            self.now + self.cfg.machine.mispredict_penalty,
-                            snap,
-                            false,
-                        );
-                        self.after_fetch_flush();
-                        flushed = true;
-                    }
+                };
+                match done.pend {
+                    Some((d, at, PendingKind::Load)) => self.pend_load(d, at),
+                    Some((d, at, _)) => self.pend_exec(d, at),
+                    None => {}
                 }
-
+                if let Some((complete_at, level)) = done.access {
+                    self.probe_mem_access(complete_at, level);
+                }
+                if done.flushed {
+                    self.after_fetch_flush();
+                    flushed = true;
+                }
                 if self.probe_enabled {
-                    self.probe.on_issue(seq, self.now);
-                    if qp_true {
-                        if let Some(d) = inst.writes() {
-                            self.probe.on_writeback(seq, d, self.now);
-                        }
+                    self.probe.on_issue(seq, now);
+                    if let Some(d) = inst.writes().filter(|_| done.qp_true) {
+                        self.probe.on_writeback(seq, d, now);
                     }
                 }
                 if self.hook_enabled || self.probe_enabled {
-                    let event = RetireEvent {
-                        seq,
-                        cycle: self.now,
-                        pc,
-                        inst: Cow::Borrowed(inst),
-                        qp_true: Some(qp_true),
-                        wrote: if qp_true {
-                            inst.writes().map(|d| (d, self.state.read(d)))
-                        } else {
-                            None
-                        },
-                        stored,
-                        mode: self.retire_mode(),
-                        merged: false,
-                        episode: self.episode_window(seq),
-                    };
-                    if self.hook_enabled {
-                        self.hook.on_retire(&event);
-                    }
-                    if self.probe_enabled {
-                        self.probe.on_retire(&event);
-                    }
+                    let event = done.event(
+                        &self.base.state,
+                        now,
+                        self.retire_mode(),
+                        self.episode_window(seq),
+                    );
+                    self.publish_retire(&event);
                 }
-                self.fetch.pop_front();
                 self.drop_entry(seq);
-                self.activity.iq_reads += 1;
-                self.stats.retired += 1;
+                self.base.activity.iq_reads += 1;
                 issued += 1;
             }
 
-            if self.halted || flushed || inst.op().is_branch() {
+            if self.base.halted || flushed || inst.op().is_branch() {
                 break;
             }
             if !regroup && ends_group {
@@ -712,7 +589,7 @@ impl<'a> Core<'a> {
 
     /// Clamp multipass pointers after a fetch flush squashed entries.
     fn after_fetch_flush(&mut self) {
-        let next = self.fetch.next_seq();
+        let next = self.base.fetch.next_seq();
         self.squash_entries_from(next);
         self.peek = self.peek.min(next);
         self.peek_high = self.peek_high.min(next);
@@ -721,16 +598,17 @@ impl<'a> Core<'a> {
     /// One cycle of advance preexecution. Returns the number of *new*
     /// executions performed (the paper's attribution criterion).
     fn issue_advance(&mut self) -> u32 {
+        let now = self.base.now;
         let width = self.cfg.machine.issue_width;
-        let program = self.program;
+        let program = self.base.program;
         let mut slots = 0u32;
         let mut executions = 0u32;
         let mut prev_ended_group = false;
 
         'insts: while slots < width {
             let seq = self.peek;
-            let Some(fe) = self.fetch.get(seq) else { break };
-            if fe.fetched_at > self.now {
+            let Some(fe) = self.base.fetch.get(seq) else { break };
+            if fe.fetched_at > now {
                 break;
             }
             let pc = fe.pc;
@@ -740,8 +618,8 @@ impl<'a> Core<'a> {
             let inst = program.inst(pc).expect("fetched pc is valid");
             let ends_group = inst.ends_group();
             let ent = self.entry(seq);
-            self.activity.iq_reads += 1;
-            self.activity.select_visits += 1;
+            self.base.activity.iq_reads += 1;
+            self.base.activity.select_visits += 1;
 
             // Group-boundary rule mirrors rally: regrouping (with E-bits)
             // merges across stop bits, otherwise one group per cycle.
@@ -756,25 +634,21 @@ impl<'a> Core<'a> {
 
             // ---- merge previously preserved results ----
             if ent.e_bit {
-                if ent.rs_available(self.now) {
-                    self.activity.rs_reads += 1;
+                if ent.rs_available(now) {
+                    self.base.activity.rs_reads += 1;
                     self.slot_executed = true; // merge: useful, not deferred
                     match ent.result.expect("E-bit entry has a result") {
                         RsResult::Value(v) => {
                             if let Some(d) = inst.writes() {
                                 self.srf.write(
                                     d,
-                                    SrfVal::Valid {
-                                        value: v,
-                                        ready_at: self.now,
-                                        tainted: ent.tainted,
-                                    },
+                                    SrfVal::Valid { value: v, ready_at: now, tainted: ent.tainted },
                                 );
                             }
                         }
                         RsResult::Nop => {}
                         RsResult::Store { addr, data } => {
-                            self.activity.asc_accesses += 1;
+                            self.base.activity.asc_accesses += 1;
                             self.asc.insert(
                                 addr,
                                 AscData::Valid { value: data, tainted: ent.tainted, seq },
@@ -806,24 +680,24 @@ impl<'a> Core<'a> {
             if let Op::Br { target } = inst.op() {
                 if let Some((taken, taint)) = qp {
                     let actual_next = if taken {
-                        self.program.first_pc_from(*target)
+                        self.base.program.first_pc_from(*target)
                     } else {
-                        self.program.next_pc(pc)
+                        self.base.program.next_pc(pc)
                     };
                     if !taint {
                         if inst.is_predicated() && !ent.branch_trained {
-                            self.fetch.predictor_mut().update(pc, snap, taken);
+                            self.base.fetch.predictor_mut().update(pc, snap, taken);
                             let e = self.entries.get_or_default(seq);
                             e.branch_trained = true;
                         }
                         let stream_next = self.entry(seq).resolved_next.unwrap_or(predicted_next);
                         if stream_next != actual_next {
                             // Early mispredict resolution: redirect fetch.
-                            self.stats.early_resolved_mispredicts += 1;
-                            self.fetch.flush_after(
+                            self.base.stats.early_resolved_mispredicts += 1;
+                            self.base.fetch.flush_after(
                                 seq,
                                 actual_next,
-                                self.now + self.cfg.machine.mispredict_penalty,
+                                now + self.cfg.machine.mispredict_penalty,
                                 snap,
                                 taken,
                             );
@@ -840,9 +714,9 @@ impl<'a> Core<'a> {
                         let e = self.entries.get_or_default(seq);
                         e.e_bit = true;
                         e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = self.now;
+                        e.rs_ready_at = now;
                         e.tainted = false;
-                        self.activity.rs_writes += 1;
+                        self.base.activity.rs_writes += 1;
                     }
                 }
                 self.slot_executed = true; // control slot, not a deferral
@@ -868,9 +742,9 @@ impl<'a> Core<'a> {
                         let e = self.entries.get_or_default(seq);
                         e.e_bit = true;
                         e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = self.now;
+                        e.rs_ready_at = now;
                         e.tainted = false;
-                        self.activity.rs_writes += 1;
+                        self.base.activity.rs_writes += 1;
                     } else if let Some(d) = inst.writes() {
                         self.srf.write(d, SrfVal::Invalid);
                     }
@@ -897,8 +771,8 @@ impl<'a> Core<'a> {
                                     );
                                     continue;
                                 }
-                                None => match self.sb.pending_kind(src, self.now) {
-                                    PendingKind::Load => Some(self.sb.ready_cycle(src)),
+                                None => match self.base.sb.pending_kind(src, now) {
+                                    PendingKind::Load => Some(self.base.sb.ready_cycle(src)),
                                     PendingKind::Exec => None,
                                     PendingKind::None => {
                                         // Architecturally ready: no effect.
@@ -916,7 +790,7 @@ impl<'a> Core<'a> {
                                     // §3.3: restart at the trigger, timed so
                                     // the pass meets the arriving value.
                                     self.restart_pass();
-                                    self.advance_wait_until = t.max(self.now);
+                                    self.advance_wait_until = t.max(now);
                                     break 'insts;
                                 }
                                 None if self.pass_progress => {
@@ -931,8 +805,8 @@ impl<'a> Core<'a> {
                         let e = self.entries.get_or_default(seq);
                         e.e_bit = true;
                         e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = self.now;
-                        self.activity.rs_writes += 1;
+                        e.rs_ready_at = now;
+                        self.base.activity.rs_writes += 1;
                     }
                     Op::Load | Op::LoadFp => {
                         let base = match self.adv_read(inst.src_n(0).expect("load base")) {
@@ -956,12 +830,12 @@ impl<'a> Core<'a> {
                             self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
                             continue;
                         }
-                        if !self.fu.try_issue(inst, self.now) {
+                        if !self.base.fu.try_issue(inst, now) {
                             break;
                         }
                         let addr = effective_address(base.0, inst.imm_val());
                         self.set_smaq(seq, addr);
-                        self.activity.asc_accesses += 1;
+                        self.base.activity.asc_accesses += 1;
                         match self.asc.lookup(addr) {
                             AscLookup::Hit(AscData::Valid { value, tainted, seq: store_seq }) => {
                                 // The hit proves consistency only back to the
@@ -982,7 +856,7 @@ impl<'a> Core<'a> {
                                 }
                                 if self.probe_enabled {
                                     self.probe.on_asc_forward(&AscForwardObs {
-                                        cycle: self.now,
+                                        cycle: now,
                                         load_seq: seq,
                                         store_seq,
                                         deferred_store: self.deferred_store,
@@ -993,22 +867,18 @@ impl<'a> Core<'a> {
                                 if let Some(d) = inst.writes() {
                                     self.srf.write(
                                         d,
-                                        SrfVal::Valid {
-                                            value,
-                                            ready_at: self.now + 1,
-                                            tainted: taint,
-                                        },
+                                        SrfVal::Valid { value, ready_at: now + 1, tainted: taint },
                                     );
                                 }
                                 let e = self.entries.get_or_default(seq);
                                 e.e_bit = true;
                                 e.result = Some(RsResult::Value(value));
-                                e.rs_ready_at = self.now + 1;
+                                e.rs_ready_at = now + 1;
                                 e.s_bit = s_bit;
                                 e.tainted = taint;
-                                self.activity.rs_writes += 1;
+                                self.base.activity.rs_writes += 1;
                                 executions += 1;
-                                self.stats.executions += 1;
+                                self.base.stats.executions += 1;
                                 self.mark_slot_work();
                             }
                             AscLookup::Hit(AscData::Invalid) => {
@@ -1020,12 +890,12 @@ impl<'a> Core<'a> {
                                 let s_bit = self.deferred_store.is_some()
                                     || lookup == AscLookup::MissAfterReplacement;
                                 let taint = base.1 | qp_taint | s_bit;
-                                let v = self.state.mem.load(addr);
-                                match self.mem.access(addr, AccessKind::SpeculativeRead, self.now) {
+                                let v = self.base.state.mem.load(addr);
+                                match self.base.mem.access(addr, AccessKind::SpeculativeRead, now) {
                                     MemAccess::Done { complete_at, level } => {
                                         self.probe_mem_access(complete_at, level);
                                         executions += 1;
-                                        self.stats.executions += 1;
+                                        self.base.stats.executions += 1;
                                         self.mark_slot_work();
                                         let e = self.entries.get_or_default(seq);
                                         e.e_bit = true;
@@ -1033,7 +903,7 @@ impl<'a> Core<'a> {
                                         e.rs_ready_at = complete_at;
                                         e.s_bit = s_bit;
                                         e.tainted = taint;
-                                        self.activity.rs_writes += 1;
+                                        self.base.activity.rs_writes += 1;
                                         if let Some(d) = inst.writes() {
                                             if level.is_miss() && self.cfg.waw_skip_srf {
                                                 // §3.5 WAW policy: missing
@@ -1088,12 +958,12 @@ impl<'a> Core<'a> {
                             self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
                             continue;
                         }
-                        if !self.fu.try_issue(inst, self.now) {
+                        if !self.base.fu.try_issue(inst, now) {
                             break;
                         }
                         let addr = effective_address(base.0, inst.imm_val());
                         self.set_smaq(seq, addr);
-                        self.activity.asc_accesses += 1;
+                        self.base.activity.asc_accesses += 1;
                         match data {
                             Some((dv, dt)) => {
                                 let taint = base.1 | dt | qp_taint;
@@ -1104,11 +974,11 @@ impl<'a> Core<'a> {
                                 let e = self.entries.get_or_default(seq);
                                 e.e_bit = true;
                                 e.result = Some(RsResult::Store { addr, data: dv });
-                                e.rs_ready_at = self.now;
+                                e.rs_ready_at = now;
                                 e.tainted = taint;
-                                self.activity.rs_writes += 1;
+                                self.base.activity.rs_writes += 1;
                                 executions += 1;
-                                self.stats.executions += 1;
+                                self.base.stats.executions += 1;
                                 self.mark_slot_work();
                             }
                             None => {
@@ -1138,12 +1008,12 @@ impl<'a> Core<'a> {
                         };
                         match (a, b) {
                             (Some((av, at)), Some((bv, bt))) => {
-                                if !self.fu.try_issue(inst, self.now) {
+                                if !self.base.fu.try_issue(inst, now) {
                                     break;
                                 }
                                 let v = alu(op, av, bv, inst.imm_val());
                                 let taint = at | bt | qp_taint;
-                                let ready = self.now + op.latency() as u64;
+                                let ready = now + op.latency() as u64;
                                 if let Some(d) = inst.writes() {
                                     self.srf.write(
                                         d,
@@ -1155,9 +1025,9 @@ impl<'a> Core<'a> {
                                 e.result = Some(RsResult::Value(v));
                                 e.rs_ready_at = ready;
                                 e.tainted = taint;
-                                self.activity.rs_writes += 1;
+                                self.base.activity.rs_writes += 1;
                                 executions += 1;
-                                self.stats.executions += 1;
+                                self.base.stats.executions += 1;
                                 self.mark_slot_work();
                             }
                             _ => {
@@ -1210,18 +1080,18 @@ impl<'a> Core<'a> {
     /// advance→rally wake point. `u64::MAX` when only an external event
     /// (fetch arrival) can change it.
     fn head_wake(&self) -> u64 {
-        let Some(fe) = self.fetch.get(self.fetch.head_seq()) else {
+        let Some(fe) = self.base.fetch.get(self.base.fetch.head_seq()) else {
             return u64::MAX;
         };
-        if fe.fetched_at > self.now {
+        if fe.fetched_at > self.base.now {
             return fe.fetched_at;
         }
         let ent = self.entry(fe.seq);
         if ent.e_bit {
             ent.rs_ready_at
         } else {
-            let inst = self.program.inst(fe.pc).expect("fetched pc is valid");
-            operand_wake(inst, &self.sb, self.now).unwrap_or(u64::MAX)
+            let inst = self.base.program.inst(fe.pc).expect("fetched pc is valid");
+            operand_wake(inst, &self.base.sb, self.base.now).unwrap_or(u64::MAX)
         }
     }
 
@@ -1235,7 +1105,7 @@ impl<'a> Core<'a> {
     /// snapshot, so stats, artifacts, and observation streams are
     /// bit-for-bit identical in both tick modes.
     fn fast_forward(&mut self, cycle_cap: u64) {
-        if self.halted || self.now >= cycle_cap {
+        if self.base.halted || self.base.now >= cycle_cap {
             return;
         }
         // Pending mode transitions must be taken by the polled path so
@@ -1243,36 +1113,37 @@ impl<'a> Core<'a> {
         if self.mode == Mode::Advance && self.head_issueable() {
             return;
         }
-        if self.mode == Mode::Rally && self.fetch.head_seq() >= self.peek_high {
+        if self.mode == Mode::Rally && self.base.fetch.head_seq() >= self.peek_high {
             return;
         }
-        // Fetch must be idle for the whole window; `fetch_wake` bounds it.
-        let Some(fetch_wake) = self.fetch.quiescent_until(self.now) else {
+        // Fetch must be idle for the whole window; `skip_until` bounds it
+        // by fetch's next wake.
+        if self.base.fetch.quiescent_until(self.base.now).is_none() {
             return;
-        };
+        }
         // The third tuple element is issue-select visits per skipped
-        // cycle: only the architectural/rally live-head operand stall
-        // re-examines the head every polled cycle; every other skippable
-        // window never enters an issue loop (stall penalty, timed advance
-        // wait, dead PEEK) or fails the issue gate (drained or
-        // not-yet-fetched head).
-        let (target, kind, visits) = if self.now < self.stall_until {
+        // cycle: only a live architectural/rally head stalled on an operand
+        // or an FP unit re-examines the head every polled cycle; every
+        // other skippable window never enters an issue loop (stall penalty,
+        // timed advance wait, dead PEEK) or fails the issue gate (drained
+        // or not-yet-fetched head).
+        let (target, kind, visits) = if self.base.now < self.stall_until {
             // Value-misspeculation flush penalty: pure wait.
             (self.stall_until, StallKind::Other, 0)
         } else {
             match self.mode {
                 Mode::Advance => {
-                    if self.now < self.advance_wait_until {
+                    if self.base.now < self.advance_wait_until {
                         // Restarted pass timed to meet an arrival; the
                         // head may become issueable first (rally entry).
                         (self.advance_wait_until.min(self.head_wake()), StallKind::Load, 0)
                     } else {
-                        match self.fetch.get(self.peek) {
+                        match self.base.fetch.get(self.peek) {
                             // PEEK ran past fetch: advance issue is a
                             // no-op until the head wakes (fetch arrivals
-                            // bound the window via `fetch_wake`).
+                            // bound the window via `skip_until`).
                             None => (self.head_wake(), StallKind::Load, 0),
-                            Some(fe) if fe.fetched_at > self.now => {
+                            Some(fe) if fe.fetched_at > self.base.now => {
                                 (self.head_wake().min(fe.fetched_at), StallKind::Load, 0)
                             }
                             // The PEEK entry is live: advance would work.
@@ -1281,84 +1152,54 @@ impl<'a> Core<'a> {
                     }
                 }
                 Mode::Architectural | Mode::Rally => {
-                    let seq = self.fetch.head_seq();
-                    match self.fetch.get(seq) {
-                        None => (u64::MAX, StallKind::FrontEnd, 0),
-                        Some(fe) if fe.fetched_at > self.now => {
-                            (fe.fetched_at, StallKind::FrontEnd, 0)
-                        }
-                        Some(fe) => {
-                            if self.entry(seq).e_bit {
-                                // Merge work, or a Load stall that enters
-                                // advance mode this very cycle.
-                                return;
-                            }
-                            let inst = self.program.inst(fe.pc).expect("fetched pc is valid");
-                            match operand_stall(inst, &self.sb, self.now) {
-                                // A Load stall enters advance mode the
-                                // same cycle: not skippable.
-                                Some(k) if k != StallKind::Load => {
-                                    match operand_wake(inst, &self.sb, self.now) {
-                                        Some(w) => (w, k, 1),
-                                        None => return,
-                                    }
-                                }
-                                _ => return,
-                            }
-                        }
+                    // An E-bit head merges, or stalls on a preserved result
+                    // in flight, which enters advance mode this very cycle.
+                    if self.entry(self.base.fetch.head_seq()).e_bit {
+                        return;
+                    }
+                    // Otherwise the baseline's analysis, where a load stall
+                    // enters advance mode the same cycle: not skippable.
+                    match self.base.stalled_head(false) {
+                        Some(window) => window,
+                        None => return,
                     }
                 }
             }
         };
-        let wake = target.min(fetch_wake).min(self.mem.next_mshr_fill(self.now)).min(cycle_cap);
-        if wake <= self.now {
+        let Some(wake) = self.base.skip_until(target, cycle_cap) else {
             return;
-        }
+        };
         if self.probe_enabled {
             // Probes observe every cycle, skipped or not: emit the same
             // per-cycle snapshots the polled loop would have.
-            while self.now < wake {
+            while self.base.now < wake {
                 self.probe_cycle();
-                self.stats.breakdown.charge(kind);
-                self.activity.select_visits += visits;
+                self.base.stats.breakdown.charge(kind);
+                self.base.activity.select_visits += visits;
                 self.bump_mode_cycles();
-                self.now += 1;
+                self.base.now += 1;
             }
         } else {
-            let skipped = wake - self.now;
-            self.stats.breakdown.charge_n(kind, skipped);
-            self.activity.select_visits += visits * skipped;
+            let skipped = self.base.skip_to(wake, kind, visits);
             match self.mode {
-                Mode::Advance => self.stats.spec_mode_cycles += skipped,
-                Mode::Rally => self.stats.rally_cycles += skipped,
+                Mode::Advance => self.base.stats.spec_mode_cycles += skipped,
+                Mode::Rally => self.base.stats.rally_cycles += skipped,
                 Mode::Architectural => {}
             }
-            self.now = wake;
         }
     }
 
     // ----------------------------------------------------------------- run
 
-    fn run(&mut self, case: &SimCase<'_>) -> Result<RunResult, RunError> {
+    fn run(mut self, case: &SimCase<'_>) -> Result<RunResult, RunError> {
         let cycle_cap = case.cycle_cap(self.cfg.machine.max_cycles);
-        while !self.halted {
-            if self.now >= cycle_cap {
-                return Err(RunError::CycleBudgetExceeded {
-                    limit: cycle_cap,
-                    retired: self.stats.retired,
-                });
-            }
-            assert!(self.stats.retired < case.max_insts, "instruction budget exceeded");
+        while !self.base.halted {
+            let fetched = self.base.begin_cycle(case, cycle_cap)?;
             if self.probe_enabled {
-                let before = self.fetch.next_seq();
-                self.fetch.tick(self.program, &mut self.mem, self.now);
-                for s in before..self.fetch.next_seq() {
-                    self.probe.on_fetch(s, self.now);
+                for seq in fetched {
+                    self.probe.on_fetch(seq, self.base.now);
                 }
-            } else {
-                self.fetch.tick(self.program, &mut self.mem, self.now);
             }
-            self.fu.new_cycle(self.now);
 
             // Advance → rally as soon as the trigger's operand arrives.
             if self.mode == Mode::Advance && self.head_issueable() {
@@ -1366,17 +1207,17 @@ impl<'a> Core<'a> {
             }
             // Rally → architectural when DEQ catches the PEEK high-water
             // mark: nothing deferred remains in flight.
-            if self.mode == Mode::Rally && self.fetch.head_seq() >= self.peek_high {
+            if self.mode == Mode::Rally && self.base.fetch.head_seq() >= self.peek_high {
                 self.set_mode(Mode::Architectural);
             }
 
             self.probe_cycle();
 
-            if self.now < self.stall_until {
+            if self.base.now < self.stall_until {
                 // Value-misspeculation flush penalty.
-                self.stats.breakdown.charge(StallKind::Other);
+                self.base.stats.breakdown.charge(StallKind::Other);
                 self.bump_mode_cycles();
-                self.now += 1;
+                self.base.now += 1;
                 if self.tick == TickMode::EventDriven {
                     self.fast_forward(cycle_cap);
                 }
@@ -1386,20 +1227,14 @@ impl<'a> Core<'a> {
             match self.mode {
                 Mode::Architectural | Mode::Rally => {
                     let (issued, stall) = self.issue_architectural();
-                    if issued > 0 {
-                        self.stats.breakdown.charge(StallKind::Execution);
-                    } else if let Some(kind) = stall {
-                        self.stats.breakdown.charge(kind);
-                    } else {
-                        self.stats.breakdown.charge(StallKind::FrontEnd);
-                    }
+                    self.base.charge_issue(issued, stall);
                     // Enter advance mode on a load-use stall.
-                    if issued == 0 && stall == Some(StallKind::Load) && !self.halted {
-                        self.enter_advance(self.fetch.head_seq());
+                    if issued == 0 && stall == Some(StallKind::Load) && !self.base.halted {
+                        self.enter_advance(self.base.fetch.head_seq());
                     }
                 }
                 Mode::Advance => {
-                    let executions = if self.now < self.advance_wait_until {
+                    let executions = if self.base.now < self.advance_wait_until {
                         0 // pass restarted and timed to meet an arrival
                     } else {
                         self.issue_advance()
@@ -1407,45 +1242,34 @@ impl<'a> Core<'a> {
                     // §5.1: advance cycles with no new executions are
                     // charged to the latency that initiated advance mode.
                     if executions > 0 {
-                        self.stats.breakdown.charge(StallKind::Execution);
+                        self.base.stats.breakdown.charge(StallKind::Execution);
                     } else {
-                        self.stats.breakdown.charge(StallKind::Load);
+                        self.base.stats.breakdown.charge(StallKind::Load);
                     }
                 }
             }
 
             self.bump_mode_cycles();
-            self.now += 1;
+            self.base.now += 1;
             if self.tick == TickMode::EventDriven {
                 self.fast_forward(cycle_cap);
             }
         }
 
-        self.stats.cycles = self.now;
-        self.activity.cycles = self.now;
-        self.activity.iq_writes = self.fetch.fetched();
-        self.activity.srf_reads = self.srf.read_count();
-        self.activity.srf_writes = self.srf.write_count();
+        self.base.activity.iq_writes = self.base.fetch.fetched();
+        self.base.activity.srf_reads = self.srf.read_count();
+        self.base.activity.srf_writes = self.srf.write_count();
         // Growth events of the in-flight entry ring: 1 for the initial
         // allocation, and nothing further once warm (the steady-state
         // zero-allocation invariant, asserted in tests/tick_equivalence.rs).
-        self.activity.alloc_count += self.entries.alloc_events();
-
-        // The simulation is finished: move the stats and final state out
-        // instead of cloning them (the architectural memory image can be
-        // megabytes for the paper-scale workloads).
-        Ok(RunResult {
-            stats: std::mem::take(&mut self.stats),
-            activity: self.activity,
-            mem_stats: self.mem.final_stats(),
-            final_state: std::mem::replace(&mut self.state, ArchState::new()),
-        })
+        self.base.activity.alloc_count += self.entries.alloc_events();
+        Ok(self.base.finish())
     }
 
     fn bump_mode_cycles(&mut self) {
         match self.mode {
-            Mode::Advance => self.stats.spec_mode_cycles += 1,
-            Mode::Rally => self.stats.rally_cycles += 1,
+            Mode::Advance => self.base.stats.spec_mode_cycles += 1,
+            Mode::Rally => self.base.stats.rally_cycles += 1,
             Mode::Architectural => {}
         }
     }
@@ -1489,7 +1313,7 @@ impl ExecutionModel for Multipass {
 mod tests {
     use super::*;
     use ff_isa::interp::Interpreter;
-    use ff_isa::{Inst, MemoryImage};
+    use ff_isa::{ArchState, Inst, MemoryImage, Program};
 
     fn check_vs_interpreter(p: &Program, mem: &MemoryImage) -> RunResult {
         let case = SimCase::new(p, mem.clone());

@@ -21,6 +21,9 @@
 //!   [`SimCase`]/[`RunResult`] — its input/output types;
 //! * [`RetireHook`]/[`RetireEvent`] — retirement-granularity
 //!   instrumentation consumed by the `ff-debug` triage tooling;
+//! * [`InOrderStage`] — the baseline in-order pipeline the in-order,
+//!   runahead and multipass models share: one architectural execute step
+//!   and one stalled-head skip analysis (DESIGN.md §7c);
 //! * [`Slab`]/[`InFlightIndex`] — allocation-free in-flight state
 //!   containers backing the steady-state zero-allocation invariant
 //!   (DESIGN.md §7e).
@@ -36,6 +39,7 @@ pub mod probe;
 pub mod retire;
 pub mod scoreboard;
 pub mod slab;
+pub mod stage;
 pub mod stats;
 pub mod trace;
 
@@ -47,5 +51,6 @@ pub use probe::{AscForwardObs, CycleObs, MemAccessObs, NullProbe, PipelineProbe,
 pub use retire::{EpisodeWindow, NullRetireHook, RetireEvent, RetireHook, RetireMode, RetireRing};
 pub use scoreboard::{operand_stall, operand_wake, PendingKind, Scoreboard};
 pub use slab::{InFlightIndex, Slab, SlotId};
+pub use stage::{Head, InOrderStage, Issued};
 pub use stats::{RunStats, StallKind};
 pub use trace::{DepList, TraceError, TraceInst, TraceStream};

@@ -1,0 +1,389 @@
+//! The in-order issue stage shared by the in-order, runahead and multipass
+//! models.
+//!
+//! The paper defines multipass's architectural mode as "indistinguishable
+//! from the baseline in-order pipeline" (§3), and runahead as that same
+//! pipeline plus pre-execution episodes (§2, §5.4). [`InOrderStage`] is
+//! that baseline: the machine state plus the two pieces every such model
+//! shares, written once:
+//!
+//! * [`InOrderStage::execute`] — the architectural execute step for the
+//!   head instruction: scoreboard interlock, FU arbitration, then branch
+//!   resolution, load (with MSHR retry), store, ALU, or the predicated-off
+//!   branch. Per-model differences enter as inputs (predictor training,
+//!   the stream a branch is checked against); values some models route
+//!   differently come back in [`Issued`] for the caller to apply.
+//! * [`InOrderStage::stalled_head`] — the DESIGN.md §7c skip analysis for
+//!   a stalled head, and [`InOrderStage::skip_until`] /
+//!   [`InOrderStage::skip_to`], the bulk-charge tail every event-driven
+//!   fast-forward ends in.
+//!
+//! Each model drives the stage with its own loop and adds only its policy.
+
+use std::borrow::Cow;
+use std::ops::Range;
+
+use ff_frontend::{FetchUnit, Gshare};
+use ff_isa::eval::{alu, effective_address};
+use ff_isa::{ArchState, Inst, Op, Pc, Program, Reg};
+use ff_mem::{AccessKind, HitLevel, MemAccess, MemorySystem};
+
+use crate::activity::Activity;
+use crate::config::MachineConfig;
+use crate::fu::FuPool;
+use crate::model::{RunError, RunResult, SimCase};
+use crate::retire::{EpisodeWindow, RetireEvent, RetireMode};
+use crate::scoreboard::{operand_stall, operand_wake, PendingKind, Scoreboard};
+use crate::stats::{RunStats, StallKind};
+
+/// The baseline in-order pipeline's whole-run state.
+pub struct InOrderStage<'p> {
+    /// The program being run.
+    pub program: &'p Program,
+    /// Architectural registers and memory.
+    pub state: ArchState,
+    /// The cache hierarchy.
+    pub mem: MemorySystem,
+    /// Fetch unit and instruction buffer.
+    pub fetch: FetchUnit,
+    /// Per-register ready cycles.
+    pub sb: Scoreboard,
+    /// Functional-unit arbitration.
+    pub fu: FuPool,
+    /// Run statistics.
+    pub stats: RunStats,
+    /// Per-structure activity counters.
+    pub activity: Activity,
+    /// The current cycle.
+    pub now: u64,
+    /// A `HALT` has retired.
+    pub halted: bool,
+    mispredict_penalty: u64,
+}
+
+/// The head of the instruction buffer, copied out of its fetch entry.
+#[derive(Clone, Copy, Debug)]
+pub struct Head<'p> {
+    /// Dynamic sequence number.
+    pub seq: u64,
+    /// Static location.
+    pub pc: Pc,
+    /// The instruction, borrowed from the program.
+    pub inst: &'p Inst,
+    /// The fetch unit's predicted successor.
+    pub predicted_next: Option<Pc>,
+    /// Branch-history snapshot taken at fetch.
+    pub snapshot: u16,
+}
+
+/// An instruction [`InOrderStage::execute`] issued and retired.
+#[derive(Clone, Copy, Debug)]
+pub struct Issued<'p> {
+    /// The retired instruction.
+    pub head: Head<'p>,
+    /// Its qualifying predicate was true.
+    pub qp_true: bool,
+    /// The scoreboard write it schedules, `(reg, ready_at, kind)`. The
+    /// caller applies it ([`Scoreboard::set_pending`]); multipass routes it
+    /// through its fault-injection hooks.
+    pub pend: Option<(Reg, u64, PendingKind)>,
+    /// The completed data access, `(complete_at, level)`.
+    pub access: Option<(u64, HitLevel)>,
+    /// Address and data stored.
+    pub stored: Option<(u64, u64)>,
+    /// A mispredicted branch flushed fetch behind it.
+    pub flushed: bool,
+}
+
+impl<'p> Issued<'p> {
+    /// The retirement event, reading the written value from `state`.
+    #[inline]
+    pub fn event(
+        &self,
+        state: &ArchState,
+        cycle: u64,
+        mode: RetireMode,
+        episode: Option<EpisodeWindow>,
+    ) -> RetireEvent<'p> {
+        let inst = self.head.inst;
+        RetireEvent {
+            seq: self.head.seq,
+            cycle,
+            pc: self.head.pc,
+            inst: Cow::Borrowed(inst),
+            qp_true: Some(self.qp_true),
+            wrote: inst.writes().filter(|_| self.qp_true).map(|d| (d, state.read(d))),
+            stored: self.stored,
+            mode,
+            merged: false,
+            episode,
+        }
+    }
+}
+
+impl<'p> InOrderStage<'p> {
+    /// A fresh pipeline for `case` with a `buffer`-entry instruction buffer.
+    pub fn new(case: &SimCase<'p>, machine: &MachineConfig, buffer: usize) -> Self {
+        InOrderStage {
+            program: case.program,
+            state: case.initial_state(),
+            mem: MemorySystem::new(machine.hierarchy),
+            fetch: FetchUnit::new(
+                case.program,
+                buffer,
+                machine.fetch_width as usize,
+                Gshare::new(machine.gshare_entries),
+            ),
+            sb: Scoreboard::new(),
+            fu: FuPool::new(machine),
+            stats: RunStats::default(),
+            activity: Activity::new(),
+            now: 0,
+            halted: false,
+            mispredict_penalty: machine.mispredict_penalty,
+        }
+    }
+
+    /// Top of a cycle: the cycle watchdog and instruction budget, then
+    /// fetch and the FU pool. Returns the sequence numbers fetched.
+    #[inline]
+    pub fn begin_cycle(
+        &mut self,
+        case: &SimCase<'_>,
+        cycle_cap: u64,
+    ) -> Result<Range<u64>, RunError> {
+        if self.now >= cycle_cap {
+            return Err(RunError::CycleBudgetExceeded {
+                limit: cycle_cap,
+                retired: self.stats.retired,
+            });
+        }
+        assert!(self.stats.retired < case.max_insts, "instruction budget exceeded");
+        let fetched_from = self.fetch.next_seq();
+        self.fetch.tick(self.program, &mut self.mem, self.now);
+        self.fu.new_cycle(self.now);
+        Ok(fetched_from..self.fetch.next_seq())
+    }
+
+    /// The head of the instruction buffer if it has arrived by now,
+    /// counting one issue-select visit.
+    #[inline]
+    pub fn select_head(&mut self) -> Option<Head<'p>> {
+        let e = self.fetch.get(self.fetch.head_seq()).filter(|e| e.fetched_at <= self.now)?;
+        self.activity.select_visits += 1;
+        Some(Head {
+            seq: e.seq,
+            pc: e.pc,
+            inst: self.program.inst(e.pc).expect("fetched pc is valid"),
+            predicted_next: e.predicted_next,
+            snapshot: e.history_snapshot,
+        })
+    }
+
+    /// Issues, executes and retires `head` architecturally, or returns the
+    /// stall that keeps it from issuing this cycle.
+    ///
+    /// A branch trains the predictor only if `train_predictor`, and
+    /// flushes fetch when its outcome differs from `stream_next`, the
+    /// successor the buffer holds. On retirement the head leaves the
+    /// buffer and counts as retired; the caller applies [`Issued::pend`].
+    #[inline]
+    pub fn execute(
+        &mut self,
+        head: &Head<'p>,
+        train_predictor: bool,
+        stream_next: Option<Pc>,
+    ) -> Result<Issued<'p>, StallKind> {
+        let (inst, now) = (head.inst, self.now);
+        if let Some(kind) = operand_stall(inst, &self.sb, now) {
+            return Err(kind);
+        }
+        if !self.fu.try_issue(inst, now) {
+            return Err(StallKind::Other);
+        }
+        let qp_true = self.state.read(inst.qp_reg()) != 0;
+        self.activity.regfile_reads += inst.reads().count() as u64;
+        let mut done =
+            Issued { head: *head, qp_true, pend: None, access: None, stored: None, flushed: false };
+        // A predicated-off branch still resolves (not taken) against the
+        // prediction; any other predicated-off instruction is a no-op.
+        let branch = match inst.op() {
+            Op::Br { target } if qp_true => Some((self.program.first_pc_from(*target), true)),
+            Op::Br { .. } => Some((self.program.next_pc(head.pc), false)),
+            _ if !qp_true => None,
+            Op::Halt => {
+                self.halted = true;
+                None
+            }
+            Op::Load | Op::LoadFp => {
+                let base = self.state.read(inst.src_n(0).expect("load base"));
+                let addr = effective_address(base, inst.imm_val());
+                match self.mem.access(addr, AccessKind::DataRead, now) {
+                    MemAccess::Done { complete_at, level } => {
+                        let v = self.state.mem.load(addr);
+                        done.pend = self.write_back(inst, v, complete_at, PendingKind::Load);
+                        done.access = Some((complete_at, level));
+                    }
+                    // MSHRs full: replay next cycle. The FU slot is
+                    // wasted, as in hardware.
+                    MemAccess::Retry => return Err(StallKind::Other),
+                }
+                None
+            }
+            Op::Store => {
+                let base = self.state.read(inst.src_n(0).expect("store base"));
+                let data = self.state.read(inst.src_n(1).expect("store data"));
+                let addr = effective_address(base, inst.imm_val());
+                self.state.mem.store(addr, data);
+                let _ = self.mem.access(addr, AccessKind::DataWrite, now);
+                done.stored = Some((addr, data));
+                self.stats.executions += 1;
+                None
+            }
+            Op::Nop | Op::Restart => None,
+            op => {
+                let a = inst.src_n(0).map(|r| self.state.read(r)).unwrap_or(0);
+                let b = inst.src_n(1).map(|r| self.state.read(r)).unwrap_or(0);
+                let ready_at = now + op.latency() as u64;
+                done.pend = self.write_back(
+                    inst,
+                    alu(op, a, b, inst.imm_val()),
+                    ready_at,
+                    PendingKind::Exec,
+                );
+                None
+            }
+        };
+        if let Some((actual_next, taken)) = branch {
+            // Only a predicated branch is conditional (the hardwired
+            // predicate always reads true): count it and train on it.
+            if inst.is_predicated() {
+                self.stats.branches += 1;
+                if train_predictor {
+                    self.fetch.predictor_mut().update(head.pc, head.snapshot, taken);
+                }
+            }
+            if stream_next != actual_next {
+                self.stats.mispredicts += 1;
+                let resume_at = now + self.mispredict_penalty;
+                self.fetch.flush_after(head.seq, actual_next, resume_at, head.snapshot, taken);
+                done.flushed = true;
+            }
+        }
+        self.fetch.pop_front();
+        self.stats.retired += 1;
+        Ok(done)
+    }
+
+    /// Writes an executed result, returning the scoreboard write it
+    /// schedules.
+    #[inline]
+    fn write_back(
+        &mut self,
+        inst: &Inst,
+        v: u64,
+        ready_at: u64,
+        kind: PendingKind,
+    ) -> Option<(Reg, u64, PendingKind)> {
+        self.stats.executions += 1;
+        let d = inst.writes()?;
+        self.state.write(d, v);
+        self.activity.regfile_writes += 1;
+        Some((d, ready_at, kind))
+    }
+
+    /// Charges one polled issue cycle: to execution if anything issued,
+    /// else to the stall that stopped issue, else to the front end.
+    #[inline]
+    pub fn charge_issue(&mut self, issued: u32, stall: Option<StallKind>) {
+        let kind = match stall {
+            _ if issued > 0 => StallKind::Execution,
+            Some(kind) => kind,
+            None => StallKind::FrontEnd,
+        };
+        self.stats.breakdown.charge(kind);
+    }
+
+    /// The §7c skip analysis for the head of the buffer: `(wake, kind,
+    /// visits)` when the head provably cannot issue before `wake` through
+    /// the passage of time alone, and each polled cycle until then would
+    /// charge `kind` and make `visits` issue-select visits. `None` when the
+    /// head must be polled.
+    ///
+    /// A drained or not-yet-arrived head is a front-end stall that never
+    /// reaches issue select. A live head stalls on an operand (waking at
+    /// the earliest operand arrival, where the stall kind may change) or on
+    /// an occupied unpipelined FP unit; otherwise it would issue, or needs
+    /// a memory access that mutates hierarchy state, and must be polled. A
+    /// load stall is skipped only if `load_stall_skippable`: runahead and
+    /// multipass leave the architectural regime on one the same cycle.
+    #[inline]
+    pub fn stalled_head(&self, load_stall_skippable: bool) -> Option<(u64, StallKind, u64)> {
+        let Some(e) = self.fetch.get(self.fetch.head_seq()) else {
+            return Some((u64::MAX, StallKind::FrontEnd, 0));
+        };
+        if e.fetched_at > self.now {
+            return Some((e.fetched_at, StallKind::FrontEnd, 0));
+        }
+        let inst = self.program.inst(e.pc).expect("fetched pc is valid");
+        match operand_stall(inst, &self.sb, self.now) {
+            Some(StallKind::Load) if !load_stall_skippable => None,
+            Some(kind) => operand_wake(inst, &self.sb, self.now).map(|w| (w, kind, 1)),
+            None if !self.fu.can_issue_fresh(inst, self.now) => {
+                Some((self.fu.next_fp_release(self.now), StallKind::Other, 1))
+            }
+            None => None,
+        }
+    }
+
+    /// The end of a skippable window whose issue side stays idle until
+    /// `target`: clipped to the fetch unit's quiescence (`None` while fetch
+    /// is active), the next MSHR fill and the cycle cap. `None` when the
+    /// window is empty.
+    #[inline]
+    pub fn skip_until(&self, target: u64, cycle_cap: u64) -> Option<u64> {
+        let fetch_wake = self.fetch.quiescent_until(self.now)?;
+        let wake = target.min(fetch_wake).min(self.mem.next_mshr_fill(self.now)).min(cycle_cap);
+        (wake > self.now).then_some(wake)
+    }
+
+    /// Jumps to `wake`, charging every skipped cycle to `kind` with
+    /// `visits` issue-select visits each, exactly as the polled loop would.
+    /// Returns the number of cycles skipped.
+    #[inline]
+    pub fn skip_to(&mut self, wake: u64, kind: StallKind, visits: u64) -> u64 {
+        let skipped = wake - self.now;
+        self.stats.breakdown.charge_n(kind, skipped);
+        self.activity.select_visits += visits * skipped;
+        self.now = wake;
+        skipped
+    }
+
+    /// The event-driven fast-forward of an in-order head stall: skips to
+    /// the wake point of [`InOrderStage::stalled_head`] while fetch is
+    /// quiescent. Bit-for-bit identical to polling by construction.
+    #[inline]
+    pub fn fast_forward(&mut self, load_stall_skippable: bool, cycle_cap: u64) {
+        // Active fetch rules out a window before the head is examined.
+        if self.fetch.quiescent_until(self.now).is_none() {
+            return;
+        }
+        if let Some((target, kind, visits)) = self.stalled_head(load_stall_skippable) {
+            if let Some(wake) = self.skip_until(target, cycle_cap) {
+                self.skip_to(wake, kind, visits);
+            }
+        }
+    }
+
+    /// The run's result once the program has halted.
+    pub fn finish(mut self) -> RunResult {
+        self.stats.cycles = self.now;
+        self.activity.cycles = self.now;
+        RunResult {
+            stats: self.stats,
+            activity: self.activity,
+            mem_stats: self.mem.final_stats(),
+            final_state: self.state,
+        }
+    }
+}

@@ -1,39 +1,7 @@
-//! CSV serialization of experiment results, for external plotting.
+//! CSV serialization of experiment results, for external plotting
+//! (`results/figure8_ablation.csv`).
 
-use crate::figures::{Figure6, Figure6Row, Figure7, Figure8};
-
-/// Figure 6 as CSV: one row per (benchmark, model) with the normalized
-/// four-way breakdown.
-pub fn figure6(f: &Figure6) -> String {
-    let mut out = String::from("bench,model,execution,front_end,other,load,total\n");
-    for r in &f.rows {
-        for (model, b) in [("base", &r.base), ("MP", &r.mp), ("OOO", &r.ooo)] {
-            out.push_str(&format!(
-                "{},{},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-                r.bench,
-                model,
-                b[0],
-                b[1],
-                b[2],
-                b[3],
-                Figure6Row::total(b)
-            ));
-        }
-    }
-    out
-}
-
-/// Figure 7 as CSV: one row per (benchmark, hierarchy) with MP and OOO
-/// speedups.
-pub fn figure7(f: &Figure7) -> String {
-    let mut out = String::from("bench,hierarchy,mp_speedup,ooo_speedup\n");
-    for c in &f.configs {
-        for (bench, mp, ooo) in &c.rows {
-            out.push_str(&format!("{bench},{},{mp:.6},{ooo:.6}\n", c.name));
-        }
-    }
-    out
-}
+use crate::figures::Figure8;
 
 /// Figure 8 as CSV.
 pub fn figure8(f: &Figure8) -> String {
@@ -44,21 +12,6 @@ pub fn figure8(f: &Figure8) -> String {
     out
 }
 
-/// Writes `content` to `$FF_CSV_DIR/<name>.csv` when the `FF_CSV_DIR`
-/// environment variable is set; otherwise does nothing. Returns the path
-/// written, if any.
-pub fn write_if_configured(name: &str, content: &str) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("FF_CSV_DIR")?;
-    let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-    match std::fs::write(&path, content) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: could not write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,21 +20,12 @@ mod tests {
     use ff_workloads::Scale;
 
     #[test]
-    fn csv_outputs_have_headers_and_rows() {
+    fn csv_output_has_header_and_rows() {
         let mut s = Suite::new(Scale::Test);
-        let f6 = figures::figure6(&mut s);
-        let csv6 = figure6(&f6);
-        assert!(csv6.starts_with("bench,model,"));
-        assert_eq!(csv6.lines().count(), 1 + 12 * 3);
         let f8 = figures::figure8(&mut s);
         let csv8 = figure8(&f8);
+        assert!(csv8.starts_with("bench,pct_without_regrouping,"));
         assert_eq!(csv8.lines().count(), 13);
         assert!(csv8.contains("mcf,"));
-    }
-
-    #[test]
-    fn write_is_noop_without_env() {
-        std::env::remove_var("FF_CSV_DIR");
-        assert!(write_if_configured("x", "a,b\n").is_none());
     }
 }

@@ -1,15 +1,16 @@
 //! Experiment harness reproducing every table and figure of the paper.
 //!
-//! | Paper artifact | Function | Bench target |
+//! | Paper artifact | Function | `results/` file |
 //! |---|---|---|
-//! | Table 1 (power ratios) | [`table1_experiment`] | `table1_power` |
-//! | Table 2 (machine config) | [`table2`] | `table2_config` |
-//! | Figure 6 (cycle breakdown, base/MP/OOO) | [`figure6`] | `figure6_cycles` |
-//! | Figure 7 (cache-hierarchy sweep) | [`figure7`] | `figure7_hierarchies` |
-//! | Figure 8 (regrouping/restart ablation) | [`figure8`] | `figure8_ablation` |
-//! | §5.2 realistic OOO comparison | [`realistic_ooo`] | `realistic_ooo` |
-//! | §5.4 Dundas–Mudge comparison | [`runahead_compare`] | `runahead_compare` |
+//! | Table 1 (power ratios) | [`table1_experiment`] | `table1_power.txt` |
+//! | Table 2 (machine config) | [`table2`] | `table2_config.txt` |
+//! | Figure 6 (cycle breakdown, base/MP/OOO) | [`figure6`] | `figure6_cycles.txt` |
+//! | Figure 7 (cache-hierarchy sweep) | [`figure7`] | `figure7_hierarchies.txt` |
+//! | Figure 8 (regrouping/restart ablation) | [`figure8`] | `figure8_ablation.txt`, `.csv` |
+//! | §5.2 realistic OOO comparison | [`realistic_ooo`] | `realistic_ooo.txt` |
+//! | §5.4 Dundas–Mudge comparison | [`runahead_compare`] | `runahead_compare.txt` |
 //!
+//! `ff-campaign run --all` renders every results file.
 //! All experiments run through a memoizing [`Suite`] so shared baselines
 //! are simulated once.
 

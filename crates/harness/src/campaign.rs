@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ff_engine::{NullProbe, RetireRing, TickMode};
+use ff_engine::{NullProbe, RetireRing};
 use ff_experiments::{reports, HierKind, ModelKind, Suite};
 use ff_workloads::{Scale, Workload};
 
@@ -150,10 +150,6 @@ pub struct ExecOptions {
     /// Run every simulation under the full `ff-sentinel` invariant
     /// checker set; a violation fails the job as `invariant-violation`.
     pub sentinels: bool,
-    /// How models advance simulated time. Both modes produce
-    /// byte-identical artifacts; polling exists as the reference
-    /// semantics for cross-checking the event-driven fast path.
-    pub tick: TickMode,
 }
 
 /// Options for one campaign run.
@@ -181,10 +177,6 @@ pub struct CampaignOptions {
     /// Skip jobs that failed this many consecutive prior runs
     /// (`--quarantine-after N`). `None` disables the ledger entirely.
     pub quarantine_after: Option<u32>,
-    /// How models advance simulated time (`--tick`). Both modes produce
-    /// byte-identical artifacts; polling exists as the reference
-    /// semantics for cross-checking the event-driven fast path.
-    pub tick: TickMode,
     /// Test-only fault injection.
     pub inject: Option<FailureInjection>,
 }
@@ -202,14 +194,13 @@ impl CampaignOptions {
             progress: false,
             sentinels: false,
             quarantine_after: None,
-            tick: TickMode::default(),
             inject: None,
         }
     }
 
     /// The execution-affecting subset of these options.
     pub fn exec(&self) -> ExecOptions {
-        ExecOptions { cycle_budget: self.cycle_budget, sentinels: self.sentinels, tick: self.tick }
+        ExecOptions { cycle_budget: self.cycle_budget, sentinels: self.sentinels }
     }
 }
 
@@ -381,7 +372,6 @@ fn compute_artifact(
                 case = case.with_cycle_budget(budget);
             }
             let mut m = Suite::build_model(*model, *hier);
-            m.set_tick_mode(exec.tick);
             let outcome = if exec.sentinels {
                 let report = ff_sentinel::check_model_hooked(m.as_mut(), &case, &mut debris.ring);
                 if !report.violations.is_empty() {

@@ -15,7 +15,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ff_engine::TickMode;
 use ff_experiments::{HierKind, ModelKind, UnknownBenchmark};
 use ff_harness::{
     artifact::{parse_sim_artifact, spec_from_artifact},
@@ -64,10 +63,6 @@ OPTIONS:
     --cycle-budget N      per-job watchdog: abort a simulation after N cycles
     --sentinels           run every simulation under the ff-sentinel invariant
                           checkers; a violation fails the job
-    --tick polling|event  how models advance simulated time (default: event).
-                          Both modes produce byte-identical artifacts; polling
-                          is the reference semantics for cross-checking the
-                          event-driven fast path
     --quarantine-after N  skip jobs that failed N consecutive prior runs
                           (ledger: <out>/quarantine.json; --force bypasses)
     --out DIR             artifact directory (default: results/campaign/<scale>)
@@ -96,7 +91,6 @@ struct Cli {
     retries: u32,
     cycle_budget: Option<u64>,
     sentinels: bool,
-    tick: TickMode,
     quarantine_after: Option<u32>,
     out: Option<PathBuf>,
     results: PathBuf,
@@ -160,7 +154,6 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
         retries: 0,
         cycle_budget: None,
         sentinels: false,
-        tick: TickMode::default(),
         quarantine_after: None,
         out: None,
         results: PathBuf::from("results"),
@@ -204,14 +197,6 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
                     Some(v.parse().map_err(|_| usage_err(&format!("bad --cycle-budget `{v}`")))?);
             }
             "--sentinels" => cli.sentinels = true,
-            "--tick" => {
-                let v = value("--tick")?;
-                cli.tick = match v.as_str() {
-                    "polling" => TickMode::Polling,
-                    "event" => TickMode::EventDriven,
-                    _ => return Err(usage_err(&format!("bad --tick `{v}` (want polling|event)"))),
-                };
-            }
             "--quarantine-after" => {
                 let v = value("--quarantine-after")?;
                 cli.quarantine_after = Some(
@@ -588,7 +573,6 @@ fn cmd_run(cli: &Cli) -> ExitCode {
     opts.force = cli.force;
     opts.progress = !cli.quiet;
     opts.sentinels = cli.sentinels;
-    opts.tick = cli.tick;
     opts.quarantine_after = cli.quarantine_after;
     if !cli.quiet {
         eprintln!(

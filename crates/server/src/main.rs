@@ -11,7 +11,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use ff_engine::TickMode;
 use ff_harness::campaign::ExecOptions;
 use ff_server::{SchedulerOptions, Server};
 
@@ -29,7 +28,6 @@ OPTIONS:
     --retries N           extra attempts per failed job (default 0)
     --cycle-budget N      per-job watchdog: fail a simulation after N cycles
     --sentinels           run simulations under the invariant checker set
-    --tick MODE           polling | event (default event)
     --quarantine-after N  skip configs with N consecutive recorded failures
     --port-file PATH      write the bound port to PATH once listening
                           (for scripts using --addr with port 0)
@@ -43,7 +41,6 @@ struct Cli {
     retries: u32,
     cycle_budget: Option<u64>,
     sentinels: bool,
-    tick: TickMode,
     quarantine_after: Option<u32>,
     port_file: Option<String>,
 }
@@ -56,7 +53,6 @@ fn parse_args() -> Result<Cli, String> {
         retries: 0,
         cycle_budget: None,
         sentinels: false,
-        tick: TickMode::default(),
         quarantine_after: None,
         port_file: None,
     };
@@ -81,13 +77,6 @@ fn parse_args() -> Result<Cli, String> {
                 );
             }
             "--sentinels" => cli.sentinels = true,
-            "--tick" => {
-                cli.tick = match value("--tick")?.as_str() {
-                    "polling" => TickMode::Polling,
-                    "event" => TickMode::EventDriven,
-                    other => return Err(format!("unknown tick mode `{other}`")),
-                };
-            }
             "--quarantine-after" => {
                 cli.quarantine_after = Some(
                     value("--quarantine-after")?
@@ -146,11 +135,7 @@ fn main() -> ExitCode {
             .jobs
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         attempts: cli.retries + 1,
-        exec: ExecOptions {
-            cycle_budget: cli.cycle_budget,
-            sentinels: cli.sentinels,
-            tick: cli.tick,
-        },
+        exec: ExecOptions { cycle_budget: cli.cycle_budget, sentinels: cli.sentinels },
         quarantine_after: cli.quarantine_after,
     };
     let workers = opts.workers;

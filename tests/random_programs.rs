@@ -221,6 +221,30 @@ proptest! {
         prop_assert!(failures.is_empty(), "unrolled: {}", failures.join("\n"));
     }
 
+    /// Runahead leaves the in-order pipeline only on a load-use stall, so on
+    /// load-free programs it is the in-order model cycle for cycle: a
+    /// timing oracle for the in-order stage both models share.
+    #[test]
+    fn runahead_matches_inorder_without_loads(
+        body in proptest::collection::vec(
+            arb_body_inst().prop_filter("no loads", |b| !matches!(b, BodyInst::Load { .. })),
+            1..14,
+        ),
+        trips in 1u8..12,
+    ) {
+        let raw = build_program(&body, trips);
+        let compiled = compile(&raw, &CompilerOptions::default());
+        let machine = MachineConfig::itanium2_base();
+        for program in [&raw, &compiled] {
+            let case = SimCase::new(program, initial_memory());
+            let base = InOrder::new(machine).try_run(&case).unwrap();
+            let ra = Runahead::new(machine).try_run(&case).unwrap();
+            prop_assert_eq!(ra.stats.spec_mode_entries, 0);
+            prop_assert_eq!(&ra.stats, &base.stats);
+            prop_assert_eq!(&ra.mem_stats, &base.mem_stats);
+        }
+    }
+
     /// The assembler round-trips every program the generator can produce.
     #[test]
     fn assembly_round_trips(

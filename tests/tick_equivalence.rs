@@ -99,16 +99,26 @@ fn event_driven_matches_polling_on_every_grid_point() {
     }
 }
 
+/// FNV-1a digest of the 84 polled grid artifacts (every `ModelKind` x
+/// every test-scale kernel, base hierarchy, seed 0), concatenated in grid
+/// order. Update it only in a change that alters an artifact byte on
+/// purpose, and say so in that change's description: a refactor that
+/// moves this value has changed what the simulator computes.
+const GRID_ARTIFACT_DIGEST: u64 = 0xdd01_225f_2ce5_87bd;
+
 /// The campaign artifact for a grid point must not depend on the tick
 /// mode: artifacts are content-addressed and compared byte-for-byte by
 /// resume and by cross-run diffing. Every kernel × every model — the
 /// artifact layer deliberately excludes the simulator's
 /// self-instrumentation counters, so this also pins the store format
-/// against instrumentation changes.
+/// against instrumentation changes. The polled artifacts are also pinned
+/// across commits by [`GRID_ARTIFACT_DIGEST`].
 #[test]
 fn artifacts_are_byte_identical_across_tick_modes() {
     use flea_flicker::experiments::{HierKind, ModelKind};
+    use flea_flicker::harness::job::fnv1a64;
     let machine = MachineConfig::itanium2_base();
+    let mut grid = String::new();
     for w in Workload::all(Scale::Test) {
         let case = SimCase::new(&w.program, w.mem.clone());
         for model_kind in ModelKind::ALL {
@@ -127,8 +137,14 @@ fn artifacts_are_byte_identical_across_tick_modes() {
                 model_kind.name(),
                 w.name
             );
+            grid.push_str(&polled);
         }
     }
+    let digest = fnv1a64(grid.as_bytes());
+    assert_eq!(
+        digest, GRID_ARTIFACT_DIGEST,
+        "grid artifact digest moved: {digest:#018x} (see GRID_ARTIFACT_DIGEST)"
+    );
 }
 
 /// The "zero heap allocation per instruction in steady state" invariant
