@@ -615,17 +615,29 @@ impl ExecutionModel for OutOfOrder {
             now += 1;
 
             // Event-driven fast-forward: skip ahead while every pipeline
-            // section is provably idle — fetch blocked or drained, dispatch
-            // capacity-blocked, no window entry's dependences visible, no
-            // retirement or queue release due. The wake set collects every
-            // cycle at which any of those facts can change; attribution is
-            // constant inside the window and bulk-charged.
+            // section is provably idle — fetch blocked, drained or facing a
+            // full decode pipe, dispatch capacity-blocked, no window entry's
+            // dependences visible, no retirement or queue release due. The
+            // wake set collects every cycle at which any of those facts can
+            // change; attribution is constant inside the window and
+            // bulk-charged.
             if self.tick == TickMode::EventDriven && !retired_halt {
                 'ff: {
+                    // Fetch facing a full decode pipe re-reads its line every
+                    // cycle and fetches nothing until dispatch drains the
+                    // pipe. With a 1-cycle L1I a hit leaves fetch unblocked,
+                    // so those re-reads are charged in bulk below.
+                    let mut refetch = None;
                     let mut wake = if trace.is_done() || waiting_branch.is_some() {
                         u64::MAX
                     } else if now < fetch_blocked_until {
                         fetch_blocked_until
+                    } else if win.end() - rob_tail >= cfg.inorder_buffer
+                        && cfg.hierarchy.l1i.latency <= 1
+                    {
+                        let Ok(Some((pc, _))) = trace.peek() else { break 'ff };
+                        refetch = Some(pc.fetch_address());
+                        u64::MAX
                     } else {
                         break 'ff; // fetch would access the I-cache: poll
                     };
@@ -684,6 +696,14 @@ impl ExecutionModel for OutOfOrder {
                     wake = wake.min(mem.next_mshr_fill(now)).min(cycle_cap);
                     if wake <= now {
                         break 'ff;
+                    }
+                    // Charge the skipped fetches, or poll if the first one
+                    // would miss the L1I or merge with a miss in flight: a
+                    // polled cycle would then block fetch.
+                    if let Some(addr) = refetch {
+                        if !mem.repeat_ifetch_hits(addr, now, wake - now) {
+                            break 'ff;
+                        }
                     }
                     // Attribution for an idle cycle, identical to the
                     // polled path with issued == 0.
@@ -982,6 +1002,77 @@ mod tests {
         let mut case = SimCase::new(&p, MemoryImage::new());
         case.max_insts = 1_000;
         let _ = OutOfOrder::new(MachineConfig::default()).try_run(&case);
+    }
+
+    /// Runs both OOO variants of `machine` on `p` in both tick modes and
+    /// asserts the fast-forwarded runs match the polled ones; returns the
+    /// polled idealized run.
+    fn assert_tick_modes_agree(
+        machine: MachineConfig,
+        p: &Program,
+        mem: &MemoryImage,
+    ) -> RunResult {
+        let case = SimCase::new(p, mem.clone());
+        let mut ideal = None;
+        for build in [OutOfOrder::new, OutOfOrder::realistic] {
+            let run = |tick| {
+                let mut model = build(machine);
+                model.set_tick_mode(tick);
+                model.try_run(&case).unwrap()
+            };
+            let (polled, event) = (run(TickMode::Polling), run(TickMode::EventDriven));
+            let name = build(machine).name();
+            assert_eq!(polled.stats, event.stats, "{name}");
+            assert_eq!(polled.activity, event.activity, "{name}");
+            assert_eq!(polled.mem_stats, event.mem_stats, "{name}");
+            ideal.get_or_insert(polled);
+        }
+        ideal.unwrap()
+    }
+
+    #[test]
+    fn decode_full_fetch_skip_matches_polling() {
+        // The dependent chase fills the ROB and then the decode pipe behind
+        // each miss; fetch then re-reads its resident line every cycle.
+        let (p, mem) = chase(64);
+        let r = assert_tick_modes_agree(MachineConfig::default(), &p, &mem);
+        // One fetch group per 5-instruction iteration would be ~64 fetches;
+        // the rest are decode-full re-reads the skip charges in bulk.
+        assert!(r.mem_stats.ifetches > 10 * r.stats.retired, "{:?}", r.mem_stats);
+    }
+
+    #[test]
+    fn decode_full_fetch_skip_declines_on_an_icache_miss() {
+        // A chase whose loop body (5 blocks x 240 instructions) overflows
+        // the 16 KiB L1I. A 32-entry ROB fills behind each load miss, then
+        // the decode pipe; the fetch line it then faces is often evicted,
+        // and the skip must poll that miss instead of charging a hit.
+        let mut p = Program::new();
+        let b0 = p.add_block();
+        let body: Vec<_> = (0..5).map(|_| p.add_block()).collect();
+        let tail = p.add_block();
+        let done = p.add_block();
+        p.push(b0, Inst::new(Op::MovImm).dst(Reg::int(1)).imm(0x1_0000).stop());
+        p.push(body[0], Inst::new(Op::Load).dst(Reg::int(1)).src(Reg::int(1)).stop());
+        for &b in &body {
+            for k in p.block(b).unwrap().len()..240 {
+                let r = Reg::int(10 + (k % 12) as u8);
+                p.push(b, Inst::new(Op::AddImm).dst(r).src(r).imm(1).stop());
+            }
+        }
+        p.push(tail, Inst::new(Op::CmpNe).dst(Reg::pred(1)).src(Reg::int(1)).src(Reg::int(0)));
+        p.push(tail, Inst::new(Op::Br { target: body[0] }).qp(Reg::pred(1)).stop());
+        p.push(done, Inst::new(Op::Halt).stop());
+        let mut mem = MemoryImage::new();
+        for i in 0..8u64 {
+            let next = if i == 7 { 0 } else { 0x1_0000 + (i + 1) * 64 * 1024 };
+            mem.store(0x1_0000 + i * 64 * 1024, next);
+        }
+        let machine = MachineConfig { ooo_rob: 32, ..MachineConfig::default() };
+        let r = assert_tick_modes_agree(machine, &p, &mem);
+        // Each of the 8 trips re-misses the L1I on most of the body's 200
+        // six-instruction fetch groups.
+        assert!(r.mem_stats.l1i_misses > 8 * 100, "{:?}", r.mem_stats);
     }
 
     #[test]

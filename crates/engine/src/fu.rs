@@ -45,6 +45,7 @@ impl FuPool {
 
     /// Resets the per-cycle slot budgets for cycle `now`. FP ports occupied
     /// by an unpipelined op remain unavailable.
+    #[inline]
     pub fn new_cycle(&mut self, now: u64) {
         self.mem_free = self.mem_ports;
         self.int_free = self.int_ports;
@@ -56,6 +57,7 @@ impl FuPool {
     /// Attempts to reserve a slot for `inst` issuing at cycle `now`.
     /// Returns whether the reservation succeeded. Unpipelined ops mark one
     /// FP unit busy until `now + latency`.
+    #[inline]
     pub fn try_issue(&mut self, inst: &Inst, now: u64) -> bool {
         if self.width_free == 0 {
             return false;
@@ -94,6 +96,7 @@ impl FuPool {
     /// before any issue has consumed a budget. Non-mutating; used by the
     /// event-driven tick to prove a head-of-queue instruction is blocked
     /// purely on an occupied unpipelined FP unit.
+    #[inline]
     pub fn can_issue_fresh(&self, inst: &Inst, now: u64) -> bool {
         if self.width == 0 {
             return false;
@@ -109,11 +112,13 @@ impl FuPool {
     /// The earliest cycle after `now` at which an occupied unpipelined FP
     /// unit frees, or `u64::MAX` when none is in flight — a wake point for
     /// the event-driven tick.
+    #[inline]
     pub fn next_fp_release(&self, now: u64) -> u64 {
         self.fp_busy_until.iter().copied().filter(|&b| b > now).min().unwrap_or(u64::MAX)
     }
 }
 
+#[inline]
 fn take(slot: &mut u32) -> bool {
     if *slot > 0 {
         *slot -= 1;

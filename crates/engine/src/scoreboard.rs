@@ -56,11 +56,13 @@ impl Scoreboard {
     }
 
     /// Whether `reg` is ready at cycle `now`.
+    #[inline]
     pub fn ready(&self, reg: Reg, now: u64) -> bool {
         reg.is_hardwired() || self.ready_at[reg.flat_index()] <= now
     }
 
     /// The cycle at which `reg` becomes ready.
+    #[inline]
     pub fn ready_cycle(&self, reg: Reg) -> u64 {
         if reg.is_hardwired() {
             0
@@ -71,6 +73,7 @@ impl Scoreboard {
 
     /// Marks `reg` as written by an operation whose result is available at
     /// `ready_at`.
+    #[inline]
     pub fn set_pending(&mut self, reg: Reg, ready_at: u64, kind: PendingKind) {
         if reg.is_hardwired() {
             return;
@@ -82,6 +85,7 @@ impl Scoreboard {
 
     /// The cause of `reg`'s outstanding write at `now`, or
     /// [`PendingKind::None`] when ready.
+    #[inline]
     pub fn pending_kind(&self, reg: Reg, now: u64) -> PendingKind {
         if self.ready(reg, now) {
             PendingKind::None
@@ -109,6 +113,7 @@ impl Scoreboard {
 ///
 /// `RESTART` is an architectural no-op and never interlocks here; only the
 /// multipass advance pipeline gives it meaning.
+#[inline]
 pub fn operand_stall(inst: &Inst, sb: &Scoreboard, now: u64) -> Option<StallKind> {
     if matches!(inst.op(), Op::Restart) {
         return None;
@@ -138,6 +143,7 @@ pub fn operand_stall(inst: &Inst, sb: &Scoreboard, now: u64) -> Option<StallKind
 /// past `now`. The event-driven tick uses this as a conservative wake
 /// point: the *kind* of stall may differ once the earliest operand
 /// readies, so the window must be re-evaluated there, not at the max.
+#[inline]
 pub fn operand_wake(inst: &Inst, sb: &Scoreboard, now: u64) -> Option<u64> {
     if matches!(inst.op(), Op::Restart) {
         return None;

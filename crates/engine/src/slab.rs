@@ -224,21 +224,25 @@ impl<T> InFlightIndex<T> {
     }
 
     /// Number of live entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no entry is live.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// One past the highest live seq ever inserted (squash clamps it).
+    #[inline]
     pub fn tail(&self) -> u64 {
         self.tail
     }
 
     /// Seq below which no live entry exists.
+    #[inline]
     pub fn floor(&self) -> u64 {
         self.floor
     }
@@ -249,11 +253,13 @@ impl<T> InFlightIndex<T> {
         self.alloc_events
     }
 
+    #[inline]
     fn idx(&self, seq: u64) -> usize {
         (seq & self.mask) as usize
     }
 
     /// The entry for `seq`, if live.
+    #[inline]
     pub fn get(&self, seq: u64) -> Option<&T> {
         match &self.slots[self.idx(seq)] {
             Some((s, v)) if *s == seq => Some(v),
@@ -262,6 +268,7 @@ impl<T> InFlightIndex<T> {
     }
 
     /// Mutable access to the entry for `seq`, if live.
+    #[inline]
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
         let i = self.idx(seq);
         match &mut self.slots[i] {
@@ -295,6 +302,7 @@ impl<T> InFlightIndex<T> {
     }
 
     /// The entry for `seq`, inserted as `T::default()` when absent.
+    #[inline]
     pub fn get_or_default(&mut self, seq: u64) -> &mut T
     where
         T: Default,
@@ -332,6 +340,7 @@ impl<T> InFlightIndex<T> {
     /// Empty slots above the floor are *not* skipped: a sparse seq with no
     /// entry today may still gain one (advance-mode passes revisit older
     /// seqs), so only an explicit head removal may raise the bound.
+    #[inline]
     pub fn remove(&mut self, seq: u64) -> Option<T> {
         let i = self.idx(seq);
         let out = match &self.slots[i] {

@@ -31,6 +31,7 @@ pub struct DepList {
 
 impl DepList {
     /// Inserts `seq`, keeping the list sorted and duplicate-free.
+    #[inline]
     fn insert(&mut self, seq: u64) {
         let len = self.len as usize;
         let at = match self.seqs[..len].binary_search(&seq) {
@@ -46,6 +47,7 @@ impl DepList {
 impl Deref for DepList {
     type Target = [u64];
 
+    #[inline]
     fn deref(&self) -> &[u64] {
         &self.seqs[..self.len as usize]
     }
@@ -144,6 +146,7 @@ impl<'p> TraceStream<'p> {
     }
 
     /// Whether the `Halt` has been produced (the stream is exhausted).
+    #[inline]
     pub fn is_done(&self) -> bool {
         self.halted
     }
@@ -156,6 +159,7 @@ impl<'p> TraceStream<'p> {
     /// [`TraceError::OutOfFuel`] once `max_insts` instructions have been
     /// produced without a `Halt`, [`TraceError::InvalidControl`] if control
     /// left the program.
+    #[inline]
     pub fn peek(&self) -> Result<Option<(Pc, &'p Inst)>, TraceError> {
         if self.halted {
             return Ok(None);
@@ -259,6 +263,7 @@ impl<'p> TraceStream<'p> {
 impl<'p> Iterator for TraceStream<'p> {
     type Item = Result<TraceInst<'p>, TraceError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         match self.peek() {
             Ok(Some((pc, inst))) => Some(Ok(self.step(pc, inst))),

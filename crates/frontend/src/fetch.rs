@@ -41,6 +41,7 @@ pub struct FetchedInst {
 
 impl FetchedInst {
     /// Whether this entry is a conditional branch that consulted gshare.
+    #[inline]
     pub fn used_predictor(&self) -> bool {
         matches!(self.op, Op::Br { .. }) && self.predicated
     }
@@ -200,6 +201,7 @@ impl FetchUnit {
     }
 
     /// The entry with sequence number `seq`, if it is currently buffered.
+    #[inline]
     pub fn get(&self, seq: u64) -> Option<&FetchedInst> {
         if seq < self.head_seq {
             return None;
@@ -208,37 +210,44 @@ impl FetchUnit {
     }
 
     /// Sequence number of the oldest buffered instruction.
+    #[inline]
     pub fn head_seq(&self) -> u64 {
         self.head_seq
     }
 
     /// Sequence number the next fetched instruction will receive.
+    #[inline]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Number of buffered instructions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buffer.len()
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buffer.is_empty()
     }
 
     /// Whether the buffer is full (fetch is stalling on backpressure).
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.buffer.len() >= self.capacity
     }
 
     /// Whether a `Halt` has been fetched (fetch has stopped).
+    #[inline]
     pub fn halted(&self) -> bool {
         self.fetched_halt
     }
 
     /// Whether fetch is currently blocked (I-miss, redirect, or flush
     /// penalty) at cycle `now`.
+    #[inline]
     pub fn blocked_at(&self, now: u64) -> bool {
         now < self.blocked_until
     }
@@ -254,6 +263,7 @@ impl FetchUnit {
     /// full buffer reports `u64::MAX` even while an I-miss is pending,
     /// because within a quiescent window nothing pops the buffer; the
     /// first pop ends the window and re-polls.
+    #[inline]
     pub fn quiescent_until(&self, now: u64) -> Option<u64> {
         if self.fetched_halt || self.fetch_pc.is_none() || self.buffer.len() >= self.capacity {
             return Some(u64::MAX);
@@ -265,6 +275,7 @@ impl FetchUnit {
     }
 
     /// Pops the oldest instruction (architectural consumption).
+    #[inline]
     pub fn pop_front(&mut self) -> Option<FetchedInst> {
         let e = self.buffer.pop_front();
         if e.is_some() {
@@ -298,7 +309,9 @@ impl FetchUnit {
         // next_seq may have been reduced; keep monotonicity with head.
         debug_assert!(self.next_seq >= self.head_seq);
         self.fetch_pc = new_pc;
-        self.fetched_halt = self.buffer.iter().any(|f| matches!(f.op, Op::Halt));
+        // Fetching a `Halt` stops fetch until a flush squashes it, so a
+        // buffered `Halt` is always the youngest entry.
+        self.fetched_halt = self.buffer.back().is_some_and(|f| matches!(f.op, Op::Halt));
         self.blocked_until = self.blocked_until.max(resume_at);
         self.predictor.repair(snapshot, actual_taken);
     }
@@ -519,14 +532,29 @@ mod tests {
     }
 
     #[test]
-    fn flush_preserving_halt_keeps_halted_flag() {
+    fn flush_keeps_fetch_halted_only_while_the_halt_is_buffered() {
         let p = straightline(2); // 2 adds + halt = seqs 0,1,2
         let (mut f, mut m) = unit(&p, 64);
         fill(&mut f, &p, &mut m, 3, 1_000);
         assert!(f.halted());
-        f.flush_after(2, None, 50, 0, false);
+        let halt_pc = f.get(2).unwrap().pc;
+        let tick_until = |f: &mut FetchUnit, m: &mut MemorySystem, end: u64| {
+            for now in 0..end {
+                f.tick(&p, m, now);
+            }
+        };
+        // A flush that keeps the halt leaves fetch stopped.
+        f.flush_after(2, Some(Pc::ENTRY), 50, 0, false);
         assert!(f.halted(), "halt is still buffered");
-        f.flush_after(1, Some(Pc::ENTRY), 60, 0, false);
+        tick_until(&mut f, &mut m, 100);
+        assert_eq!((f.len(), f.next_seq()), (3, 3));
+        // A flush that squashes it resumes fetch at the redirect.
+        f.flush_after(1, Some(halt_pc), 150, 0, false);
         assert!(!f.halted(), "halt was squashed");
+        assert_eq!(f.len(), 2);
+        tick_until(&mut f, &mut m, 200);
+        assert_eq!(f.len(), 3, "fetch resumed and refetched the halt");
+        assert_eq!(f.get(2).unwrap().pc, halt_pc);
+        assert!(f.halted());
     }
 }

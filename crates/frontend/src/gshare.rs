@@ -47,6 +47,7 @@ impl Gshare {
         Gshare { table: vec![1; entries], history: 0, predictions: 0, mispredict_trainings: 0 }
     }
 
+    #[inline]
     fn index(&self, pc: Pc, history: u16) -> usize {
         let pc_bits = (pc.fetch_address() >> 4) as usize;
         (pc_bits ^ (history as usize & ((1 << HISTORY_BITS) - 1))) & (self.table.len() - 1)
@@ -56,6 +57,7 @@ impl Gshare {
     /// history snapshot to be carried with the branch for later
     /// [`Gshare::update`]/[`Gshare::repair`]. The global history is updated
     /// speculatively with the prediction.
+    #[inline]
     pub fn predict(&mut self, pc: Pc) -> (bool, u16) {
         let snapshot = self.history;
         let taken = self.table[self.index(pc, snapshot)] >= 2;
@@ -69,6 +71,7 @@ impl Gshare {
     /// correctly predicted or not. Multipass also calls this from advance
     /// mode when a branch preexecutes with valid operands — the mechanism
     /// behind the paper's twolf front-end improvement.
+    #[inline]
     pub fn update(&mut self, pc: Pc, snapshot: u16, taken: bool) {
         let idx = self.index(pc, snapshot);
         let c = &mut self.table[idx];
@@ -81,6 +84,7 @@ impl Gshare {
 
     /// Repairs the global history after a mispredict: restores the
     /// pre-branch `snapshot` and shifts in the actual outcome.
+    #[inline]
     pub fn repair(&mut self, snapshot: u16, taken: bool) {
         self.history = shift_in(snapshot, taken);
         self.mispredict_trainings += 1;
@@ -97,11 +101,13 @@ impl Gshare {
     }
 
     /// The current (speculative) global history register.
+    #[inline]
     pub fn history(&self) -> u16 {
         self.history
     }
 }
 
+#[inline]
 fn shift_in(history: u16, taken: bool) -> u16 {
     ((history << 1) | taken as u16) & ((1 << HISTORY_BITS) - 1)
 }

@@ -18,6 +18,7 @@ use crate::op::Op;
 ///
 /// Panics if called with a load, store, branch, halt, restart, or nop — those
 /// have no ALU result and must be handled by the caller.
+#[inline]
 pub fn alu(op: &Op, a: u64, b: u64, imm: i64) -> u64 {
     match op {
         Op::Add => a.wrapping_add(b),
@@ -59,12 +60,14 @@ pub fn alu(op: &Op, a: u64, b: u64, imm: i64) -> u64 {
 }
 
 /// Effective byte address of a load or store: `base + imm`.
+#[inline]
 pub fn effective_address(base: u64, imm: i64) -> u64 {
     base.wrapping_add(imm as u64)
 }
 
 /// Whether a branch with qualifying-predicate value `qp` is taken.
 /// (Branches in this ISA are pure predicated jumps: taken iff qualified.)
+#[inline]
 pub fn branch_taken(qp: bool) -> bool {
     qp
 }

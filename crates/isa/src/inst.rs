@@ -146,47 +146,56 @@ impl Inst {
     }
 
     /// The operation.
+    #[inline]
     pub fn op(&self) -> &Op {
         &self.op
     }
 
     /// The qualifying predicate register (`p0` when unconditional).
+    #[inline]
     pub fn qp_reg(&self) -> Reg {
         self.qp
     }
 
     /// Whether the instruction is guarded by a non-trivial predicate.
+    #[inline]
     pub fn is_predicated(&self) -> bool {
         self.qp != P0
     }
 
     /// The destination register, if any.
+    #[inline]
     pub fn dst_reg(&self) -> Option<Reg> {
         self.dst
     }
 
     /// Iterates over the register sources in operand order.
+    #[inline]
     pub fn srcs(&self) -> impl Iterator<Item = Reg> + '_ {
         self.srcs.iter().flatten().copied()
     }
 
     /// The `n`-th source register, if present.
+    #[inline]
     pub fn src_n(&self, n: usize) -> Option<Reg> {
         self.srcs.get(n).copied().flatten()
     }
 
     /// The immediate operand.
+    #[inline]
     pub fn imm_val(&self) -> i64 {
         self.imm
     }
 
     /// Whether this instruction ends its compiler issue group.
+    #[inline]
     pub fn ends_group(&self) -> bool {
         self.stop
     }
 
     /// All registers read at run time: the qualifying predicate (when
     /// non-trivial) plus the named sources.
+    #[inline]
     pub fn reads(&self) -> impl Iterator<Item = Reg> + '_ {
         let qp = if self.is_predicated() { Some(self.qp) } else { None };
         qp.into_iter().chain(self.srcs())
@@ -194,6 +203,7 @@ impl Inst {
 
     /// Registers written, excluding hardwired destinations (which writes
     /// silently drop).
+    #[inline]
     pub fn writes(&self) -> Option<Reg> {
         self.dst.filter(|d| !d.is_hardwired())
     }

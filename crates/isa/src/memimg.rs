@@ -84,6 +84,7 @@ pub struct MemoryImage {
 }
 
 /// Splits a byte address into its page number and word slot in the page.
+#[inline]
 fn locate(addr: u64) -> (u64, usize) {
     (addr >> PAGE_SHIFT, (addr / WORD_BYTES) as usize % PAGE_WORDS)
 }
@@ -95,12 +96,14 @@ impl MemoryImage {
     }
 
     /// Rounds a byte address down to its containing word address.
+    #[inline]
     pub fn word_addr(addr: u64) -> u64 {
         addr & !(WORD_BYTES - 1)
     }
 
     /// Loads the 64-bit word containing byte address `addr`. Unwritten
     /// locations read as zero.
+    #[inline]
     pub fn load(&self, addr: u64) -> u64 {
         let (page, slot) = locate(addr);
         self.pages.get(&page).map_or(0, |p| p.words[slot])
@@ -108,6 +111,7 @@ impl MemoryImage {
 
     /// Stores a 64-bit word at the word containing byte address `addr`,
     /// returning the previous value.
+    #[inline]
     pub fn store(&mut self, addr: u64, value: u64) -> u64 {
         let (page, slot) = locate(addr);
         let p = self.pages.entry(page).or_insert_with(Page::zeroed);

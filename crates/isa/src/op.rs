@@ -100,6 +100,7 @@ pub enum Op {
 
 impl Op {
     /// The functional-unit class this operation issues to.
+    #[inline]
     pub fn fu_class(&self) -> FuClass {
         match self {
             Op::Add
@@ -124,6 +125,7 @@ impl Op {
 
     /// Whether the op is "A-type": an ALU operation that may issue on either
     /// an M or an I port (Itanium 2 convention).
+    #[inline]
     pub fn is_a_type(&self) -> bool {
         matches!(
             self,
@@ -142,6 +144,7 @@ impl Op {
     /// Static execution latency in cycles, *excluding* memory-hierarchy time
     /// for loads (a load's total latency is this value for an L1 hit; misses
     /// add hierarchy latency from `ff-mem`).
+    #[inline]
     pub fn latency(&self) -> u32 {
         match self {
             Op::Mul => 5,
@@ -154,27 +157,32 @@ impl Op {
 
     /// Whether the op occupies its functional unit for its whole latency
     /// (unpipelined). True only for divides, mirroring iterative dividers.
+    #[inline]
     pub fn is_unpipelined(&self) -> bool {
         matches!(self, Op::Div | Op::FDiv)
     }
 
     /// Whether this op reads memory.
+    #[inline]
     pub fn is_load(&self) -> bool {
         matches!(self, Op::Load | Op::LoadFp)
     }
 
     /// Whether this op writes memory.
+    #[inline]
     pub fn is_store(&self) -> bool {
         matches!(self, Op::Store)
     }
 
     /// Whether this op is a control transfer (branch or halt).
+    #[inline]
     pub fn is_branch(&self) -> bool {
         matches!(self, Op::Br { .. } | Op::Halt)
     }
 
     /// Whether the op has non-unit latency (a "multi-cycle" op for the
     /// purposes of Figure 6's *other* stall category).
+    #[inline]
     pub fn is_multicycle(&self) -> bool {
         self.latency() > 1
     }

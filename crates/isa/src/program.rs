@@ -34,6 +34,7 @@ impl Pc {
     pub const ENTRY: Pc = Pc { block: BlockId(0), index: 0 };
 
     /// Creates a program counter.
+    #[inline]
     pub fn new(block: BlockId, index: u32) -> Self {
         Pc { block, index }
     }
@@ -42,6 +43,7 @@ impl Pc {
     /// cache and branch predictor. Blocks are laid out at 4 KiB strides with
     /// 16 bytes per instruction (an EPIC bundle-third is ~5.3 bytes; we round
     /// up so three instructions occupy one 48-byte bundle-pair region).
+    #[inline]
     pub fn fetch_address(&self) -> u64 {
         ((self.block.0 as u64) << 12) | ((self.index as u64) * 16)
     }
@@ -129,6 +131,7 @@ impl Program {
     }
 
     /// The instructions of a block, or `None` if the block does not exist.
+    #[inline]
     pub fn block(&self, id: BlockId) -> Option<&[Inst]> {
         self.blocks.get(id.0 as usize).map(Vec::as_slice)
     }
@@ -140,6 +143,7 @@ impl Program {
     }
 
     /// The instruction at `pc`, or `None` when `pc` is out of range.
+    #[inline]
     pub fn inst(&self, pc: Pc) -> Option<&Inst> {
         self.block(pc.block)?.get(pc.index as usize)
     }
@@ -147,6 +151,7 @@ impl Program {
     /// The pc following `pc` in straight-line order: the next instruction in
     /// the block, or the first instruction of the next non-empty block.
     /// Returns `None` past the end of the program.
+    #[inline]
     pub fn next_pc(&self, pc: Pc) -> Option<Pc> {
         let block = self.block(pc.block)?;
         if (pc.index as usize + 1) < block.len() {
@@ -157,6 +162,7 @@ impl Program {
 
     /// The first instruction at or after the start of `block`, skipping
     /// empty blocks. `None` past the end of the program.
+    #[inline]
     pub fn first_pc_from(&self, block: BlockId) -> Option<Pc> {
         let mut b = block.0 as usize;
         while b < self.blocks.len() {

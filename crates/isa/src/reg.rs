@@ -61,6 +61,7 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `index >= NUM_INT_REGS`.
+    #[inline]
     pub fn int(index: u8) -> Self {
         assert!((index as usize) < NUM_INT_REGS, "integer register index {index} out of range");
         Reg { class: RegClass::Int, index }
@@ -71,6 +72,7 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `index >= NUM_FP_REGS`.
+    #[inline]
     pub fn fp(index: u8) -> Self {
         assert!((index as usize) < NUM_FP_REGS, "fp register index {index} out of range");
         Reg { class: RegClass::Fp, index }
@@ -81,23 +83,27 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `index >= NUM_PRED_REGS`.
+    #[inline]
     pub fn pred(index: u8) -> Self {
         assert!((index as usize) < NUM_PRED_REGS, "predicate register index {index} out of range");
         Reg { class: RegClass::Pred, index }
     }
 
     /// The register's class.
+    #[inline]
     pub fn class(&self) -> RegClass {
         self.class
     }
 
     /// The register's index within its class's file.
+    #[inline]
     pub fn index(&self) -> u8 {
         self.index
     }
 
     /// Whether this register is a hardwired constant (`r0` = 0, `p0` = true).
     /// Writes to hardwired registers are ignored by all models.
+    #[inline]
     pub fn is_hardwired(&self) -> bool {
         self.index == 0 && matches!(self.class, RegClass::Int | RegClass::Pred)
     }
@@ -105,6 +111,7 @@ impl Reg {
     /// A dense index over all three register files, useful for flat
     /// scoreboard / A-bit vectors: integer registers occupy `0..128`,
     /// floating-point `128..256`, predicates `256..320`.
+    #[inline]
     pub fn flat_index(&self) -> usize {
         match self.class {
             RegClass::Int => self.index as usize,
@@ -121,6 +128,7 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `flat >= Reg::FLAT_COUNT`.
+    #[inline]
     pub fn from_flat_index(flat: usize) -> Self {
         if flat < NUM_INT_REGS {
             Reg::int(flat as u8)

@@ -48,6 +48,7 @@ impl ArchState {
     }
 
     /// Reads a register as a raw 64-bit value (predicates read as 0/1).
+    #[inline]
     pub fn read(&self, r: Reg) -> u64 {
         if r.is_hardwired() {
             return match r.class() {
@@ -64,6 +65,7 @@ impl ArchState {
 
     /// Writes a register (predicates store `value != 0`). Writes to
     /// hardwired registers are silently dropped.
+    #[inline]
     pub fn write(&mut self, r: Reg, value: u64) {
         if r.is_hardwired() {
             return;
@@ -76,16 +78,19 @@ impl ArchState {
     }
 
     /// Convenience: reads integer register `i`.
+    #[inline]
     pub fn int(&self, i: u8) -> u64 {
         self.read(Reg::int(i))
     }
 
     /// Convenience: reads floating-point register `i` as an `f64`.
+    #[inline]
     pub fn fp(&self, i: u8) -> f64 {
         f64::from_bits(self.read(Reg::fp(i)))
     }
 
     /// Convenience: reads predicate register `i` as a bool.
+    #[inline]
     pub fn pred(&self, i: u8) -> bool {
         self.read(Reg::pred(i)) != 0
     }

@@ -22,18 +22,34 @@ use crate::config::CacheConfig;
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per-set LRU stacks of line addresses, most-recently-used first.
-    sets: Vec<Vec<u64>>,
+    /// Per-set LRU stacks of line addresses, most-recently-used first, in
+    /// one flat array of `assoc` ways per set. A set's invalid ways are
+    /// [`EMPTY`] and sit behind its valid ones.
+    ways: Vec<u64>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    num_sets: u64,
     hits: u64,
     misses: u64,
 }
 
+/// An invalid way. Line addresses of lines of two or more bytes are even,
+/// so none equals it.
+const EMPTY: u64 = u64::MAX;
+
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lines are one byte long.
     pub fn new(config: CacheConfig) -> Self {
+        assert!(config.line_bytes > 1, "a one-byte line address could equal the invalid way");
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.assoc as usize); config.num_sets() as usize],
+            ways: vec![EMPTY; (config.num_sets() * config.assoc as u64) as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            num_sets: config.num_sets(),
             hits: 0,
             misses: 0,
         }
@@ -45,72 +61,107 @@ impl Cache {
     }
 
     /// The line address (byte address of the line start) containing `addr`.
+    #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
         addr & !(self.config.line_bytes - 1)
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        ((line / self.config.line_bytes) % self.config.num_sets()) as usize
+    /// The line address of `addr` and the ways of its set.
+    #[inline]
+    fn set_of(&self, addr: u64) -> (u64, std::ops::Range<usize>) {
+        let line = self.line_addr(addr);
+        let block = line >> self.line_shift;
+        let set = if self.num_sets.is_power_of_two() {
+            block & (self.num_sets - 1)
+        } else {
+            block % self.num_sets
+        };
+        let assoc = self.config.assoc as usize;
+        let first = set as usize * assoc;
+        (line, first..first + assoc)
+    }
+
+    /// Moves `line` to the most-recently-used way of its set `ways` when it
+    /// is resident; returns whether it was.
+    #[inline]
+    fn touch(ways: &mut [u64], line: u64) -> bool {
+        match ways.iter().position(|&l| l == line) {
+            Some(pos) => {
+                Self::push_front(ways, pos, line);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Shifts `ways[..last]` one way toward LRU, dropping `ways[last]`,
+    /// and puts `line` in the MRU way. (A plain loop: sets are a few ways
+    /// long, too short for `rotate_right` to pay off.)
+    #[inline]
+    fn push_front(ways: &mut [u64], last: usize, line: u64) {
+        for i in (1..=last).rev() {
+            ways[i] = ways[i - 1];
+        }
+        ways[0] = line;
     }
 
     /// Probes for `addr`, updating LRU and hit/miss counters. Returns
     /// whether the access hit. Does **not** allocate on miss; call
     /// [`Cache::fill`] for that (the [`crate::MemorySystem`] separates the
     /// two so MSHR merging can intervene).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&l| l == line) {
-            let l = ways.remove(pos);
-            ways.insert(0, l);
+        let (line, set) = self.set_of(addr);
+        let hit = Self::touch(&mut self.ways[set], line);
+        if hit {
             self.hits += 1;
-            true
         } else {
             self.misses += 1;
-            false
         }
+        hit
     }
 
     /// Probes without updating LRU or counters.
+    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        self.sets[set].contains(&line)
+        let (line, set) = self.set_of(addr);
+        self.ways[set].contains(&line)
     }
 
     /// Installs the line containing `addr` as most-recently-used, evicting
     /// the LRU line of the set if necessary. Returns the evicted line
     /// address, if any. Filling an already-present line just refreshes LRU.
+    #[inline]
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        let assoc = self.config.assoc as usize;
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&l| l == line) {
-            let l = ways.remove(pos);
-            ways.insert(0, l);
+        let (line, set) = self.set_of(addr);
+        let ways = &mut self.ways[set];
+        if Self::touch(ways, line) {
             return None;
         }
-        ways.insert(0, line);
-        if ways.len() > assoc {
-            ways.pop()
-        } else {
-            None
-        }
+        let last = ways.len() - 1;
+        let evicted = ways[last];
+        Self::push_front(ways, last, line);
+        (evicted != EMPTY).then_some(evicted)
     }
 
     /// Removes the line containing `addr` if present (back-invalidation).
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&l| l == line) {
-            ways.remove(pos);
-            true
-        } else {
-            false
+        let (line, set) = self.set_of(addr);
+        let ways = &mut self.ways[set];
+        match ways.iter().position(|&l| l == line) {
+            Some(pos) => {
+                ways[pos..].rotate_left(1);
+                ways[ways.len() - 1] = EMPTY;
+                true
+            }
+            None => false,
         }
+    }
+
+    /// Counts `n` further hits on a line [`Cache::access`] just moved to
+    /// MRU: repeating that access changes nothing but the hit count.
+    pub(crate) fn note_hits(&mut self, n: u64) {
+        self.hits += n;
     }
 
     /// Lifetime hit count.
@@ -125,7 +176,7 @@ impl Cache {
 
     /// Total lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.ways.iter().filter(|&&l| l != EMPTY).count()
     }
 }
 

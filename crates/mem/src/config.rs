@@ -33,6 +33,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
+    #[inline]
     pub fn num_sets(&self) -> u64 {
         self.size_bytes / (self.assoc as u64 * self.line_bytes)
     }

@@ -119,6 +119,7 @@ impl MshrFile {
     }
 
     /// If `line` has a miss in flight at `now`, its completion cycle.
+    #[inline]
     pub fn in_flight(&self, line: u64, now: u64) -> Option<u64> {
         self.entries.iter().find(|&&(l, done)| l == line && done > now).map(|&(_, d)| d)
     }
@@ -165,6 +166,7 @@ impl MshrFile {
     /// for the event-driven tick. A fill both delivers a value (waking
     /// merged requesters) and frees a slot (unblocking `Full` retries),
     /// so fast-forwarded windows never skip past one.
+    #[inline]
     pub fn next_fill_at(&self, now: u64) -> Option<u64> {
         self.entries.iter().map(|&(_, done)| done).filter(|&d| d > now).min()
     }

@@ -21,6 +21,7 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
+    #[inline]
     fn is_ifetch(self) -> bool {
         matches!(self, AccessKind::InstFetch)
     }
@@ -187,6 +188,7 @@ impl MemorySystem {
     /// (see [`MshrFile::next_fill_at`]), or `u64::MAX` when none is in
     /// flight. Event-driven models include this in every quiescent
     /// window's wake set so a fast-forward never skips past a fill.
+    #[inline]
     pub fn next_mshr_fill(&self, now: u64) -> u64 {
         self.mshrs.next_fill_at(now).unwrap_or(u64::MAX)
     }
@@ -196,6 +198,7 @@ impl MemorySystem {
     /// in-flight miss)? Used by the multipass WAW policy of §3.5: advance
     /// loads that miss L1 skip the speculative-register-file writeback.
     /// Does not disturb any state.
+    #[inline]
     pub fn probe_l1d(&self, addr: u64, now: u64) -> bool {
         self.l1d.probe(addr) && self.mshrs.in_flight(self.l1d.line_addr(addr), now).is_none()
     }
@@ -208,6 +211,7 @@ impl MemorySystem {
     /// every level on the refill path immediately and complete at
     /// `now + latency_of_serving_level`. A second access to a line already
     /// in flight merges and completes when the first does.
+    #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind, now: u64) -> MemAccess {
         let warp = if matches!(kind, AccessKind::DataRead | AccessKind::SpeculativeRead) {
             let hit = self.fault_warp_latency == Some(self.data_reads_seen);
@@ -223,6 +227,27 @@ impl MemorySystem {
             }
             _ => r,
         }
+    }
+
+    /// Charges `n` instruction fetches of `addr` at cycles `now..now + n`
+    /// when the first is an L1I hit with no miss in flight on its line —
+    /// a fetch stage re-reading a resident line every cycle while it
+    /// cannot accept instructions. The counters, LRU order and MSHR file
+    /// end exactly as after `n` polled [`MemorySystem::access`] calls
+    /// with nothing else accessing the hierarchy in between: the first
+    /// access is real and moves the line to MRU; the other `n - 1` find it
+    /// still resident and still not in flight, and only count. Returns
+    /// `false` and changes nothing when the first fetch would not hit.
+    pub fn repeat_ifetch_hits(&mut self, addr: u64, now: u64, n: u64) -> bool {
+        let line = self.l1i.line_addr(addr);
+        if n == 0 || !self.l1i.probe(addr) || self.mshrs.in_flight(line, now).is_some() {
+            return false;
+        }
+        let first = self.access(addr, AccessKind::InstFetch, now);
+        debug_assert!(matches!(first, MemAccess::Done { level: HitLevel::L1, .. }));
+        self.stats.ifetches += n - 1;
+        self.l1i.note_hits(n - 1);
+        true
     }
 
     /// Extra delay injected by [`MemorySystem::inject_warp_latency`] — far
@@ -443,6 +468,26 @@ mod tests {
         // Demand access later hits thanks to the speculative fill.
         let r = m.access(0x5000, AccessKind::DataRead, 1_000);
         assert_eq!(r, MemAccess::Done { complete_at: 1_001, level: HitLevel::L1 });
+    }
+
+    #[test]
+    fn repeated_ifetch_hits_equal_polled_fetches() {
+        let (mut polled, mut bulk) = (sys(), sys());
+        for m in [&mut polled, &mut bulk] {
+            m.access(0x3000, AccessKind::InstFetch, 0);
+        }
+        // While 0x3000's miss is in flight the bulk charge declines.
+        assert!(!bulk.repeat_ifetch_hits(0x3000, 10, 5));
+        for t in 500..507 {
+            polled.access(0x3000, AccessKind::InstFetch, t);
+        }
+        assert!(bulk.repeat_ifetch_hits(0x3000, 500, 7));
+        assert_eq!(polled.final_stats(), bulk.final_stats());
+        assert_eq!(polled.l1i().hits(), bulk.l1i().hits());
+        // A line that is not resident declines, leaving every count as is.
+        let before = *bulk.stats();
+        assert!(!bulk.repeat_ifetch_hits(0x9000, 600, 3));
+        assert_eq!(*bulk.stats(), before);
     }
 
     #[test]
