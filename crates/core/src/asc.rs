@@ -42,13 +42,32 @@ pub enum AscLookup {
     MissAfterReplacement,
 }
 
+/// One ASC set, tagged with the pass epoch that last wrote it. A set
+/// whose tag is not the cache's current epoch is empty and has seen no
+/// replacement, whatever its stale `ways` still hold.
+#[derive(Clone, Debug)]
+struct AscSet {
+    epoch: u32,
+    replaced: bool,
+    ways: Vec<(u64, AscData)>,
+}
+
+/// The epoch no pass ever runs in: a set tagged with it is clear.
+const CLEAR_EPOCH: u32 = 0;
+
 /// The advance store cache: word-granular, set-associative, FIFO
 /// replacement within a set, with per-set replacement tracking.
+///
+/// [`AdvanceStoreCache::clear`] is a flash clear, O(1): it starts a new
+/// pass epoch, and a set from an older epoch is emptied lazily the next
+/// time a store touches it. Only a wrap of the epoch counter touches
+/// every set.
 #[derive(Clone, Debug)]
 pub struct AdvanceStoreCache {
     assoc: usize,
-    sets: Vec<Vec<(u64, AscData)>>,
-    replaced: Vec<bool>,
+    sets: Vec<AscSet>,
+    epoch: u32,
+    live: usize,
     inserts: u64,
     replacements: u64,
 }
@@ -61,12 +80,18 @@ impl AdvanceStoreCache {
     /// Panics unless `assoc >= 1` and `entries` is a positive multiple of
     /// `assoc`.
     pub fn new(entries: usize, assoc: usize) -> Self {
+        Self::starting_at_epoch(entries, assoc, CLEAR_EPOCH + 1)
+    }
+
+    fn starting_at_epoch(entries: usize, assoc: usize, epoch: u32) -> Self {
         assert!(assoc >= 1 && entries > 0 && entries.is_multiple_of(assoc));
+        debug_assert_ne!(epoch, CLEAR_EPOCH);
         let num_sets = entries / assoc;
         AdvanceStoreCache {
             assoc,
-            sets: vec![Vec::new(); num_sets],
-            replaced: vec![false; num_sets],
+            sets: vec![AscSet { epoch: CLEAR_EPOCH, replaced: false, ways: Vec::new() }; num_sets],
+            epoch,
+            live: 0,
             inserts: 0,
             replacements: 0,
         }
@@ -79,45 +104,60 @@ impl AdvanceStoreCache {
     /// Records an advance store to the word containing `addr`.
     pub fn insert(&mut self, addr: u64, data: AscData) {
         let word = ff_isa::MemoryImage::word_addr(addr);
-        let set = self.set_index(word);
+        let set_idx = self.set_index(word);
         self.inserts += 1;
-        let ways = &mut self.sets[set];
-        if let Some(e) = ways.iter_mut().find(|(w, _)| *w == word) {
+        let set = &mut self.sets[set_idx];
+        if set.epoch != self.epoch {
+            set.epoch = self.epoch;
+            set.replaced = false;
+            set.ways.clear();
+        }
+        if let Some(e) = set.ways.iter_mut().find(|(w, _)| *w == word) {
             e.1 = data; // newer store to the same word wins
             return;
         }
-        ways.push((word, data));
-        if ways.len() > self.assoc {
-            ways.remove(0); // FIFO within the set
-            self.replaced[set] = true;
+        set.ways.push((word, data));
+        if set.ways.len() > self.assoc {
+            set.ways.remove(0); // FIFO within the set
+            set.replaced = true;
             self.replacements += 1;
+        } else {
+            self.live += 1;
         }
     }
 
     /// Looks up the word containing `addr`.
     pub fn lookup(&self, addr: u64) -> AscLookup {
         let word = ff_isa::MemoryImage::word_addr(addr);
-        let set = self.set_index(word);
-        if let Some((_, d)) = self.sets[set].iter().find(|(w, _)| *w == word) {
+        let set = &self.sets[self.set_index(word)];
+        if set.epoch != self.epoch {
+            AscLookup::Miss
+        } else if let Some((_, d)) = set.ways.iter().find(|(w, _)| *w == word) {
             AscLookup::Hit(*d)
-        } else if self.replaced[set] {
+        } else if set.replaced {
             AscLookup::MissAfterReplacement
         } else {
             AscLookup::Miss
         }
     }
 
-    /// Clears all entries and replacement flags (start of an advance pass).
+    /// Clears all entries and replacement flags (start of an advance pass)
+    /// by starting a new epoch; when the epoch counter wraps, the sets are
+    /// retagged for real so no stale set can come back to life.
     pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
+        self.live = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == CLEAR_EPOCH {
+            for set in &mut self.sets {
+                set.epoch = CLEAR_EPOCH;
+            }
+            self.epoch = CLEAR_EPOCH + 1;
         }
-        self.replaced.fill(false);
     }
 
     /// Live entries across all sets.
     pub fn live_entries(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.live
     }
 
     /// Total capacity in entries.
@@ -128,7 +168,7 @@ impl AdvanceStoreCache {
     /// Whether every set holds at most `assoc` entries — the structural
     /// capacity invariant audited by the ASC sentinel.
     pub fn assoc_ok(&self) -> bool {
-        self.sets.iter().all(|s| s.len() <= self.assoc)
+        self.sets.iter().all(|s| s.epoch != self.epoch || s.ways.len() <= self.assoc)
     }
 
     /// Total inserts over the run.
@@ -145,6 +185,7 @@ impl AdvanceStoreCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xorshift as next;
 
     fn valid(v: u64) -> AscData {
         AscData::Valid { value: v, tainted: false, seq: 0 }
@@ -198,6 +239,130 @@ mod tests {
         asc.clear();
         assert_eq!(asc.lookup(0x00), AscLookup::Miss);
         assert_eq!(asc.lookup(0x10), AscLookup::Miss);
+    }
+
+    /// The element-by-element ASC the epoch tags replaced: the reference
+    /// the epoch structure must match observably.
+    struct ReferenceAsc {
+        assoc: usize,
+        sets: Vec<Vec<(u64, AscData)>>,
+        replaced: Vec<bool>,
+    }
+
+    impl ReferenceAsc {
+        fn new(entries: usize, assoc: usize) -> Self {
+            let num_sets = entries / assoc;
+            ReferenceAsc {
+                assoc,
+                sets: vec![Vec::new(); num_sets],
+                replaced: vec![false; num_sets],
+            }
+        }
+
+        fn set_index(&self, word: u64) -> usize {
+            ((word >> 3) % self.sets.len() as u64) as usize
+        }
+
+        fn insert(&mut self, addr: u64, data: AscData) {
+            let word = ff_isa::MemoryImage::word_addr(addr);
+            let set = self.set_index(word);
+            let ways = &mut self.sets[set];
+            if let Some(e) = ways.iter_mut().find(|(w, _)| *w == word) {
+                e.1 = data;
+                return;
+            }
+            ways.push((word, data));
+            if ways.len() > self.assoc {
+                ways.remove(0);
+                self.replaced[set] = true;
+            }
+        }
+
+        fn lookup(&self, addr: u64) -> AscLookup {
+            let word = ff_isa::MemoryImage::word_addr(addr);
+            let set = self.set_index(word);
+            if let Some((_, d)) = self.sets[set].iter().find(|(w, _)| *w == word) {
+                AscLookup::Hit(*d)
+            } else if self.replaced[set] {
+                AscLookup::MissAfterReplacement
+            } else {
+                AscLookup::Miss
+            }
+        }
+
+        fn clear(&mut self) {
+            for s in &mut self.sets {
+                s.clear();
+            }
+            self.replaced.fill(false);
+        }
+
+        fn live_entries(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+
+        fn assoc_ok(&self) -> bool {
+            self.sets.iter().all(|s| s.len() <= self.assoc)
+        }
+    }
+
+    /// Random insert/lookup/clear streams agree with the reference, with
+    /// exact `live_entries` and `assoc_ok` after every operation, starting
+    /// both at the first epoch and a few clears short of the counter
+    /// wrapping.
+    #[test]
+    fn epoch_clear_matches_element_by_element_clear() {
+        let configs = [(64, 2, CLEAR_EPOCH + 1), (8, 2, u32::MAX - 5), (16, 4, u32::MAX)];
+        for (seed, (entries, assoc, start)) in configs.into_iter().enumerate() {
+            let mut rng = (seed as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut asc = AdvanceStoreCache::starting_at_epoch(entries, assoc, start);
+            let mut reference = ReferenceAsc::new(entries, assoc);
+            let mut clears = 0;
+            for _ in 0..20_000 {
+                // Sub-word addresses over a footprint a few times the
+                // capacity, so sets both overflow and get reused.
+                let addr = next(&mut rng) % (entries as u64 * 8 * 3);
+                match next(&mut rng) % 10 {
+                    0..=4 => {
+                        let data = if next(&mut rng).is_multiple_of(4) {
+                            AscData::Invalid
+                        } else {
+                            let r = next(&mut rng);
+                            AscData::Valid { value: r, tainted: r & 1 == 1, seq: r >> 40 }
+                        };
+                        asc.insert(addr, data);
+                        reference.insert(addr, data);
+                    }
+                    5..=8 => assert_eq!(asc.lookup(addr), reference.lookup(addr), "{addr:#x}"),
+                    _ => {
+                        asc.clear();
+                        reference.clear();
+                        clears += 1;
+                        assert_eq!(asc.live_entries(), 0);
+                    }
+                }
+                assert_eq!(asc.live_entries(), reference.live_entries());
+                assert_eq!(asc.assoc_ok(), reference.assoc_ok());
+            }
+            assert!(clears > 10, "the stream must cross the epoch wrap");
+            for word in 0..entries as u64 * 3 {
+                assert_eq!(asc.lookup(word * 8), reference.lookup(word * 8), "final {word}");
+            }
+        }
+    }
+
+    /// A set written just before the epoch counter wraps stays empty after
+    /// the wrap, even once the counter returns to its old value.
+    #[test]
+    fn epoch_wrap_never_resurrects_a_stale_set() {
+        let mut asc = AdvanceStoreCache::starting_at_epoch(4, 2, u32::MAX);
+        asc.insert(0x00, valid(1));
+        asc.insert(0x10, valid(2));
+        asc.insert(0x20, valid(3));
+        asc.clear();
+        asc.epoch = u32::MAX;
+        assert_eq!(asc.lookup(0x10), AscLookup::Miss);
+        assert_eq!(asc.lookup(0x00), AscLookup::Miss, "replacement flag must not survive");
     }
 
     #[test]

@@ -59,3 +59,13 @@ pub mod srf;
 pub use asc::AdvanceStoreCache;
 pub use config::{MultipassConfig, RestartStrategy};
 pub use pipeline::{Mode, Multipass};
+
+/// xorshift64: a fixed, dependency-free operation stream for the unit
+/// tests.
+#[cfg(test)]
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}

@@ -6,7 +6,16 @@
 //! hierarchy, benchmark, seed, scale — enough to regenerate the workload
 //! deterministically via `Workload::by_name_seeded`), the classified
 //! error, any sentinel violations, and the last retirements observed
-//! before the failure. `examples/compare_divergence.rs --bundle <path>`
+//! before the failure.
+//!
+//! Campaign attempts run without a retirement hook, so a job that
+//! succeeds records nothing. The trail and the violations come from a
+//! deterministic replay: [`attempt_job`](crate::campaign::attempt_job) re-runs a failed attempt once
+//! under a [`RetireRing`] of [`BUNDLE_RETIREMENTS`], and a hook never
+//! changes a run, so the replay fails at the same point with the same
+//! trail a live recording would have kept.
+//!
+//! `examples/compare_divergence.rs --bundle <path>`
 //! consumes a bundle to replay the job against the golden interpreter and
 //! print the `ff-debug` first-divergence triage report.
 
@@ -53,8 +62,9 @@ pub struct CrashBundle {
 }
 
 impl CrashBundle {
-    /// Builds a bundle for a failed simulation job from the attempt's
-    /// wreckage. Report jobs have nothing to replay and yield `None`.
+    /// Builds a bundle for a failed simulation job from the replay of its
+    /// failing attempt: the violations it reported and the `ring` it
+    /// retired into. Report jobs have nothing to replay and yield `None`.
     pub fn for_failure(
         spec: &JobSpec,
         cycle_budget: Option<u64>,

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ff_engine::{NullProbe, RetireRing};
+use ff_engine::{NullProbe, NullRetireHook, RetireHook, RetireRing};
 use ff_experiments::{reports, HierKind, ModelKind, Suite};
 use ff_workloads::{Scale, Workload};
 
@@ -293,9 +293,10 @@ impl Default for JobContext {
     }
 }
 
-/// What one attempt leaves behind for the crash-bundle writer: the
-/// trailing retirements and any sentinel violations. Reset per attempt so
-/// a bundle only ever describes the final, failing attempt.
+/// What a failed attempt leaves behind for the crash-bundle writer: the
+/// trailing retirements and any sentinel violations. Filled only by the
+/// deterministic replay of a failed attempt (see [`attempt_job`]), so a
+/// bundle only ever describes the final, failing attempt.
 struct AttemptDebris {
     ring: RetireRing,
     violations: Vec<String>,
@@ -309,7 +310,8 @@ impl AttemptDebris {
 
 /// The record of one panic-isolated job attempt: the rendered artifact on
 /// success, a classified [`JobError`] otherwise, plus the crash-bundle
-/// debris (trailing retirements, sentinel violations) of the attempt.
+/// debris (trailing retirements, sentinel violations) of the failed
+/// attempt's replay.
 pub struct Attempt {
     /// The rendered artifact text, or the classified failure.
     pub result: Result<String, JobError>,
@@ -359,7 +361,8 @@ fn compute_artifact(
     state: &mut JobContext,
     spec: &JobSpec,
     exec: &ExecOptions,
-    debris: &mut AttemptDebris,
+    hook: &mut dyn RetireHook,
+    violations: &mut Vec<String>,
 ) -> Result<String, JobError> {
     match &spec.kind {
         JobKind::Sim { model, hier, bench, seed } => {
@@ -373,9 +376,9 @@ fn compute_artifact(
             }
             let mut m = Suite::build_model(*model, *hier);
             let outcome = if exec.sentinels {
-                let report = ff_sentinel::check_model_hooked(m.as_mut(), &case, &mut debris.ring);
+                let report = ff_sentinel::check_model_hooked(m.as_mut(), &case, hook);
                 if !report.violations.is_empty() {
-                    debris.violations = report.violations.iter().map(|v| v.to_string()).collect();
+                    *violations = report.violations.iter().map(|v| v.to_string()).collect();
                     let first = &report.violations[0];
                     let extra = report.violations.len() - 1;
                     let msg = if extra == 0 {
@@ -387,7 +390,7 @@ fn compute_artifact(
                 }
                 report.outcome
             } else {
-                m.run_observed(&case, &mut debris.ring, &mut NullProbe)
+                m.run_observed(&case, hook, &mut NullProbe)
             };
             match outcome {
                 Ok(result) => Ok(render_sim_artifact(spec, &result)),
@@ -429,17 +432,44 @@ pub fn artifact_is_current(out_dir: &Path, spec: &JobSpec) -> bool {
 /// compute closure is caught here and classified as
 /// [`JobErrorKind::Panic`]; the caller's thread never unwinds.
 ///
+/// The attempt runs with no retirement hook, so a job that succeeds pays
+/// nothing for crash bundles. An attempt that fails with a replayable
+/// cause (any kind but [`JobErrorKind::Other`]) is run once more, the same
+/// way, under a [`RetireRing`] of [`BUNDLE_RETIREMENTS`] to collect the
+/// bundle's trailing retirements and sentinel violations. A hook never
+/// changes a run (`tests/retire_hook_transparency.rs`), so the replay
+/// fails exactly where the attempt did and the bundle matches one recorded
+/// live. The attempt's own result is the one reported.
+///
 /// `inject` carries the test-only fault injection together with the
 /// 1-based attempt number (the injection fails the first
-/// [`FailureInjection::times`] attempts).
+/// [`FailureInjection::times`] attempts); the replay sees the same
+/// injection.
 pub fn attempt_job(
     state: &mut JobContext,
     spec: &JobSpec,
     exec: &ExecOptions,
     inject: Option<(&FailureInjection, u32)>,
 ) -> Attempt {
+    let result = run_isolated(state, spec, exec, inject, &mut NullRetireHook, &mut Vec::new());
     let mut debris = AttemptDebris::new();
-    let result = catch_unwind(AssertUnwindSafe(|| {
+    if result.as_ref().is_err_and(|e| e.kind != JobErrorKind::Other) {
+        let _ = run_isolated(state, spec, exec, inject, &mut debris.ring, &mut debris.violations);
+    }
+    Attempt { result, debris }
+}
+
+/// Runs `spec` once inside the unwind boundary, reporting retirements to
+/// `hook` and sentinel violations to `violations`.
+fn run_isolated(
+    state: &mut JobContext,
+    spec: &JobSpec,
+    exec: &ExecOptions,
+    inject: Option<(&FailureInjection, u32)>,
+    hook: &mut dyn RetireHook,
+    violations: &mut Vec<String>,
+) -> Result<String, JobError> {
+    catch_unwind(AssertUnwindSafe(|| {
         // The injection lives inside the unwind boundary so injected
         // panics exercise the same isolation path as real ones.
         if let Some((f, attempt)) = inject {
@@ -450,7 +480,7 @@ pub fn attempt_job(
                 return Err(JobError::other(format!("injected failure (attempt {attempt})")));
             }
         }
-        compute_artifact(state, spec, exec, &mut debris)
+        compute_artifact(state, spec, exec, hook, violations)
     }))
     .unwrap_or_else(|payload| {
         let msg = payload
@@ -459,8 +489,7 @@ pub fn attempt_job(
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "panic with non-string payload".to_string());
         Err(JobError::panic(msg))
-    });
-    Attempt { result, debris }
+    })
 }
 
 fn run_one(opts: &CampaignOptions, state: &mut JobContext, spec: &JobSpec) -> JobOutcome {

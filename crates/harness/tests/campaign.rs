@@ -5,12 +5,14 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use ff_experiments::{HierKind, ModelKind};
+use ff_engine::{NullProbe, RetireRing, SimCase};
+use ff_experiments::{HierKind, ModelKind, Suite};
+use ff_harness::bundle::BUNDLE_RETIREMENTS;
 use ff_harness::{
     attempt_job, full_grid, list_bundles, manifest::render_manifest, run_campaign, CampaignOptions,
     CrashBundle, ExecOptions, FailureInjection, JobContext, JobErrorKind, JobSpec, JobStatus,
 };
-use ff_workloads::Scale;
+use ff_workloads::{Scale, Workload};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ff-campaign-{tag}-{}", std::process::id()));
@@ -252,6 +254,63 @@ fn a_panicking_job_degrades_gracefully() {
     let bundle = CrashBundle::read(&bundles[0]).unwrap();
     assert_eq!(bundle.bench, "mcf");
     assert_eq!(bundle.error.kind, JobErrorKind::Panic);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Crash-bundle fidelity: campaign attempts run without a retirement
+/// hook, yet a failed job's bundle carries the same trail a hooked run
+/// records live. The timed-out job's `retired_total` and
+/// `last_retirements` equal a direct `run_observed` of the same spec and
+/// budget under a `RetireRing` of `BUNDLE_RETIREMENTS`, and an injected
+/// panic still leaves its (empty-trailed) bundle.
+#[test]
+fn failed_job_bundles_carry_the_trail_of_a_hooked_run() {
+    let dir = temp_dir("fidelity");
+    let budget = 2_000;
+    let jobs = vec![
+        JobSpec::sim(ModelKind::Multipass, HierKind::Base, "mcf", 0, Scale::Test),
+        JobSpec::sim(ModelKind::InOrder, HierKind::Base, "gzip", 0, Scale::Test),
+    ];
+    let mut opts = CampaignOptions::new(Scale::Test, &dir);
+    opts.workers = 1;
+    opts.cycle_budget = Some(budget);
+    opts.inject =
+        Some(FailureInjection { id_substring: "gzip".into(), times: u32::MAX, panic: true });
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let report = run_campaign(&jobs, &opts).unwrap();
+    std::panic::set_hook(prev);
+    assert_eq!(report.failed(), 2);
+
+    let bundles: Vec<CrashBundle> =
+        list_bundles(&dir).iter().map(|p| CrashBundle::read(p).unwrap()).collect();
+    assert_eq!(bundles.len(), 2);
+    let timed_out = bundles.iter().find(|b| b.bench == "mcf").expect("timeout bundle");
+    let panicked = bundles.iter().find(|b| b.bench == "gzip").expect("panic bundle");
+
+    let w = Workload::by_name_seeded("mcf", Scale::Test, 0).unwrap();
+    let case = SimCase::new(&w.program, w.mem.clone()).with_cycle_budget(budget);
+    let mut ring = RetireRing::new(BUNDLE_RETIREMENTS);
+    let direct = Suite::build_model(ModelKind::Multipass, HierKind::Base).run_observed(
+        &case,
+        &mut ring,
+        &mut NullProbe,
+    );
+    let err = direct.expect_err("the budget must cut the direct run short too");
+    assert!(ring.total() > BUNDLE_RETIREMENTS as u64, "budget too small to test the trail");
+    assert_eq!(timed_out.error.kind, JobErrorKind::Timeout);
+    assert_eq!(timed_out.error.message, err.to_string());
+    assert_eq!(timed_out.retired_total, ring.total());
+    let direct_trail: Vec<String> = ring.events().map(|e| e.to_string()).collect();
+    assert_eq!(timed_out.last_retirements, direct_trail);
+    assert!(timed_out.violations.is_empty());
+
+    // The injection panics before the simulation starts, so the replay
+    // retires nothing either.
+    assert_eq!(panicked.error.kind, JobErrorKind::Panic);
+    assert!(panicked.error.message.contains("injected panic"), "{:?}", panicked.error);
+    assert_eq!(panicked.retired_total, 0);
+    assert!(panicked.last_retirements.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
