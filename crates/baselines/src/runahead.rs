@@ -21,89 +21,45 @@
 //! architectural execution re-executes every instruction — the two
 //! limitations (no persistence, no restart) that motivate multipass
 //! pipelining.
+//!
+//! The pieces runahead shares with multipass come from `ff-engine`: the
+//! speculative values live in the same [`Srf`] multipass advance mode
+//! writes (untainted values and I-bits only, read without counting SRF
+//! activity), and the episode exit is the stage's
+//! [`InOrderStage::head_ready`] test, the one multipass uses to enter
+//! rally. The pre-execution step itself stays separate from multipass's
+//! advance pass: the two differ in eight places (DESIGN.md §4, "Why
+//! runahead keeps its own pre-execution step").
 
 use ff_engine::{
-    operand_stall, operand_wake, ExecutionModel, InOrderStage, MachineConfig, PipelineProbe,
-    RetireHook, RetireTee, RunError, RunResult, Scoreboard, SimCase, StallKind, TickMode,
+    ExecutionModel, InOrderStage, MachineConfig, PipelineProbe, RetireHook, RetireTee, RunError,
+    RunResult, SimCase, Srf, SrfVal, StallKind, TickMode,
 };
 use ff_isa::eval::{alu, effective_address};
-use ff_isa::{ArchState, Op, Reg};
+use ff_isa::{Op, Reg};
 use ff_mem::{AccessKind, MemAccess};
 
 use crate::inorder::issue_group;
 
-/// A speculative value in the runahead overlay: either a real value
-/// available at some cycle, or invalid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SpecVal {
-    /// Valid data, usable for bypass at `ready_at`.
-    Valid {
-        /// The speculative value.
-        value: u64,
-        /// Cycle at which the value can be bypassed.
-        ready_at: u64,
-    },
-    /// Poisoned by a deferred producer.
-    Invalid,
-}
-
-/// Speculative register overlay used during a runahead episode. Registers
-/// not present fall through to the architectural file, with validity taken
-/// from the scoreboard (a register whose writer is still in flight is
-/// unavailable *now* but may arrive during the episode).
-///
-/// The overlay is a flat epoch-stamped array rather than a map: one
-/// allocation at model start, and "discard all speculative state" on
-/// episode entry is an epoch bump instead of a per-episode container —
-/// zero heap traffic no matter how many episodes a run enters.
-#[derive(Clone, Debug)]
-struct SpecRegs {
-    epoch: u64,
-    slots: Vec<(u64, SpecVal)>,
-}
-
-impl SpecRegs {
-    fn new() -> Self {
-        SpecRegs { epoch: 1, slots: vec![(0, SpecVal::Invalid); Reg::FLAT_COUNT] }
+/// Reads `r` for pre-execution at the stage's current cycle: `Some(value)`
+/// when valid and ready, `None` when poisoned or still in flight. A live
+/// SRF slot is a value only if valid and ready; an empty one falls back to
+/// the architectural file, whose in-flight writers are unavailable *now*
+/// but may arrive during the episode.
+fn spec_read(srf: &Srf, stage: &InOrderStage<'_>, r: Reg) -> Option<u64> {
+    if r.is_hardwired() {
+        return Some(stage.state.read(r));
     }
-
-    /// Discards every overlay entry (entries stamped with older epochs
-    /// read as absent).
-    fn reset(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn write(&mut self, r: Reg, v: SpecVal) {
-        if !r.is_hardwired() {
-            self.slots[r.flat_index()] = (self.epoch, v);
-        }
-    }
-
-    /// Reads `r` at cycle `now`: `Some(value)` when valid and ready, `None`
-    /// when invalid or still in flight.
-    fn read(&self, r: Reg, state: &ArchState, sb: &Scoreboard, now: u64) -> Option<u64> {
-        if r.is_hardwired() {
-            return Some(state.read(r));
-        }
-        match &self.slots[r.flat_index()] {
-            (e, SpecVal::Valid { value, ready_at }) if *e == self.epoch && *ready_at <= now => {
-                Some(*value)
-            }
-            (e, _) if *e == self.epoch => None,
-            _ => {
-                if sb.ready(r, now) {
-                    Some(state.read(r))
-                } else {
-                    None
-                }
-            }
-        }
+    match srf.probe(r) {
+        Some(SrfVal::Valid { value, ready_at, .. }) if ready_at <= stage.now => Some(value),
+        Some(_) => None,
+        None => stage.sb.ready(r, stage.now).then(|| stage.state.read(r)),
     }
 }
 
 /// One cycle of pre-execution from `peek`: up to `width` instructions of
 /// one group, executed against the speculative overlay purely to prefetch.
-fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs, width: u32) {
+fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, srf: &mut Srf, width: u32) {
     let (program, now) = (stage.program, stage.now);
     let mut pseudo_issued = 0u32;
     while pseudo_issued < width {
@@ -116,8 +72,7 @@ fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs
         if !stage.fu.try_issue(inst, now) {
             break;
         }
-        let (state, sb) = (&stage.state, &stage.sb);
-        let read = |r: Reg| spec.read(r, state, sb, now);
+        let read = |r: Reg| spec_read(srf, stage, r);
         let qp = if inst.is_predicated() { read(inst.qp_reg()) } else { Some(1) };
         let mut redirected = false;
 
@@ -125,7 +80,7 @@ fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs
             (None, _) => {
                 // Unknown predicate: defer the whole instruction.
                 if let Some(d) = inst.writes() {
-                    spec.write(d, SpecVal::Invalid);
+                    srf.write(d, SrfVal::Invalid);
                 }
             }
             (Some(0), _) => {} // predicated off: no-op
@@ -147,7 +102,7 @@ fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs
                 }
             }
             (Some(_), Op::Load | Op::LoadFp) => {
-                let mut value = SpecVal::Invalid;
+                let mut value = SrfVal::Invalid;
                 if let Some(b) = inst.src_n(0).and_then(read) {
                     let addr = effective_address(b, inst.imm_val());
                     let access = stage.mem.access(addr, AccessKind::SpeculativeRead, now);
@@ -156,12 +111,13 @@ fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs
                         // Missing loads defer their consumers (prefetch only).
                         if !level.is_miss() {
                             let v = stage.state.mem.load(addr);
-                            value = SpecVal::Valid { value: v, ready_at: complete_at };
+                            value =
+                                SrfVal::Valid { value: v, ready_at: complete_at, tainted: false };
                         }
                     }
                 }
                 if let Some(d) = inst.writes() {
-                    spec.write(d, value);
+                    srf.write(d, value);
                 }
             }
             (Some(_), Op::Store) => {
@@ -190,11 +146,16 @@ fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs
                             b.flatten().unwrap_or(0),
                             inst.imm_val(),
                         );
-                        SpecVal::Valid { value: v, ready_at: now + op.latency() as u64 }
+                        // Runahead has no data speculation: nothing is tainted.
+                        SrfVal::Valid {
+                            value: v,
+                            ready_at: now + op.latency() as u64,
+                            tainted: false,
+                        }
                     } else {
-                        SpecVal::Invalid
+                        SrfVal::Invalid
                     };
-                    spec.write(d, value);
+                    srf.write(d, value);
                 }
             }
         }
@@ -215,25 +176,14 @@ fn pre_execute(stage: &mut InOrderStage<'_>, peek: &mut u64, spec: &mut SpecRegs
 
 /// The wake point of an idle episode: `None` while pre-execution has a
 /// live instruction at `peek` or the exit check would fire; otherwise the
-/// earliest arrival at `peek` or at the blocked head, or operand wake of
-/// the head.
+/// earliest arrival at `peek` or wake of the blocked head.
 fn episode_wake(stage: &InOrderStage<'_>, peek: u64) -> Option<u64> {
-    let now = stage.now;
     let peek_wake = match stage.fetch.get(peek) {
         None => u64::MAX,
-        Some(e) if e.fetched_at > now => e.fetched_at,
+        Some(e) if e.fetched_at > stage.now => e.fetched_at,
         Some(_) => return None, // live entry: pre-execution would run
     };
-    let e = stage.fetch.get(stage.fetch.head_seq())?;
-    let head_wake = if e.fetched_at > now {
-        e.fetched_at
-    } else {
-        let inst = stage.program.inst(e.pc).expect("fetched pc is valid");
-        // The exit check fires: poll.
-        operand_stall(inst, &stage.sb, now)?;
-        operand_wake(inst, &stage.sb, now).unwrap_or(u64::MAX)
-    };
-    Some(peek_wake.min(head_wake))
+    (!stage.head_ready()).then(|| peek_wake.min(stage.head_wake()))
 }
 
 /// The Dundas–Mudge runahead model.
@@ -275,8 +225,8 @@ impl ExecutionModel for Runahead {
         // blocking load. The speculative overlay persists across episodes
         // (reset is an epoch bump), so episode entry allocates nothing.
         let mut episode: Option<u64> = None;
-        let mut spec = SpecRegs::new();
-        stage.activity.alloc_count += 1; // the overlay's single allocation
+        let mut srf = Srf::new();
+        stage.activity.alloc_count += 1; // the SRF's single allocation
 
         while !stage.halted {
             stage.begin_cycle(case, cycle_cap)?;
@@ -286,7 +236,7 @@ impl ExecutionModel for Runahead {
                 if issued == 0 && stall == Some(StallKind::Load) {
                     // Enter runahead on a load-use stall.
                     episode = Some(stage.fetch.head_seq());
-                    spec.reset();
+                    srf.clear();
                     stage.stats.spec_mode_entries += 1;
                 } else {
                     stage.charge_issue(issued, stall);
@@ -301,17 +251,12 @@ impl ExecutionModel for Runahead {
             }
 
             // ---- runahead pre-execution ----
-            let now = stage.now;
-            // Exit check: is the blocking instruction ready now?
-            let head_ready = stage.fetch.get(stage.fetch.head_seq()).is_some_and(|e| {
-                let inst = stage.program.inst(e.pc).expect("fetched pc is valid");
-                operand_stall(inst, &stage.sb, now).is_none()
-            });
             // Every runahead cycle is charged to the blocking load
             // (architecturally the pipeline is stalled on it).
             stage.stats.breakdown.charge(StallKind::Load);
             stage.stats.spec_mode_cycles += 1;
-            if head_ready {
+            // Exit check: is the blocking instruction ready now?
+            if stage.head_ready() {
                 // Discard all speculative state; architectural execution
                 // resumes next cycle and re-executes everything.
                 episode = None;
@@ -319,7 +264,7 @@ impl ExecutionModel for Runahead {
                 continue;
             }
             let peek = episode.as_mut().expect("in an episode");
-            pre_execute(&mut stage, peek, &mut spec, cfg.issue_width);
+            pre_execute(&mut stage, peek, &mut srf, cfg.issue_width);
             stage.now += 1;
 
             // Event-driven fast-forward inside an episode: skip ahead only
@@ -347,7 +292,7 @@ mod tests {
     use super::*;
     use crate::inorder::InOrder;
     use ff_isa::interp::Interpreter;
-    use ff_isa::{Inst, MemoryImage, Program};
+    use ff_isa::{ArchState, Inst, MemoryImage, Program};
 
     /// Pointer-chase program over a pre-built linked list, with independent
     /// streaming loads after each chase step — the Figure 1 scenario.

@@ -9,13 +9,15 @@
 //!
 //! The microarchitecture follows §3 of the paper:
 //!
-//! * **Modes** ([`pipeline::Mode`]): *architectural* (multipass structures
-//!   clock-gated), *advance* (speculative preexecution past the stalled
+//! * **Modes** ([`ff_engine::RetireMode`]): *architectural* (multipass
+//!   structures clock-gated; the baseline in-order pipeline, issue rule
+//!   included), *advance* (speculative preexecution past the stalled
 //!   trigger), and *rally* (architectural resumption accelerated by
 //!   preserved results).
-//! * **SRF + A-bits**: a speculative register file shadowing the
-//!   architectural one; an A-bit redirects consumers to the SRF, an I-bit
-//!   marks values poisoned by deferred producers.
+//! * **SRF + A-bits** ([`ff_engine::Srf`], shared with runahead): a
+//!   speculative register file shadowing the architectural one; an A-bit
+//!   redirects consumers to the SRF, an I-bit marks values poisoned by
+//!   deferred producers.
 //! * **Result store (RS) + E-bits**: per-instruction-queue-entry preserved
 //!   results; E-marked instructions *merge* instead of re-executing, carry
 //!   no dependences, and enable **issue regrouping** (§3.2) — dynamically
@@ -54,11 +56,10 @@ pub mod asc;
 pub mod config;
 pub mod entry;
 pub mod pipeline;
-pub mod srf;
 
 pub use asc::AdvanceStoreCache;
 pub use config::{MultipassConfig, RestartStrategy};
-pub use pipeline::{Mode, Multipass};
+pub use pipeline::Multipass;
 
 /// xorshift64: a fixed, dependency-free operation stream for the unit
 /// tests.

@@ -6,7 +6,9 @@
 //!   pipeline; multipass structures are clock-gated. Architectural and
 //!   rally issue of instructions without a preserved result run the
 //!   baseline's own execute step ([`ff_engine::InOrderStage::execute`]),
-//!   and their event-driven skip its stalled-head analysis.
+//!   and their event-driven skip its stalled-head analysis. Architectural
+//!   issue also ends its group where the baseline does: at a stop bit, a
+//!   flush or a halt.
 //! * **Advance** — triggered when the oldest instruction stalls on an
 //!   unready load result. The PEEK pointer walks forward from the trigger,
 //!   executing whatever has valid operands into the SRF and the result
@@ -20,44 +22,43 @@
 //!   (preexecuted instructions carry no dependences), verifying
 //!   data-speculative loads value-wise, and dropping back to architectural
 //!   mode once DEQ catches the high-water PEEK mark.
+//!
+//! The modes are [`ff_engine::RetireMode`]; the SRF is the
+//! [`ff_engine::Srf`] runahead also writes. The advance→rally test is the
+//! stage's [`ff_engine::InOrderStage::head_ready`] plus an E-bit arm.
 
 use ff_engine::{
-    operand_stall, operand_wake, AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel,
-    InFlightIndex, InOrderStage, MachineConfig, MemAccessObs, PendingKind, PipelineProbe,
-    RetireEvent, RetireHook, RetireMode, RunError, RunResult, SimCase, StallKind, TickMode,
+    AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel, InFlightIndex, InOrderStage,
+    MachineConfig, MemAccessObs, PendingKind, PipelineProbe, RetireEvent, RetireHook, RetireMode,
+    RunError, RunResult, SimCase, Srf, SrfVal, StallKind, TickMode,
 };
 use ff_isa::eval::{alu, effective_address};
-use ff_isa::{Op, Reg};
+use ff_isa::{Inst, Op, Pc, Reg};
 use ff_mem::{AccessKind, MemAccess};
 use std::borrow::Cow;
 
 use crate::asc::{AdvanceStoreCache, AscData, AscLookup};
 use crate::config::{MultipassConfig, RestartStrategy};
 use crate::entry::{MpEntry, RsResult};
-use crate::srf::{Srf, SrfVal};
 
-/// Pipeline mode (paper Figure 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Conventional in-order execution; multipass structures clock-gated.
-    Architectural,
-    /// Persistent advance preexecution beyond a stalled trigger.
-    Advance,
-    /// Architectural resumption accelerated by preserved results.
-    Rally,
-}
+/// One operand read during advance execution: its value and taint, or
+/// `None` when the producer was deferred (I-bit) or is an outstanding
+/// load — the consumer is suppressed this pass.
+type AdvOperand = Option<(u64, bool)>;
 
-/// Result of reading one operand during advance execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AdvRead {
-    /// A usable value (with taint flag).
-    Value(u64, bool),
-    /// The producer is in flight with a short, bounded latency — the
-    /// in-order advance pipe stalls rather than suppresses.
-    NotYet,
-    /// The producer was deferred (I-bit) or is an outstanding load — the
-    /// consumer is suppressed this pass.
-    Deferred,
+/// Advance issue stops for this cycle without stepping PEEK: an operand's
+/// producer is in flight with a short, bounded latency or the FU is busy
+/// (the in-order advance pipe stalls rather than suppresses), or the slot
+/// restarted the pass or redirected fetch.
+struct Stop;
+
+/// How an advance slot that did not [`Stop`] ends: PEEK steps past it.
+#[derive(PartialEq, Eq)]
+enum Slot {
+    /// Advance issue continues with the next instruction.
+    Next,
+    /// A branch: advance issue does not cross it this cycle.
+    Last,
 }
 
 /// The multipass execution model.
@@ -101,7 +102,9 @@ struct Core<'a> {
     /// buffer span, performs zero heap allocation per instruction in
     /// steady state (DESIGN.md §7e).
     entries: InFlightIndex<MpEntry>,
-    mode: Mode,
+    /// The pipeline mode (paper Figure 3); retirements and the probe's
+    /// mode timeline report it as is.
+    mode: RetireMode,
     /// PEEK pointer (sequence number) during advance mode.
     peek: u64,
     /// Trigger sequence number of the current advance episode.
@@ -172,7 +175,7 @@ impl<'a> Core<'a> {
             // created at issue and dropped at DEQ/squash), so sizing the
             // ring to it makes steady-state allocation zero.
             entries: InFlightIndex::with_span(machine.multipass_iq + 2),
-            mode: Mode::Architectural,
+            mode: RetireMode::Architectural,
             peek: 0,
             trigger: 0,
             peek_high: 0,
@@ -194,10 +197,10 @@ impl<'a> Core<'a> {
         }
     }
 
-    fn set_mode(&mut self, mode: Mode) {
+    fn set_mode(&mut self, mode: RetireMode) {
         self.mode = mode;
         if self.probe_enabled {
-            self.probe.on_mode(self.base.now, self.retire_mode());
+            self.probe.on_mode(self.base.now, mode);
         }
     }
 
@@ -232,13 +235,25 @@ impl<'a> Core<'a> {
         self.base.sb.set_pending(d, at, PendingKind::Exec);
     }
 
-    /// Publishes a retirement to the hook and the probe.
-    fn publish_retire(&mut self, event: &RetireEvent<'_>) {
+    /// Publishes one issued-and-retired instruction: its issue and
+    /// register writeback to the probe, then the retirement to the hook
+    /// and the probe. `event` is built only when someone observes it.
+    fn publish_retire(&mut self, event: impl FnOnce(&Self) -> RetireEvent<'a>) {
+        if !(self.hook_enabled || self.probe_enabled) {
+            return;
+        }
+        let event = event(self);
+        if self.probe_enabled {
+            self.probe.on_issue(event.seq, event.cycle);
+            if let Some((r, _)) = event.wrote {
+                self.probe.on_writeback(event.seq, r, event.cycle);
+            }
+        }
         if self.hook_enabled {
-            self.hook.on_retire(event);
+            self.hook.on_retire(&event);
         }
         if self.probe_enabled {
-            self.probe.on_retire(event);
+            self.probe.on_retire(&event);
         }
     }
 
@@ -256,7 +271,7 @@ impl<'a> Core<'a> {
         }
         let obs = CycleObs {
             cycle: self.base.now,
-            mode: self.retire_mode(),
+            mode: self.mode,
             trigger: self.trigger,
             peek: self.peek,
             peek_high: self.peek_high,
@@ -304,19 +319,10 @@ impl<'a> Core<'a> {
         });
     }
 
-    /// [`RetireMode`] corresponding to the current pipeline mode.
-    fn retire_mode(&self) -> RetireMode {
-        match self.mode {
-            Mode::Architectural => RetireMode::Architectural,
-            Mode::Advance => RetireMode::Advance,
-            Mode::Rally => RetireMode::Rally,
-        }
-    }
-
     /// The advance-episode window reported with retirements outside
     /// architectural mode.
     fn episode_window(&self, deq: u64) -> Option<EpisodeWindow> {
-        if self.mode == Mode::Architectural {
+        if self.mode == RetireMode::Architectural {
             None
         } else {
             Some(EpisodeWindow { trigger: self.trigger, peek: self.peek_high, deq })
@@ -327,56 +333,68 @@ impl<'a> Core<'a> {
     /// the A-bit is set, architectural file otherwise, deferring on I-bits
     /// and on outstanding load results, stalling on short in-flight
     /// execution latencies.
-    fn adv_read(&mut self, r: Reg) -> AdvRead {
+    fn adv_read(&mut self, r: Reg) -> Result<AdvOperand, Stop> {
+        let now = self.base.now;
         if r.is_hardwired() {
-            return AdvRead::Value(self.base.state.read(r), false);
+            return Ok(Some((self.base.state.read(r), false)));
         }
         match self.srf.read(r) {
-            Some(SrfVal::Valid { value, ready_at, tainted }) => {
-                if ready_at <= self.base.now {
-                    AdvRead::Value(value, tainted)
-                } else {
-                    AdvRead::NotYet
-                }
+            Some(SrfVal::Valid { value, ready_at, tainted }) if ready_at <= now => {
+                Ok(Some((value, tainted)))
             }
-            Some(SrfVal::Pending { .. }) | Some(SrfVal::Invalid) => AdvRead::Deferred,
-            None => match self.base.sb.pending_kind(r, self.base.now) {
+            Some(SrfVal::Valid { .. }) => Err(Stop),
+            Some(SrfVal::Pending { .. } | SrfVal::Invalid) => Ok(None),
+            None => match self.base.sb.pending_kind(r, now) {
                 PendingKind::None => {
                     self.base.activity.regfile_reads += 1;
-                    AdvRead::Value(self.base.state.read(r), false)
+                    Ok(Some((self.base.state.read(r), false)))
                 }
-                PendingKind::Load => AdvRead::Deferred,
-                PendingKind::Exec => AdvRead::NotYet,
+                PendingKind::Load => Ok(None),
+                PendingKind::Exec => Err(Stop),
             },
         }
     }
 
     /// Whether the head (trigger) instruction could issue in rally mode at
-    /// the current cycle — the advance→rally transition condition.
+    /// the current cycle — the advance→rally transition condition. An
+    /// E-bit head waits for its preserved result; any other head is the
+    /// baseline's [`InOrderStage::head_ready`].
     fn head_issueable(&self) -> bool {
-        let Some(fe) = self.base.fetch.get(self.base.fetch.head_seq()) else {
-            return false;
-        };
-        if fe.fetched_at > self.base.now {
-            return false;
-        }
-        let ent = self.entry(fe.seq);
+        let ent = self.entry(self.base.fetch.head_seq());
         if ent.e_bit {
             ent.rs_available(self.base.now)
         } else {
-            let inst = self.base.program.inst(fe.pc).expect("fetched pc is valid");
-            operand_stall(inst, &self.base.sb, self.base.now).is_none()
+            self.base.head_ready()
         }
     }
 
-    fn enter_advance(&mut self, trigger: u64) {
-        self.set_mode(Mode::Advance);
-        self.trigger = trigger;
-        self.peek = trigger;
-        self.peek_high = self.peek_high.max(trigger);
+    /// The earliest future cycle at which [`Core::head_issueable`] can
+    /// change through the passage of time alone — the advance→rally wake
+    /// point: an E-bit head's result arrival, else the baseline's
+    /// [`InOrderStage::head_wake`].
+    fn head_wake(&self) -> u64 {
+        let ent = self.entry(self.base.fetch.head_seq());
+        if ent.e_bit {
+            ent.rs_ready_at
+        } else {
+            self.base.head_wake()
+        }
+    }
+
+    /// Flash-clears the per-pass speculative state: every SRF A-bit, the
+    /// ASC, and the deferred-store mark.
+    fn clear_pass_state(&mut self) {
         self.srf.clear();
         self.asc.clear();
         self.deferred_store = None;
+    }
+
+    fn enter_advance(&mut self, trigger: u64) {
+        self.set_mode(RetireMode::Advance);
+        self.trigger = trigger;
+        self.peek = trigger;
+        self.peek_high = self.peek_high.max(trigger);
+        self.clear_pass_state();
         self.pass_progress = false;
         self.consec_deferrals = 0;
         self.advance_wait_until = 0;
@@ -384,9 +402,7 @@ impl<'a> Core<'a> {
     }
 
     fn restart_pass(&mut self) {
-        self.srf.clear();
-        self.asc.clear();
-        self.deferred_store = None;
+        self.clear_pass_state();
         self.peek = self.trigger;
         self.pass_progress = false;
         self.consec_deferrals = 0;
@@ -394,10 +410,8 @@ impl<'a> Core<'a> {
     }
 
     fn enter_rally(&mut self) {
-        self.set_mode(Mode::Rally);
-        self.srf.clear();
-        self.asc.clear();
-        self.deferred_store = None;
+        self.set_mode(RetireMode::Rally);
+        self.clear_pass_state();
     }
 
     // --------------------------------------------------------- rally/arch
@@ -405,7 +419,7 @@ impl<'a> Core<'a> {
     /// One cycle of architectural/rally issue. Returns `(issued, stall)`.
     fn issue_architectural(&mut self) -> (u32, Option<StallKind>) {
         let now = self.base.now;
-        let regroup = self.cfg.enable_regrouping && self.mode != Mode::Architectural;
+        let regroup = self.cfg.enable_regrouping && self.mode != RetireMode::Architectural;
         let width = self.cfg.machine.issue_width;
         let mut issued = 0u32;
         let mut stall: Option<StallKind> = None;
@@ -459,8 +473,7 @@ impl<'a> Core<'a> {
                                 // Value misspeculation: pipeline flush.
                                 self.base.stats.value_flushes += 1;
                                 self.squash_entries_from(seq);
-                                self.srf.clear();
-                                self.asc.clear();
+                                self.clear_pass_state();
                                 self.peek_high = self.peek_high.min(seq);
                                 self.stall_until = now + self.cfg.flush_penalty;
                                 stall = Some(StallKind::Other);
@@ -499,27 +512,18 @@ impl<'a> Core<'a> {
                         stored = Some((addr, data));
                     }
                 }
-                if self.probe_enabled {
-                    self.probe.on_issue(seq, now);
-                    if let Some((r, _)) = wrote {
-                        self.probe.on_writeback(seq, r, now);
-                    }
-                }
-                if self.hook_enabled || self.probe_enabled {
-                    let event = RetireEvent {
-                        seq,
-                        cycle: now,
-                        pc,
-                        inst: Cow::Borrowed(inst),
-                        qp_true: None,
-                        wrote,
-                        stored,
-                        mode: self.retire_mode(),
-                        merged: true,
-                        episode: self.episode_window(seq),
-                    };
-                    self.publish_retire(&event);
-                }
+                self.publish_retire(|core| RetireEvent {
+                    seq,
+                    cycle: now,
+                    pc,
+                    inst: Cow::Borrowed(inst),
+                    qp_true: None,
+                    wrote,
+                    stored,
+                    mode: core.mode,
+                    merged: true,
+                    episode: core.episode_window(seq),
+                });
                 self.base.stats.rs_reuses += 1;
                 self.base.fetch.pop_front();
                 self.drop_entry(seq);
@@ -553,27 +557,18 @@ impl<'a> Core<'a> {
                     self.after_fetch_flush();
                     flushed = true;
                 }
-                if self.probe_enabled {
-                    self.probe.on_issue(seq, now);
-                    if let Some(d) = inst.writes().filter(|_| done.qp_true) {
-                        self.probe.on_writeback(seq, d, now);
-                    }
-                }
-                if self.hook_enabled || self.probe_enabled {
-                    let event = done.event(
-                        &self.base.state,
-                        now,
-                        self.retire_mode(),
-                        self.episode_window(seq),
-                    );
-                    self.publish_retire(&event);
-                }
+                self.publish_retire(|core| {
+                    done.event(&core.base.state, now, core.mode, core.episode_window(seq))
+                });
                 self.drop_entry(seq);
                 self.base.activity.iq_reads += 1;
                 issued += 1;
             }
 
-            if self.base.halted || flushed || inst.op().is_branch() {
+            // A regrouped rally group ends at a branch; otherwise issue,
+            // like the baseline's, ends only at a stop bit, a flush or a
+            // halt.
+            if self.base.halted || flushed || (regroup && inst.op().is_branch()) {
                 break;
             }
             if !regroup && ends_group {
@@ -595,29 +590,23 @@ impl<'a> Core<'a> {
         self.peek_high = self.peek_high.min(next);
     }
 
-    /// One cycle of advance preexecution. Returns the number of *new*
-    /// executions performed (the paper's attribution criterion).
-    fn issue_advance(&mut self) -> u32 {
+    /// One cycle of advance preexecution. Returns whether it performed any
+    /// *new* execution (the paper's attribution criterion).
+    fn issue_advance(&mut self) -> bool {
         let now = self.base.now;
-        let width = self.cfg.machine.issue_width;
         let program = self.base.program;
+        let executed_before = self.base.stats.executions;
         let mut slots = 0u32;
-        let mut executions = 0u32;
         let mut prev_ended_group = false;
 
-        'insts: while slots < width {
+        while slots < self.cfg.machine.issue_width {
             let seq = self.peek;
-            let Some(fe) = self.base.fetch.get(seq) else { break };
-            if fe.fetched_at > now {
+            let Some(fe) = self.base.fetch.get(seq).filter(|fe| fe.fetched_at <= now) else {
                 break;
-            }
-            let pc = fe.pc;
-            let predicted_next = fe.predicted_next;
-            let snap = fe.history_snapshot;
+            };
+            let (pc, predicted_next, snap) = (fe.pc, fe.predicted_next, fe.history_snapshot);
             // Same borrow-not-clone treatment as `issue_architectural`.
             let inst = program.inst(pc).expect("fetched pc is valid");
-            let ends_group = inst.ends_group();
-            let ent = self.entry(seq);
             self.base.activity.iq_reads += 1;
             self.base.activity.select_visits += 1;
 
@@ -626,424 +615,351 @@ impl<'a> Core<'a> {
             if slots > 0 && prev_ended_group && !self.cfg.enable_regrouping {
                 break;
             }
-
             // Never pre-execute past the end of the program.
             if matches!(inst.op(), Op::Halt) {
                 break;
             }
-
-            // ---- merge previously preserved results ----
-            if ent.e_bit {
-                if ent.rs_available(now) {
-                    self.base.activity.rs_reads += 1;
-                    self.slot_executed = true; // merge: useful, not deferred
-                    match ent.result.expect("E-bit entry has a result") {
-                        RsResult::Value(v) => {
-                            if let Some(d) = inst.writes() {
-                                self.srf.write(
-                                    d,
-                                    SrfVal::Valid { value: v, ready_at: now, tainted: ent.tainted },
-                                );
-                            }
-                        }
-                        RsResult::Nop => {}
-                        RsResult::Store { addr, data } => {
-                            self.base.activity.asc_accesses += 1;
-                            self.asc.insert(
-                                addr,
-                                AscData::Valid { value: data, tainted: ent.tainted, seq },
-                            );
-                        }
-                    }
-                } else if let Some(d) = inst.writes() {
-                    // Result still in flight: consumers defer this pass,
-                    // but the arrival cycle is known to the RESTART logic.
-                    self.srf.write(d, SrfVal::Pending { arrives_at: ent.rs_ready_at });
-                }
-                self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
-                continue;
-            }
-
-            // ---- evaluate the qualifying predicate ----
-            let qp = if inst.is_predicated() {
-                match self.adv_read(inst.qp_reg()) {
-                    AdvRead::NotYet => break,
-                    AdvRead::Deferred => None,
-                    AdvRead::Value(v, t) => Some((v != 0, t)),
-                }
-            } else {
-                Some((true, false))
-            };
-
-            // Branches resolve control; handle them for every predicate
-            // outcome (including qp == false, i.e. not taken).
-            if let Op::Br { target } = inst.op() {
-                if let Some((taken, taint)) = qp {
-                    let actual_next = if taken {
-                        self.base.program.first_pc_from(*target)
-                    } else {
-                        self.base.program.next_pc(pc)
-                    };
-                    if !taint {
-                        if inst.is_predicated() && !ent.branch_trained {
-                            self.base.fetch.predictor_mut().update(pc, snap, taken);
-                            let e = self.entries.get_or_default(seq);
-                            e.branch_trained = true;
-                        }
-                        let stream_next = self.entry(seq).resolved_next.unwrap_or(predicted_next);
-                        if stream_next != actual_next {
-                            // Early mispredict resolution: redirect fetch.
-                            self.base.stats.early_resolved_mispredicts += 1;
-                            self.base.fetch.flush_after(
-                                seq,
-                                actual_next,
-                                now + self.cfg.machine.mispredict_penalty,
-                                snap,
-                                taken,
-                            );
-                            self.after_fetch_flush();
-                            let e = self.entries.get_or_default(seq);
-                            e.resolved_next = Some(actual_next);
-                            // The pass continues at the corrected stream
-                            // once it is refetched.
-                            self.peek = seq + 1;
-                            self.peek_high = self.peek_high.max(self.peek);
-                            break 'insts;
-                        }
-                        // Correctly-followed branch: preserve as resolved.
-                        let e = self.entries.get_or_default(seq);
-                        e.e_bit = true;
-                        e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = now;
-                        e.tainted = false;
-                        self.base.activity.rs_writes += 1;
-                    }
-                }
-                self.slot_executed = true; // control slot, not a deferral
-                self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
-                // Do not pre-execute across an unresolved branch group
-                // boundary in the same cycle.
+            let Ok(slot) = self.advance_slot(seq, inst, pc, predicted_next, snap) else { break };
+            self.advance_step(&mut slots, &mut prev_ended_group, inst.ends_group());
+            if slot == Slot::Last {
                 break;
             }
-
-            match qp {
-                None => {
-                    // Unknown predicate: defer the instruction entirely.
-                    if let Some(d) = inst.writes() {
-                        self.srf.write(d, SrfVal::Invalid);
-                    }
-                    if inst.op().is_store() {
-                        self.deferred_store = Some(self.deferred_store.map_or(seq, |d| d.max(seq)));
-                    }
-                }
-                Some((false, t)) => {
-                    // Predicated off. Preserve the no-op unless tainted.
-                    if !t {
-                        let e = self.entries.get_or_default(seq);
-                        e.e_bit = true;
-                        e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = now;
-                        e.tainted = false;
-                        self.base.activity.rs_writes += 1;
-                    } else if let Some(d) = inst.writes() {
-                        self.srf.write(d, SrfVal::Invalid);
-                    }
-                }
-                Some((true, qp_taint)) => match inst.op() {
-                    Op::Restart => {
-                        let src = inst.src_n(0).expect("RESTART consumes a register");
-                        if self.cfg.restart == RestartStrategy::Compiler {
-                            // Classify the operand's unavailability: a known
-                            // in-flight arrival lets the restarted pass be
-                            // timed to meet its input (footnote 2); a fully
-                            // deferred operand only justifies a restart if
-                            // this pass produced new results.
-                            let arrival: Option<u64> = match self.srf.probe(src) {
-                                Some(SrfVal::Pending { arrives_at }) => Some(arrives_at),
-                                Some(SrfVal::Invalid) => None,
-                                Some(SrfVal::Valid { .. }) => {
-                                    // Operand present (maybe not ready yet):
-                                    // no restart needed.
-                                    self.advance_step(
-                                        &mut slots,
-                                        &mut prev_ended_group,
-                                        ends_group,
-                                    );
-                                    continue;
-                                }
-                                None => match self.base.sb.pending_kind(src, now) {
-                                    PendingKind::Load => Some(self.base.sb.ready_cycle(src)),
-                                    PendingKind::Exec => None,
-                                    PendingKind::None => {
-                                        // Architecturally ready: no effect.
-                                        self.advance_step(
-                                            &mut slots,
-                                            &mut prev_ended_group,
-                                            ends_group,
-                                        );
-                                        continue;
-                                    }
-                                },
-                            };
-                            match arrival {
-                                Some(t) => {
-                                    // §3.3: restart at the trigger, timed so
-                                    // the pass meets the arriving value.
-                                    self.restart_pass();
-                                    self.advance_wait_until = t.max(now);
-                                    break 'insts;
-                                }
-                                None if self.pass_progress => {
-                                    self.restart_pass();
-                                    break 'insts;
-                                }
-                                None => {} // futile: continue the pass
-                            }
-                        }
-                    }
-                    Op::Nop => {
-                        let e = self.entries.get_or_default(seq);
-                        e.e_bit = true;
-                        e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = now;
-                        self.base.activity.rs_writes += 1;
-                    }
-                    Op::Load | Op::LoadFp => {
-                        let base = match self.adv_read(inst.src_n(0).expect("load base")) {
-                            AdvRead::NotYet => break,
-                            AdvRead::Deferred => {
-                                if let Some(d) = inst.writes() {
-                                    self.srf.write(d, SrfVal::Invalid);
-                                }
-                                self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
-                                continue;
-                            }
-                            AdvRead::Value(v, t) => (v, t),
-                        };
-                        if self.smaq_count >= self.cfg.smaq_entries
-                            && self.entry(seq).smaq_addr.is_none()
-                        {
-                            // SMAQ full: defer to a later pass.
-                            if let Some(d) = inst.writes() {
-                                self.srf.write(d, SrfVal::Invalid);
-                            }
-                            self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
-                            continue;
-                        }
-                        if !self.base.fu.try_issue(inst, now) {
-                            break;
-                        }
-                        let addr = effective_address(base.0, inst.imm_val());
-                        self.set_smaq(seq, addr);
-                        self.base.activity.asc_accesses += 1;
-                        match self.asc.lookup(addr) {
-                            AscLookup::Hit(AscData::Valid { value, tainted, seq: store_seq }) => {
-                                // The hit proves consistency only back to the
-                                // forwarding store: a deferred store (unknown
-                                // address) *younger* than it may alias this
-                                // word, making the forwarded value data
-                                // speculative (§3.6).
-                                let mut s_bit = self.deferred_store.is_some_and(|d| d > store_seq);
-                                if s_bit {
-                                    if self.cfg.fault_stale_asc_forward
-                                        == Some(self.speculative_forwards)
-                                    {
-                                        // Injected stale forward: the value
-                                        // skips rally's value-wise verify.
-                                        s_bit = false;
-                                    }
-                                    self.speculative_forwards += 1;
-                                }
-                                if self.probe_enabled {
-                                    self.probe.on_asc_forward(&AscForwardObs {
-                                        cycle: now,
-                                        load_seq: seq,
-                                        store_seq,
-                                        deferred_store: self.deferred_store,
-                                        s_bit,
-                                    });
-                                }
-                                let taint = base.1 | qp_taint | tainted | s_bit;
-                                if let Some(d) = inst.writes() {
-                                    self.srf.write(
-                                        d,
-                                        SrfVal::Valid { value, ready_at: now + 1, tainted: taint },
-                                    );
-                                }
-                                let e = self.entries.get_or_default(seq);
-                                e.e_bit = true;
-                                e.result = Some(RsResult::Value(value));
-                                e.rs_ready_at = now + 1;
-                                e.s_bit = s_bit;
-                                e.tainted = taint;
-                                self.base.activity.rs_writes += 1;
-                                executions += 1;
-                                self.base.stats.executions += 1;
-                                self.mark_slot_work();
-                            }
-                            AscLookup::Hit(AscData::Invalid) => {
-                                if let Some(d) = inst.writes() {
-                                    self.srf.write(d, SrfVal::Invalid);
-                                }
-                            }
-                            lookup => {
-                                let s_bit = self.deferred_store.is_some()
-                                    || lookup == AscLookup::MissAfterReplacement;
-                                let taint = base.1 | qp_taint | s_bit;
-                                let v = self.base.state.mem.load(addr);
-                                match self.base.mem.access(addr, AccessKind::SpeculativeRead, now) {
-                                    MemAccess::Done { complete_at, level } => {
-                                        self.probe_mem_access(complete_at, level);
-                                        executions += 1;
-                                        self.base.stats.executions += 1;
-                                        self.mark_slot_work();
-                                        let e = self.entries.get_or_default(seq);
-                                        e.e_bit = true;
-                                        e.result = Some(RsResult::Value(v));
-                                        e.rs_ready_at = complete_at;
-                                        e.s_bit = s_bit;
-                                        e.tainted = taint;
-                                        self.base.activity.rs_writes += 1;
-                                        if let Some(d) = inst.writes() {
-                                            if level.is_miss() && self.cfg.waw_skip_srf {
-                                                // §3.5 WAW policy: missing
-                                                // loads skip the SRF; note
-                                                // when the RS deposit lands.
-                                                self.srf.write(
-                                                    d,
-                                                    SrfVal::Pending { arrives_at: complete_at },
-                                                );
-                                            } else {
-                                                self.srf.write(
-                                                    d,
-                                                    SrfVal::Valid {
-                                                        value: v,
-                                                        ready_at: complete_at,
-                                                        tainted: taint,
-                                                    },
-                                                );
-                                            }
-                                        }
-                                    }
-                                    MemAccess::Retry => {
-                                        if let Some(d) = inst.writes() {
-                                            self.srf.write(d, SrfVal::Invalid);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Op::Store => {
-                        let base = match self.adv_read(inst.src_n(0).expect("store base")) {
-                            AdvRead::NotYet => break,
-                            AdvRead::Deferred => {
-                                self.deferred_store =
-                                    Some(self.deferred_store.map_or(seq, |d| d.max(seq)));
-                                self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
-                                continue;
-                            }
-                            AdvRead::Value(v, t) => (v, t),
-                        };
-                        let data = match self.adv_read(inst.src_n(1).expect("store data")) {
-                            AdvRead::NotYet => break,
-                            AdvRead::Deferred => None,
-                            AdvRead::Value(v, t) => Some((v, t)),
-                        };
-                        if self.smaq_count >= self.cfg.smaq_entries
-                            && self.entry(seq).smaq_addr.is_none()
-                        {
-                            self.deferred_store =
-                                Some(self.deferred_store.map_or(seq, |d| d.max(seq)));
-                            self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
-                            continue;
-                        }
-                        if !self.base.fu.try_issue(inst, now) {
-                            break;
-                        }
-                        let addr = effective_address(base.0, inst.imm_val());
-                        self.set_smaq(seq, addr);
-                        self.base.activity.asc_accesses += 1;
-                        match data {
-                            Some((dv, dt)) => {
-                                let taint = base.1 | dt | qp_taint;
-                                self.asc.insert(
-                                    addr,
-                                    AscData::Valid { value: dv, tainted: taint, seq },
-                                );
-                                let e = self.entries.get_or_default(seq);
-                                e.e_bit = true;
-                                e.result = Some(RsResult::Store { addr, data: dv });
-                                e.rs_ready_at = now;
-                                e.tainted = taint;
-                                self.base.activity.rs_writes += 1;
-                                executions += 1;
-                                self.base.stats.executions += 1;
-                                self.mark_slot_work();
-                            }
-                            None => {
-                                // Known address, unknown data: poison the
-                                // location for this pass.
-                                self.asc.insert(addr, AscData::Invalid);
-                            }
-                        }
-                    }
-                    op => {
-                        // ALU / compare / FP.
-                        let a = match inst.src_n(0) {
-                            Some(r) => match self.adv_read(r) {
-                                AdvRead::NotYet => break,
-                                AdvRead::Deferred => None,
-                                AdvRead::Value(v, t) => Some((v, t)),
-                            },
-                            None => Some((0, false)),
-                        };
-                        let b = match inst.src_n(1) {
-                            Some(r) => match self.adv_read(r) {
-                                AdvRead::NotYet => break,
-                                AdvRead::Deferred => None,
-                                AdvRead::Value(v, t) => Some((v, t)),
-                            },
-                            None => Some((0, false)),
-                        };
-                        match (a, b) {
-                            (Some((av, at)), Some((bv, bt))) => {
-                                if !self.base.fu.try_issue(inst, now) {
-                                    break;
-                                }
-                                let v = alu(op, av, bv, inst.imm_val());
-                                let taint = at | bt | qp_taint;
-                                let ready = now + op.latency() as u64;
-                                if let Some(d) = inst.writes() {
-                                    self.srf.write(
-                                        d,
-                                        SrfVal::Valid { value: v, ready_at: ready, tainted: taint },
-                                    );
-                                }
-                                let e = self.entries.get_or_default(seq);
-                                e.e_bit = true;
-                                e.result = Some(RsResult::Value(v));
-                                e.rs_ready_at = ready;
-                                e.tainted = taint;
-                                self.base.activity.rs_writes += 1;
-                                executions += 1;
-                                self.base.stats.executions += 1;
-                                self.mark_slot_work();
-                            }
-                            _ => {
-                                if let Some(d) = inst.writes() {
-                                    self.srf.write(d, SrfVal::Invalid);
-                                }
-                            }
-                        }
-                    }
-                },
-            }
-
-            self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
         }
 
-        executions
+        self.base.stats.executions > executed_before
+    }
+
+    /// Pre-executes the instruction at PEEK: merges its preserved result,
+    /// executes it into the SRF and the result store, or defers it.
+    fn advance_slot(
+        &mut self,
+        seq: u64,
+        inst: &Inst,
+        pc: Pc,
+        predicted_next: Option<Pc>,
+        snap: u16,
+    ) -> Result<Slot, Stop> {
+        let now = self.base.now;
+        let ent = self.entry(seq);
+
+        // ---- merge previously preserved results ----
+        if ent.e_bit {
+            if ent.rs_available(now) {
+                self.base.activity.rs_reads += 1;
+                self.slot_executed = true; // merge: useful, not deferred
+                match ent.result.expect("E-bit entry has a result") {
+                    RsResult::Value(value) => self.srf_dest(
+                        inst,
+                        SrfVal::Valid { value, ready_at: now, tainted: ent.tainted },
+                    ),
+                    RsResult::Nop => {}
+                    RsResult::Store { addr, data } => {
+                        self.base.activity.asc_accesses += 1;
+                        self.asc.insert(
+                            addr,
+                            AscData::Valid { value: data, tainted: ent.tainted, seq },
+                        );
+                    }
+                }
+            } else {
+                // Result still in flight: consumers defer this pass,
+                // but the arrival cycle is known to the RESTART logic.
+                self.srf_dest(inst, SrfVal::Pending { arrives_at: ent.rs_ready_at });
+            }
+            return Ok(Slot::Next);
+        }
+
+        // ---- evaluate the qualifying predicate ----
+        let qp = if inst.is_predicated() {
+            self.adv_read(inst.qp_reg())?.map(|(v, t)| (v != 0, t))
+        } else {
+            Some((true, false))
+        };
+
+        // Branches resolve control; handle them for every predicate
+        // outcome (including qp == false, i.e. not taken).
+        if let Op::Br { target } = inst.op() {
+            if let Some((taken, false)) = qp {
+                let actual_next = if taken {
+                    self.base.program.first_pc_from(*target)
+                } else {
+                    self.base.program.next_pc(pc)
+                };
+                if inst.is_predicated() && !ent.branch_trained {
+                    self.base.fetch.predictor_mut().update(pc, snap, taken);
+                    self.entries.get_or_default(seq).branch_trained = true;
+                }
+                if ent.resolved_next.unwrap_or(predicted_next) != actual_next {
+                    // Early mispredict resolution: redirect fetch.
+                    self.base.stats.early_resolved_mispredicts += 1;
+                    let resume_at = now + self.cfg.machine.mispredict_penalty;
+                    self.base.fetch.flush_after(seq, actual_next, resume_at, snap, taken);
+                    self.after_fetch_flush();
+                    self.entries.get_or_default(seq).resolved_next = Some(actual_next);
+                    // The pass continues at the corrected stream once it
+                    // is refetched.
+                    self.peek = seq + 1;
+                    self.peek_high = self.peek_high.max(self.peek);
+                    return Err(Stop);
+                }
+                // Correctly-followed branch: preserve as resolved.
+                self.preserve(seq, RsResult::Nop, now, false, false);
+            }
+            // A control slot, not a deferral. Do not pre-execute across
+            // an unresolved branch group boundary in the same cycle.
+            self.slot_executed = true;
+            return Ok(Slot::Last);
+        }
+
+        let qp_taint = match qp {
+            Some((true, taint)) => taint,
+            // Predicated off: preserve the no-op unless tainted.
+            Some((false, false)) => {
+                self.preserve(seq, RsResult::Nop, now, false, false);
+                return Ok(Slot::Next);
+            }
+            Some((false, true)) => {
+                self.defer_dest(inst);
+                return Ok(Slot::Next);
+            }
+            // Unknown predicate: defer the instruction entirely.
+            None => {
+                self.defer_dest(inst);
+                if inst.op().is_store() {
+                    self.defer_store(seq);
+                }
+                return Ok(Slot::Next);
+            }
+        };
+        match inst.op() {
+            Op::Restart => return self.advance_restart(inst),
+            Op::Nop => self.preserve(seq, RsResult::Nop, now, false, false),
+            Op::Load | Op::LoadFp => {
+                let Some((base, base_taint)) = self.adv_read(inst.src_n(0).expect("load base"))?
+                else {
+                    self.defer_dest(inst);
+                    return Ok(Slot::Next);
+                };
+                if self.smaq_full(&ent) {
+                    // SMAQ full: defer to a later pass.
+                    self.defer_dest(inst);
+                    return Ok(Slot::Next);
+                }
+                self.claim_fu(inst)?;
+                let addr = effective_address(base, inst.imm_val());
+                self.set_smaq(seq, addr);
+                self.base.activity.asc_accesses += 1;
+                match self.asc.lookup(addr) {
+                    AscLookup::Hit(AscData::Valid { value, tainted, seq: store_seq }) => {
+                        // The hit proves consistency only back to the
+                        // forwarding store: a deferred store (unknown
+                        // address) *younger* than it may alias this word,
+                        // making the forwarded value data speculative (§3.6).
+                        let mut s_bit = self.deferred_store.is_some_and(|d| d > store_seq);
+                        if s_bit {
+                            if self.cfg.fault_stale_asc_forward == Some(self.speculative_forwards) {
+                                // Injected stale forward: the value skips
+                                // rally's value-wise verify.
+                                s_bit = false;
+                            }
+                            self.speculative_forwards += 1;
+                        }
+                        if self.probe_enabled {
+                            self.probe.on_asc_forward(&AscForwardObs {
+                                cycle: now,
+                                load_seq: seq,
+                                store_seq,
+                                deferred_store: self.deferred_store,
+                                s_bit,
+                            });
+                        }
+                        let taint = base_taint | qp_taint | tainted | s_bit;
+                        let ready_at = now + 1;
+                        self.srf_dest(inst, SrfVal::Valid { value, ready_at, tainted: taint });
+                        self.record_execution(seq, RsResult::Value(value), ready_at, s_bit, taint);
+                    }
+                    AscLookup::Hit(AscData::Invalid) => self.defer_dest(inst),
+                    lookup => {
+                        let s_bit = self.deferred_store.is_some()
+                            || lookup == AscLookup::MissAfterReplacement;
+                        let taint = base_taint | qp_taint | s_bit;
+                        let value = self.base.state.mem.load(addr);
+                        match self.base.mem.access(addr, AccessKind::SpeculativeRead, now) {
+                            MemAccess::Done { complete_at, level } => {
+                                self.probe_mem_access(complete_at, level);
+                                // §3.5 WAW policy: missing loads skip the
+                                // SRF; note when the RS deposit lands.
+                                let srf = if level.is_miss() && self.cfg.waw_skip_srf {
+                                    SrfVal::Pending { arrives_at: complete_at }
+                                } else {
+                                    SrfVal::Valid { value, ready_at: complete_at, tainted: taint }
+                                };
+                                self.srf_dest(inst, srf);
+                                let result = RsResult::Value(value);
+                                self.record_execution(seq, result, complete_at, s_bit, taint);
+                            }
+                            MemAccess::Retry => self.defer_dest(inst),
+                        }
+                    }
+                }
+            }
+            Op::Store => {
+                let Some((base, base_taint)) = self.adv_read(inst.src_n(0).expect("store base"))?
+                else {
+                    self.defer_store(seq);
+                    return Ok(Slot::Next);
+                };
+                let data = self.adv_read(inst.src_n(1).expect("store data"))?;
+                if self.smaq_full(&ent) {
+                    self.defer_store(seq);
+                    return Ok(Slot::Next);
+                }
+                self.claim_fu(inst)?;
+                let addr = effective_address(base, inst.imm_val());
+                self.set_smaq(seq, addr);
+                self.base.activity.asc_accesses += 1;
+                match data {
+                    Some((data, data_taint)) => {
+                        let taint = base_taint | data_taint | qp_taint;
+                        self.asc.insert(addr, AscData::Valid { value: data, tainted: taint, seq });
+                        self.record_execution(
+                            seq,
+                            RsResult::Store { addr, data },
+                            now,
+                            false,
+                            taint,
+                        );
+                    }
+                    // Known address, unknown data: poison the location for
+                    // this pass.
+                    None => self.asc.insert(addr, AscData::Invalid),
+                }
+            }
+            op => {
+                // ALU / compare / FP; an absent source reads as zero.
+                let mut src = |i| inst.src_n(i).map_or(Ok(Some((0, false))), |r| self.adv_read(r));
+                let (a, b) = (src(0)?, src(1)?);
+                let (Some((a, a_taint)), Some((b, b_taint))) = (a, b) else {
+                    self.defer_dest(inst);
+                    return Ok(Slot::Next);
+                };
+                self.claim_fu(inst)?;
+                let value = alu(op, a, b, inst.imm_val());
+                let taint = a_taint | b_taint | qp_taint;
+                let ready_at = now + op.latency() as u64;
+                self.srf_dest(inst, SrfVal::Valid { value, ready_at, tainted: taint });
+                self.record_execution(seq, RsResult::Value(value), ready_at, false, taint);
+            }
+        }
+        Ok(Slot::Next)
+    }
+
+    /// A `RESTART` with a true predicate (§3.3). Under the compiler
+    /// strategy, an unready operand restarts the pass at the trigger.
+    fn advance_restart(&mut self, inst: &Inst) -> Result<Slot, Stop> {
+        if self.cfg.restart != RestartStrategy::Compiler {
+            return Ok(Slot::Next);
+        }
+        // Classify the operand's unavailability: a known in-flight arrival
+        // lets the restarted pass be timed to meet its input (footnote 2);
+        // a fully deferred operand only justifies a restart if this pass
+        // produced new results.
+        let src = inst.src_n(0).expect("RESTART consumes a register");
+        let now = self.base.now;
+        let arrival = match self.srf.probe(src) {
+            Some(SrfVal::Pending { arrives_at }) => Some(arrives_at),
+            Some(SrfVal::Invalid) => None,
+            // Operand present (maybe not ready yet): no restart needed.
+            Some(SrfVal::Valid { .. }) => return Ok(Slot::Next),
+            None => match self.base.sb.pending_kind(src, now) {
+                PendingKind::Load => Some(self.base.sb.ready_cycle(src)),
+                PendingKind::Exec => None,
+                // Architecturally ready: no effect.
+                PendingKind::None => return Ok(Slot::Next),
+            },
+        };
+        match arrival {
+            Some(t) => {
+                // §3.3: restart at the trigger, timed so the pass meets the
+                // arriving value.
+                self.restart_pass();
+                self.advance_wait_until = t.max(now);
+                Err(Stop)
+            }
+            None if self.pass_progress => {
+                self.restart_pass();
+                Err(Stop)
+            }
+            None => Ok(Slot::Next), // futile: continue the pass
+        }
+    }
+
+    /// Writes `v` to the SRF slot of `inst`'s destination, if it has one.
+    #[inline]
+    fn srf_dest(&mut self, inst: &Inst, v: SrfVal) {
+        if let Some(d) = inst.writes() {
+            self.srf.write(d, v);
+        }
+    }
+
+    /// Sets the I-bit of `inst`'s destination: the instruction is deferred
+    /// this pass, and so are its consumers.
+    #[inline]
+    fn defer_dest(&mut self, inst: &Inst) {
+        self.srf_dest(inst, SrfVal::Invalid);
+    }
+
+    /// Notes a store deferred this pass: later loads are data speculative
+    /// (§3.6).
+    #[inline]
+    fn defer_store(&mut self, seq: u64) {
+        self.deferred_store = Some(self.deferred_store.map_or(seq, |d| d.max(seq)));
+    }
+
+    /// Whether a memory instruction without a SMAQ entry must defer
+    /// because the SMAQ is full.
+    #[inline]
+    fn smaq_full(&self, ent: &MpEntry) -> bool {
+        self.smaq_count >= self.cfg.smaq_entries && ent.smaq_addr.is_none()
+    }
+
+    /// Claims `inst`'s functional unit; a busy unit stalls advance issue.
+    #[inline]
+    fn claim_fu(&mut self, inst: &Inst) -> Result<(), Stop> {
+        if self.base.fu.try_issue(inst, self.base.now) {
+            Ok(())
+        } else {
+            Err(Stop)
+        }
+    }
+
+    /// Preserves `result` in `seq`'s result store entry, setting its E-bit.
+    #[inline]
+    fn preserve(&mut self, seq: u64, result: RsResult, ready_at: u64, s_bit: bool, tainted: bool) {
+        let e = self.entries.get_or_default(seq);
+        e.e_bit = true;
+        e.result = Some(result);
+        e.rs_ready_at = ready_at;
+        e.s_bit = s_bit;
+        e.tainted = tainted;
+        self.base.activity.rs_writes += 1;
+    }
+
+    /// Preserves a new advance execution's result and counts the slot as
+    /// useful work.
+    #[inline]
+    fn record_execution(
+        &mut self,
+        seq: u64,
+        result: RsResult,
+        ready_at: u64,
+        s_bit: bool,
+        tainted: bool,
+    ) {
+        self.preserve(seq, result, ready_at, s_bit, tainted);
+        self.base.stats.executions += 1;
+        self.pass_progress = true;
+        self.slot_executed = true;
     }
 
     fn advance_step(&mut self, slots: &mut u32, prev_ended_group: &mut bool, ends_group: bool) {
@@ -1067,33 +983,7 @@ impl<'a> Core<'a> {
         self.slot_executed = false;
     }
 
-    /// Marks the current advance slot as having done useful new work.
-    fn mark_slot_work(&mut self) {
-        self.pass_progress = true;
-        self.slot_executed = true;
-    }
-
     // ------------------------------------------------------ event-driven
-
-    /// The earliest future cycle at which the head (trigger) instruction's
-    /// issueability can change through the passage of time alone — the
-    /// advance→rally wake point. `u64::MAX` when only an external event
-    /// (fetch arrival) can change it.
-    fn head_wake(&self) -> u64 {
-        let Some(fe) = self.base.fetch.get(self.base.fetch.head_seq()) else {
-            return u64::MAX;
-        };
-        if fe.fetched_at > self.base.now {
-            return fe.fetched_at;
-        }
-        let ent = self.entry(fe.seq);
-        if ent.e_bit {
-            ent.rs_ready_at
-        } else {
-            let inst = self.base.program.inst(fe.pc).expect("fetched pc is valid");
-            operand_wake(inst, &self.base.sb, self.base.now).unwrap_or(u64::MAX)
-        }
-    }
 
     /// Event-driven quiescence fast-forward, called at the bottom of the
     /// per-cycle loop. Skips ahead over a stretch of cycles the polled
@@ -1110,10 +1000,10 @@ impl<'a> Core<'a> {
         }
         // Pending mode transitions must be taken by the polled path so
         // the mode trace and per-mode cycle counts stay exact.
-        if self.mode == Mode::Advance && self.head_issueable() {
+        if self.mode == RetireMode::Advance && self.head_issueable() {
             return;
         }
-        if self.mode == Mode::Rally && self.base.fetch.head_seq() >= self.peek_high {
+        if self.mode == RetireMode::Rally && self.base.fetch.head_seq() >= self.peek_high {
             return;
         }
         // Fetch must be idle for the whole window; `skip_until` bounds it
@@ -1132,26 +1022,24 @@ impl<'a> Core<'a> {
             (self.stall_until, StallKind::Other, 0)
         } else {
             match self.mode {
-                Mode::Advance => {
-                    if self.base.now < self.advance_wait_until {
-                        // Restarted pass timed to meet an arrival; the
-                        // head may become issueable first (rally entry).
-                        (self.advance_wait_until.min(self.head_wake()), StallKind::Load, 0)
+                RetireMode::Advance => {
+                    // Advance issue idles until the head wakes (rally
+                    // entry) or the pass has work: a restarted pass timed
+                    // to meet an arrival waits for it; a PEEK that ran past
+                    // fetch waits for fetch, which bounds the window via
+                    // `skip_until`; a live PEEK entry would work now.
+                    let pass_wake = if self.base.now < self.advance_wait_until {
+                        self.advance_wait_until
                     } else {
                         match self.base.fetch.get(self.peek) {
-                            // PEEK ran past fetch: advance issue is a
-                            // no-op until the head wakes (fetch arrivals
-                            // bound the window via `skip_until`).
-                            None => (self.head_wake(), StallKind::Load, 0),
-                            Some(fe) if fe.fetched_at > self.base.now => {
-                                (self.head_wake().min(fe.fetched_at), StallKind::Load, 0)
-                            }
-                            // The PEEK entry is live: advance would work.
+                            None => u64::MAX,
+                            Some(fe) if fe.fetched_at > self.base.now => fe.fetched_at,
                             Some(_) => return,
                         }
-                    }
+                    };
+                    (self.head_wake().min(pass_wake), StallKind::Load, 0)
                 }
-                Mode::Architectural | Mode::Rally => {
+                RetireMode::Architectural | RetireMode::Rally => {
                     // An E-bit head merges, or stalls on a preserved result
                     // in flight, which enters advance mode this very cycle.
                     if self.entry(self.base.fetch.head_seq()).e_bit {
@@ -1176,16 +1064,22 @@ impl<'a> Core<'a> {
                 self.probe_cycle();
                 self.base.stats.breakdown.charge(kind);
                 self.base.activity.select_visits += visits;
-                self.bump_mode_cycles();
+                self.charge_mode_cycles(1);
                 self.base.now += 1;
             }
         } else {
             let skipped = self.base.skip_to(wake, kind, visits);
-            match self.mode {
-                Mode::Advance => self.base.stats.spec_mode_cycles += skipped,
-                Mode::Rally => self.base.stats.rally_cycles += skipped,
-                Mode::Architectural => {}
-            }
+            self.charge_mode_cycles(skipped);
+        }
+    }
+
+    /// Charges `n` cycles to the current mode's cycle count.
+    #[inline]
+    fn charge_mode_cycles(&mut self, n: u64) {
+        match self.mode {
+            RetireMode::Advance => self.base.stats.spec_mode_cycles += n,
+            RetireMode::Rally => self.base.stats.rally_cycles += n,
+            RetireMode::Architectural => {}
         }
     }
 
@@ -1202,13 +1096,13 @@ impl<'a> Core<'a> {
             }
 
             // Advance → rally as soon as the trigger's operand arrives.
-            if self.mode == Mode::Advance && self.head_issueable() {
+            if self.mode == RetireMode::Advance && self.head_issueable() {
                 self.enter_rally();
             }
             // Rally → architectural when DEQ catches the PEEK high-water
             // mark: nothing deferred remains in flight.
-            if self.mode == Mode::Rally && self.base.fetch.head_seq() >= self.peek_high {
-                self.set_mode(Mode::Architectural);
+            if self.mode == RetireMode::Rally && self.base.fetch.head_seq() >= self.peek_high {
+                self.set_mode(RetireMode::Architectural);
             }
 
             self.probe_cycle();
@@ -1216,40 +1110,23 @@ impl<'a> Core<'a> {
             if self.base.now < self.stall_until {
                 // Value-misspeculation flush penalty.
                 self.base.stats.breakdown.charge(StallKind::Other);
-                self.bump_mode_cycles();
-                self.base.now += 1;
-                if self.tick == TickMode::EventDriven {
-                    self.fast_forward(cycle_cap);
-                }
-                continue;
-            }
-
-            match self.mode {
-                Mode::Architectural | Mode::Rally => {
-                    let (issued, stall) = self.issue_architectural();
-                    self.base.charge_issue(issued, stall);
-                    // Enter advance mode on a load-use stall.
-                    if issued == 0 && stall == Some(StallKind::Load) && !self.base.halted {
-                        self.enter_advance(self.base.fetch.head_seq());
-                    }
-                }
-                Mode::Advance => {
-                    let executions = if self.base.now < self.advance_wait_until {
-                        0 // pass restarted and timed to meet an arrival
-                    } else {
-                        self.issue_advance()
-                    };
-                    // §5.1: advance cycles with no new executions are
-                    // charged to the latency that initiated advance mode.
-                    if executions > 0 {
-                        self.base.stats.breakdown.charge(StallKind::Execution);
-                    } else {
-                        self.base.stats.breakdown.charge(StallKind::Load);
-                    }
+            } else if self.mode == RetireMode::Advance {
+                // A pass restarted and timed to meet an arrival waits.
+                let executed = self.base.now >= self.advance_wait_until && self.issue_advance();
+                // §5.1: advance cycles with no new executions are charged
+                // to the latency that initiated advance mode.
+                let kind = if executed { StallKind::Execution } else { StallKind::Load };
+                self.base.stats.breakdown.charge(kind);
+            } else {
+                let (issued, stall) = self.issue_architectural();
+                self.base.charge_issue(issued, stall);
+                // Enter advance mode on a load-use stall.
+                if issued == 0 && stall == Some(StallKind::Load) && !self.base.halted {
+                    self.enter_advance(self.base.fetch.head_seq());
                 }
             }
 
-            self.bump_mode_cycles();
+            self.charge_mode_cycles(1);
             self.base.now += 1;
             if self.tick == TickMode::EventDriven {
                 self.fast_forward(cycle_cap);
@@ -1264,14 +1141,6 @@ impl<'a> Core<'a> {
         // zero-allocation invariant, asserted in tests/tick_equivalence.rs).
         self.base.activity.alloc_count += self.entries.alloc_events();
         Ok(self.base.finish())
-    }
-
-    fn bump_mode_cycles(&mut self) {
-        match self.mode {
-            Mode::Advance => self.base.stats.spec_mode_cycles += 1,
-            Mode::Rally => self.base.stats.rally_cycles += 1,
-            Mode::Architectural => {}
-        }
     }
 }
 

@@ -22,8 +22,12 @@
 //! * [`RetireHook`]/[`RetireEvent`] — retirement-granularity
 //!   instrumentation consumed by the `ff-debug` triage tooling;
 //! * [`InOrderStage`] — the baseline in-order pipeline the in-order,
-//!   runahead and multipass models share: one architectural execute step
-//!   and one stalled-head skip analysis (DESIGN.md §7c);
+//!   runahead and multipass models share: one architectural execute step,
+//!   one head-readiness and head-wake rule, and one stalled-head skip
+//!   analysis (DESIGN.md §7c);
+//! * [`Srf`] — the speculative register file (A-bits, I-bits) both
+//!   speculative passes write: multipass advance mode and runahead
+//!   pre-execution;
 //! * [`Slab`]/[`InFlightIndex`] — allocation-free in-flight state
 //!   containers backing the steady-state zero-allocation invariant
 //!   (DESIGN.md §7e).
@@ -39,6 +43,7 @@ pub mod probe;
 pub mod retire;
 pub mod scoreboard;
 pub mod slab;
+pub mod srf;
 pub mod stage;
 pub mod stats;
 pub mod trace;
@@ -51,6 +56,17 @@ pub use probe::{AscForwardObs, CycleObs, MemAccessObs, NullProbe, PipelineProbe,
 pub use retire::{EpisodeWindow, NullRetireHook, RetireEvent, RetireHook, RetireMode, RetireRing};
 pub use scoreboard::{operand_stall, operand_wake, PendingKind, Scoreboard};
 pub use slab::{InFlightIndex, Slab, SlotId};
+pub use srf::{Srf, SrfVal};
 pub use stage::{Head, InOrderStage, Issued};
 pub use stats::{RunStats, StallKind};
 pub use trace::{DepList, TraceError, TraceInst, TraceStream};
+
+/// xorshift64: a fixed, dependency-free operation stream for the unit
+/// tests.
+#[cfg(test)]
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}

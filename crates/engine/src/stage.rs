@@ -13,6 +13,11 @@
 //!   branch. Per-model differences enter as inputs (predictor training,
 //!   the stream a branch is checked against); values some models route
 //!   differently come back in [`Issued`] for the caller to apply.
+//! * [`InOrderStage::head_ready`] / [`InOrderStage::head_wake`] — when
+//!   the instruction a stalled pipeline waits on could issue, and the
+//!   earliest cycle that can change: runahead's episode exit and
+//!   multipass's advance→rally transition (multipass adds only its E-bit
+//!   arm).
 //! * [`InOrderStage::stalled_head`] — the DESIGN.md §7c skip analysis for
 //!   a stalled head, and [`InOrderStage::skip_until`] /
 //!   [`InOrderStage::skip_to`], the bulk-charge tail every event-driven
@@ -304,6 +309,38 @@ impl<'p> InOrderStage<'p> {
         self.stats.breakdown.charge(kind);
     }
 
+    /// The head's instruction once it has arrived, else the cycle it
+    /// arrives (`u64::MAX` when the buffer is drained: only fetch can
+    /// change that).
+    #[inline]
+    fn live_head(&self) -> Result<&'p Inst, u64> {
+        match self.fetch.get(self.fetch.head_seq()) {
+            None => Err(u64::MAX),
+            Some(e) if e.fetched_at > self.now => Err(e.fetched_at),
+            Some(e) => Ok(self.program.inst(e.pc).expect("fetched pc is valid")),
+        }
+    }
+
+    /// Whether the head has arrived and no operand interlock holds it:
+    /// the instruction a stalled pipeline waits on could issue now, FU
+    /// permitting. Runahead leaves an episode, and multipass advance mode
+    /// enters rally, on this test.
+    #[inline]
+    pub fn head_ready(&self) -> bool {
+        self.live_head().is_ok_and(|inst| operand_stall(inst, &self.sb, self.now).is_none())
+    }
+
+    /// The earliest cycle at which [`InOrderStage::head_ready`] can change
+    /// through the passage of time alone: the head's arrival, else its
+    /// earliest operand wake. `u64::MAX` when only fetch can change it.
+    #[inline]
+    pub fn head_wake(&self) -> u64 {
+        match self.live_head() {
+            Err(arrives) => arrives,
+            Ok(inst) => operand_wake(inst, &self.sb, self.now).unwrap_or(u64::MAX),
+        }
+    }
+
     /// The §7c skip analysis for the head of the buffer: `(wake, kind,
     /// visits)` when the head provably cannot issue before `wake` through
     /// the passage of time alone, and each polled cycle until then would
@@ -319,13 +356,10 @@ impl<'p> InOrderStage<'p> {
     /// multipass leave the architectural regime on one the same cycle.
     #[inline]
     pub fn stalled_head(&self, load_stall_skippable: bool) -> Option<(u64, StallKind, u64)> {
-        let Some(e) = self.fetch.get(self.fetch.head_seq()) else {
-            return Some((u64::MAX, StallKind::FrontEnd, 0));
+        let inst = match self.live_head() {
+            Ok(inst) => inst,
+            Err(arrives) => return Some((arrives, StallKind::FrontEnd, 0)),
         };
-        if e.fetched_at > self.now {
-            return Some((e.fetched_at, StallKind::FrontEnd, 0));
-        }
-        let inst = self.program.inst(e.pc).expect("fetched pc is valid");
         match operand_stall(inst, &self.sb, self.now) {
             Some(StallKind::Load) if !load_stall_skippable => None,
             Some(kind) => operand_wake(inst, &self.sb, self.now).map(|w| (w, kind, 1)),
@@ -385,5 +419,75 @@ impl<'p> InOrderStage<'p> {
             mem_stats: self.mem.final_stats(),
             final_state: self.state,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ff_isa::MemoryImage;
+
+    /// `r2 = r1 + r0; halt`, one instruction per group.
+    fn add_program() -> Program {
+        let mut p = Program::new();
+        let b = p.add_block();
+        p.push(b, Inst::new(Op::Add).dst(Reg::int(2)).src(Reg::int(1)).src(Reg::int(0)).stop());
+        p.push(b, Inst::new(Op::Halt).stop());
+        p
+    }
+
+    /// Ticks fetch until the first group is in the buffer, leaving `now`
+    /// at the cycle it was fetched.
+    fn fetch_first_group(stage: &mut InOrderStage<'_>, case: &SimCase<'_>) {
+        while stage.begin_cycle(case, u64::MAX).unwrap().is_empty() {
+            stage.now += 1;
+        }
+    }
+
+    #[test]
+    fn drained_buffer_is_never_ready_and_waits_on_fetch() {
+        let p = add_program();
+        let case = SimCase::new(&p, MemoryImage::new());
+        let stage = InOrderStage::new(&case, &MachineConfig::default(), 8);
+        assert!(!stage.head_ready());
+        assert_eq!(stage.head_wake(), u64::MAX);
+    }
+
+    #[test]
+    fn head_not_yet_arrived_wakes_at_its_arrival() {
+        let p = add_program();
+        let case = SimCase::new(&p, MemoryImage::new());
+        let mut stage = InOrderStage::new(&case, &MachineConfig::default(), 8);
+        fetch_first_group(&mut stage, &case);
+        let arrives = stage.fetch.get(stage.fetch.head_seq()).unwrap().fetched_at;
+        assert!(arrives > stage.now);
+        assert!(!stage.head_ready());
+        assert_eq!(stage.head_wake(), arrives);
+    }
+
+    #[test]
+    fn load_stalled_head_wakes_when_the_load_returns() {
+        let p = add_program();
+        let case = SimCase::new(&p, MemoryImage::new());
+        let mut stage = InOrderStage::new(&case, &MachineConfig::default(), 8);
+        fetch_first_group(&mut stage, &case);
+        stage.now += 1;
+        let returns = stage.now + 150;
+        stage.sb.set_pending(Reg::int(1), returns, PendingKind::Load);
+        assert!(!stage.head_ready());
+        assert_eq!(stage.head_wake(), returns);
+        stage.now = returns;
+        assert!(stage.head_ready());
+    }
+
+    #[test]
+    fn ready_head_stays_ready() {
+        let p = add_program();
+        let case = SimCase::new(&p, MemoryImage::new());
+        let mut stage = InOrderStage::new(&case, &MachineConfig::default(), 8);
+        fetch_first_group(&mut stage, &case);
+        stage.now += 1;
+        assert!(stage.head_ready());
+        assert_eq!(stage.head_wake(), u64::MAX);
     }
 }

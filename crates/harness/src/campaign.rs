@@ -161,9 +161,8 @@ pub struct CampaignOptions {
     pub workers: usize,
     /// Attempts per job (>= 1).
     pub attempts: u32,
-    /// Per-job watchdog: abort a simulation after this many cycles and
-    /// mark it `failed: timeout` instead of hanging the campaign.
-    pub cycle_budget: Option<u64>,
+    /// How each attempt runs: the watchdog budget and sentinels.
+    pub exec: ExecOptions,
     /// Artifact directory.
     pub out_dir: PathBuf,
     /// Re-run jobs even when a valid artifact exists; also bypasses the
@@ -171,9 +170,6 @@ pub struct CampaignOptions {
     pub force: bool,
     /// Emit live progress/ETA lines on stderr.
     pub progress: bool,
-    /// Run every simulation under the full `ff-sentinel` invariant
-    /// checker set; a violation fails the job as `invariant-violation`.
-    pub sentinels: bool,
     /// Skip jobs that failed this many consecutive prior runs
     /// (`--quarantine-after N`). `None` disables the ledger entirely.
     pub quarantine_after: Option<u32>,
@@ -188,19 +184,13 @@ impl CampaignOptions {
             scale,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             attempts: 1,
-            cycle_budget: None,
+            exec: ExecOptions::default(),
             out_dir: out_dir.into(),
             force: false,
             progress: false,
-            sentinels: false,
             quarantine_after: None,
             inject: None,
         }
-    }
-
-    /// The execution-affecting subset of these options.
-    pub fn exec(&self) -> ExecOptions {
-        ExecOptions { cycle_budget: self.cycle_budget, sentinels: self.sentinels }
     }
 }
 
@@ -503,12 +493,12 @@ fn run_one(opts: &CampaignOptions, state: &mut JobContext, spec: &JobSpec) -> Jo
         };
     }
     let started = Instant::now();
-    let exec = opts.exec();
     let mut last = None;
     let mut attempts = 0;
     while attempts < opts.attempts.max(1) {
         attempts += 1;
-        let attempt = attempt_job(state, spec, &exec, opts.inject.as_ref().map(|f| (f, attempts)));
+        let inject = opts.inject.as_ref().map(|f| (f, attempts));
+        let attempt = attempt_job(state, spec, &opts.exec, inject);
         match attempt.result {
             Ok(ref artifact) => {
                 if let Err(e) = write_artifact(&opts.out_dir, spec, artifact) {
@@ -533,7 +523,7 @@ fn run_one(opts: &CampaignOptions, state: &mut JobContext, spec: &JobSpec) -> Jo
     // Terminal failure: leave a replayable crash bundle for any cause the
     // simulation itself produced (a transient injected `Other` from the
     // resume tests has nothing worth replaying).
-    last.write_crash_bundle(&opts.out_dir, spec, opts.cycle_budget);
+    last.write_crash_bundle(&opts.out_dir, spec, opts.exec.cycle_budget);
     let last_err = last.result.expect_err("terminal attempt failed");
     JobOutcome {
         spec: spec.clone(),

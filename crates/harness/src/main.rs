@@ -17,17 +17,16 @@ use std::process::ExitCode;
 
 use ff_experiments::{HierKind, ModelKind, UnknownBenchmark};
 use ff_harness::{
-    artifact::{parse_sim_artifact, spec_from_artifact},
+    artifact::spec_from_artifact,
     full_grid,
     job::parse_scale,
     job::scale_name,
-    json::Json,
     read_manifest,
     remote::{campaign_status, fetch_artifact, submit_campaign},
     render_all, run_campaign,
-    store::{find_artifact, write_artifact},
-    write_manifest, ArtifactStore, CampaignOptions, CampaignReport, CampaignRequest, JobFilter,
-    JobKind, JobSpec, JobStatus, RemoteSource, ServerUrl,
+    store::write_artifact,
+    write_manifest, ArtifactStore, CampaignOptions, CampaignRequest, ExecOptions, JobFilter,
+    JobSpec, RemoteSource, ServerUrl,
 };
 use ff_workloads::{Scale, Workload};
 
@@ -89,8 +88,7 @@ struct Cli {
     scale: Scale,
     jobs: usize,
     retries: u32,
-    cycle_budget: Option<u64>,
-    sentinels: bool,
+    exec: ExecOptions,
     quarantine_after: Option<u32>,
     out: Option<PathBuf>,
     results: PathBuf,
@@ -152,8 +150,7 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
         scale: Scale::Test,
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         retries: 0,
-        cycle_budget: None,
-        sentinels: false,
+        exec: ExecOptions::default(),
         quarantine_after: None,
         out: None,
         results: PathBuf::from("results"),
@@ -193,10 +190,10 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
             }
             "--cycle-budget" => {
                 let v = value("--cycle-budget")?;
-                cli.cycle_budget =
+                cli.exec.cycle_budget =
                     Some(v.parse().map_err(|_| usage_err(&format!("bad --cycle-budget `{v}`")))?);
             }
-            "--sentinels" => cli.sentinels = true,
+            "--sentinels" => cli.exec.sentinels = true,
             "--quarantine-after" => {
                 let v = value("--quarantine-after")?;
                 cli.quarantine_after = Some(
@@ -476,89 +473,6 @@ fn cmd_status(cli: &Cli) -> ExitCode {
     }
 }
 
-/// The `model` name a `BENCH_*.json` baseline uses for a campaign model,
-/// when the perf trajectory tracks it.
-fn bench_model_name(model: &str) -> Option<&'static str> {
-    match model {
-        "inorder" => Some("inorder"),
-        "runahead" => Some("runahead"),
-        "ooo" => Some("ooo"),
-        "MP" => Some("multipass"),
-        _ => None,
-    }
-}
-
-/// Per-model event-tick cycles/sec geomeans from a `BENCH_*.json`
-/// document. Parsed locally (ff-harness does not depend on ff-bench);
-/// tolerant of either format version since only three fields are read.
-fn bench_baseline_geomeans(text: &str) -> Option<Vec<(String, f64)>> {
-    let doc = Json::parse(text).ok()?;
-    let entries = doc.get("entries").and_then(Json::as_arr)?;
-    let mut sums: Vec<(String, f64, u32)> = Vec::new();
-    for e in entries {
-        let tick = e.get("tick").and_then(Json::as_str)?;
-        if tick != "event" {
-            continue;
-        }
-        let model = e.get("model").and_then(Json::as_str)?;
-        let cps = e.get("cycles_per_sec").and_then(Json::as_f64)?;
-        match sums.iter_mut().find(|(m, _, _)| m == model) {
-            Some((_, log_sum, n)) => {
-                *log_sum += cps.ln();
-                *n += 1;
-            }
-            None => sums.push((model.to_string(), cps.ln(), 1)),
-        }
-    }
-    Some(sums.into_iter().map(|(m, s, n)| (m, (s / n as f64).exp())).collect())
-}
-
-/// Prints this run's per-model simulator throughput next to the committed
-/// `BENCH_main.json` baseline: simulated cycles (read back from each
-/// executed sim artifact) over the wall time the campaign spent on that
-/// model. Cached jobs cost no wall time and are excluded. Silent when the
-/// run executed no sim jobs or no baseline file exists.
-fn print_throughput_deltas(report: &CampaignReport, dir: &std::path::Path) {
-    // (model name, simulated cycles, wall ms)
-    let mut per_model: Vec<(String, u64, u64)> = Vec::new();
-    for o in &report.outcomes {
-        let JobKind::Sim { model, .. } = &o.spec.kind else { continue };
-        if o.status != JobStatus::Ok || o.wall_ms == 0 {
-            continue;
-        }
-        let Some(path) = find_artifact(dir, &o.spec) else { continue };
-        // Verified read: strips the checksum footer (parse_sim_artifact
-        // wants the bare JSON payload) and skips corrupt files.
-        let Ok((text, _)) = ff_harness::integrity::read_verified(&path) else { continue };
-        let Ok(result) = parse_sim_artifact(&o.spec, &text) else { continue };
-        let name = model.name();
-        match per_model.iter_mut().find(|(m, _, _)| m == name) {
-            Some((_, cycles, ms)) => {
-                *cycles += result.stats.cycles;
-                *ms += o.wall_ms;
-            }
-            None => per_model.push((name.to_string(), result.stats.cycles, o.wall_ms)),
-        }
-    }
-    if per_model.is_empty() {
-        return;
-    }
-    let baseline = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_main.json"),
-    )
-    .ok()
-    .and_then(|t| bench_baseline_geomeans(&t));
-    eprintln!("ff-campaign: simulator throughput this run (vs BENCH_main.json geomean):");
-    for (model, cycles, ms) in per_model {
-        let cps = cycles as f64 / (ms as f64 / 1_000.0).max(1e-9);
-        let vs = bench_model_name(&model)
-            .and_then(|b| baseline.as_ref()?.iter().find(|(m, _)| m == b).cloned())
-            .map(|(_, base)| format!(" (baseline {base:.2e}, {:+.0}%)", (cps / base - 1.0) * 100.0))
-            .unwrap_or_default();
-        eprintln!("  {model:<14} {cps:.2e} cycles/sec{vs}");
-    }
-}
-
 fn cmd_run(cli: &Cli) -> ExitCode {
     let jobs = plan(cli);
     if jobs.is_empty() {
@@ -569,10 +483,9 @@ fn cmd_run(cli: &Cli) -> ExitCode {
     let mut opts = CampaignOptions::new(cli.scale, &dir);
     opts.workers = cli.jobs;
     opts.attempts = cli.retries + 1;
-    opts.cycle_budget = cli.cycle_budget;
+    opts.exec = cli.exec;
     opts.force = cli.force;
     opts.progress = !cli.quiet;
-    opts.sentinels = cli.sentinels;
     opts.quarantine_after = cli.quarantine_after;
     if !cli.quiet {
         eprintln!(
@@ -608,9 +521,6 @@ fn cmd_run(cli: &Cli) -> ExitCode {
     }
     for q in report.quarantined_jobs() {
         eprintln!("  quarantined: {}", q.spec.id());
-    }
-    if !cli.quiet {
-        print_throughput_deltas(&report, &dir);
     }
     if report.failed() + report.quarantined() > 0 {
         return ExitCode::FAILURE;

@@ -197,7 +197,7 @@ fn watchdog_times_out_runaway_jobs() {
     ];
     let mut opts = CampaignOptions::new(Scale::Test, &dir);
     opts.workers = 2;
-    opts.cycle_budget = Some(10);
+    opts.exec.cycle_budget = Some(10);
     let report = run_campaign(&jobs, &opts).unwrap();
     assert_eq!(report.failed(), 2);
     for outcome in report.failures() {
@@ -273,7 +273,7 @@ fn failed_job_bundles_carry_the_trail_of_a_hooked_run() {
     ];
     let mut opts = CampaignOptions::new(Scale::Test, &dir);
     opts.workers = 1;
-    opts.cycle_budget = Some(budget);
+    opts.exec.cycle_budget = Some(budget);
     opts.inject =
         Some(FailureInjection { id_substring: "gzip".into(), times: u32::MAX, panic: true });
     let prev = std::panic::take_hook();
@@ -372,7 +372,7 @@ fn sentinels_do_not_perturb_clean_artifacts() {
     let sentinel_dir = temp_dir("sentinel");
     let mut sentinel_opts = CampaignOptions::new(Scale::Test, &sentinel_dir);
     sentinel_opts.workers = 1;
-    sentinel_opts.sentinels = true;
+    sentinel_opts.exec.sentinels = true;
     let checked = run_campaign(&jobs, &sentinel_opts).unwrap();
     assert_eq!(checked.ok(), 1, "a clean run must pass the full checker set");
     assert!(list_bundles(&sentinel_dir).is_empty());

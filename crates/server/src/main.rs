@@ -39,8 +39,7 @@ struct Cli {
     store: String,
     jobs: Option<usize>,
     retries: u32,
-    cycle_budget: Option<u64>,
-    sentinels: bool,
+    exec: ExecOptions,
     quarantine_after: Option<u32>,
     port_file: Option<String>,
 }
@@ -51,8 +50,7 @@ fn parse_args() -> Result<Cli, String> {
         store: "results/store".to_string(),
         jobs: None,
         retries: 0,
-        cycle_budget: None,
-        sentinels: false,
+        exec: ExecOptions::default(),
         quarantine_after: None,
         port_file: None,
     };
@@ -70,13 +68,13 @@ fn parse_args() -> Result<Cli, String> {
                     value("--retries")?.parse().map_err(|_| "--retries needs a number")?;
             }
             "--cycle-budget" => {
-                cli.cycle_budget = Some(
+                cli.exec.cycle_budget = Some(
                     value("--cycle-budget")?
                         .parse()
                         .map_err(|_| "--cycle-budget needs a number")?,
                 );
             }
-            "--sentinels" => cli.sentinels = true,
+            "--sentinels" => cli.exec.sentinels = true,
             "--quarantine-after" => {
                 cli.quarantine_after = Some(
                     value("--quarantine-after")?
@@ -135,7 +133,7 @@ fn main() -> ExitCode {
             .jobs
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         attempts: cli.retries + 1,
-        exec: ExecOptions { cycle_budget: cli.cycle_budget, sentinels: cli.sentinels },
+        exec: cli.exec,
         quarantine_after: cli.quarantine_after,
     };
     let workers = opts.workers;

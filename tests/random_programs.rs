@@ -221,11 +221,13 @@ proptest! {
         prop_assert!(failures.is_empty(), "unrolled: {}", failures.join("\n"));
     }
 
-    /// Runahead leaves the in-order pipeline only on a load-use stall, so on
-    /// load-free programs it is the in-order model cycle for cycle: a
-    /// timing oracle for the in-order stage both models share.
+    /// Runahead and multipass leave the in-order pipeline only on a
+    /// load-use stall, so on load-free programs each is the in-order model
+    /// cycle for cycle: a timing oracle for the in-order stage and issue
+    /// rule all three share. Multipass gets the in-order instruction
+    /// buffer, since a deeper queue fetches further ahead.
     #[test]
-    fn runahead_matches_inorder_without_loads(
+    fn speculative_models_match_inorder_without_loads(
         body in proptest::collection::vec(
             arb_body_inst().prop_filter("no loads", |b| !matches!(b, BodyInst::Load { .. })),
             1..14,
@@ -235,13 +237,33 @@ proptest! {
         let raw = build_program(&body, trips);
         let compiled = compile(&raw, &CompilerOptions::default());
         let machine = MachineConfig::itanium2_base();
+        let mp_machine = MachineConfig { multipass_iq: machine.inorder_buffer, ..machine };
         for program in [&raw, &compiled] {
             let case = SimCase::new(program, initial_memory());
             let base = InOrder::new(machine).try_run(&case).unwrap();
-            let ra = Runahead::new(machine).try_run(&case).unwrap();
-            prop_assert_eq!(ra.stats.spec_mode_entries, 0);
-            prop_assert_eq!(&ra.stats, &base.stats);
-            prop_assert_eq!(&ra.mem_stats, &base.mem_stats);
+            let models: [Box<dyn ExecutionModel>; 2] =
+                [Box::new(Runahead::new(machine)), Box::new(Multipass::new(mp_machine))];
+            for mut model in models {
+                let r = model.try_run(&case).unwrap();
+                let name = model.name();
+                prop_assert_eq!(r.stats.spec_mode_entries, 0, "{} entered speculation", name);
+                prop_assert_eq!(
+                    &r.stats,
+                    &base.stats,
+                    "{} stats differ:\n{:?}\n{:?}",
+                    name,
+                    r.stats,
+                    base.stats
+                );
+                prop_assert_eq!(
+                    &r.mem_stats,
+                    &base.mem_stats,
+                    "{} mem_stats differ:\n{:?}\n{:?}",
+                    name,
+                    r.mem_stats,
+                    base.mem_stats
+                );
+            }
         }
     }
 
