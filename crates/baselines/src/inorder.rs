@@ -15,8 +15,8 @@
 //! regime.
 
 use ff_engine::{
-    ExecutionModel, InOrderStage, MachineConfig, PipelineProbe, RetireHook, RetireMode, RetireTee,
-    RunError, RunResult, SimCase, StallKind, TickMode,
+    ExecutionModel, InOrderStage, MachineConfig, Observes, PipelineProbe, RetireMode, RunError,
+    RunResult, SimCase, StallKind, TickMode,
 };
 
 /// The baseline in-order model.
@@ -41,11 +41,11 @@ impl InOrder {
 /// One cycle of baseline issue: the head's compiler group in program
 /// order, up to `width` instructions, split at the first stall. Returns
 /// the number issued and the stall that ended issue, if any.
-/// Retirements go to `hook` when one is enabled.
+/// Retirements go to `observer` when there is one.
 pub(crate) fn issue_group(
     stage: &mut InOrderStage<'_>,
     width: u32,
-    mut hook: Option<&mut RetireTee<'_>>,
+    mut observer: Option<&mut (dyn PipelineProbe + '_)>,
 ) -> (u32, Option<StallKind>) {
     let mut issued = 0u32;
     while issued < width {
@@ -57,8 +57,13 @@ pub(crate) fn issue_group(
         if let Some((d, ready_at, kind)) = done.pend {
             stage.sb.set_pending(d, ready_at, kind);
         }
-        if let Some(hook) = hook.as_deref_mut() {
-            hook.on_retire(&done.event(&stage.state, stage.now, RetireMode::Architectural, None));
+        if let Some(observer) = observer.as_deref_mut() {
+            observer.on_retire(&done.event(
+                &stage.state,
+                stage.now,
+                RetireMode::Architectural,
+                None,
+            ));
         }
         issued += 1;
         if stage.halted || done.flushed || head.inst.ends_group() {
@@ -80,17 +85,16 @@ impl ExecutionModel for InOrder {
     fn run_observed(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
         let mut stage = InOrderStage::new(case, cfg, cfg.inorder_buffer);
-        let mut tee = RetireTee::new(hook, probe);
-        let mut hook = tee.enabled().then_some(&mut tee);
+        let retire = probe.observes() >= Observes::Retirements;
         while !stage.halted {
             stage.begin_cycle(case, cycle_cap)?;
-            let (issued, stall) = issue_group(&mut stage, cfg.issue_width, hook.as_deref_mut());
+            let observer = retire.then_some(&mut *probe);
+            let (issued, stall) = issue_group(&mut stage, cfg.issue_width, observer);
             stage.charge_issue(issued, stall);
             stage.now += 1;
             // Event-driven quiescence fast-forward (DESIGN.md §7c).

@@ -31,8 +31,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Index, IndexMut};
 
 use ff_engine::{
-    Activity, ExecutionModel, FuPool, MachineConfig, PipelineProbe, RetireEvent, RetireHook,
-    RetireMode, RetireTee, RunError, RunResult, RunStats, SimCase, StallKind, TickMode, TraceInst,
+    Activity, ExecutionModel, FuPool, MachineConfig, Observes, PipelineProbe, RetireEvent,
+    RetireMode, RunError, RunResult, RunStats, SimCase, StallKind, TickMode, TraceInst,
     TraceStream,
 };
 use ff_frontend::Gshare;
@@ -257,14 +257,12 @@ impl ExecutionModel for OutOfOrder {
     fn run_observed(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
         let mut trace = TraceStream::new(case.program, case.initial_state(), case.max_insts);
-        let hook = &mut RetireTee::new(hook, probe);
-        let hook_enabled = hook.enabled();
+        let retire = probe.observes() >= Observes::Retirements;
 
         let mut mem = MemorySystem::new(cfg.hierarchy);
         let mut predictor = Gshare::new(cfg.gshare_entries);
@@ -586,8 +584,8 @@ impl ExecutionModel for OutOfOrder {
                 if matches!(ti.inst.op(), Op::Halt) && ti.qp_true {
                     retired_halt = true;
                 }
-                if hook_enabled {
-                    hook.on_retire(&RetireEvent {
+                if retire {
+                    probe.on_retire(&RetireEvent {
                         seq: ti.seq,
                         cycle: now,
                         pc: ti.pc,

@@ -32,8 +32,8 @@
 //! runahead keeps its own pre-execution step").
 
 use ff_engine::{
-    ExecutionModel, InOrderStage, MachineConfig, PipelineProbe, RetireHook, RetireTee, RunError,
-    RunResult, SimCase, Srf, SrfVal, StallKind, TickMode,
+    ExecutionModel, InOrderStage, MachineConfig, Observes, PipelineProbe, RunError, RunResult,
+    SimCase, Srf, SrfVal, StallKind, TickMode,
 };
 use ff_isa::eval::{alu, effective_address};
 use ff_isa::{Op, Reg};
@@ -212,14 +212,12 @@ impl ExecutionModel for Runahead {
     fn run_observed(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
         let mut stage = InOrderStage::new(case, cfg, cfg.inorder_buffer);
-        let mut tee = RetireTee::new(hook, probe);
-        let mut hook = tee.enabled().then_some(&mut tee);
+        let retire = probe.observes() >= Observes::Retirements;
 
         // Runahead episode state: `Some(peek_seq)` while running ahead of a
         // blocking load. The speculative overlay persists across episodes
@@ -232,7 +230,8 @@ impl ExecutionModel for Runahead {
             stage.begin_cycle(case, cycle_cap)?;
             if episode.is_none() {
                 // The architectural regime is the in-order pipeline.
-                let (issued, stall) = issue_group(&mut stage, cfg.issue_width, hook.as_deref_mut());
+                let observer = retire.then_some(&mut *probe);
+                let (issued, stall) = issue_group(&mut stage, cfg.issue_width, observer);
                 if issued == 0 && stall == Some(StallKind::Load) {
                     // Enter runahead on a load-use stall.
                     episode = Some(stage.fetch.head_seq());

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
 use ff_engine::{
-    ExecutionModel, MachineConfig, NullProbe, RetireEvent, RetireHook, SimCase, TickMode,
+    ExecutionModel, MachineConfig, Observes, PipelineProbe, RetireEvent, SimCase, TickMode,
 };
 use ff_harness::json::Json;
 use ff_multipass::Multipass;
@@ -125,13 +125,17 @@ pub struct Rate {
 
 /// Marks the wall-clock instant and simulated cycle at which the warm-up
 /// threshold was crossed.
-struct WarmupHook {
+struct WarmupProbe {
     threshold: u64,
     seen: u64,
     mark: Option<(Instant, u64)>,
 }
 
-impl RetireHook for WarmupHook {
+impl PipelineProbe for WarmupProbe {
+    fn observes(&self) -> Observes {
+        Observes::Retirements
+    }
+
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         self.seen += 1;
         if self.seen == self.threshold {
@@ -162,9 +166,9 @@ fn steady_rate(
 ) -> Result<Sample, String> {
     // Warm-up run: the first `warmup` retirements train the host
     // (allocator, caches, branch predictors) and are excluded.
-    let mut hook = WarmupHook { threshold: warmup, seen: 0, mark: None };
-    let first = m.run_observed(case, &mut hook, &mut NullProbe).map_err(|e| e.to_string())?;
-    let Some((start, warm_cycle)) = hook.mark else {
+    let mut warm = WarmupProbe { threshold: warmup, seen: 0, mark: None };
+    let first = m.run_observed(case, &mut warm).map_err(|e| e.to_string())?;
+    let Some((start, warm_cycle)) = warm.mark else {
         return Err(format!(
             "kernel retired only {} instructions — fewer than the warm-up \
              threshold {warmup}; it has no steady state to measure",

@@ -29,7 +29,7 @@
 
 use ff_engine::{
     AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel, InFlightIndex, InOrderStage,
-    MachineConfig, MemAccessObs, PendingKind, PipelineProbe, RetireEvent, RetireHook, RetireMode,
+    MachineConfig, MemAccessObs, Observes, PendingKind, PipelineProbe, RetireEvent, RetireMode,
     RunError, RunResult, SimCase, Srf, SrfVal, StallKind, TickMode,
 };
 use ff_isa::eval::{alu, effective_address};
@@ -130,13 +130,12 @@ struct Core<'a> {
     /// a restart (footnote 2 of the paper: the restart is timed so the
     /// restarted instruction meets its input at the REG stage).
     advance_wait_until: u64,
-    /// Retirement observer (triage tooling); `hook_enabled` is hoisted so
-    /// the unhooked path never constructs events.
-    hook: &'a mut dyn RetireHook,
-    hook_enabled: bool,
-    /// Pipeline-observation probe (invariant checking); `probe_enabled` is
-    /// hoisted identically so unprobed runs never build observations.
+    /// The run's observer. What it observes is hoisted into two flags:
+    /// `retire_enabled` (retirement events) and `probe_enabled` (every
+    /// other observation), so an unobserved run never constructs events
+    /// and a retirement-only one never builds per-cycle snapshots.
     probe: &'a mut dyn PipelineProbe,
+    retire_enabled: bool,
     probe_enabled: bool,
     /// Architectural load wakeups scheduled so far (fault-injection index).
     load_pends: u64,
@@ -150,14 +149,8 @@ struct Core<'a> {
 }
 
 impl<'a> Core<'a> {
-    fn new(
-        config: MultipassConfig,
-        case: &SimCase<'a>,
-        hook: &'a mut dyn RetireHook,
-        probe: &'a mut dyn PipelineProbe,
-    ) -> Self {
-        let hook_enabled = hook.enabled();
-        let probe_enabled = probe.enabled();
+    fn new(config: MultipassConfig, case: &SimCase<'a>, probe: &'a mut dyn PipelineProbe) -> Self {
+        let observes = probe.observes();
         let machine = config.machine;
         let mut base = InOrderStage::new(case, &machine, machine.multipass_iq);
         if let Some(n) = config.fault_warp_cache_latency {
@@ -186,10 +179,9 @@ impl<'a> Core<'a> {
             slot_executed: false,
             consec_deferrals: 0,
             advance_wait_until: 0,
-            hook,
-            hook_enabled,
             probe,
-            probe_enabled,
+            retire_enabled: observes >= Observes::Retirements,
+            probe_enabled: observes == Observes::Pipeline,
             load_pends: 0,
             exec_pends: 0,
             speculative_forwards: 0,
@@ -236,10 +228,10 @@ impl<'a> Core<'a> {
     }
 
     /// Publishes one issued-and-retired instruction: its issue and
-    /// register writeback to the probe, then the retirement to the hook
-    /// and the probe. `event` is built only when someone observes it.
+    /// register writeback when the probe observes the pipeline, then the
+    /// retirement. `event` is built only when the probe observes it.
     fn publish_retire(&mut self, event: impl FnOnce(&Self) -> RetireEvent<'a>) {
-        if !(self.hook_enabled || self.probe_enabled) {
+        if !self.retire_enabled {
             return;
         }
         let event = event(self);
@@ -249,12 +241,7 @@ impl<'a> Core<'a> {
                 self.probe.on_writeback(event.seq, r, event.cycle);
             }
         }
-        if self.hook_enabled {
-            self.hook.on_retire(&event);
-        }
-        if self.probe_enabled {
-            self.probe.on_retire(&event);
-        }
+        self.probe.on_retire(&event);
     }
 
     /// Publishes a completed data access to the probe.
@@ -1164,13 +1151,9 @@ impl ExecutionModel for Multipass {
     fn run_observed(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
-        // Unlike the baselines' tee, the multipass core publishes the deep
-        // per-cycle observations itself; retirements reach both the hook
-        // and the probe directly.
-        let mut core = Core::new(self.config, case, hook, probe);
+        let mut core = Core::new(self.config, case, probe);
         core.tick = self.tick;
         let result = core.run(case)?;
         probe.on_run_end(&result);
@@ -1406,9 +1389,7 @@ mod tests {
         let (p, mem) = figure1_workload(24);
         let case = SimCase::new(&p, mem);
         let mut modes = Modes(Vec::new());
-        let r = Multipass::new(MachineConfig::default())
-            .run_observed(&case, &mut ff_engine::NullRetireHook, &mut modes)
-            .unwrap();
+        let r = Multipass::new(MachineConfig::default()).run_observed(&case, &mut modes).unwrap();
         let trace = modes.0;
         assert!(!trace.is_empty(), "no transitions recorded");
         // Cycles are non-decreasing, and advance/rally both appear.
@@ -1418,6 +1399,67 @@ mod tests {
         // Observing must not perturb timing.
         let plain = Multipass::new(MachineConfig::default()).try_run(&case).unwrap();
         assert_eq!(plain.stats.cycles, r.stats.cycles);
+    }
+
+    /// A retirement-only probe gets the retirement stream and the run's
+    /// end, and none of the per-cycle observations a pipeline probe gets.
+    #[test]
+    fn retirement_probe_sees_only_retirements() {
+        struct Counts {
+            level: Observes,
+            retires: u64,
+            ends: u64,
+            others: u64,
+            cycles: u64,
+            fetches: u64,
+        }
+        impl PipelineProbe for Counts {
+            fn observes(&self) -> Observes {
+                self.level
+            }
+            fn on_fetch(&mut self, _: u64, _: u64) {
+                self.fetches += 1;
+            }
+            fn on_issue(&mut self, _: u64, _: u64) {
+                self.others += 1;
+            }
+            fn on_writeback(&mut self, _: u64, _: Reg, _: u64) {
+                self.others += 1;
+            }
+            fn on_retire(&mut self, _: &RetireEvent<'_>) {
+                self.retires += 1;
+            }
+            fn on_mode(&mut self, _: u64, _: RetireMode) {
+                self.others += 1;
+            }
+            fn on_cycle(&mut self, _: &CycleObs) {
+                self.cycles += 1;
+            }
+            fn on_mem_access(&mut self, _: &MemAccessObs) {
+                self.others += 1;
+            }
+            fn on_asc_forward(&mut self, _: &AscForwardObs) {
+                self.others += 1;
+            }
+            fn on_run_end(&mut self, _: &RunResult) {
+                self.ends += 1;
+            }
+        }
+        let (p, mem) = figure1_workload(24);
+        let case = SimCase::new(&p, mem);
+        let observe = |level| {
+            let mut counts =
+                Counts { level, retires: 0, ends: 0, others: 0, cycles: 0, fetches: 0 };
+            let r = Multipass::new(MachineConfig::default()).run_observed(&case, &mut counts);
+            (r.unwrap(), counts)
+        };
+        let (r, retire) = observe(Observes::Retirements);
+        assert!(r.stats.spec_mode_entries > 0, "the kernel must enter advance mode");
+        assert_eq!((retire.retires, retire.ends), (r.stats.retired, 1));
+        assert_eq!((retire.cycles, retire.fetches, retire.others), (0, 0, 0));
+        let (_, full) = observe(Observes::Pipeline);
+        assert_eq!((full.retires, full.ends, full.cycles), (r.stats.retired, 1, r.stats.cycles));
+        assert!(full.fetches > 0 && full.others > 0);
     }
 
     /// §3.6 value-based consistency: a store deferred during advance mode

@@ -5,9 +5,9 @@
 //! end-of-run `semantically_eq` oracle only says *that* the final states
 //! differ — often millions of dynamic instructions after the actual bug.
 //!
-//! [`LockstepChecker`] closes that gap: it is a
-//! [`RetireHook`](ff_engine::RetireHook) that steps the golden interpreter
-//! once per [`RetireEvent`] and cross-checks, in order,
+//! [`LockstepChecker`] closes that gap: it is a retirement-only
+//! [`PipelineProbe`] that steps the golden interpreter once per
+//! [`RetireEvent`] and cross-checks, in order,
 //!
 //! 1. **control** — the retired pc against the golden next-pc;
 //! 2. **predicate** — the model's qualifying-predicate outcome (when it
@@ -34,7 +34,7 @@
 use std::fmt;
 
 use ff_engine::{
-    EpisodeWindow, ExecutionModel, NullProbe, RetireEvent, RetireHook, RetireMode, RetireRing,
+    EpisodeWindow, ExecutionModel, Observes, PipelineProbe, RetireEvent, RetireMode, RetireRing,
     RunResult, SimCase,
 };
 use ff_isa::eval::effective_address;
@@ -180,7 +180,7 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// A [`RetireHook`](ff_engine::RetireHook) that runs the golden
+/// A retirement-only [`PipelineProbe`] that runs the golden
 /// interpreter in lockstep with a model's retirement stream and freezes
 /// the first divergence.
 ///
@@ -209,11 +209,6 @@ impl<'a> LockstepChecker<'a> {
     /// Consumes the checker, returning the divergence.
     pub fn into_divergence(self) -> Option<Divergence> {
         self.divergence
-    }
-
-    /// Retirements observed before the stream was frozen.
-    pub fn events_checked(&self) -> u64 {
-        self.ring.total()
     }
 
     fn diverge(&mut self, event: &RetireEvent<'_>, kind: DivergenceKind) {
@@ -309,7 +304,11 @@ impl<'a> LockstepChecker<'a> {
     }
 }
 
-impl RetireHook for LockstepChecker<'_> {
+impl PipelineProbe for LockstepChecker<'_> {
+    fn observes(&self) -> Observes {
+        Observes::Retirements
+    }
+
     fn on_retire(&mut self, event: &RetireEvent) {
         if self.divergence.is_some() {
             return; // frozen on the first divergence
@@ -379,9 +378,8 @@ impl fmt::Display for ComparisonReport {
 /// reports the first divergence (if any) plus end-of-run comparisons.
 pub fn compare_model(model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> ComparisonReport {
     let mut checker = LockstepChecker::new(case);
-    let result = model
-        .run_observed(case, &mut checker, &mut NullProbe)
-        .unwrap_or_else(|e| panic!("{e} — runaway program?"));
+    let result =
+        model.run_observed(case, &mut checker).unwrap_or_else(|e| panic!("{e} — runaway program?"));
 
     let mut golden = Interpreter::with_state(case.program, case.initial_state());
     golden.run(case.max_insts).expect("golden interpreter failed on workload program");
@@ -504,7 +502,7 @@ mod tests {
 
     #[test]
     fn extra_retirements_are_reported() {
-        // A hook-level test: feed the checker one event past Halt.
+        // A probe-level test: feed the checker one event past Halt.
         let mut p = Program::new();
         let b = p.add_block();
         p.push(b, Inst::new(Op::Halt));

@@ -19,8 +19,11 @@
 //!   trace-driven out-of-order timing models;
 //! * [`ExecutionModel`] — the trait every pipeline model implements, and
 //!   [`SimCase`]/[`RunResult`] — its input/output types;
-//! * [`RetireHook`]/[`RetireEvent`] — retirement-granularity
-//!   instrumentation consumed by the `ff-debug` triage tooling;
+//! * [`PipelineProbe`] — the one observer a run takes: the retirement
+//!   stream ([`RetireEvent`]) for the `ff-debug` triage tooling and
+//!   crash-bundle [`RetireRing`]s, and the multipass per-cycle
+//!   observations for the `ff-sentinel` checkers, each probe saying which
+//!   it wants ([`Observes`]);
 //! * [`InOrderStage`] — the baseline in-order pipeline the in-order,
 //!   runahead and multipass models share: one architectural execute step,
 //!   one head-readiness and head-wake rule, and one stalled-head skip
@@ -28,9 +31,8 @@
 //! * [`Srf`] — the speculative register file (A-bits, I-bits) both
 //!   speculative passes write: multipass advance mode and runahead
 //!   pre-execution;
-//! * [`Slab`]/[`InFlightIndex`] — allocation-free in-flight state
-//!   containers backing the steady-state zero-allocation invariant
-//!   (DESIGN.md §7e).
+//! * [`InFlightIndex`] — the allocation-free in-flight state container
+//!   backing the steady-state zero-allocation invariant (DESIGN.md §7e).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,10 +54,10 @@ pub use activity::Activity;
 pub use config::MachineConfig;
 pub use fu::FuPool;
 pub use model::{ExecutionModel, RunError, RunResult, SimCase, TickMode};
-pub use probe::{AscForwardObs, CycleObs, MemAccessObs, NullProbe, PipelineProbe, RetireTee};
-pub use retire::{EpisodeWindow, NullRetireHook, RetireEvent, RetireHook, RetireMode, RetireRing};
+pub use probe::{AscForwardObs, CycleObs, MemAccessObs, NullProbe, Observes, PipelineProbe};
+pub use retire::{EpisodeWindow, RetireEvent, RetireMode, RetireRing};
 pub use scoreboard::{operand_stall, operand_wake, PendingKind, Scoreboard};
-pub use slab::{InFlightIndex, Slab, SlotId};
+pub use slab::InFlightIndex;
 pub use srf::{Srf, SrfVal};
 pub use stage::{Head, InOrderStage, Issued};
 pub use stats::{RunStats, StallKind};

@@ -7,7 +7,6 @@ use ff_mem::MemStats;
 
 use crate::activity::Activity;
 use crate::probe::{NullProbe, PipelineProbe};
-use crate::retire::{NullRetireHook, RetireHook};
 use crate::stats::RunStats;
 
 /// One simulation input: a compiled program plus its initial data memory.
@@ -135,16 +134,17 @@ pub trait ExecutionModel: Send {
     fn set_tick_mode(&mut self, mode: TickMode);
 
     /// Simulates `case` until the program halts or the effective cycle
-    /// cap ([`SimCase::cycle_cap`]) is hit, reporting every retired
-    /// dynamic instruction to `hook` in retirement order and publishing
-    /// pipeline observations to `probe` (see [`PipelineProbe`]), ending
-    /// with [`PipelineProbe::on_run_end`]. Observers are strictly
+    /// cap ([`SimCase::cycle_cap`]) is hit, publishing to `probe` what its
+    /// [`PipelineProbe::observes`] asks for (see [`PipelineProbe`]) and
+    /// ending with [`PipelineProbe::on_run_end`]. The probe is strictly
     /// read-only: an observed run produces a [`RunResult`] identical to
     /// an unobserved one.
     ///
-    /// Every model delivers retirements and the end-of-run result; the
-    /// multipass pipeline also publishes per-cycle, mode-transition,
-    /// memory-completion, and store-forwarding observations.
+    /// Every model delivers every retired dynamic instruction in
+    /// retirement order and the end-of-run result; the multipass
+    /// pipeline also publishes fetch, issue, writeback, per-cycle,
+    /// mode-transition, memory-completion, and store-forwarding
+    /// observations.
     ///
     /// # Errors
     ///
@@ -158,17 +158,16 @@ pub trait ExecutionModel: Send {
     fn run_observed(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError>;
 
-    /// Simulates `case` with no observers and returns the run's results.
+    /// Simulates `case` unobserved and returns the run's results.
     ///
     /// # Errors
     ///
     /// See [`ExecutionModel::run_observed`].
     fn try_run(&mut self, case: &SimCase<'_>) -> Result<RunResult, RunError> {
-        self.run_observed(case, &mut NullRetireHook, &mut NullProbe)
+        self.run_observed(case, &mut NullProbe)
     }
 }
 

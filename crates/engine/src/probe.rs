@@ -1,23 +1,25 @@
-//! Pipeline probes: cycle-level observation hooks for invariant checking.
+//! Pipeline probes: the single observation layer every model publishes to.
 //!
-//! A [`PipelineProbe`] is the engine-side wiring that the `ff-sentinel`
-//! invariant checkers plug into. Models publish *observations* — fetches,
-//! issues, writebacks, retirements, per-cycle pointer/occupancy snapshots,
-//! memory completions, and store-forwarding decisions — and a probe
-//! consumes them without ever feeding anything back, so a probed run is
-//! cycle-for-cycle identical to an unprobed one.
+//! A [`PipelineProbe`] is what the `ff-sentinel` invariant checkers, the
+//! `ff-debug` lockstep checker, crash-bundle [`RetireRing`](crate::RetireRing)s
+//! and timeline exporters plug into. Models publish *observations* —
+//! fetches, issues, writebacks, retirements, per-cycle pointer/occupancy
+//! snapshots, memory completions, and store-forwarding decisions — and a
+//! probe consumes them without ever feeding anything back, so a probed
+//! run is cycle-for-cycle identical to an unprobed one.
 //!
 //! Every model delivers retirements and the end-of-run result through
 //! [`ExecutionModel::run_observed`](crate::ExecutionModel::run_observed);
 //! the multipass pipeline additionally publishes its mode transitions and
 //! the deep per-cycle observations ([`CycleObs`], [`MemAccessObs`],
-//! [`AscForwardObs`]) from inside its core loop.
+//! [`AscForwardObs`]) from inside its core loop. A probe that wants only
+//! the retirement stream says so through [`PipelineProbe::observes`].
 
 use ff_isa::Reg;
 use ff_mem::HitLevel;
 
 use crate::model::RunResult;
-use crate::retire::{RetireEvent, RetireHook, RetireMode};
+use crate::retire::{RetireEvent, RetireMode};
 
 /// One cycle's worth of multipass pipeline state, published at the top of
 /// the cycle (after mode transitions, before issue).
@@ -78,16 +80,36 @@ pub struct AscForwardObs {
     pub s_bit: bool,
 }
 
-/// Observation hooks published by a pipeline model.
+/// What a [`PipelineProbe`] wants to observe, asked once per run.
 ///
-/// Every hook has a no-op default, so a probe implements only what it
-/// needs. [`PipelineProbe::enabled`] is hoisted by models exactly like
-/// [`RetireHook::enabled`]: when it returns `false`, observation structs
-/// are never even constructed.
+/// The levels are ordered: a model builds [`RetireEvent`]s for
+/// [`Observes::Retirements`] and up, and the per-cycle multipass
+/// observations only for [`Observes::Pipeline`]. A retirement-only probe
+/// is therefore as cheap as the retirement stream itself: multipass keeps
+/// its bulk fast-forward for it instead of walking skipped windows one
+/// snapshot at a time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Observes {
+    /// Nothing: the model constructs no observation at all.
+    Nothing,
+    /// [`PipelineProbe::on_retire`] and [`PipelineProbe::on_run_end`] only.
+    Retirements,
+    /// Every observation.
+    Pipeline,
+}
+
+/// The one observer of a run: every model publishes its retirement
+/// stream and end-of-run result here, and the multipass pipeline also
+/// publishes its fetches, issues, writebacks, mode transitions and
+/// per-cycle state.
+///
+/// Every callback has a no-op default, so a probe implements only what it
+/// needs. [`PipelineProbe::observes`] is hoisted by models once per run;
+/// a model never calls a callback the answer excludes.
 pub trait PipelineProbe {
-    /// Whether this probe wants observations at all.
-    fn enabled(&self) -> bool {
-        true
+    /// Which observations this probe wants (see [`Observes`]).
+    fn observes(&self) -> Observes {
+        Observes::Pipeline
     }
 
     /// An instruction entered the fetch buffer.
@@ -105,7 +127,8 @@ pub trait PipelineProbe {
         let _ = (seq, reg, cycle);
     }
 
-    /// An instruction retired.
+    /// An instruction retired. Events arrive in retirement (program)
+    /// order with non-decreasing cycles, nothing more.
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         let _ = event;
     }
@@ -139,50 +162,15 @@ pub trait PipelineProbe {
     }
 }
 
-/// A probe that observes nothing and reports itself disabled, letting
+/// A probe that observes nothing (the one
+/// [`ExecutionModel::try_run`](crate::ExecutionModel::try_run) passes), so
 /// models skip observation construction entirely.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullProbe;
 
 impl PipelineProbe for NullProbe {
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Retire-hook adapter that tees retirements to both a caller's hook and
-/// a probe — the [`ExecutionModel::run_observed`](crate::ExecutionModel::run_observed)
-/// plumbing for models without deeper instrumentation. It reports itself
-/// enabled only when one of the two sides is, so an unobserved run never
-/// constructs retirement events.
-pub struct RetireTee<'a> {
-    hook: &'a mut dyn RetireHook,
-    hook_enabled: bool,
-    probe: &'a mut dyn PipelineProbe,
-    probe_enabled: bool,
-}
-
-impl<'a> RetireTee<'a> {
-    /// Tees retirements into `hook` and `probe`, each when it is enabled.
-    pub fn new(hook: &'a mut dyn RetireHook, probe: &'a mut dyn PipelineProbe) -> Self {
-        let hook_enabled = hook.enabled();
-        let probe_enabled = probe.enabled();
-        RetireTee { hook, hook_enabled, probe, probe_enabled }
-    }
-}
-
-impl RetireHook for RetireTee<'_> {
-    fn enabled(&self) -> bool {
-        self.hook_enabled || self.probe_enabled
-    }
-
-    fn on_retire(&mut self, event: &RetireEvent<'_>) {
-        if self.hook_enabled {
-            self.hook.on_retire(event);
-        }
-        if self.probe_enabled {
-            self.probe.on_retire(event);
-        }
+    fn observes(&self) -> Observes {
+        Observes::Nothing
     }
 }
 
@@ -191,40 +179,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_probe_is_disabled() {
-        assert!(!NullProbe.enabled());
-    }
-
-    #[test]
-    fn tee_forwards_to_both_sides() {
-        struct CountProbe(u64);
-        impl PipelineProbe for CountProbe {
-            fn on_retire(&mut self, _: &RetireEvent<'_>) {
-                self.0 += 1;
-            }
-        }
-        let mut ring = crate::retire::RetireRing::new(4);
-        let mut probe = CountProbe(0);
-        let mut p = ff_isa::Program::new();
-        let b = p.add_block();
-        p.push(b, ff_isa::Inst::new(ff_isa::Op::Nop));
-        let ev = RetireEvent {
-            seq: 0,
-            cycle: 3,
-            pc: p.first_pc_from(ff_isa::program::BlockId(0)).unwrap(),
-            inst: std::borrow::Cow::Owned(ff_isa::Inst::new(ff_isa::Op::Nop)),
-            qp_true: None,
-            wrote: None,
-            stored: None,
-            mode: RetireMode::Architectural,
-            merged: false,
-            episode: None,
-        };
-        let mut tee = RetireTee::new(&mut ring, &mut probe);
-        tee.on_retire(&ev);
-        assert_eq!(ring.total(), 1);
-        assert_eq!(probe.0, 1);
-        // With neither side enabled, models skip building events.
-        assert!(!RetireTee::new(&mut crate::NullRetireHook, &mut NullProbe).enabled());
+    fn observation_levels_are_ordered() {
+        assert_eq!(NullProbe.observes(), Observes::Nothing);
+        assert!(Observes::Nothing < Observes::Retirements);
+        assert!(Observes::Retirements < Observes::Pipeline);
+        assert_eq!(crate::RetireRing::new(1).observes(), Observes::Retirements);
     }
 }

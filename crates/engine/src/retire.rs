@@ -1,13 +1,15 @@
 //! Retirement-event instrumentation shared by every execution model.
 //!
 //! Every pipeline model retires the same architectural instruction stream
-//! (that is the whole point of the equivalence oracle), so a hook at
-//! retirement granularity is the natural place to observe a model's
-//! architectural effects without perturbing its timing. A model invoked
-//! through [`crate::ExecutionModel::run_observed`] reports one
-//! [`RetireEvent`] per retired dynamic instruction — its location, the
-//! register it wrote, the store it performed, and (for multipass) the mode
-//! and advance-episode window active at retirement. The `ff-debug` crate
+//! (that is the whole point of the equivalence oracle), so retirement
+//! granularity is the natural place to observe a model's architectural
+//! effects without perturbing its timing. A model invoked through
+//! [`crate::ExecutionModel::run_observed`] reports one [`RetireEvent`] per
+//! retired dynamic instruction to the run's
+//! [`PipelineProbe::on_retire`] — its location, the register it wrote, the
+//! store it performed, and (for multipass) the mode and advance-episode
+//! window active at retirement. A probe that wants nothing else answers
+//! [`Observes::Retirements`]; [`RetireRing`] is one. The `ff-debug` crate
 //! consumes these events to run a golden interpreter in lockstep and report
 //! the *first divergence* of a buggy model.
 
@@ -17,12 +19,14 @@ use std::fmt;
 
 use ff_isa::{Inst, Pc, Reg};
 
+use crate::probe::{Observes, PipelineProbe};
+
 /// Pipeline mode at the moment of retirement.
 ///
 /// The baselines always retire in [`RetireMode::Architectural`]; the
 /// multipass pipeline also retires during rally (merging preserved
 /// results). No instruction retires during advance preexecution, but the
-/// variant exists so hooks can render mode traces uniformly.
+/// variant exists so probes can render mode traces uniformly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetireMode {
     /// Conventional in-order execution.
@@ -63,8 +67,8 @@ impl fmt::Display for EpisodeWindow {
 
 /// One architecturally retired dynamic instruction.
 ///
-/// The event fires once per retired instruction whenever any hook or
-/// probe is enabled, so the instruction itself is carried as a
+/// The event fires once per retired instruction whenever the run's probe
+/// observes retirements, so the instruction itself is carried as a
 /// [`Cow`]: models borrow it straight out of the program (no per-retire
 /// clone on the hot path), while observers that outlive the retirement
 /// call [`RetireEvent::into_owned`] to detach it.
@@ -156,35 +160,6 @@ impl fmt::Display for RetireEvent<'_> {
     }
 }
 
-/// Observer of the retirement stream.
-///
-/// Implementations must not assume anything about timing: events arrive in
-/// retirement (program) order with non-decreasing cycles, nothing more.
-pub trait RetireHook {
-    /// Whether this hook consumes events at all. Models hoist this check
-    /// and skip constructing [`RetireEvent`]s entirely when it returns
-    /// false, so the un-instrumented `run` path stays free of per-retire
-    /// overhead.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Called once per retired dynamic instruction, in retirement order.
-    fn on_retire(&mut self, event: &RetireEvent<'_>);
-}
-
-/// A hook that ignores every event (the one [`crate::ExecutionModel::try_run`] passes).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRetireHook;
-
-impl RetireHook for NullRetireHook {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn on_retire(&mut self, _event: &RetireEvent<'_>) {}
-}
-
 /// A bounded ring buffer over the most recent retirements.
 ///
 /// Used by triage tooling to show the instructions leading up to a
@@ -243,7 +218,11 @@ impl RetireRing {
     }
 }
 
-impl RetireHook for RetireRing {
+impl PipelineProbe for RetireRing {
+    fn observes(&self) -> Observes {
+        Observes::Retirements
+    }
+
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         self.push_owned(event.to_detached());
     }
@@ -287,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_acts_as_a_hook() {
+    fn ring_acts_as_a_probe() {
         let mut ring = RetireRing::new(8);
         let ev = event(0);
         ring.on_retire(&ev);

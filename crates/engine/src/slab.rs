@@ -1,184 +1,16 @@
-//! Allocation-free in-flight state containers.
+//! Allocation-free in-flight state.
 //!
-//! Two structures back the "zero heap allocation per instruction in steady
-//! state" invariant (DESIGN.md §7e):
-//!
-//! * [`Slab`] — a generational arena. Freed slots go on a free list and are
-//!   reused; every slot carries a generation counter bumped on free, so a
-//!   stale [`SlotId`] held across a reuse can never silently read the new
-//!   occupant ([`Slab::get`] returns `None` on a generation mismatch, and
-//!   debug builds additionally assert).
-//! * [`InFlightIndex`] — an ordered map over *monotonically allocated*
-//!   sequence numbers, as produced by the fetch stream. Because live seqs
-//!   always span a bounded window (the fetch buffer bounds how far the
-//!   newest live entry can run ahead of the oldest), a power-of-two ring
-//!   indexed by `seq & mask` gives O(1) insert/lookup/remove and ascending
-//!   iteration identical to a `BTreeMap<u64, T>` range walk — with zero
-//!   allocation once the ring has reached the window size.
-//!
-//! Both structures count their growth events ([`Slab::alloc_events`],
-//! [`InFlightIndex::alloc_events`]) so models can surface an `alloc_count`
-//! that provably stays flat after warm-up.
-
-/// Handle to a [`Slab`] slot: the slot index plus the generation observed at
-/// insertion. A handle outliving its value (freed, possibly reused) fails
-/// the generation check instead of aliasing the new occupant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SlotId {
-    index: u32,
-    gen: u32,
-}
-
-impl SlotId {
-    /// The raw slot index (stable for the lifetime of the value).
-    pub fn index(self) -> usize {
-        self.index as usize
-    }
-
-    /// The generation this handle was issued under.
-    pub fn generation(self) -> u32 {
-        self.gen
-    }
-}
-
-#[derive(Clone, Debug)]
-struct Slot<T> {
-    gen: u32,
-    value: Option<T>,
-}
-
-/// A generational slab allocator: stable handles, free-list reuse, and
-/// generation-checked access.
-///
-/// # Examples
-///
-/// ```
-/// use ff_engine::slab::Slab;
-///
-/// let mut slab = Slab::with_capacity(8);
-/// let a = slab.insert("alpha");
-/// let b = slab.insert("beta");
-/// assert_eq!(slab.get(a), Some(&"alpha"));
-/// assert_eq!(slab.remove(a), Some("alpha"));
-/// // The freed slot is reused, but the stale handle is caught.
-/// let c = slab.insert("gamma");
-/// assert_eq!(c.index(), a.index());
-/// assert_eq!(slab.get(a), None);
-/// assert_eq!(slab.get(c), Some(&"gamma"));
-/// assert_eq!(slab.get(b), Some(&"beta"));
-/// ```
-#[derive(Clone, Debug)]
-pub struct Slab<T> {
-    slots: Vec<Slot<T>>,
-    free: Vec<u32>,
-    len: usize,
-    alloc_events: u64,
-}
-
-impl<T> Slab<T> {
-    /// An empty slab that will allocate on first insert.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty slab with room for `capacity` values before any growth.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            len: 0,
-            alloc_events: if capacity > 0 { 1 } else { 0 },
-        }
-    }
-
-    /// Number of live values.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no value is live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Times the slab's backing storage grew (including the initial
-    /// allocation). Flat in steady state.
-    pub fn alloc_events(&self) -> u64 {
-        self.alloc_events
-    }
-
-    /// Inserts `value`, reusing a freed slot when one exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` slots would be required.
-    pub fn insert(&mut self, value: T) -> SlotId {
-        self.len += 1;
-        if let Some(index) = self.free.pop() {
-            let slot = &mut self.slots[index as usize];
-            debug_assert!(slot.value.is_none(), "free list pointed at a live slot");
-            slot.value = Some(value);
-            return SlotId { index, gen: slot.gen };
-        }
-        let index = u32::try_from(self.slots.len()).expect("slab exceeds u32 slots");
-        if self.slots.len() == self.slots.capacity() {
-            self.alloc_events += 1;
-        }
-        self.slots.push(Slot { gen: 0, value: Some(value) });
-        SlotId { index, gen: 0 }
-    }
-
-    fn slot(&self, id: SlotId) -> Option<&Slot<T>> {
-        let slot = self.slots.get(id.index as usize)?;
-        if slot.gen != id.gen {
-            debug_assert!(
-                slot.value.is_none() || slot.gen != id.gen,
-                "generation bookkeeping corrupted"
-            );
-            return None;
-        }
-        slot.value.as_ref()?;
-        Some(slot)
-    }
-
-    /// The value behind `id`, or `None` when the slot was freed (and
-    /// possibly reused) since the handle was issued.
-    pub fn get(&self, id: SlotId) -> Option<&T> {
-        self.slot(id).and_then(|s| s.value.as_ref())
-    }
-
-    /// Mutable access behind `id`, generation-checked like [`Slab::get`].
-    pub fn get_mut(&mut self, id: SlotId) -> Option<&mut T> {
-        let slot = self.slots.get_mut(id.index as usize)?;
-        if slot.gen != id.gen {
-            return None;
-        }
-        slot.value.as_mut()
-    }
-
-    /// Removes and returns the value behind `id`; the slot's generation is
-    /// bumped so every outstanding handle to it becomes stale.
-    pub fn remove(&mut self, id: SlotId) -> Option<T> {
-        let slot = self.slots.get_mut(id.index as usize)?;
-        if slot.gen != id.gen {
-            return None;
-        }
-        let value = slot.value.take()?;
-        slot.gen = slot.gen.wrapping_add(1);
-        if self.free.len() == self.free.capacity() {
-            self.alloc_events += 1;
-        }
-        self.free.push(id.index);
-        self.len -= 1;
-        Some(value)
-    }
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+//! [`InFlightIndex`] backs the "zero heap allocation per instruction in
+//! steady state" invariant (DESIGN.md §7e): an ordered map over
+//! *monotonically allocated* sequence numbers, as produced by the fetch
+//! stream. Because live seqs always span a bounded window (the fetch
+//! buffer bounds how far the newest live entry can run ahead of the
+//! oldest), a power-of-two ring indexed by `seq & mask` gives O(1)
+//! insert/lookup/remove and ascending iteration identical to a
+//! `BTreeMap<u64, T>` range walk — with zero allocation once the ring has
+//! reached the window size. It counts its growth events
+//! ([`InFlightIndex::alloc_events`]) so models can surface an
+//! `alloc_count` that provably stays flat after warm-up.
 
 /// An ordered map over monotonically allocated sequence numbers, backed by
 /// a power-of-two ring indexed `seq & mask`.
@@ -397,47 +229,6 @@ impl<T> InFlightIndex<T> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-
-    #[test]
-    fn slab_reuses_freed_slots_and_catches_stale_handles() {
-        let mut slab = Slab::with_capacity(4);
-        let a = slab.insert(10);
-        let b = slab.insert(20);
-        assert_eq!(slab.len(), 2);
-        assert_eq!(slab.remove(a), Some(10));
-        assert_eq!(slab.remove(a), None, "double free is caught");
-        let c = slab.insert(30);
-        assert_eq!(c.index(), a.index(), "slot is reused");
-        assert_ne!(c.generation(), a.generation());
-        assert_eq!(slab.get(a), None, "stale handle cannot read the reuse");
-        assert_eq!(slab.get_mut(a), None);
-        assert_eq!(slab.get(b), Some(&20));
-        assert_eq!(slab.get(c), Some(&30));
-    }
-
-    #[test]
-    fn slab_with_capacity_never_grows_within_capacity() {
-        let mut slab = Slab::with_capacity(8);
-        let start = slab.alloc_events();
-        let ids: Vec<SlotId> = (0..8).map(|i| slab.insert(i)).collect();
-        for id in &ids {
-            slab.remove(*id);
-        }
-        for i in 0..8 {
-            slab.insert(i + 100);
-        }
-        assert_eq!(slab.alloc_events(), start, "churn within capacity is allocation-free");
-    }
-
-    #[test]
-    fn slab_growth_is_counted() {
-        let mut slab = Slab::new();
-        assert_eq!(slab.alloc_events(), 0);
-        for i in 0..100 {
-            slab.insert(i);
-        }
-        assert!(slab.alloc_events() > 0);
-    }
 
     #[test]
     fn index_matches_btreemap_on_mixed_ops() {

@@ -1,64 +1,18 @@
-//! Property tests for the in-flight state containers (DESIGN.md §7e).
+//! Property tests for the in-flight state container (DESIGN.md §7e).
 //!
-//! Two invariants carry the slab migration's correctness argument:
-//!
-//! * a [`SlotId`] that outlives its value must *never* alias a reused
-//!   slot — the generation check has to catch every stale handle, under
-//!   any interleaving of inserts and frees;
-//! * [`InFlightIndex`] must be observationally identical to the
-//!   `BTreeMap<u64, T>` it replaced — same values, same ascending
-//!   iteration and squash-walk order — under any interleaving of
-//!   inserts, head retirements, and squashes, including span overflows
-//!   that force the ring to grow.
+//! [`InFlightIndex`] must be observationally identical to the
+//! `BTreeMap<u64, T>` it replaced — same values, same ascending iteration
+//! and squash-walk order — under any interleaving of inserts, head
+//! retirements, and squashes, including span overflows that force the
+//! ring to grow.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ff_engine::{InFlightIndex, Slab, SlotId};
+use ff_engine::InFlightIndex;
 
 proptest! {
-    /// Every handle freed (directly or by removing another path to the
-    /// same slot) goes permanently stale: `get`/`get_mut`/`remove` all
-    /// refuse it, even after the slot is reused by later inserts.
-    #[test]
-    fn slab_stale_handles_never_alias_reuse(
-        ops in proptest::collection::vec((0u8..3, any::<u64>()), 1..200),
-    ) {
-        let mut slab: Slab<u64> = Slab::with_capacity(4);
-        let mut live: Vec<(SlotId, u64)> = Vec::new();
-        let mut stale: Vec<SlotId> = Vec::new();
-        for &(op, payload) in &ops {
-            match op {
-                // Insert: the fresh handle reads back its own value.
-                0 => {
-                    let id = slab.insert(payload);
-                    prop_assert_eq!(slab.get(id), Some(&payload));
-                    live.push((id, payload));
-                }
-                // Remove a random live handle; it joins the stale set.
-                1 if !live.is_empty() => {
-                    let (id, v) = live.swap_remove(payload as usize % live.len());
-                    prop_assert_eq!(slab.remove(id), Some(v));
-                    stale.push(id);
-                }
-                // Probe a random stale handle: every access must refuse.
-                _ if !stale.is_empty() => {
-                    let id = stale[payload as usize % stale.len()];
-                    prop_assert_eq!(slab.get(id), None, "stale get leaked");
-                    prop_assert_eq!(slab.get_mut(id), None, "stale get_mut leaked");
-                    prop_assert_eq!(slab.remove(id), None, "stale remove (double free)");
-                }
-                _ => {}
-            }
-            prop_assert_eq!(slab.len(), live.len());
-            // All live handles still read their values (no aliasing).
-            for &(id, v) in &live {
-                prop_assert_eq!(slab.get(id), Some(&v));
-            }
-        }
-    }
-
     /// The ring is a drop-in `BTreeMap` replacement: after any mix of
     /// monotonic inserts, head retirements, and squashes, both the live
     /// contents and every ascending walk (iteration, squash callbacks)

@@ -3,9 +3,8 @@
 use ff_engine::Activity;
 use ff_engine::MachineConfig;
 use ff_power::Table1Row;
-use ff_workloads::Scale;
 
-use crate::suite::{HierKind, ModelKind, ResultSource, Suite};
+use crate::suite::{HierKind, ModelKind, ResultSource};
 
 /// Figure 6: normalized execution cycles with the four-way stall breakdown
 /// for baseline, multipass, and idealized out-of-order.
@@ -274,14 +273,11 @@ pub fn table2() -> Vec<(String, String)> {
     MachineConfig::itanium2_base().table2_rows()
 }
 
-/// Convenience: builds a suite and runs Figure 6 (the headline experiment).
-pub fn figure6_at(scale: Scale) -> Figure6 {
-    figure6(&mut Suite::new(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::Suite;
+    use ff_workloads::Scale;
 
     fn suite() -> Suite {
         Suite::new(Scale::Test)

@@ -297,13 +297,6 @@ where
     out
 }
 
-/// Simulates one seeded grid point on the base hierarchy — the live
-/// backend for [`seed_sensitivity`].
-pub fn seeded_cycles(model: ModelKind, bench: &str, scale: Scale, seed: u64) -> u64 {
-    let w = Workload::by_name_seeded(bench, scale, seed).expect("known benchmark");
-    crate::suite::Suite::execute(model, HierKind::Base, &w).stats.cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,12 +8,12 @@
 //! error, any sentinel violations, and the last retirements observed
 //! before the failure.
 //!
-//! Campaign attempts run without a retirement hook, so a job that
-//! succeeds records nothing. The trail and the violations come from a
-//! deterministic replay: [`attempt_job`](crate::campaign::attempt_job) re-runs a failed attempt once
-//! under a [`RetireRing`] of [`BUNDLE_RETIREMENTS`], and a hook never
-//! changes a run, so the replay fails at the same point with the same
-//! trail a live recording would have kept.
+//! Campaign attempts run unobserved, so a job that succeeds records
+//! nothing. The trail and the violations come from a deterministic
+//! replay: [`attempt_job`](crate::campaign::attempt_job) re-runs a failed
+//! attempt once under a [`RetireRing`] of [`BUNDLE_RETIREMENTS`], and a
+//! probe never changes a run, so the replay fails at the same point with
+//! the same trail a live recording would have kept.
 //!
 //! `examples/compare_divergence.rs --bundle <path>`
 //! consumes a bundle to replay the job against the golden interpreter and

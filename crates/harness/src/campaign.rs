@@ -10,8 +10,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ff_engine::{NullProbe, NullRetireHook, RetireHook, RetireRing};
+use ff_engine::{NullProbe, Observes, PipelineProbe, RetireEvent, RetireRing};
 use ff_experiments::{reports, HierKind, ModelKind, Suite};
+use ff_sentinel::{Reporter, Sentinel, SentinelSuite};
 use ff_workloads::{Scale, Workload};
 
 use crate::artifact::{render_report_artifact, render_sim_artifact, verify_header};
@@ -347,11 +348,26 @@ impl Attempt {
     }
 }
 
+/// Hands the retirement stream inside a `--sentinels` suite on to the
+/// run's own observer (the crash-bundle ring of a replay), so the run
+/// still takes a single probe.
+struct Retirements<'p>(&'p mut dyn PipelineProbe);
+
+impl Sentinel for Retirements<'_> {
+    fn name(&self) -> &'static str {
+        "retirements"
+    }
+
+    fn on_retire(&mut self, event: &RetireEvent<'_>, _: &mut Reporter<'_>) {
+        self.0.on_retire(event);
+    }
+}
+
 fn compute_artifact(
     state: &mut JobContext,
     spec: &JobSpec,
     exec: &ExecOptions,
-    hook: &mut dyn RetireHook,
+    observer: &mut dyn PipelineProbe,
     violations: &mut Vec<String>,
 ) -> Result<String, JobError> {
     match &spec.kind {
@@ -366,7 +382,11 @@ fn compute_artifact(
             }
             let mut m = Suite::build_model(*model, *hier);
             let outcome = if exec.sentinels {
-                let report = ff_sentinel::check_model_hooked(m.as_mut(), &case, hook);
+                let mut suite = SentinelSuite::with_golden(&case);
+                if observer.observes() >= Observes::Retirements {
+                    suite.add(Retirements(observer));
+                }
+                let report = suite.check(m.as_mut(), &case);
                 if !report.violations.is_empty() {
                     *violations = report.violations.iter().map(|v| v.to_string()).collect();
                     let first = &report.violations[0];
@@ -380,7 +400,7 @@ fn compute_artifact(
                 }
                 report.outcome
             } else {
-                m.run_observed(&case, hook, &mut NullProbe)
+                m.run_observed(&case, observer)
             };
             match outcome {
                 Ok(result) => Ok(render_sim_artifact(spec, &result)),
@@ -422,12 +442,12 @@ pub fn artifact_is_current(out_dir: &Path, spec: &JobSpec) -> bool {
 /// compute closure is caught here and classified as
 /// [`JobErrorKind::Panic`]; the caller's thread never unwinds.
 ///
-/// The attempt runs with no retirement hook, so a job that succeeds pays
-/// nothing for crash bundles. An attempt that fails with a replayable
-/// cause (any kind but [`JobErrorKind::Other`]) is run once more, the same
-/// way, under a [`RetireRing`] of [`BUNDLE_RETIREMENTS`] to collect the
-/// bundle's trailing retirements and sentinel violations. A hook never
-/// changes a run (`tests/retire_hook_transparency.rs`), so the replay
+/// The attempt runs unobserved, so a job that succeeds pays nothing for
+/// crash bundles. An attempt that fails with a replayable cause (any kind
+/// but [`JobErrorKind::Other`]) is run once more, the same way, under a
+/// [`RetireRing`] of [`BUNDLE_RETIREMENTS`] to collect the bundle's
+/// trailing retirements and sentinel violations. A probe never changes a
+/// run (`tests/observer_transparency.rs`), so the replay
 /// fails exactly where the attempt did and the bundle matches one recorded
 /// live. The attempt's own result is the one reported.
 ///
@@ -441,7 +461,7 @@ pub fn attempt_job(
     exec: &ExecOptions,
     inject: Option<(&FailureInjection, u32)>,
 ) -> Attempt {
-    let result = run_isolated(state, spec, exec, inject, &mut NullRetireHook, &mut Vec::new());
+    let result = run_isolated(state, spec, exec, inject, &mut NullProbe, &mut Vec::new());
     let mut debris = AttemptDebris::new();
     if result.as_ref().is_err_and(|e| e.kind != JobErrorKind::Other) {
         let _ = run_isolated(state, spec, exec, inject, &mut debris.ring, &mut debris.violations);
@@ -450,13 +470,13 @@ pub fn attempt_job(
 }
 
 /// Runs `spec` once inside the unwind boundary, reporting retirements to
-/// `hook` and sentinel violations to `violations`.
+/// `observer` and sentinel violations to `violations`.
 fn run_isolated(
     state: &mut JobContext,
     spec: &JobSpec,
     exec: &ExecOptions,
     inject: Option<(&FailureInjection, u32)>,
-    hook: &mut dyn RetireHook,
+    observer: &mut dyn PipelineProbe,
     violations: &mut Vec<String>,
 ) -> Result<String, JobError> {
     catch_unwind(AssertUnwindSafe(|| {
@@ -470,7 +490,7 @@ fn run_isolated(
                 return Err(JobError::other(format!("injected failure (attempt {attempt})")));
             }
         }
-        compute_artifact(state, spec, exec, hook, violations)
+        compute_artifact(state, spec, exec, observer, violations)
     }))
     .unwrap_or_else(|payload| {
         let msg = payload

@@ -55,14 +55,14 @@ pub fn find_artifact(root: &Path, spec: &JobSpec) -> Option<PathBuf> {
 }
 
 /// Finds an artifact by config hash alone (the `GET /jobs/{hash}` lookup):
-/// scans the hash's shard directory for a file whose name ends in
-/// `-{hash:016x}.json`.
+/// scans the hash's shard directory for an artifact file name (see
+/// [`artifact_hash_of`]) embedding `hash`. A [`durable_write`] temp file
+/// ends the same way but is never an artifact.
 pub fn find_by_hash(root: &Path, hash: u64) -> Option<PathBuf> {
-    let suffix = format!("-{hash:016x}.json");
     let entries = std::fs::read_dir(root.join(shard_name(hash))).ok()?;
     for entry in entries.flatten() {
         let name = entry.file_name();
-        if name.to_string_lossy().ends_with(&suffix) && entry.path().is_file() {
+        if artifact_hash_of(&name.to_string_lossy()) == Some(hash) && entry.path().is_file() {
             return Some(entry.path());
         }
     }
@@ -515,6 +515,24 @@ mod tests {
         assert_eq!(store.read(&spec).unwrap(), "{\"x\": 1}\n");
         assert_eq!(store.read_by_hash(spec.config_hash()).unwrap(), "{\"x\": 1}\n");
         assert!(store.read_by_hash(0xdead_beef).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_by_hash_skips_orphaned_tmp_files() {
+        let dir = temp_dir("orphan");
+        let store = ShardedStore::open(&dir).unwrap();
+        let spec = JobSpec::sim(ModelKind::InOrder, HierKind::Base, "vpr", 0, Scale::Test);
+        let path = store.publish(&spec, "{\"x\": 1}\n").unwrap();
+        // Torn writes of the same artifact, as a killed writer leaves them
+        // behind a live store (the sweep only runs at open).
+        for n in 0..8 {
+            let orphan = format!(".tmp-1-{n}-{}", spec.artifact_filename());
+            std::fs::write(path.with_file_name(orphan), "{\"x\"").unwrap();
+        }
+        assert_eq!(find_by_hash(&dir, spec.config_hash()), Some(path));
+        assert_eq!(store.read_by_hash(spec.config_hash()).unwrap(), "{\"x\": 1}\n");
+        assert_eq!(store.counters().corrupt_detected.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

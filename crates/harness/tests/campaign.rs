@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use ff_engine::{NullProbe, RetireRing, SimCase};
+use ff_engine::{RetireRing, SimCase};
 use ff_experiments::{HierKind, ModelKind, Suite};
 use ff_harness::bundle::BUNDLE_RETIREMENTS;
 use ff_harness::{
@@ -257,61 +257,63 @@ fn a_panicking_job_degrades_gracefully() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Crash-bundle fidelity: campaign attempts run without a retirement
-/// hook, yet a failed job's bundle carries the same trail a hooked run
-/// records live. The timed-out job's `retired_total` and
-/// `last_retirements` equal a direct `run_observed` of the same spec and
-/// budget under a `RetireRing` of `BUNDLE_RETIREMENTS`, and an injected
-/// panic still leaves its (empty-trailed) bundle.
+/// Crash-bundle fidelity: campaign attempts run unobserved, yet a failed
+/// job's bundle carries the same trail an observed run records live. The
+/// timed-out job's `retired_total` and `last_retirements` equal a direct
+/// `run_observed` of the same spec and budget under a `RetireRing` of
+/// `BUNDLE_RETIREMENTS`, with and without `--sentinels` (whose replay
+/// feeds the ring from inside the sentinel suite), and an injected panic
+/// still leaves its (empty-trailed) bundle.
 #[test]
-fn failed_job_bundles_carry_the_trail_of_a_hooked_run() {
-    let dir = temp_dir("fidelity");
+fn failed_job_bundles_carry_the_trail_of_an_observed_run() {
     let budget = 2_000;
-    let jobs = vec![
-        JobSpec::sim(ModelKind::Multipass, HierKind::Base, "mcf", 0, Scale::Test),
-        JobSpec::sim(ModelKind::InOrder, HierKind::Base, "gzip", 0, Scale::Test),
-    ];
-    let mut opts = CampaignOptions::new(Scale::Test, &dir);
-    opts.workers = 1;
-    opts.exec.cycle_budget = Some(budget);
-    opts.inject =
-        Some(FailureInjection { id_substring: "gzip".into(), times: u32::MAX, panic: true });
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = run_campaign(&jobs, &opts).unwrap();
-    std::panic::set_hook(prev);
-    assert_eq!(report.failed(), 2);
-
-    let bundles: Vec<CrashBundle> =
-        list_bundles(&dir).iter().map(|p| CrashBundle::read(p).unwrap()).collect();
-    assert_eq!(bundles.len(), 2);
-    let timed_out = bundles.iter().find(|b| b.bench == "mcf").expect("timeout bundle");
-    let panicked = bundles.iter().find(|b| b.bench == "gzip").expect("panic bundle");
-
     let w = Workload::by_name_seeded("mcf", Scale::Test, 0).unwrap();
     let case = SimCase::new(&w.program, w.mem.clone()).with_cycle_budget(budget);
     let mut ring = RetireRing::new(BUNDLE_RETIREMENTS);
-    let direct = Suite::build_model(ModelKind::Multipass, HierKind::Base).run_observed(
-        &case,
-        &mut ring,
-        &mut NullProbe,
-    );
+    let direct =
+        Suite::build_model(ModelKind::Multipass, HierKind::Base).run_observed(&case, &mut ring);
     let err = direct.expect_err("the budget must cut the direct run short too");
     assert!(ring.total() > BUNDLE_RETIREMENTS as u64, "budget too small to test the trail");
-    assert_eq!(timed_out.error.kind, JobErrorKind::Timeout);
-    assert_eq!(timed_out.error.message, err.to_string());
-    assert_eq!(timed_out.retired_total, ring.total());
     let direct_trail: Vec<String> = ring.events().map(|e| e.to_string()).collect();
-    assert_eq!(timed_out.last_retirements, direct_trail);
-    assert!(timed_out.violations.is_empty());
 
-    // The injection panics before the simulation starts, so the replay
-    // retires nothing either.
-    assert_eq!(panicked.error.kind, JobErrorKind::Panic);
-    assert!(panicked.error.message.contains("injected panic"), "{:?}", panicked.error);
-    assert_eq!(panicked.retired_total, 0);
-    assert!(panicked.last_retirements.is_empty());
-    std::fs::remove_dir_all(&dir).unwrap();
+    for sentinels in [false, true] {
+        let dir = temp_dir(&format!("fidelity-{sentinels}"));
+        let jobs = vec![
+            JobSpec::sim(ModelKind::Multipass, HierKind::Base, "mcf", 0, Scale::Test),
+            JobSpec::sim(ModelKind::InOrder, HierKind::Base, "gzip", 0, Scale::Test),
+        ];
+        let mut opts = CampaignOptions::new(Scale::Test, &dir);
+        opts.workers = 1;
+        opts.exec.cycle_budget = Some(budget);
+        opts.exec.sentinels = sentinels;
+        opts.inject =
+            Some(FailureInjection { id_substring: "gzip".into(), times: u32::MAX, panic: true });
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = run_campaign(&jobs, &opts).unwrap();
+        std::panic::set_hook(prev);
+        assert_eq!(report.failed(), 2);
+
+        let bundles: Vec<CrashBundle> =
+            list_bundles(&dir).iter().map(|p| CrashBundle::read(p).unwrap()).collect();
+        assert_eq!(bundles.len(), 2);
+        let timed_out = bundles.iter().find(|b| b.bench == "mcf").expect("timeout bundle");
+        let panicked = bundles.iter().find(|b| b.bench == "gzip").expect("panic bundle");
+
+        assert_eq!(timed_out.error.kind, JobErrorKind::Timeout);
+        assert_eq!(timed_out.error.message, err.to_string());
+        assert_eq!(timed_out.retired_total, ring.total(), "sentinels: {sentinels}");
+        assert_eq!(timed_out.last_retirements, direct_trail, "sentinels: {sentinels}");
+        assert!(timed_out.violations.is_empty());
+
+        // The injection panics before the simulation starts, so the replay
+        // retires nothing either.
+        assert_eq!(panicked.error.kind, JobErrorKind::Panic);
+        assert!(panicked.error.message.contains("injected panic"), "{:?}", panicked.error);
+        assert_eq!(panicked.retired_total, 0);
+        assert!(panicked.last_retirements.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// Quarantine lifecycle: two consecutive failed runs put a config on the

@@ -193,16 +193,6 @@ impl MemorySystem {
         self.mshrs.next_fill_at(now).unwrap_or(u64::MAX)
     }
 
-    /// Would a data access to `addr` at cycle `now` be served by the L1D
-    /// with the data already present (a true L1 hit, not a merge with an
-    /// in-flight miss)? Used by the multipass WAW policy of §3.5: advance
-    /// loads that miss L1 skip the speculative-register-file writeback.
-    /// Does not disturb any state.
-    #[inline]
-    pub fn probe_l1d(&self, addr: u64, now: u64) -> bool {
-        self.l1d.probe(addr) && self.mshrs.in_flight(self.l1d.line_addr(addr), now).is_none()
-    }
-
     /// Performs a timed access at cycle `now`.
     ///
     /// For hits, `complete_at = now + level latency`. For misses an MSHR is

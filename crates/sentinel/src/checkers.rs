@@ -8,7 +8,8 @@
 
 use ff_debug::LockstepChecker;
 use ff_engine::{
-    AscForwardObs, CycleObs, MemAccessObs, RetireEvent, RetireHook, RetireMode, RunResult, SimCase,
+    AscForwardObs, CycleObs, MemAccessObs, PipelineProbe, RetireEvent, RetireMode, RunResult,
+    SimCase,
 };
 
 use crate::{Reporter, Sentinel};

@@ -37,8 +37,8 @@
 use std::fmt;
 
 use ff_engine::{
-    AscForwardObs, CycleObs, ExecutionModel, MemAccessObs, NullRetireHook, PipelineProbe,
-    RetireEvent, RetireHook, RunError, RunResult, SimCase,
+    AscForwardObs, CycleObs, ExecutionModel, MemAccessObs, PipelineProbe, RetireEvent, RunError,
+    RunResult, SimCase,
 };
 use ff_isa::Reg;
 
@@ -189,6 +189,12 @@ impl<'a> SentinelSuite<'a> {
         self.violations
     }
 
+    /// Runs `case` on `model` under this suite.
+    pub fn check(mut self, model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> SentinelReport {
+        let outcome = model.run_observed(case, &mut self);
+        SentinelReport { outcome, violations: self.violations }
+    }
+
     fn each(&mut self, mut f: impl FnMut(&mut dyn Sentinel, &mut Reporter<'_>)) {
         for s in &mut self.sentinels {
             let mut r =
@@ -262,20 +268,9 @@ impl SentinelReport {
 }
 
 /// Runs `case` on `model` with the full checker set (standard six plus
-/// golden lockstep), reporting retirements to `hook` as well.
-pub fn check_model_hooked(
-    model: &mut dyn ExecutionModel,
-    case: &SimCase<'_>,
-    hook: &mut dyn RetireHook,
-) -> SentinelReport {
-    let mut suite = SentinelSuite::with_golden(case);
-    let outcome = model.run_observed(case, hook, &mut suite);
-    SentinelReport { outcome, violations: suite.into_violations() }
-}
-
-/// Runs `case` on `model` with the full checker set.
+/// golden lockstep).
 pub fn check_model(model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> SentinelReport {
-    check_model_hooked(model, case, &mut NullRetireHook)
+    SentinelSuite::with_golden(case).check(model, case)
 }
 
 #[cfg(test)]

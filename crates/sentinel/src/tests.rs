@@ -71,9 +71,7 @@ fn forwarding_kernel_exercises_a_speculative_asc_forward() {
     let case = SimCase::new(&p, mem);
     let mut probe = CountForwards(0);
     let mut model = Multipass::new(MachineConfig::default());
-    model
-        .run_observed(&case, &mut ff_engine::NullRetireHook, &mut probe)
-        .expect("forwarding kernel must complete");
+    model.run_observed(&case, &mut probe).expect("forwarding kernel must complete");
     assert!(probe.0 > 0, "no S-bit ASC forward — the stale-asc fault site is unreachable");
 }
 

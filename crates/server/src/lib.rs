@@ -32,7 +32,7 @@ pub mod service;
 use std::sync::Arc;
 
 pub use http::{HttpOptions, HttpServer, Request, Response, TransportCounters};
-pub use scheduler::{Counters, Scheduler, SchedulerOptions, CAMPAIGNS_DIR};
+pub use scheduler::{Counters, Scheduler, SchedulerOptions, SubmitError, CAMPAIGNS_DIR};
 pub use service::Service;
 
 use ff_harness::store::ShardedStore;

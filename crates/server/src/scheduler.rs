@@ -307,14 +307,14 @@ impl Scheduler {
     /// # Errors
     ///
     /// When the request matches no jobs or the scheduler is stopping.
-    pub fn submit(&self, request: &CampaignRequest) -> Result<(String, usize), String> {
+    pub fn submit(&self, request: &CampaignRequest) -> Result<(String, usize), SubmitError> {
         if request.expand().is_empty() {
-            return Err("the request matches no jobs".to_string());
+            return Err(SubmitError::NoJobs);
         }
         let (id, total) = {
             let mut inner = self.lock_inner();
             if inner.stopping {
-                return Err("server is shutting down".to_string());
+                return Err(SubmitError::Stopping);
             }
             let id = format!("c{}", inner.next_serial);
             inner.next_serial += 1;
@@ -622,6 +622,24 @@ impl Scheduler {
             let _ = handle.join();
         }
         self.checkpoint_all();
+    }
+}
+
+/// Why [`Scheduler::submit`] refused a campaign.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The request matches no job; resubmitting it cannot succeed.
+    NoJobs,
+    /// The scheduler is shutting down; a restarted server may accept it.
+    Stopping,
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            SubmitError::NoJobs => "the request matches no jobs",
+            SubmitError::Stopping => "server is shutting down",
+        })
     }
 }
 

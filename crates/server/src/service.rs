@@ -24,7 +24,7 @@ use ff_harness::json::Json;
 use ff_harness::remote::CampaignRequest;
 
 use crate::http::{Request, Response, TransportCounters};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, SubmitError};
 
 /// Shared service state: the scheduler, the transport counters the HTTP
 /// layer ticks, plus the shutdown latch the binary's main loop polls.
@@ -105,10 +105,12 @@ impl Service {
                 201,
                 Json::obj(vec![("id", Json::Str(id)), ("total", Json::U64(total as u64))]).render(),
             ),
-            // Submission is rejected only while stopping (or for an empty
-            // expansion); a retry against a restarted server can succeed,
-            // so advertise a short Retry-After.
-            Err(e) => Response::unavailable(&e, 2),
+            // A request that matches no job is the client's error.
+            Err(e @ SubmitError::NoJobs) => Response::error(400, &e.to_string()),
+            // A stopping server rejects every submission; a retry against
+            // a restarted server can succeed, so advertise a short
+            // Retry-After.
+            Err(e @ SubmitError::Stopping) => Response::unavailable(&e.to_string(), 2),
         }
     }
 

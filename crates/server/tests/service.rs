@@ -16,7 +16,7 @@ use ff_harness::remote::{
     campaign_status, fetch_artifact, http_get, http_request, submit_campaign, CampaignRequest,
     ServerUrl,
 };
-use ff_server::{Scheduler, SchedulerOptions, Server, CAMPAIGNS_DIR};
+use ff_server::{Request, Scheduler, SchedulerOptions, Server, Service, CAMPAIGNS_DIR};
 use ff_workloads::Scale;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -127,6 +127,36 @@ fn unknown_routes_and_bad_requests_report_json_errors() {
     assert_eq!(code, 405);
 
     server.shutdown();
+}
+
+/// A campaign whose filter matches no job can never succeed, so it is a
+/// client error (`400`, no `Retry-After`); only a stopping server answers
+/// `503` with a `Retry-After`.
+#[test]
+fn an_empty_campaign_is_a_400_and_only_a_stopping_server_says_retry() {
+    let store = temp_dir("empty");
+    let empty = r#"{"scale":"test","filter":{"seeds":[9]}}"#;
+    let (server, url) = start(&store);
+    let (code, body) = http_request(&url, "POST", "/campaigns", Some(empty)).expect("request");
+    assert_eq!(code, 400, "body: {body}");
+    assert!(body.contains("matches no jobs"), "body: {body}");
+    server.shutdown();
+
+    let post = |body: &str| Request {
+        method: "POST".to_string(),
+        path: "/campaigns".to_string(),
+        body: body.to_string(),
+    };
+    let service = Service::new(Scheduler::start(
+        ff_harness::store::ShardedStore::open(&store).expect("store"),
+        SchedulerOptions { workers: 1, ..SchedulerOptions::default() },
+    ));
+    let response = service.handle(&post(empty));
+    assert_eq!((response.status, response.retry_after), (400, None));
+    service.scheduler().shutdown();
+    let response = service.handle(&post(&tiny_request().to_json().render()));
+    assert_eq!((response.status, response.retry_after), (503, Some(2)), "{}", response.body);
+    std::fs::remove_dir_all(&store).unwrap();
 }
 
 #[test]

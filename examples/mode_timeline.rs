@@ -6,9 +6,7 @@
 //! cargo run --release -p flea-flicker --example mode_timeline
 //! ```
 
-use flea_flicker::engine::{
-    ExecutionModel, MachineConfig, NullRetireHook, PipelineProbe, RetireMode, SimCase,
-};
+use flea_flicker::engine::{ExecutionModel, MachineConfig, PipelineProbe, RetireMode, SimCase};
 use flea_flicker::isa::{Inst, MemoryImage, Op, Program, Reg};
 use flea_flicker::multipass::Multipass;
 
@@ -53,9 +51,8 @@ fn main() {
 
     let case = SimCase::new(&p, mem);
     let mut trace = ModeTrace(Vec::new());
-    let result = Multipass::new(MachineConfig::itanium2_base())
-        .run_observed(&case, &mut NullRetireHook, &mut trace)
-        .unwrap();
+    let result =
+        Multipass::new(MachineConfig::itanium2_base()).run_observed(&case, &mut trace).unwrap();
 
     println!("cycle  mode          (total {} cycles)", result.stats.cycles);
     let mut prev_cycle = 0;

@@ -11,8 +11,7 @@ use std::fmt::Write as _;
 use flea_flicker::baselines::{InOrder, OutOfOrder, Runahead};
 use flea_flicker::engine::probe::{AscForwardObs, CycleObs, MemAccessObs, PipelineProbe};
 use flea_flicker::engine::{
-    ExecutionModel, MachineConfig, NullProbe, RetireEvent, RetireHook, RetireMode, RunResult,
-    SimCase, TickMode,
+    ExecutionModel, MachineConfig, Observes, RetireEvent, RetireMode, RunResult, SimCase, TickMode,
 };
 use flea_flicker::harness::artifact::render_sim_artifact;
 use flea_flicker::harness::JobSpec;
@@ -41,11 +40,15 @@ fn models(machine: MachineConfig) -> Vec<(&'static str, Box<dyn ExecutionModel>)
 /// Records the entire retirement stream as rendered lines, so two runs can
 /// be compared event-for-event with a readable diff on mismatch.
 #[derive(Default)]
-struct StreamHook {
+struct RetireStream {
     lines: Vec<String>,
 }
 
-impl RetireHook for StreamHook {
+impl PipelineProbe for RetireStream {
+    fn observes(&self) -> Observes {
+        Observes::Retirements
+    }
+
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         self.lines.push(event.to_string());
     }
@@ -57,9 +60,9 @@ fn run_with(
     tick: TickMode,
 ) -> (RunResult, Vec<String>) {
     model.set_tick_mode(tick);
-    let mut hook = StreamHook::default();
-    let result = model.run_observed(case, &mut hook, &mut NullProbe).unwrap();
-    (result, hook.lines)
+    let mut stream = RetireStream::default();
+    let result = model.run_observed(case, &mut stream).unwrap();
+    (result, stream.lines)
 }
 
 fn first_diff(a: &[String], b: &[String]) -> String {
@@ -235,11 +238,8 @@ fn fast_forward_never_skips_a_probe_visible_event() {
         let observe = |tick| {
             let mut model = Multipass::new(machine);
             model.set_tick_mode(tick);
-            let mut hook = StreamHook::default();
             let mut probe = StreamProbe::default();
-            model
-                .run_observed(&case, &mut hook, &mut probe)
-                .expect("test workloads halt within budget");
+            model.run_observed(&case, &mut probe).expect("test workloads halt within budget");
             probe.lines
         };
         let polled = observe(TickMode::Polling);
