@@ -3,6 +3,11 @@
 //! isolated at the job boundary, failures are classified into the
 //! [`JobError`] taxonomy, repeat offenders are quarantined, and every
 //! terminal failure leaves a replayable [`CrashBundle`].
+//!
+//! The job lifecycle is shared with `ff-server`: both front ends check
+//! the memo cache with [`ShardedStore::contains`], gate on the
+//! [`Quarantine`] ledger only under `--quarantine-after`, and resolve a
+//! miss through [`execute_job`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,15 +20,13 @@ use ff_experiments::{reports, HierKind, ModelKind, Suite};
 use ff_sentinel::{Reporter, Sentinel, SentinelSuite};
 use ff_workloads::{Scale, Workload};
 
-use crate::artifact::{render_report_artifact, render_sim_artifact, verify_header};
+use crate::artifact::{render_report_artifact, render_sim_artifact};
 use crate::bundle::{CrashBundle, BUNDLE_RETIREMENTS};
 use crate::error::{JobError, JobErrorKind};
-use crate::integrity::{self, ReadError};
 use crate::job::{JobKind, JobSpec, REPORT_NAMES};
-use crate::json::Json;
 use crate::pool::run_jobs;
 use crate::quarantine::Quarantine;
-use crate::store::{find_artifact, sweep_tmp, write_artifact};
+use crate::store::ShardedStore;
 
 /// Extra seeds (beyond the canonical seed 0) the full campaign runs for
 /// the seed-sensitivity study, on the models it compares.
@@ -77,6 +80,14 @@ pub struct JobOutcome {
     pub wall_ms: u64,
     /// Attempts made (0 for cached or quarantined jobs).
     pub attempts: u32,
+}
+
+impl JobOutcome {
+    /// The outcome of a job that made no attempt: cached, quarantined,
+    /// pending, or lost with its worker.
+    pub fn unrun(spec: &JobSpec, status: JobStatus, error: Option<JobError>) -> JobOutcome {
+        JobOutcome { spec: spec.clone(), status, error, wall_ms: 0, attempts: 0 }
+    }
 }
 
 /// The result of one campaign run.
@@ -321,7 +332,7 @@ impl Attempt {
     /// attempt failed with a cause worth replaying (anything the
     /// simulation itself produced; transient `Other` errors have nothing
     /// to replay). Returns the bundle path if one was written.
-    pub fn write_crash_bundle(
+    fn write_crash_bundle(
         &self,
         out_dir: &Path,
         spec: &JobSpec,
@@ -418,24 +429,6 @@ fn compute_artifact(
     }
 }
 
-/// Whether a valid, hash-matching artifact for `spec` already exists
-/// Integrity-checked: a file
-/// that fails its checksum footer is moved to the `corrupt/` ledger and
-/// reads as absent, so the resume path transparently re-simulates it.
-pub fn artifact_is_current(out_dir: &Path, spec: &JobSpec) -> bool {
-    let Some(path) = find_artifact(out_dir, spec) else { return false };
-    let text = match integrity::read_verified(&path) {
-        Ok((payload, _)) => payload,
-        Err(ReadError::Io(_)) => return false,
-        Err(ReadError::Corrupt(reason)) => {
-            let _ = integrity::quarantine_corrupt(out_dir, &path, &reason);
-            return false;
-        }
-    };
-    let Ok(doc) = Json::parse(&text) else { return false };
-    verify_header(spec, &doc).is_ok()
-}
-
 /// One panic-isolated attempt at `spec`: the single code path every
 /// simulation in the repo funnels through, whether scheduled by the
 /// `ff-campaign` batch pool or an `ff-server` worker. A panic inside the
@@ -502,55 +495,44 @@ fn run_isolated(
     })
 }
 
-fn run_one(opts: &CampaignOptions, state: &mut JobContext, spec: &JobSpec) -> JobOutcome {
-    if !opts.force && artifact_is_current(&opts.out_dir, spec) {
-        return JobOutcome {
-            spec: spec.clone(),
-            status: JobStatus::Cached,
-            error: None,
-            wall_ms: 0,
-            attempts: 0,
-        };
-    }
+/// Runs up to `attempts` attempts at `spec` through `attempt` (called
+/// with the 1-based attempt number) and publishes the first success into
+/// `store`. A failed publish counts as a failed attempt. When every
+/// attempt fails, the last one leaves its crash bundle next to the store.
+///
+/// This is the one attempt → publish → crash-bundle loop: `ff-campaign
+/// run` passes [`attempt_job`] with its [`FailureInjection`], and
+/// `ff-server` passes its executor.
+pub fn execute_job(
+    store: &ShardedStore,
+    spec: &JobSpec,
+    attempts: u32,
+    exec: &ExecOptions,
+    mut attempt: impl FnMut(u32) -> Attempt,
+) -> JobOutcome {
     let started = Instant::now();
-    let mut last = None;
-    let mut attempts = 0;
-    while attempts < opts.attempts.max(1) {
-        attempts += 1;
-        let inject = opts.inject.as_ref().map(|f| (f, attempts));
-        let attempt = attempt_job(state, spec, &opts.exec, inject);
-        match attempt.result {
-            Ok(ref artifact) => {
-                if let Err(e) = write_artifact(&opts.out_dir, spec, artifact) {
-                    last = Some(Attempt {
-                        result: Err(JobError::other(format!("write artifact: {e}"))),
-                        debris: AttemptDebris::new(),
-                    });
-                    continue;
-                }
-                return JobOutcome {
-                    spec: spec.clone(),
-                    status: JobStatus::Ok,
-                    error: None,
-                    wall_ms: started.elapsed().as_millis() as u64,
-                    attempts,
-                };
-            }
-            Err(_) => last = Some(attempt),
-        }
-    }
-    let last = last.expect("at least one attempt was made");
-    // Terminal failure: leave a replayable crash bundle for any cause the
-    // simulation itself produced (a transient injected `Other` from the
-    // resume tests has nothing worth replaying).
-    last.write_crash_bundle(&opts.out_dir, spec, opts.exec.cycle_budget);
-    let last_err = last.result.expect_err("terminal attempt failed");
-    JobOutcome {
+    let outcome = |status, error, attempts| JobOutcome {
         spec: spec.clone(),
-        status: JobStatus::Failed,
-        error: Some(last_err),
+        status,
+        error,
         wall_ms: started.elapsed().as_millis() as u64,
         attempts,
+    };
+    let mut made = 0;
+    loop {
+        made += 1;
+        let last = attempt(made);
+        let error = match &last.result {
+            Ok(text) => match store.publish(spec, text) {
+                Ok(_) => return outcome(JobStatus::Ok, None, made),
+                Err(e) => JobError::other(format!("write artifact: {e}")),
+            },
+            Err(e) => e.clone(),
+        };
+        if made >= attempts.max(1) {
+            last.write_crash_bundle(store.root(), spec, exec.cycle_budget);
+            return outcome(JobStatus::Failed, Some(error), made);
+        }
     }
 }
 
@@ -569,17 +551,15 @@ fn eta_secs(done: usize, total: usize, elapsed_s: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Only on failure to create the artifact directory; per-job failures are
-/// reported in the returned [`CampaignReport`].
+/// Only on failure to open the artifact directory as a [`ShardedStore`];
+/// per-job failures are reported in the returned [`CampaignReport`].
 pub fn run_campaign(jobs: &[JobSpec], opts: &CampaignOptions) -> std::io::Result<CampaignReport> {
-    std::fs::create_dir_all(&opts.out_dir)?;
-    // Crashed (or chaos-killed) writers leave orphaned `.tmp-*` files;
-    // sweep them before the run so they can't accumulate forever.
-    match sweep_tmp(&opts.out_dir) {
-        Ok(0) | Err(_) => {}
-        Ok(swept) => {
-            eprintln!("swept {swept} orphaned .tmp file(s) from {}", opts.out_dir.display());
-        }
+    // Opening the store sweeps the orphaned `.tmp-*` files crashed (or
+    // chaos-killed) writers leave, so they can't accumulate forever.
+    let store = ShardedStore::open(&opts.out_dir)?;
+    let swept = store.counters().tmp_swept.load(Ordering::Relaxed);
+    if swept > 0 {
+        eprintln!("swept {swept} orphaned .tmp file(s) from {}", opts.out_dir.display());
     }
     let started = Instant::now();
     let done = AtomicUsize::new(0);
@@ -588,11 +568,11 @@ pub fn run_campaign(jobs: &[JobSpec], opts: &CampaignOptions) -> std::io::Result
     // depends only on prior campaigns, never on sibling jobs racing in
     // this one, so parallel and serial runs behave identically.
     let ledger = opts.quarantine_after.map(|_| Quarantine::load(&opts.out_dir));
-    let blocked: Vec<bool> = jobs
+    let skips: Vec<Option<JobError>> = jobs
         .iter()
         .map(|spec| match (&ledger, opts.quarantine_after) {
-            (Some(q), Some(threshold)) => !opts.force && q.blocks(spec, threshold),
-            _ => false,
+            (Some(q), Some(threshold)) if !opts.force => q.gate(spec, threshold),
+            _ => None,
         })
         .collect();
     let raw = run_jobs(
@@ -600,19 +580,14 @@ pub fn run_campaign(jobs: &[JobSpec], opts: &CampaignOptions) -> std::io::Result
         opts.workers,
         |_wid| JobContext::new(),
         |state, i, spec| {
-            let outcome = if blocked[i] {
-                let strikes = ledger.as_ref().map_or(0, |q| q.strikes(spec));
-                JobOutcome {
-                    spec: spec.clone(),
-                    status: JobStatus::Quarantined,
-                    error: Some(JobError::other(format!(
-                        "quarantined after {strikes} consecutive failed runs (--force to retry)"
-                    ))),
-                    wall_ms: 0,
-                    attempts: 0,
-                }
+            let outcome = if let Some(skip) = &skips[i] {
+                JobOutcome::unrun(spec, JobStatus::Quarantined, Some(skip.clone()))
+            } else if !opts.force && store.contains(spec) {
+                JobOutcome::unrun(spec, JobStatus::Cached, None)
             } else {
-                run_one(opts, state, spec)
+                execute_job(&store, spec, opts.attempts, &opts.exec, |n| {
+                    attempt_job(state, spec, &opts.exec, opts.inject.as_ref().map(|f| (f, n)))
+                })
             };
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             if opts.progress {
@@ -634,22 +609,15 @@ pub fn run_campaign(jobs: &[JobSpec], opts: &CampaignOptions) -> std::io::Result
         .into_iter()
         .zip(jobs)
         .map(|(slot, spec)| {
-            slot.unwrap_or_else(|| JobOutcome {
-                spec: spec.clone(),
-                status: JobStatus::Failed,
-                error: Some(JobError::panic("worker thread crashed outside the job boundary")),
-                wall_ms: 0,
-                attempts: 0,
+            slot.unwrap_or_else(|| {
+                let lost = JobError::panic("worker thread crashed outside the job boundary");
+                JobOutcome::unrun(spec, JobStatus::Failed, Some(lost))
             })
         })
         .collect();
-    if let (Some(mut q), Some(_)) = (ledger, opts.quarantine_after) {
+    if let Some(mut q) = ledger {
         for o in &outcomes {
-            match o.status {
-                JobStatus::Failed => q.record(&o.spec, true),
-                JobStatus::Ok | JobStatus::Cached => q.record(&o.spec, false),
-                JobStatus::Quarantined | JobStatus::Pending => {}
-            }
+            q.record(&o.spec, o.status);
         }
         if let Err(e) = q.save(&opts.out_dir) {
             eprintln!("warning: could not save quarantine ledger: {e}");

@@ -355,8 +355,9 @@ mod tests {
         let dir = temp("fsck");
         let ok_spec = JobSpec::sim(ModelKind::Multipass, HierKind::Base, "gzip", 0, Scale::Test);
         let bad_spec = JobSpec::sim(ModelKind::InOrder, HierKind::Base, "mcf", 0, Scale::Test);
-        crate::store::write_artifact(&dir, &ok_spec, "{\"ok\": 1}\n").unwrap();
-        let bad_path = crate::store::write_artifact(&dir, &bad_spec, "{\"bad\": 1}\n").unwrap();
+        let store = crate::store::ShardedStore::open(&dir).unwrap();
+        store.publish(&ok_spec, "{\"ok\": 1}\n").unwrap();
+        let bad_path = store.publish(&bad_spec, "{\"bad\": 1}\n").unwrap();
         // Silently truncate one artifact and plant a footerless one plus
         // an orphaned tmp file and a bystander.
         let text = std::fs::read_to_string(&bad_path).unwrap();

@@ -6,7 +6,8 @@
 //!
 //! * **checkpoint/resume** — each completed job is a content-addressed
 //!   JSON artifact ([`job::JobSpec::config_hash`]); re-running a campaign
-//!   skips jobs whose artifact already exists for the same configuration;
+//!   skips jobs whose artifact already exists, checksum intact, in the
+//!   [`store::ShardedStore`] its `--out` directory is opened as;
 //! * **watchdogs** — a per-job cycle budget aborts runaway simulations as
 //!   `failed: timeout` instead of hanging the campaign
 //!   ([`ff_engine::RunError::CycleBudgetExceeded`]);
@@ -27,19 +28,22 @@
 //!   seeds, scale, git revision, per-job wall time, and worker count;
 //! * **a sharded, memoizing artifact store** — artifacts are
 //!   content-addressed by config hash and sharded across 256 directories
-//!   by hash prefix ([`store`]);
+//!   by hash prefix; [`store::ShardedStore`] is the one memo check and
+//!   publish path ([`store`]);
 //! * **artifact-backed rendering** — [`store::ArtifactStore`] implements
-//!   [`ff_experiments::ResultSource`], so every figure/table under
-//!   `results/` re-renders from checkpointed artifacts without
-//!   re-simulating ([`render_results::render_all`]);
+//!   [`ff_experiments::ResultSource`] over a local artifact directory or
+//!   a campaign server's store, so every figure/table under `results/`
+//!   re-renders from stored artifacts without re-simulating
+//!   ([`render_results::render_all`]);
 //! * **a service protocol** — [`remote`] holds the `ff-server` wire
-//!   protocol, a std-only HTTP client, and [`remote::RemoteSource`], a
-//!   [`ff_experiments::ResultSource`] that renders results straight from
-//!   a campaign server's memoization store.
+//!   protocol and a std-only HTTP client.
 //!
 //! The `ff-campaign` binary is the CLI front end; the long-running
-//! service lives in the `ff-server` crate, which reuses [`attempt_job`]
-//! so a served artifact is byte-identical to a CLI-produced one. See
+//! service lives in the `ff-server` crate. Both resolve a job through the
+//! same lifecycle — [`store::ShardedStore::contains`] as the memo check,
+//! the [`Quarantine`] gate only under `--quarantine-after`, and
+//! [`execute_job`] for the attempts, publish and crash bundle — so a
+//! served artifact is byte-identical to a CLI-produced one. See
 //! `EXPERIMENTS.md`.
 //!
 //! Artifacts are byte-deterministic: a `--jobs 4` campaign produces
@@ -68,14 +72,14 @@ pub mod store;
 
 pub use bundle::{list_bundles, CrashBundle};
 pub use campaign::{
-    artifact_is_current, attempt_job, full_grid, run_campaign, Attempt, CampaignOptions,
-    CampaignReport, ExecOptions, FailureInjection, JobContext, JobFilter, JobOutcome, JobStatus,
+    attempt_job, execute_job, full_grid, run_campaign, Attempt, CampaignOptions, CampaignReport,
+    ExecOptions, FailureInjection, JobContext, JobFilter, JobOutcome, JobStatus,
 };
 pub use error::{JobError, JobErrorKind};
 pub use integrity::FsckReport;
 pub use job::{JobKind, JobSpec, FORMAT_VERSION};
 pub use manifest::{read_manifest, write_manifest, ManifestSummary};
 pub use quarantine::Quarantine;
-pub use remote::{CampaignRequest, CampaignStatus, RemoteSource, RetryPolicy, ServerUrl};
+pub use remote::{CampaignRequest, CampaignStatus, RetryPolicy, ServerUrl};
 pub use render_results::render_all;
-pub use store::{durable_write, parse_hash16, sweep_tmp, ArtifactStore, ShardedStore};
+pub use store::{durable_write, parse_hash16, ArtifactStore, ShardedStore};

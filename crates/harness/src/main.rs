@@ -23,10 +23,8 @@ use ff_harness::{
     job::scale_name,
     read_manifest,
     remote::{campaign_status, fetch_artifact, submit_campaign},
-    render_all, run_campaign,
-    store::write_artifact,
-    write_manifest, ArtifactStore, CampaignOptions, CampaignRequest, ExecOptions, JobFilter,
-    JobSpec, RemoteSource, ServerUrl,
+    render_all, run_campaign, write_manifest, ArtifactStore, CampaignOptions, CampaignRequest,
+    ExecOptions, JobFilter, JobSpec, ServerUrl, ShardedStore,
 };
 use ff_workloads::{Scale, Workload};
 
@@ -349,13 +347,13 @@ fn cmd_remote_status(cli: &Cli) -> ExitCode {
     }
 }
 
-/// Downloads one artifact and files it into the local sharded store under
-/// its proper content-addressed name (reconstructed from the embedded job
-/// descriptor).
-fn fetch_one(url: &ServerUrl, dir: &std::path::Path, hash: &str) -> Result<PathBuf, String> {
+/// Downloads one artifact and publishes it into the local sharded store
+/// under its proper content-addressed name (reconstructed from the
+/// embedded job descriptor).
+fn fetch_one(url: &ServerUrl, store: &ShardedStore, hash: &str) -> Result<PathBuf, String> {
     let text = fetch_artifact(url, hash)?;
     let spec = spec_from_artifact(&text).map_err(|e| format!("artifact {hash}: {e}"))?;
-    write_artifact(dir, &spec, &text).map_err(|e| format!("write artifact {hash}: {e}"))
+    store.publish(&spec, &text).map_err(|e| format!("write artifact {hash}: {e}"))
 }
 
 fn cmd_fetch(cli: &Cli) -> ExitCode {
@@ -367,10 +365,13 @@ fn cmd_fetch(cli: &Cli) -> ExitCode {
         }
     };
     let dir = out_dir(cli);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("ff-campaign: create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
+    let store = match ShardedStore::open(&dir) {
+        Ok(store) => store,
+        Err(e) => {
+            eprintln!("ff-campaign: open {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    };
     let hashes: Vec<String> = if let Some(hash) = cli.hash.as_deref() {
         // Validate the shape locally so a typo is a usage error here, not
         // a server-side 400 (the hash becomes a URL path component).
@@ -403,7 +404,7 @@ fn cmd_fetch(cli: &Cli) -> ExitCode {
     };
     let mut fetched = 0usize;
     for hash in &hashes {
-        match fetch_one(&url, &dir, hash) {
+        match fetch_one(&url, &store, hash) {
             Ok(path) => {
                 fetched += 1;
                 if !cli.quiet {
@@ -428,7 +429,7 @@ fn cmd_remote_render(cli: &Cli) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut source = RemoteSource::new(url, cli.scale);
+    let mut source = ArtifactStore::remote(url, cli.scale);
     match render_all(&mut source, cli.scale, &cli.results, 0.0) {
         Ok(written) => {
             eprintln!("ff-campaign: rendered {} results files from the server", written.len());

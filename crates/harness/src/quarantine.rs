@@ -9,6 +9,13 @@
 //! (or cached) run clears a config's strikes, and `--force` bypasses the
 //! quarantine to give a fixed config its retrial.
 //!
+//! `ff-campaign run` and `ff-server` apply one rule: without
+//! `--quarantine-after` neither reads nor writes the ledger; with it,
+//! [`Quarantine::gate`] decides and words the skip, and
+//! [`Quarantine::record`] counts the outcome. The batch runner gates on
+//! a snapshot taken before the run (so `--jobs 4` equals `--jobs 1`);
+//! the server gates live, as each job is claimed.
+//!
 //! Keying by config hash (not by per-campaign job index or id string)
 //! makes the ledger multi-tenant: when several campaigns share one
 //! artifact store — the `ff-server` case — a config quarantined by one
@@ -18,6 +25,8 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use crate::campaign::JobStatus;
+use crate::error::JobError;
 use crate::job::JobSpec;
 use crate::json::Json;
 
@@ -79,29 +88,33 @@ impl Quarantine {
 
     /// Consecutive failed runs recorded for `spec`'s config hash.
     pub fn strikes(&self, spec: &JobSpec) -> u64 {
-        self.strikes_for_hash(spec.config_hash())
+        self.strikes.get(&spec.config_hash()).map_or(0, |e| e.strikes)
     }
 
-    /// Consecutive failed runs recorded for a raw config hash.
-    pub fn strikes_for_hash(&self, hash: u64) -> u64 {
-        self.strikes.get(&hash).map_or(0, |e| e.strikes)
+    /// The skip for `spec` when its config has accumulated at least
+    /// `threshold` consecutive failures: the error both front ends report
+    /// for a quarantined job.
+    pub fn gate(&self, spec: &JobSpec, threshold: u32) -> Option<JobError> {
+        let strikes = self.strikes(spec);
+        (strikes >= u64::from(threshold.max(1))).then(|| {
+            JobError::other(format!("quarantined after {strikes} consecutive failed runs"))
+        })
     }
 
-    /// Whether `spec`'s config has accumulated at least `threshold`
-    /// consecutive failures and should be skipped.
-    pub fn blocks(&self, spec: &JobSpec, threshold: u32) -> bool {
-        self.strikes(spec) >= u64::from(threshold.max(1))
-    }
-
-    /// Records one run of `spec`: a failure adds a strike, anything else
-    /// clears them.
-    pub fn record(&mut self, spec: &JobSpec, failed: bool) {
-        if failed {
-            let entry = self.strikes.entry(spec.config_hash()).or_default();
-            entry.strikes += 1;
-            entry.id = spec.id();
-        } else {
-            self.strikes.remove(&spec.config_hash());
+    /// Records how one job of `spec` ended: a failure adds a strike, a
+    /// success or a memo hit clears them, and a job that did not run
+    /// (quarantined or pending) leaves them as they are.
+    pub fn record(&mut self, spec: &JobSpec, status: JobStatus) {
+        match status {
+            JobStatus::Failed => {
+                let entry = self.strikes.entry(spec.config_hash()).or_default();
+                entry.strikes += 1;
+                entry.id = spec.id();
+            }
+            JobStatus::Ok | JobStatus::Cached => {
+                self.strikes.remove(&spec.config_hash());
+            }
+            JobStatus::Quarantined | JobStatus::Pending => {}
         }
     }
 
@@ -149,16 +162,18 @@ mod tests {
         let mut q = Quarantine::new();
         let a = spec("mcf");
         let b = spec("gzip");
-        q.record(&a, true);
-        q.record(&a, true);
-        q.record(&b, true);
+        q.record(&a, JobStatus::Failed);
+        q.record(&a, JobStatus::Failed);
+        q.record(&b, JobStatus::Failed);
+        q.record(&b, JobStatus::Quarantined);
         assert_eq!(q.strikes(&a), 2);
-        assert!(q.blocks(&a, 2));
-        assert!(!q.blocks(&a, 3));
-        assert!(!q.blocks(&b, 2));
-        q.record(&a, false);
+        let skip = q.gate(&a, 2).expect("two strikes reach the threshold");
+        assert_eq!(skip.to_string(), "other: quarantined after 2 consecutive failed runs");
+        assert!(q.gate(&a, 3).is_none());
+        assert!(q.gate(&b, 2).is_none());
+        q.record(&a, JobStatus::Cached);
         assert_eq!(q.strikes(&a), 0);
-        assert!(!q.blocks(&a, 1));
+        assert!(q.gate(&a, 1).is_none());
     }
 
     #[test]
@@ -169,10 +184,13 @@ mod tests {
         let campaign_one_job_7 = spec("mcf");
         let campaign_two_job_0 =
             JobSpec::sim(ModelKind::Multipass, HierKind::Base, "mcf", 0, Scale::Test);
-        q.record(&campaign_one_job_7, true);
-        q.record(&campaign_one_job_7, true);
-        assert!(q.blocks(&campaign_two_job_0, 2), "hash-keyed strikes must cross campaigns");
-        assert_eq!(q.strikes_for_hash(campaign_two_job_0.config_hash()), 2);
+        q.record(&campaign_one_job_7, JobStatus::Failed);
+        q.record(&campaign_one_job_7, JobStatus::Failed);
+        assert!(
+            q.gate(&campaign_two_job_0, 2).is_some(),
+            "hash-keyed strikes must cross campaigns"
+        );
+        assert_eq!(q.strikes(&campaign_two_job_0), 2);
     }
 
     #[test]
@@ -181,8 +199,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut q = Quarantine::new();
-        q.record(&spec("mcf"), true);
-        q.record(&spec("mcf"), true);
+        q.record(&spec("mcf"), JobStatus::Failed);
+        q.record(&spec("mcf"), JobStatus::Failed);
         q.save(&dir).unwrap();
         let back = Quarantine::load(&dir);
         assert_eq!(back, q);

@@ -7,7 +7,9 @@
 //! service agree on one spec format and one job-expansion code path
 //! ([`CampaignRequest::expand`] is the same `full_grid` + [`JobFilter`]
 //! the batch runner uses — identical specs, identical config hashes,
-//! identical artifacts).
+//! identical artifacts). Rendering from a server goes through
+//! [`crate::store::ArtifactStore::remote`], the same [`ff_experiments::ResultSource`]
+//! that renders a local artifact directory.
 //!
 //! Everything is hand-rolled over `std::net::TcpStream` — the build
 //! environment is offline, so no HTTP or serde dependencies.
@@ -17,11 +19,9 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use ff_engine::RunResult;
-use ff_experiments::{HierKind, ModelKind, ResultSource};
+use ff_experiments::{HierKind, ModelKind};
 use ff_workloads::{Scale, Workload};
 
-use crate::artifact::{parse_report_artifact, parse_sim_artifact};
 use crate::campaign::{full_grid, JobFilter};
 use crate::job::{parse_scale, scale_name, JobKind, JobSpec};
 use crate::json::Json;
@@ -504,78 +504,6 @@ pub fn campaign_status(url: &ServerUrl, id: &str) -> Result<CampaignStatus, Stri
 /// On transport failure or a hash the server has no artifact for.
 pub fn fetch_artifact(url: &ServerUrl, hash: &str) -> Result<String, String> {
     http_get(url, &format!("/jobs/{hash}"))
-}
-
-/// A campaign server as a [`ResultSource`]: every grid point resolves to
-/// `GET /jobs/{hash}` against the server's memoization store, so the
-/// figure/table experiments render directly from a remote service —
-/// submit once, render anywhere — with per-point results memoized
-/// client-side for the session.
-pub struct RemoteSource {
-    url: ServerUrl,
-    scale: Scale,
-    cache: BTreeMap<(ModelKind, HierKind, &'static str, u64), RunResult>,
-}
-
-impl RemoteSource {
-    /// A remote source reading artifacts for `scale` from `url`.
-    pub fn new(url: ServerUrl, scale: Scale) -> Self {
-        RemoteSource { url, scale, cache: BTreeMap::new() }
-    }
-
-    /// The scale this source requests artifacts for.
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    fn fetch_spec(&self, spec: &JobSpec) -> Result<String, String> {
-        fetch_artifact(&self.url, &format!("{:016x}", spec.config_hash())).map_err(|e| {
-            format!(
-                "no artifact for {} on {} ({e}); submit the campaign first \
-                 (`ff-campaign submit --server {}`)",
-                spec.id(),
-                self.url,
-                self.url,
-            )
-        })
-    }
-}
-
-impl ResultSource for RemoteSource {
-    fn benchmarks(&self) -> Vec<&'static str> {
-        Workload::NAMES.to_vec()
-    }
-
-    fn result(&mut self, model: ModelKind, hier: HierKind, bench: &'static str) -> &RunResult {
-        self.result_seeded(model, hier, bench, 0)
-    }
-
-    fn result_seeded(
-        &mut self,
-        model: ModelKind,
-        hier: HierKind,
-        bench: &'static str,
-        seed: u64,
-    ) -> &RunResult {
-        let key = (model, hier, bench, seed);
-        if !self.cache.contains_key(&key) {
-            let spec = JobSpec::sim(model, hier, bench, seed, self.scale);
-            let result = self
-                .fetch_spec(&spec)
-                .and_then(|text| {
-                    parse_sim_artifact(&spec, &text).map_err(|e| format!("corrupt artifact: {e}"))
-                })
-                .unwrap_or_else(|e| panic!("{e}"));
-            self.cache.insert(key, result);
-        }
-        &self.cache[&key]
-    }
-
-    fn report_text(&mut self, name: &'static str) -> Result<String, String> {
-        let spec = JobSpec::report(name, self.scale);
-        let text = self.fetch_spec(&spec)?;
-        parse_report_artifact(&spec, &text).map_err(|e| format!("corrupt artifact: {e}"))
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! standalone bench targets use (they share [`ResultSource`]), so a
 //! campaign-rendered file matches a bench-rendered one line for line; the
 //! trailing `wall time` footer reports the campaign's wall time. The
-//! source is generic: a local [`crate::store::ArtifactStore`] and a
-//! [`crate::remote::RemoteSource`] pointed at an `ff-server` render the
-//! same bytes.
+//! source is generic: a [`crate::store::ArtifactStore`] over a local
+//! artifact directory and one pointed at an `ff-server` render the same
+//! bytes.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

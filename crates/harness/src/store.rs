@@ -6,19 +6,18 @@
 //! millions of files in one directory and per-shard locks never contend
 //! across shards.
 //!
-//! Three layers live here:
+//! Two types live here:
 //!
-//! * free functions ([`find_artifact`], [`write_artifact`],
-//!   [`find_by_hash`]) — the layout rules, used by the batch campaign
-//!   runner;
-//! * [`ShardedStore`] — the same layout behind per-shard mutexes, used by
-//!   `ff-server` as a process-wide memoization cache shared by every
-//!   campaign and client (writes are tmp-file + atomic rename, so readers
-//!   never observe a torn artifact);
-//! * [`ArtifactStore`] — the read side: an artifact directory as a
-//!   [`ResultSource`], so the figure/table experiments in
-//!   `ff-experiments` render the same reports from checkpointed artifacts
-//!   that `Suite` renders from live simulations.
+//! * [`ShardedStore`] — the write side and the memo check, behind
+//!   per-shard mutexes. `ff-campaign run` opens its `--out` directory as
+//!   one and `ff-server` opens its `--store` as one, so both front ends
+//!   share one layout, one publish path (sealed, tmp-file + atomic
+//!   rename, so readers never observe a torn artifact) and one memo check
+//!   ([`ShardedStore::contains`]);
+//! * [`ArtifactStore`] — the read side: a local artifact directory or a
+//!   campaign server as a [`ResultSource`], so the figure/table
+//!   experiments in `ff-experiments` render the same reports from stored
+//!   artifacts that `Suite` renders from live simulations.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,6 +32,7 @@ use crate::artifact::{parse_report_artifact, parse_sim_artifact};
 use crate::chaos;
 use crate::integrity::{self, ReadError};
 use crate::job::JobSpec;
+use crate::remote::{fetch_artifact, ServerUrl};
 
 /// Number of shard directories (two hex chars of the config hash).
 pub const SHARD_COUNT: usize = 256;
@@ -46,12 +46,6 @@ pub fn shard_name(hash: u64) -> String {
 /// The artifact path for `spec` in the sharded layout.
 pub fn sharded_path(root: &Path, spec: &JobSpec) -> PathBuf {
     root.join(shard_name(spec.config_hash())).join(spec.artifact_filename())
-}
-
-/// Finds an existing artifact for `spec`.
-pub fn find_artifact(root: &Path, spec: &JobSpec) -> Option<PathBuf> {
-    let path = sharded_path(root, spec);
-    path.is_file().then_some(path)
 }
 
 /// Finds an artifact by config hash alone (the `GET /jobs/{hash}` lookup):
@@ -100,24 +94,6 @@ pub fn durable_write(path: &Path, text: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes `text` as the artifact for `spec` in the sharded layout,
-/// sealed with an integrity footer ([`integrity::seal`]) and written
-/// durably ([`durable_write`]): a concurrent reader sees either no
-/// artifact or a complete, checksummed one, never a torn write, and the
-/// artifact survives a crash immediately after the call returns.
-///
-/// # Errors
-///
-/// On failure to create the shard directory or write/fsync/rename the
-/// file.
-pub fn write_artifact(root: &Path, spec: &JobSpec, text: &str) -> std::io::Result<PathBuf> {
-    let path = sharded_path(root, spec);
-    let shard = path.parent().expect("sharded path has a parent");
-    std::fs::create_dir_all(shard)?;
-    durable_write(&path, &integrity::seal(text))?;
-    Ok(path)
-}
-
 /// Removes orphaned `.tmp-*` files (crashed or torn writers) from the
 /// store root and every shard directory, returning how many were swept.
 /// Racing an in-flight writer is harmless-but-lossy: the writer's
@@ -127,7 +103,7 @@ pub fn write_artifact(root: &Path, spec: &JobSpec, text: &str) -> std::io::Resul
 /// # Errors
 ///
 /// On a filesystem error scanning directories.
-pub fn sweep_tmp(root: &Path) -> std::io::Result<usize> {
+fn sweep_tmp(root: &Path) -> std::io::Result<usize> {
     let mut swept = 0;
     let mut dirs = vec![root.to_path_buf()];
     if let Ok(entries) = std::fs::read_dir(root) {
@@ -175,8 +151,9 @@ pub fn artifact_hash_of(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// The sharded artifact layout behind per-shard mutexes: the write side
-/// of the `ff-server` global memoization cache. Lookups and publishes for
+/// The sharded artifact layout behind per-shard mutexes: the memo cache
+/// both `ff-campaign run` and `ff-server` resolve jobs against. Lookups
+/// and publishes for
 /// the same shard serialize; different shards never contend. (In-flight
 /// deduplication — two concurrent requests for the same hash simulating
 /// once — is the scheduler's job; the store guarantees only that a
@@ -279,7 +256,7 @@ impl ShardedStore {
     /// Reads the artifact for `spec`, if present and intact.
     pub fn read(&self, spec: &JobSpec) -> Option<String> {
         let _guard = self.lock(spec.config_hash());
-        self.read_verified_locked(&find_artifact(&self.root, spec)?)
+        self.read_verified_locked(&sharded_path(&self.root, spec))
     }
 
     /// Reads an artifact by config hash alone, verifying integrity.
@@ -305,20 +282,40 @@ impl ShardedStore {
         Ok(report)
     }
 
-    /// Publishes `text` as the artifact for `spec` (atomic rename).
+    /// Publishes `text` as the artifact for `spec`, sealed with an
+    /// integrity footer ([`integrity::seal`]) and written durably
+    /// ([`durable_write`]): a concurrent reader sees either no artifact or
+    /// a complete, checksummed one, never a torn write, and the artifact
+    /// survives a crash immediately after the call returns.
     ///
     /// # Errors
     ///
-    /// On a filesystem error.
+    /// On failure to create the shard directory or write/fsync/rename the
+    /// file.
     pub fn publish(&self, spec: &JobSpec, text: &str) -> std::io::Result<PathBuf> {
         let _guard = self.lock(spec.config_hash());
-        write_artifact(&self.root, spec, text)
+        let path = sharded_path(&self.root, spec);
+        std::fs::create_dir_all(path.parent().expect("sharded path has a parent"))?;
+        durable_write(&path, &integrity::seal(text))?;
+        Ok(path)
     }
 }
 
-/// A campaign artifact directory, memoized per grid point.
+/// Where an [`ArtifactStore`] reads a spec's artifact text from.
+enum Origin {
+    /// A local artifact directory in the sharded layout, read verified.
+    Dir(PathBuf),
+    /// A campaign server's store, read through `GET /jobs/{hash}`.
+    Server(ServerUrl),
+}
+
+/// Stored artifacts as a [`ResultSource`], memoized per grid point: a
+/// local artifact directory ([`ArtifactStore::new`]) or a campaign
+/// server's store ([`ArtifactStore::remote`]) — submit once, render
+/// anywhere. The origins differ only in how a spec's text is fetched and
+/// which command a missing artifact asks for.
 pub struct ArtifactStore {
-    dir: PathBuf,
+    origin: Origin,
     scale: Scale,
     cache: BTreeMap<(ModelKind, HierKind, &'static str, u64), RunResult>,
 }
@@ -326,30 +323,54 @@ pub struct ArtifactStore {
 impl ArtifactStore {
     /// Opens (without scanning) the artifact directory for `scale`.
     pub fn new(dir: impl Into<PathBuf>, scale: Scale) -> Self {
-        ArtifactStore { dir: dir.into(), scale, cache: BTreeMap::new() }
+        ArtifactStore { origin: Origin::Dir(dir.into()), scale, cache: BTreeMap::new() }
     }
 
-    /// The scale this store reads artifacts for.
-    pub fn scale(&self) -> Scale {
-        self.scale
+    /// Reads artifacts for `scale` from the campaign server at `url`.
+    pub fn remote(url: ServerUrl, scale: Scale) -> Self {
+        ArtifactStore { origin: Origin::Server(url), scale, cache: BTreeMap::new() }
     }
 
-    /// The preferred (sharded) artifact path for `spec` inside this store.
-    pub fn path_for(&self, spec: &JobSpec) -> PathBuf {
-        sharded_path(&self.dir, spec)
-    }
-
-    /// Whether a (content-address-matching) artifact exists for `spec`.
-    pub fn contains(&self, spec: &JobSpec) -> bool {
-        find_artifact(&self.dir, spec).is_some()
+    /// The stored artifact text for `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Describes the missing or corrupt artifact, including the command
+    /// that would produce it.
+    fn fetch(&self, spec: &JobSpec) -> Result<String, String> {
+        match &self.origin {
+            Origin::Dir(dir) => {
+                let path = sharded_path(dir, spec);
+                integrity::read_verified(&path).map(|(text, _)| text).map_err(|e| match e {
+                    ReadError::Io(e) => format!(
+                        "no artifact for {} at {} ({e}); run `ff-campaign run --all --scale {}` first",
+                        spec.id(),
+                        path.display(),
+                        crate::job::scale_name(self.scale),
+                    ),
+                    ReadError::Corrupt(reason) => format!(
+                        "corrupt artifact {}: {reason}; run `ff-campaign fsck` to quarantine and re-simulate",
+                        path.display(),
+                    ),
+                })
+            }
+            Origin::Server(url) => fetch_artifact(url, &format!("{:016x}", spec.config_hash()))
+                .map_err(|e| {
+                    format!(
+                        "no artifact for {} on {url} ({e}); submit the campaign first \
+                         (`ff-campaign submit --server {url}`)",
+                        spec.id(),
+                    )
+                }),
+        }
     }
 
     /// Loads the simulation result for one grid point.
     ///
     /// # Errors
     ///
-    /// Describes the missing/corrupt artifact, including the `ff-campaign`
-    /// invocation that would produce it.
+    /// Describes the missing/corrupt artifact, including the command that
+    /// would produce it.
     pub fn try_result_seeded(
         &mut self,
         model: ModelKind,
@@ -360,69 +381,11 @@ impl ArtifactStore {
         let key = (model, hier, bench, seed);
         if !self.cache.contains_key(&key) {
             let spec = JobSpec::sim(model, hier, bench, seed, self.scale);
-            let path = find_artifact(&self.dir, &spec).unwrap_or_else(|| self.path_for(&spec));
-            let (text, _) = integrity::read_verified(&path).map_err(|e| match e {
-                ReadError::Io(e) => format!(
-                    "no artifact for {} at {} ({e}); run `ff-campaign run --all --scale {}` first",
-                    spec.id(),
-                    path.display(),
-                    crate::job::scale_name(self.scale),
-                ),
-                ReadError::Corrupt(reason) => format!(
-                    "corrupt artifact {}: {reason}; run `ff-campaign fsck` to quarantine and re-simulate",
-                    path.display(),
-                ),
-            })?;
-            let result = parse_sim_artifact(&spec, &text)
-                .map_err(|e| format!("corrupt artifact {}: {e}", path.display()))?;
+            let result = parse_sim_artifact(&spec, &self.fetch(&spec)?)
+                .map_err(|e| format!("corrupt artifact for {}: {e}", spec.id()))?;
             self.cache.insert(key, result);
         }
         Ok(&self.cache[&key])
-    }
-
-    /// Like [`ArtifactStore::try_result_seeded`] but panics with the error
-    /// message (matching [`ResultSource::result`]'s contract).
-    pub fn result_seeded(
-        &mut self,
-        model: ModelKind,
-        hier: HierKind,
-        bench: &'static str,
-        seed: u64,
-    ) -> &RunResult {
-        // Two-phase to satisfy the borrow checker: probe first, then return.
-        if let Err(e) = self.try_result_seeded(model, hier, bench, seed) {
-            panic!("{e}");
-        }
-        &self.cache[&(model, hier, bench, seed)]
-    }
-
-    /// The rendered text of a report artifact.
-    ///
-    /// # Errors
-    ///
-    /// Describes the missing/corrupt artifact.
-    pub fn try_report_text(&self, name: &'static str) -> Result<String, String> {
-        let spec = JobSpec::report(name, self.scale);
-        let path = find_artifact(&self.dir, &spec).unwrap_or_else(|| self.path_for(&spec));
-        let (text, _) = integrity::read_verified(&path).map_err(|e| match e {
-            ReadError::Io(e) => format!(
-                "no artifact for {} at {} ({e}); run `ff-campaign run --all --scale {}` first",
-                spec.id(),
-                path.display(),
-                crate::job::scale_name(self.scale),
-            ),
-            ReadError::Corrupt(reason) => format!(
-                "corrupt artifact {}: {reason}; run `ff-campaign fsck` to quarantine and re-simulate",
-                path.display(),
-            ),
-        })?;
-        parse_report_artifact(&spec, &text)
-            .map_err(|e| format!("corrupt artifact {}: {e}", path.display()))
-    }
-
-    /// The directory this store reads from.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -442,11 +405,13 @@ impl ResultSource for ArtifactStore {
         bench: &'static str,
         seed: u64,
     ) -> &RunResult {
-        ArtifactStore::result_seeded(self, model, hier, bench, seed)
+        self.try_result_seeded(model, hier, bench, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn report_text(&mut self, name: &'static str) -> Result<String, String> {
-        self.try_report_text(name)
+        let spec = JobSpec::report(name, self.scale);
+        parse_report_artifact(&spec, &self.fetch(&spec)?)
+            .map_err(|e| format!("corrupt artifact for {}: {e}", spec.id()))
     }
 }
 
@@ -469,10 +434,12 @@ mod tests {
         let w = Workload::by_name("mesa", Scale::Test).unwrap();
         let live = Suite::execute(ModelKind::InOrder, HierKind::Base, &w);
         let spec = JobSpec::sim(ModelKind::InOrder, HierKind::Base, "mesa", 0, Scale::Test);
-        write_artifact(&dir, &spec, &render_sim_artifact(&spec, &live)).unwrap();
+        ShardedStore::open(&dir)
+            .unwrap()
+            .publish(&spec, &render_sim_artifact(&spec, &live))
+            .unwrap();
 
         let mut store = ArtifactStore::new(&dir, Scale::Test);
-        assert!(store.contains(&spec));
         let loaded = store.result(ModelKind::InOrder, HierKind::Base, "mesa");
         assert_eq!(loaded.stats, live.stats);
         // Artifacts deliberately exclude the simulator's self-instrumentation
@@ -491,15 +458,14 @@ mod tests {
         let spec = JobSpec::sim(ModelKind::Ooo, HierKind::Base, "mcf", 0, Scale::Test);
         let hash = spec.config_hash();
         assert!(find_by_hash(&dir, hash).is_none());
-        write_artifact(&dir, &spec, "{}\n").unwrap();
+        let store = ShardedStore::open(&dir).unwrap();
+        assert_eq!(store.publish(&spec, "{}\n").unwrap(), sharded_path(&dir, &spec));
         assert_eq!(find_by_hash(&dir, hash), Some(sharded_path(&dir, &spec)));
-        assert_eq!(find_artifact(&dir, &spec), Some(sharded_path(&dir, &spec)));
         // A copy directly under the root is not part of the layout.
         std::fs::remove_file(sharded_path(&dir, &spec)).unwrap();
         std::fs::write(dir.join(spec.artifact_filename()), integrity::seal("{}\n")).unwrap();
         assert!(find_by_hash(&dir, hash).is_none());
-        assert!(find_artifact(&dir, &spec).is_none());
-        assert!(ShardedStore::open(&dir).unwrap().read(&spec).is_none());
+        assert!(!store.contains(&spec));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

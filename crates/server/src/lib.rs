@@ -13,14 +13,18 @@
 //! * [`http`] — a hand-rolled `std::net` HTTP/1.1 layer (the build
 //!   environment is offline; no hyper/tokio).
 //! * [`scheduler`] — campaign expansion, round-robin fairness, in-flight
-//!   deduplication, memoization counters, the shared quarantine ledger,
-//!   and graceful-shutdown checkpointing in the batch manifest format.
+//!   deduplication, memoization counters, the shared quarantine ledger
+//!   (only under `--quarantine-after`), and graceful-shutdown
+//!   checkpointing in the batch manifest format.
 //! * [`service`] — the five JSON routes.
 //!
 //! The client side lives in `ff_harness::remote` and is shared with the
 //! `ff-campaign` CLI (`submit` / `status` / `fetch` / `render --server`).
-//! Server-executed jobs go through the same [`ff_harness::attempt_job`]
-//! path as `ff-campaign run`, so artifacts are byte-identical either way.
+//! Server-executed jobs go through the same lifecycle as `ff-campaign
+//! run` — the [`ff_harness::ShardedStore::contains`] memo check, the one
+//! quarantine rule, and [`ff_harness::execute_job`] around
+//! [`ff_harness::attempt_job`] — so artifacts are byte-identical either
+//! way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,19 +13,23 @@
 //!   rotation, so a later, small campaign is not starved behind an
 //!   earlier full-grid one.
 //!
-//! Execution goes through [`ff_harness::attempt_job`] — the same
-//! panic-isolated code path as `ff-campaign run` — so a served artifact
-//! is byte-identical to a CLI-produced one by construction. The
-//! hash-keyed quarantine ledger in the store root is shared across every
-//! campaign: a config quarantined by one tenant is skipped (and reported
-//! as `quarantined`) when any other tenant resubmits it.
+//! A job resolves through the same lifecycle as `ff-campaign run`: the
+//! memo check is [`ShardedStore::contains`], and a miss runs through
+//! [`ff_harness::execute_job`] (attempts, publish, crash bundle) with
+//! [`ff_harness::attempt_job`] as the executor, so a served artifact is
+//! byte-identical to a CLI-produced one by construction. Under
+//! `--quarantine-after` the hash-keyed ledger in the store root is shared
+//! across every campaign and gated live as each job is claimed: a config
+//! quarantined by one tenant (or by a CLI run) is skipped, and reported
+//! as `quarantined`, when any other tenant resubmits it. Without the flag
+//! the scheduler never reads or writes the ledger.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use ff_harness::campaign::{attempt_job, ExecOptions, JobContext};
+use ff_harness::campaign::{attempt_job, execute_job, ExecOptions, JobContext};
 use ff_harness::job::{scale_name, JobSpec};
 use ff_harness::json::Json;
 use ff_harness::quarantine::Quarantine;
@@ -100,8 +104,8 @@ enum JobState {
     Ok,
     Hit,
     Dedup,
-    Failed(String),
-    Quarantined(String),
+    Failed(JobError),
+    Quarantined(JobError),
 }
 
 impl JobState {
@@ -124,9 +128,9 @@ impl JobState {
         }
     }
 
-    fn error(&self) -> Option<&str> {
+    fn error(&self) -> Option<&JobError> {
         match self {
-            JobState::Failed(msg) | JobState::Quarantined(msg) => Some(msg),
+            JobState::Failed(err) | JobState::Quarantined(err) => Some(err),
             _ => None,
         }
     }
@@ -172,16 +176,17 @@ struct Task {
 /// in latched executors to freeze jobs mid-flight deterministically.
 pub type Executor = dyn Fn(&mut JobContext, &JobSpec, &ExecOptions) -> Attempt + Send + Sync;
 
-/// The scheduler: shared store, counters, quarantine ledger, and the
-/// worker pool. Construct with [`Scheduler::start`]; always shut down via
-/// [`Scheduler::shutdown`] to checkpoint in-flight campaigns.
+/// The scheduler: shared store, counters, the quarantine ledger (loaded
+/// only under `--quarantine-after`), and the worker pool. Construct with
+/// [`Scheduler::start`]; always shut down via [`Scheduler::shutdown`] to
+/// checkpoint in-flight campaigns.
 pub struct Scheduler {
     inner: Mutex<Inner>,
     work: Condvar,
     store: ShardedStore,
     counters: Counters,
     opts: SchedulerOptions,
-    quarantine: Mutex<Quarantine>,
+    quarantine: Option<Mutex<Quarantine>>,
     executor: Box<Executor>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -203,7 +208,7 @@ impl Scheduler {
         opts: SchedulerOptions,
         executor: Box<Executor>,
     ) -> Arc<Scheduler> {
-        let quarantine = Quarantine::load(store.root());
+        let quarantine = opts.quarantine_after.map(|_| Mutex::new(Quarantine::load(store.root())));
         let scheduler = Arc::new(Scheduler {
             inner: Mutex::new(Inner {
                 campaigns: BTreeMap::new(),
@@ -216,7 +221,7 @@ impl Scheduler {
             store,
             counters: Counters::default(),
             opts,
-            quarantine: Mutex::new(quarantine),
+            quarantine,
             executor,
             workers: Mutex::new(Vec::new()),
         });
@@ -239,8 +244,10 @@ impl Scheduler {
         self.workers.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn lock_quarantine(&self) -> MutexGuard<'_, Quarantine> {
-        self.quarantine.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The quarantine ledger, when `--quarantine-after` is set.
+    fn lock_quarantine(&self) -> Option<MutexGuard<'_, Quarantine>> {
+        let ledger = self.quarantine.as_ref()?;
+        Some(ledger.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
     /// The shared artifact store.
@@ -281,24 +288,19 @@ impl Scheduler {
             if let Some(serial) = id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok()) {
                 inner.next_serial = inner.next_serial.max(serial + 1);
             }
-            Self::enqueue(&mut inner, id, &request);
+            Self::enqueue(&mut inner, id, request.scale, request.expand());
         }
         drop(inner);
         self.work.notify_all();
     }
 
-    fn enqueue(inner: &mut Inner, id: String, request: &CampaignRequest) -> usize {
-        let jobs: Vec<JobEntry> = request
-            .expand()
-            .into_iter()
-            .map(|spec| JobEntry { spec, state: JobState::Queued })
-            .collect();
-        let total = jobs.len();
-        inner.campaigns.insert(id.clone(), Campaign { scale: request.scale, jobs });
+    fn enqueue(inner: &mut Inner, id: String, scale: Scale, specs: Vec<JobSpec>) {
+        let jobs =
+            specs.into_iter().map(|spec| JobEntry { spec, state: JobState::Queued }).collect();
+        inner.campaigns.insert(id.clone(), Campaign { scale, jobs });
         if !inner.rotation.contains(&id) {
             inner.rotation.push_back(id);
         }
-        total
     }
 
     /// Submits a campaign: expands the request, persists it for resume,
@@ -308,18 +310,20 @@ impl Scheduler {
     ///
     /// When the request matches no jobs or the scheduler is stopping.
     pub fn submit(&self, request: &CampaignRequest) -> Result<(String, usize), SubmitError> {
-        if request.expand().is_empty() {
+        let specs = request.expand();
+        let total = specs.len();
+        if total == 0 {
             return Err(SubmitError::NoJobs);
         }
-        let (id, total) = {
+        let id = {
             let mut inner = self.lock_inner();
             if inner.stopping {
                 return Err(SubmitError::Stopping);
             }
             let id = format!("c{}", inner.next_serial);
             inner.next_serial += 1;
-            let total = Self::enqueue(&mut inner, id.clone(), request);
-            (id, total)
+            Self::enqueue(&mut inner, id.clone(), request.scale, specs);
+            id
         };
         // Persist the spec so a restarted server resumes this campaign —
         // durably (tmp + fsync + rename), so a crash mid-submit leaves
@@ -353,8 +357,8 @@ impl Scheduler {
                     ("hash", Json::Str(format!("{:016x}", job.spec.config_hash()))),
                     ("status", Json::Str(job.state.name().into())),
                 ];
-                if let Some(msg) = job.state.error() {
-                    fields.push(("error", Json::Str(msg.to_string())));
+                if let Some(err) = job.state.error() {
+                    fields.push(("error", Json::Str(err.to_string())));
                 }
                 Json::obj(fields)
             })
@@ -412,19 +416,16 @@ impl Scheduler {
 
             // Quarantine gate: a config hash benched by *any* prior
             // campaign is skipped, not executed.
-            if let Some(threshold) = self.opts.quarantine_after {
-                let quarantine = self.lock_quarantine();
-                if quarantine.blocks(&spec, threshold) {
-                    let strikes = quarantine.strikes(&spec);
-                    drop(quarantine);
-                    campaign.jobs[index].state = JobState::Quarantined(format!(
-                        "quarantined after {strikes} consecutive failed runs"
-                    ));
-                    if more_queued {
-                        inner.rotation.push_back(id);
-                    }
-                    continue;
+            let skip = self
+                .lock_quarantine()
+                .zip(self.opts.quarantine_after)
+                .and_then(|(ledger, threshold)| ledger.gate(&spec, threshold));
+            if let Some(skip) = skip {
+                campaign.jobs[index].state = JobState::Quarantined(skip);
+                if more_queued {
+                    inner.rotation.push_back(id);
                 }
+                continue;
             }
 
             // Memoization gate: an existing artifact is a hit, shared
@@ -432,7 +433,9 @@ impl Scheduler {
             if self.store.contains(&spec) {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 campaign.jobs[index].state = JobState::Hit;
-                self.lock_quarantine().record(&spec, false);
+                if let Some(mut ledger) = self.lock_quarantine() {
+                    ledger.record(&spec, JobStatus::Cached);
+                }
                 if more_queued {
                     inner.rotation.push_back(id);
                 }
@@ -487,75 +490,38 @@ impl Scheduler {
     /// Runs one claimed task outside the scheduler lock, publishes on
     /// success, and resolves the task plus every parked waiter.
     fn execute(&self, ctx: &mut JobContext, task: Task) {
-        let attempts = self.opts.attempts.max(1);
-        let mut outcome: Result<(), String> = Err("no attempt ran".to_string());
-        for _attempt in 0..attempts {
-            let attempt = (self.executor)(ctx, &task.spec, &self.opts.exec);
-            match attempt.result {
-                Ok(ref text) => {
-                    outcome = self
-                        .store
-                        .publish(&task.spec, text)
-                        .map(|_| ())
-                        .map_err(|e| format!("publish artifact: {e}"));
-                    if outcome.is_ok() {
-                        break;
-                    }
-                }
-                Err(ref err) => {
-                    outcome = Err(err.to_string());
-                    if _attempt + 1 == attempts {
-                        // Terminal failure: leave a replayable crash
-                        // bundle next to the store, as the CLI would.
-                        attempt.write_crash_bundle(
-                            self.store.root(),
-                            &task.spec,
-                            self.opts.exec.cycle_budget,
-                        );
-                    }
-                }
-            }
-        }
-        let failed = outcome.is_err();
-        {
-            let mut quarantine = self.lock_quarantine();
-            quarantine.record(&task.spec, failed);
-            if let Err(e) = quarantine.save(self.store.root()) {
+        let (spec, exec) = (&task.spec, &self.opts.exec);
+        let outcome = execute_job(&self.store, spec, self.opts.attempts, exec, |_| {
+            (self.executor)(ctx, spec, exec)
+        });
+        if let Some(mut ledger) = self.lock_quarantine() {
+            ledger.record(spec, outcome.status);
+            if let Err(e) = ledger.save(self.store.root()) {
                 eprintln!("ff-server: warning: could not save quarantine ledger: {e}");
             }
         }
-        if failed {
-            self.counters.sims_failed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.sims_ok.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut inner = self.lock_inner();
-        let waiters = inner.inflight.remove(&task.hash).unwrap_or_default();
-        let resolve = |inner: &mut Inner, id: &str, index: usize, state: JobState| {
-            if let Some(campaign) = inner.campaigns.get_mut(id) {
-                if let Some(job) = campaign.jobs.get_mut(index) {
-                    job.state = state;
-                }
+        let (state, waiter_state) = match outcome.error {
+            None => {
+                self.counters.sims_ok.fetch_add(1, Ordering::Relaxed);
+                (JobState::Ok, JobState::Dedup)
+            }
+            Some(err) => {
+                self.counters.sims_failed.fetch_add(1, Ordering::Relaxed);
+                let message = format!("deduplicated onto a failed run: {}", err.message);
+                let waiter = JobState::Failed(JobError { message, ..err.clone() });
+                (JobState::Failed(err), waiter)
             }
         };
-        match &outcome {
-            Ok(()) => {
-                resolve(&mut inner, &task.campaign, task.index, JobState::Ok);
-                for (id, index) in waiters {
-                    resolve(&mut inner, &id, index, JobState::Dedup);
-                }
+        let mut inner = self.lock_inner();
+        let waiters = inner.inflight.remove(&task.hash).unwrap_or_default();
+        let mut resolve = |id: &str, index: usize, state: JobState| {
+            if let Some(job) = inner.campaigns.get_mut(id).and_then(|c| c.jobs.get_mut(index)) {
+                job.state = state;
             }
-            Err(msg) => {
-                resolve(&mut inner, &task.campaign, task.index, JobState::Failed(msg.clone()));
-                for (id, index) in waiters {
-                    resolve(
-                        &mut inner,
-                        &id,
-                        index,
-                        JobState::Failed(format!("deduplicated onto a failed run: {msg}")),
-                    );
-                }
-            }
+        };
+        resolve(&task.campaign, task.index, state);
+        for (id, index) in waiters {
+            resolve(&id, index, waiter_state.clone());
         }
         drop(inner);
         self.work.notify_all();
@@ -569,20 +535,14 @@ impl Scheduler {
             .jobs
             .iter()
             .map(|job| {
-                let (status, error) = match &job.state {
-                    JobState::Ok => (JobStatus::Ok, None),
-                    JobState::Hit | JobState::Dedup => (JobStatus::Cached, None),
-                    JobState::Failed(msg) => {
-                        (JobStatus::Failed, Some(JobError::other(msg.clone())))
-                    }
-                    JobState::Quarantined(msg) => {
-                        (JobStatus::Quarantined, Some(JobError::other(msg.clone())))
-                    }
-                    JobState::Queued | JobState::Running | JobState::Waiting => {
-                        (JobStatus::Pending, None)
-                    }
+                let status = match &job.state {
+                    JobState::Ok => JobStatus::Ok,
+                    JobState::Hit | JobState::Dedup => JobStatus::Cached,
+                    JobState::Failed(_) => JobStatus::Failed,
+                    JobState::Quarantined(_) => JobStatus::Quarantined,
+                    JobState::Queued | JobState::Running | JobState::Waiting => JobStatus::Pending,
                 };
-                JobOutcome { spec: job.spec.clone(), status, error, wall_ms: 0, attempts: 0 }
+                JobOutcome::unrun(&job.spec, status, job.state.error().cloned())
             })
             .collect();
         CampaignReport { outcomes, wall_s: 0.0, workers: 0, scale: campaign.scale }
@@ -652,7 +612,25 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::time::{Duration, Instant};
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
+    /// A fresh store directory under the system temp dir, removed when
+    /// the test ends, whether it passes or panics.
+    struct TempStore(std::path::PathBuf);
+
+    impl std::ops::Deref for TempStore {
+        type Target = std::path::Path;
+
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempStore {
         let dir = std::env::temp_dir().join(format!(
             "ff-scheduler-{tag}-{}-{:?}",
             std::process::id(),
@@ -660,7 +638,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
+        TempStore(dir)
     }
 
     fn request(model: ModelKind, benches: &[&str]) -> CampaignRequest {
@@ -707,7 +685,7 @@ mod tests {
         let dir = temp_dir("memo");
         let sims = Arc::new(AtomicUsize::new(0));
         let scheduler = Scheduler::start_with_executor(
-            ShardedStore::open(&dir).unwrap(),
+            ShardedStore::open(&*dir).unwrap(),
             SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
             counting_executor(Arc::clone(&sims)),
         );
@@ -736,7 +714,7 @@ mod tests {
         let release = Arc::new(AtomicBool::new(false));
         let (entered_e, release_e) = (Arc::clone(&entered), Arc::clone(&release));
         let scheduler = Scheduler::start_with_executor(
-            ShardedStore::open(&dir).unwrap(),
+            ShardedStore::open(&*dir).unwrap(),
             SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
             Box::new({
                 let sims = Arc::clone(&sims);
@@ -782,7 +760,7 @@ mod tests {
         let go = Arc::new(AtomicBool::new(false));
         let (order_e, go_e) = (Arc::clone(&order), Arc::clone(&go));
         let scheduler = Scheduler::start_with_executor(
-            ShardedStore::open(&dir).unwrap(),
+            ShardedStore::open(&*dir).unwrap(),
             SchedulerOptions { workers: 1, ..SchedulerOptions::default() },
             Box::new(move |_ctx, spec, _exec| {
                 while !go_e.load(Ordering::SeqCst) {
@@ -819,7 +797,7 @@ mod tests {
         let dir = temp_dir("resume");
         let sims = Arc::new(AtomicUsize::new(0));
         let scheduler = Scheduler::start_with_executor(
-            ShardedStore::open(&dir).unwrap(),
+            ShardedStore::open(&*dir).unwrap(),
             SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
             counting_executor(Arc::clone(&sims)),
         );
@@ -834,7 +812,7 @@ mod tests {
         // A fresh scheduler over the same store resumes the campaign;
         // every job resolves from the memo cache.
         let resumed = Scheduler::start_with_executor(
-            ShardedStore::open(&dir).unwrap(),
+            ShardedStore::open(&*dir).unwrap(),
             SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
             counting_executor(Arc::clone(&sims)),
         );
@@ -851,7 +829,7 @@ mod tests {
     fn a_failing_config_quarantines_across_campaigns() {
         let dir = temp_dir("quarantine");
         let scheduler = Scheduler::start_with_executor(
-            ShardedStore::open(&dir).unwrap(),
+            ShardedStore::open(&*dir).unwrap(),
             SchedulerOptions {
                 workers: 1,
                 quarantine_after: Some(2),

@@ -6,20 +6,44 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ff_experiments::{HierKind, ModelKind};
 use ff_harness::campaign::{attempt_job, ExecOptions, JobContext, JobFilter};
 use ff_harness::job::{JobKind, JobSpec};
 use ff_harness::json::Json;
+use ff_harness::quarantine::QUARANTINE_NAME;
 use ff_harness::remote::{
     campaign_status, fetch_artifact, http_get, http_request, submit_campaign, CampaignRequest,
     ServerUrl,
 };
+use ff_harness::{
+    run_campaign, ArtifactStore, Attempt, CampaignOptions, FailureInjection, JobError,
+};
 use ff_server::{Request, Scheduler, SchedulerOptions, Server, Service, CAMPAIGNS_DIR};
 use ff_workloads::Scale;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+/// A fresh store directory under the system temp dir, removed when the
+/// test ends, whether it passes or panics.
+struct TempStore(std::path::PathBuf);
+
+impl std::ops::Deref for TempStore {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempStore {
     let dir = std::env::temp_dir().join(format!(
         "ff-server-e2e-{tag}-{}-{:?}",
         std::process::id(),
@@ -27,7 +51,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+    TempStore(dir)
 }
 
 fn start(store: &std::path::Path) -> (Server, ServerUrl) {
@@ -55,6 +79,19 @@ fn wait_done(url: &ServerUrl, id: &str) -> ff_harness::remote::CampaignStatus {
     loop {
         let status = campaign_status(url, id).expect("status");
         if status.done {
+            return status;
+        }
+        assert!(Instant::now() < deadline, "campaign {id} did not finish");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Waits for an in-process scheduler's campaign and returns its status.
+fn wait_scheduled(scheduler: &Scheduler, id: &str) -> Json {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let status = scheduler.status(id).expect("campaign exists");
+        if matches!(status.get("done"), Some(Json::Bool(true))) {
             return status;
         }
         assert!(Instant::now() < deadline, "campaign {id} did not finish");
@@ -100,6 +137,17 @@ fn http_submission_memoizes_and_serves_byte_identical_artifacts() {
     assert_eq!(status.counts.get("hit"), Some(&2), "counts: {:?}", status.counts);
     assert_eq!(counter(&url, "misses"), 2, "resubmission must not simulate");
     assert_eq!(counter(&url, "hits"), 2);
+
+    // Rendering reads the same results from the store directory and
+    // through the server, and a missing point names the command to run.
+    let mut local = ArtifactStore::new(&*store, Scale::Test);
+    let mut remote = ArtifactStore::remote(url.clone(), Scale::Test);
+    let point = (ModelKind::InOrder, HierKind::Base, "mcf", 0);
+    let on_disk = local.try_result_seeded(point.0, point.1, point.2, point.3).expect("local");
+    let served = remote.try_result_seeded(point.0, point.1, point.2, point.3).expect("remote");
+    assert_eq!(served.stats, on_disk.stats);
+    let missing = remote.try_result_seeded(ModelKind::Ooo, HierKind::Base, "mcf", 0).unwrap_err();
+    assert!(missing.contains("submit the campaign first"), "{missing}");
 
     server.shutdown();
 }
@@ -148,7 +196,7 @@ fn an_empty_campaign_is_a_400_and_only_a_stopping_server_says_retry() {
         body: body.to_string(),
     };
     let service = Service::new(Scheduler::start(
-        ff_harness::store::ShardedStore::open(&store).expect("store"),
+        ff_harness::store::ShardedStore::open(&*store).expect("store"),
         SchedulerOptions { workers: 1, ..SchedulerOptions::default() },
     ));
     let response = service.handle(&post(empty));
@@ -156,7 +204,6 @@ fn an_empty_campaign_is_a_400_and_only_a_stopping_server_says_retry() {
     service.scheduler().shutdown();
     let response = service.handle(&post(&tiny_request().to_json().render()));
     assert_eq!((response.status, response.retry_after), (503, Some(2)), "{}", response.body);
-    std::fs::remove_dir_all(&store).unwrap();
 }
 
 #[test]
@@ -186,22 +233,9 @@ fn the_server_memoizes_artifacts_published_by_a_direct_cli_style_run() {
     let store = temp_dir("cross");
     let request = tiny_request();
 
-    // Simulate the jobs "by hand" into the store first — the equivalent
-    // of a past `ff-campaign run --out <store>`.
-    let direct = Scheduler::start(
-        ff_harness::store::ShardedStore::open(&store).expect("store"),
-        SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
-    );
-    let (id, _) = direct.submit(&request).expect("submit");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while !matches!(direct.status(&id).and_then(|s| s.get("done").cloned()), Some(Json::Bool(true)))
-    {
-        assert!(Instant::now() < deadline, "direct campaign did not finish");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    direct.shutdown();
-    // Drop the campaign ledger so only the artifacts remain.
-    std::fs::remove_dir_all(store.join(CAMPAIGNS_DIR)).expect("clear campaigns");
+    // A past `ff-campaign run --out <store>` fills the store first.
+    let opts = CampaignOptions { workers: 2, ..CampaignOptions::new(Scale::Test, &*store) };
+    assert_eq!(run_campaign(&request.expand(), &opts).expect("campaign").ok(), 2);
 
     let (server, url) = start(&store);
     let (id, _) = submit_campaign(&url, &request).expect("submit");
@@ -215,13 +249,72 @@ fn the_server_memoizes_artifacts_published_by_a_direct_cli_style_run() {
         let spec = spec.into_iter().find(|s| s.id() == job.id).expect("spec");
         assert!(matches!(spec.kind, JobKind::Sim { .. }));
         let served = fetch_artifact(&url, &job.hash).expect("fetch");
-        let stored = ff_harness::store::ShardedStore::open(&store)
+        let stored = ff_harness::store::ShardedStore::open(&*store)
             .expect("store")
             .read(&spec)
             .expect("stored artifact");
         assert_eq!(served, stored);
     }
     server.shutdown();
+}
+
+/// One quarantine rule for both front ends. The ledger
+/// `ff-campaign run --quarantine-after 2` leaves in a store blocks the
+/// same config on a scheduler over that store, with the message the
+/// batch runner reports; and a scheduler without `--quarantine-after`
+/// runs a failing job without writing a ledger.
+#[test]
+fn the_cli_quarantine_ledger_gates_the_server_only_under_the_flag() {
+    let store = temp_dir("quarantine");
+    let request = CampaignRequest {
+        filter: JobFilter { benches: vec!["gap".to_string()], ..tiny_request().filter },
+        ..tiny_request()
+    };
+    let jobs = request.expand();
+    let mut opts = CampaignOptions::new(Scale::Test, &*store);
+    opts.workers = 1;
+    opts.quarantine_after = Some(2);
+    opts.inject =
+        Some(FailureInjection { id_substring: "gap".into(), times: u32::MAX, panic: false });
+    for _ in 0..2 {
+        assert_eq!(run_campaign(&jobs, &opts).expect("campaign").failed(), 1);
+    }
+    let batch = run_campaign(&jobs, &opts).expect("campaign");
+    assert_eq!(batch.quarantined(), 1);
+    let batch_error = batch.outcomes[0].error.as_ref().expect("quarantine error").to_string();
+
+    let failing = |runs: Arc<AtomicUsize>| -> Box<ff_server::scheduler::Executor> {
+        Box::new(move |_ctx, _spec, _exec| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            Attempt::synthetic(Err(JobError::other("synthetic failure")))
+        })
+    };
+    let runs = Arc::new(AtomicUsize::new(0));
+    let gated = Scheduler::start_with_executor(
+        ff_harness::store::ShardedStore::open(&*store).expect("store"),
+        SchedulerOptions { workers: 1, quarantine_after: Some(2), ..SchedulerOptions::default() },
+        failing(Arc::clone(&runs)),
+    );
+    let (id, _) = gated.submit(&request).expect("submit");
+    let status = wait_scheduled(&gated, &id);
+    gated.shutdown();
+    let job = &status.get("jobs").and_then(Json::as_arr).expect("jobs")[0];
+    assert_eq!(job.get("status").and_then(Json::as_str), Some("quarantined"));
+    assert_eq!(job.get("error").and_then(Json::as_str), Some(batch_error.as_str()));
+    assert_eq!(runs.load(Ordering::SeqCst), 0, "a quarantined config must not run");
+
+    let fresh = temp_dir("no-quarantine");
+    let ungated = Scheduler::start_with_executor(
+        ff_harness::store::ShardedStore::open(&*fresh).expect("store"),
+        SchedulerOptions { workers: 1, ..SchedulerOptions::default() },
+        failing(Arc::clone(&runs)),
+    );
+    let (id, _) = ungated.submit(&request).expect("submit");
+    let status = wait_scheduled(&ungated, &id);
+    ungated.shutdown();
+    assert_eq!(status.get("counts").and_then(|c| c.get("failed")).and_then(Json::as_u64), Some(1));
+    assert_eq!(runs.load(Ordering::SeqCst), 1);
+    assert!(!fresh.join(QUARANTINE_NAME).exists(), "no ledger without --quarantine-after");
 }
 
 /// A healthz field from a named section (`"counters"`, `"transport"`,
@@ -294,8 +387,7 @@ fn oversized_bodies_are_rejected_with_413_before_reading() {
 /// of queueing without bound — and counts the shed.
 #[test]
 fn a_full_accept_queue_sheds_load_with_503_and_retry_after() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
 
     use ff_server::{HttpOptions, HttpServer, Response, TransportCounters};
 
@@ -435,7 +527,7 @@ fn a_restart_over_crash_damage_heals_without_resimulating_intact_artifacts() {
     for job in &status.jobs {
         let served = fetch_artifact(&url, &job.hash).expect("fetch");
         let spec = specs.iter().find(|s| s.id() == job.id).expect("spec");
-        let stored = ff_harness::store::ShardedStore::open(&store)
+        let stored = ff_harness::store::ShardedStore::open(&*store)
             .expect("store")
             .read(spec)
             .expect("stored artifact");
