@@ -25,7 +25,6 @@
 //! floating-point instructions, which fill quickly under long cache misses
 //! and throttle the achievable parallelism.
 
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Index, IndexMut};
@@ -589,7 +588,7 @@ impl ExecutionModel for OutOfOrder {
                         seq: ti.seq,
                         cycle: now,
                         pc: ti.pc,
-                        inst: Cow::Borrowed(ti.inst),
+                        inst: *ti.inst,
                         qp_true: Some(ti.qp_true),
                         wrote: ti.wrote,
                         stored: ti.stored,

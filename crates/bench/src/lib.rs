@@ -2,7 +2,7 @@
 //!
 //! One bench target, `sim_throughput` (`cargo bench -p ff-bench --bench
 //! sim_throughput`): steady-state simulator throughput (cycles/sec and
-//! insts/sec per model x kernel x tick mode), written to
+//! insts/sec per model x kernel, event-driven tick mode), written to
 //! `BENCH_<git-describe>.json` and gated against `BENCH_main.json` by the
 //! CI `perf-gate` job (see [`throughput`]).
 //!

@@ -3,7 +3,8 @@
 //! `cargo bench -p ff-bench --bench sim_throughput` measures how fast the
 //! simulator itself runs — simulated cycles per wall-clock second and
 //! retired instructions per second — for every execution model on a fixed
-//! kernel set, in both tick modes. Results are written to
+//! kernel set, in the event-driven tick mode every production run uses.
+//! Results are written to
 //! `BENCH_<git-describe>.json` at the repository root so the trajectory of
 //! simulator performance is tracked in version control, and the CI
 //! `perf-gate` job compares a fresh measurement against the committed
@@ -39,9 +40,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
-use ff_engine::{
-    ExecutionModel, MachineConfig, Observes, PipelineProbe, RetireEvent, SimCase, TickMode,
-};
+use ff_engine::{ExecutionModel, MachineConfig, Observes, PipelineProbe, RetireEvent, SimCase};
 use ff_harness::json::Json;
 use ff_multipass::Multipass;
 use ff_workloads::{Scale, Workload};
@@ -81,29 +80,16 @@ fn build_model(name: &str, machine: MachineConfig) -> Box<dyn ExecutionModel> {
     }
 }
 
-fn tick_name(tick: TickMode) -> &'static str {
-    match tick {
-        TickMode::Polling => "polling",
-        TickMode::EventDriven => "event",
-    }
-}
-
-fn parse_tick(s: &str) -> Option<TickMode> {
-    match s {
-        "polling" => Some(TickMode::Polling),
-        "event" => Some(TickMode::EventDriven),
-        _ => None,
-    }
-}
-
-/// One measured (model, kernel, tick mode) throughput sample.
+/// One measured (model, kernel) throughput sample.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Rate {
     /// Execution model name (one of [`MODELS`]).
     pub model: String,
     /// Kernel name (one of [`KERNELS`]).
     pub kernel: String,
-    /// Tick mode name (`polling` or `event`).
+    /// Tick mode name: `event` for every fresh measurement. Older
+    /// documents (`BENCH_main.json`) also hold `polling` entries, which
+    /// [`per_model_geomean`] skips.
     pub tick: String,
     /// Simulated cycles per wall-clock second, steady state.
     pub cycles_per_sec: f64,
@@ -136,7 +122,7 @@ impl PipelineProbe for WarmupProbe {
         Observes::Retirements
     }
 
-    fn on_retire(&mut self, event: &RetireEvent<'_>) {
+    fn on_retire(&mut self, event: &RetireEvent) {
         self.seen += 1;
         if self.seen == self.threshold {
             self.mark = Some((Instant::now(), event.cycle));
@@ -211,7 +197,7 @@ fn steady_rate(
 ///
 /// Fails when the kernel does not exist or retires fewer instructions
 /// than the warm-up threshold (no steady state to measure).
-pub fn measure_one(model: &str, kernel: &str, tick: TickMode) -> Result<Rate, String> {
+pub fn measure_one(model: &str, kernel: &str) -> Result<Rate, String> {
     let w = Workload::by_name(kernel, Scale::Test)
         .ok_or_else(|| format!("unknown kernel `{kernel}`"))?;
     let machine = MachineConfig::itanium2_base();
@@ -219,7 +205,6 @@ pub fn measure_one(model: &str, kernel: &str, tick: TickMode) -> Result<Rate, St
     let mut passes = Vec::with_capacity(MEASURE_PASSES);
     for _ in 0..MEASURE_PASSES {
         let mut m = build_model(model, machine);
-        m.set_tick_mode(tick);
         passes.push(
             steady_rate(&mut *m, &case, WARMUP_RETIREMENTS, MIN_SAMPLE)
                 .map_err(|e| format!("kernel `{kernel}`: {e}"))?,
@@ -230,7 +215,7 @@ pub fn measure_one(model: &str, kernel: &str, tick: TickMode) -> Result<Rate, St
     Ok(Rate {
         model: model.to_string(),
         kernel: kernel.to_string(),
-        tick: tick_name(tick).to_string(),
+        tick: "event".to_string(),
         cycles_per_sec: median.cycles_per_sec,
         insts_per_sec: median.insts_per_sec,
         reps: median.reps,
@@ -240,7 +225,7 @@ pub fn measure_one(model: &str, kernel: &str, tick: TickMode) -> Result<Rate, St
     })
 }
 
-/// Measures the full grid: every model x kernel x tick mode.
+/// Measures the full grid: every model x kernel.
 ///
 /// # Errors
 ///
@@ -249,9 +234,7 @@ pub fn measure_all() -> Result<Vec<Rate>, String> {
     let mut out = Vec::new();
     for model in MODELS {
         for kernel in KERNELS {
-            for tick in [TickMode::Polling, TickMode::EventDriven] {
-                out.push(measure_one(model, kernel, tick)?);
-            }
+            out.push(measure_one(model, kernel)?);
         }
     }
     Ok(out)
@@ -506,7 +489,7 @@ fn measure_and_write(out: Option<&str>) -> Result<Vec<Rate>, String> {
 ///   measure (or load `--current`) and fail with exit code 1 when any
 ///   model's event-driven cycles/sec geomean regressed by more than the
 ///   tolerance vs the baseline file.
-/// * `single MODEL KERNEL TICK` — one grid point, printed only (used to
+/// * `single MODEL KERNEL` — one grid point, printed only (used to
 ///   validate the warm-up guard).
 pub fn cli_main(argv: &[String]) -> i32 {
     // Cargo's libtest-compatible flags (`--bench`, `--exact`, ...) are
@@ -602,13 +585,11 @@ pub fn cli_main(argv: &[String]) -> i32 {
             }
         }
         "single" => {
-            let (Some(model), Some(kernel), Some(tick)) =
-                (args.get(1), args.get(2), args.get(3).copied().and_then(parse_tick))
-            else {
-                eprintln!("usage: single MODEL KERNEL polling|event");
+            let (Some(model), Some(kernel)) = (args.get(1), args.get(2)) else {
+                eprintln!("usage: single MODEL KERNEL");
                 return 2;
             };
-            match measure_one(model, kernel, tick) {
+            match measure_one(model, kernel) {
                 Ok(r) => {
                     print_table(std::slice::from_ref(&r));
                     0
@@ -696,7 +677,7 @@ mod tests {
 
     #[test]
     fn unknown_kernels_are_rejected() {
-        assert!(measure_one("inorder", "nosuch", TickMode::EventDriven).is_err());
+        assert!(measure_one("inorder", "nosuch").is_err());
     }
 
     #[test]

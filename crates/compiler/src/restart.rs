@@ -61,7 +61,7 @@ pub fn insert_restarts(program: &Program, policy: &RestartPolicy) -> Program {
         let block_id = BlockId(b as u32);
         let block = program.block(block_id).expect("block exists");
         for (i, inst) in block.iter().enumerate() {
-            out.push(id, inst.clone());
+            out.push(id, *inst);
             if critical.contains(&(block_id, i)) {
                 let dst = inst.dst_reg().expect("critical load has a destination register");
                 out.push(id, Inst::new(Op::Restart).src(dst));

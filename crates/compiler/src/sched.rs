@@ -122,7 +122,7 @@ pub fn schedule_block(block: &[Inst]) -> Vec<Inst> {
     // Emit in placement order with stop bits at group boundaries.
     let mut out: Vec<Inst> = Vec::with_capacity(n);
     for (k, &i) in order.iter().enumerate() {
-        let mut inst = block[i].clone();
+        let mut inst = block[i];
         let last_of_group = k + 1 == n || groups[k + 1] != groups[k];
         inst.set_stop(last_of_group);
         out.push(inst);

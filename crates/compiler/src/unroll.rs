@@ -284,7 +284,7 @@ pub fn unroll_loops(program: &Program, factor: u32) -> Program {
         match plans.get(&block_id.0) {
             None => {
                 for inst in block {
-                    out.push(id, inst.clone());
+                    out.push(id, *inst);
                 }
                 // The first block doubles as the guard-constant preheader.
                 if b == 0 {
@@ -305,7 +305,7 @@ pub fn unroll_loops(program: &Program, factor: u32) -> Program {
                 for k in 0..factor {
                     if k == 0 {
                         for inst in body {
-                            out.push(id, inst.clone());
+                            out.push(id, *inst);
                         }
                     } else {
                         let map = &plan.renames[(k - 1) as usize];
@@ -336,7 +336,7 @@ pub fn unroll_loops(program: &Program, factor: u32) -> Program {
         out.push(rem, Inst::new(Op::CmpEq).dst(plan.exit_pred).src(plan.lp.ctr).src(Reg::int(0)));
         out.push(rem, Inst::new(Op::Br { target: BlockId(b + 1) }).qp(plan.exit_pred));
         for inst in body {
-            out.push(rem, inst.clone());
+            out.push(rem, *inst);
         }
         out.push(rem, Inst::new(Op::AddImm).dst(plan.lp.ctr).src(plan.lp.ctr).imm(-1));
         out.push(rem, Inst::new(Op::Br { target: rem }));

@@ -20,6 +20,64 @@ pub enum RestartStrategy {
     Disabled,
 }
 
+/// The injectable fault classes. Each corrupts the `N`-th occurrence of
+/// one event when armed through [`MultipassConfig::fault`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultClass {
+    /// The `N`-th result-store merge of a preserved value (counted by
+    /// `rs_reuses`) XORs the merged value with 1 — silent architectural
+    /// register corruption.
+    RegisterBitFlip,
+    /// The `N`-th architectural load wakeup is dropped: its destination
+    /// register stays pending essentially forever, wedging every
+    /// consumer. Models a lost fill notification.
+    DroppedWakeup,
+    /// The `N`-th data read's completion is warped far past any legal
+    /// hierarchy latency (see `ff_mem::MemorySystem::inject_warp_latency`).
+    WarpedCacheLatency,
+    /// The `N`-th MSHR allocation is never deallocated (see
+    /// `ff_mem::MshrFile::inject_lost_dealloc`).
+    LostMshrDealloc,
+    /// The `N`-th advance-store-cache forward whose data-speculation (S)
+    /// bit should be set forwards the value *without* it — the
+    /// stale-forwarding bug class where rally merges an unverified value.
+    StaleAscForward,
+    /// The `N`-th execution-op wakeup insertion (counted over
+    /// architectural multi-cycle result writebacks) is dropped: the
+    /// destination register never transitions back to ready, modeling a
+    /// lost insertion into a wakeup-driven ready set.
+    DroppedReadyInsert,
+}
+
+impl FaultClass {
+    /// All six classes.
+    pub const ALL: [FaultClass; 6] = [
+        FaultClass::RegisterBitFlip,
+        FaultClass::DroppedWakeup,
+        FaultClass::WarpedCacheLatency,
+        FaultClass::LostMshrDealloc,
+        FaultClass::StaleAscForward,
+        FaultClass::DroppedReadyInsert,
+    ];
+
+    /// Stable short name (used by the CLI and CI).
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultClass::RegisterBitFlip => "reg-flip",
+            FaultClass::DroppedWakeup => "dropped-wakeup",
+            FaultClass::WarpedCacheLatency => "warp-latency",
+            FaultClass::LostMshrDealloc => "lost-mshr",
+            FaultClass::StaleAscForward => "stale-asc",
+            FaultClass::DroppedReadyInsert => "dropped-ready-insert",
+        }
+    }
+
+    /// Parses a fault-class name.
+    pub fn parse(s: &str) -> Option<FaultClass> {
+        FaultClass::ALL.into_iter().find(|c| c.name() == s)
+    }
+}
+
 /// Configuration of the multipass pipeline, wrapping the base
 /// [`MachineConfig`] with the structures of the paper's §3/§4 and the two
 /// ablation switches evaluated in Figure 8.
@@ -48,35 +106,10 @@ pub struct MultipassConfig {
     /// paper mentions, which lets same-pass consumers wait instead of
     /// deferring.
     pub waw_skip_srf: bool,
-    /// Testing hook for the `ff-debug` triage tooling: when set to `N`,
-    /// the `N`-th result-store merge of a preserved value (0-based, counted
-    /// by `rs_reuses`) XORs the merged value with 1, silently corrupting
-    /// architectural state. `None` (the default) disables the fault.
-    pub fault_corrupt_rs_merge: Option<u64>,
-    /// Fault-injection hook (`ff-sentinel`): the `N`-th architectural load
-    /// wakeup (0-based) is dropped — its destination register is marked
-    /// pending essentially forever, wedging every consumer. Models a lost
-    /// fill notification.
-    pub fault_drop_wakeup: Option<u64>,
-    /// Fault-injection hook (`ff-sentinel`): the `N`-th data read's
-    /// completion cycle is warped far past any legal hierarchy latency
-    /// (see `ff_mem::MemorySystem::inject_warp_latency`).
-    pub fault_warp_cache_latency: Option<u64>,
-    /// Fault-injection hook (`ff-sentinel`): the `N`-th MSHR allocation is
-    /// never deallocated (see `ff_mem::MshrFile::inject_lost_dealloc`).
-    pub fault_lose_mshr_dealloc: Option<u64>,
-    /// Fault-injection hook (`ff-sentinel`): the `N`-th advance-store-cache
-    /// forward whose data-speculation (S) bit should be set forwards the
-    /// value *without* it — reintroducing the stale-forwarding bug class
-    /// where rally merges an unverified value.
-    pub fault_stale_asc_forward: Option<u64>,
-    /// Fault-injection hook (`ff-sentinel`): the `N`-th execution-op
-    /// wakeup insertion (0-based, counted over architectural multi-cycle
-    /// result writebacks) is dropped — the destination register's
-    /// scoreboard entry is wedged essentially forever. Models a lost
-    /// insertion into a wakeup-driven ready structure: consumers of the
-    /// register never transition back to ready.
-    pub fault_drop_ready_insert: Option<u64>,
+    /// Deterministic fault injection (`ff-debug`, `ff-sentinel`): when set
+    /// to `(class, N)`, the `N`-th (0-based) occurrence of the class's event
+    /// is silently corrupted. `None` (the default) injects nothing.
+    pub fault: Option<(FaultClass, u64)>,
 }
 
 impl MultipassConfig {
@@ -91,12 +124,15 @@ impl MultipassConfig {
             enable_regrouping: true,
             restart: RestartStrategy::Compiler,
             waw_skip_srf: true,
-            fault_corrupt_rs_merge: None,
-            fault_drop_wakeup: None,
-            fault_warp_cache_latency: None,
-            fault_lose_mshr_dealloc: None,
-            fault_stale_asc_forward: None,
-            fault_drop_ready_insert: None,
+            fault: None,
+        }
+    }
+
+    /// The occurrence index to corrupt, when `class` is the armed fault.
+    pub(crate) fn fault_index(&self, class: FaultClass) -> Option<u64> {
+        match self.fault {
+            Some((c, n)) if c == class => Some(n),
+            _ => None,
         }
     }
 

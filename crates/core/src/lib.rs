@@ -58,7 +58,7 @@ pub mod entry;
 pub mod pipeline;
 
 pub use asc::AdvanceStoreCache;
-pub use config::{MultipassConfig, RestartStrategy};
+pub use config::{FaultClass, MultipassConfig, RestartStrategy};
 pub use pipeline::Multipass;
 
 /// xorshift64: a fixed, dependency-free operation stream for the unit

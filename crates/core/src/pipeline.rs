@@ -35,10 +35,9 @@ use ff_engine::{
 use ff_isa::eval::{alu, effective_address};
 use ff_isa::{Inst, Op, Pc, Reg};
 use ff_mem::{AccessKind, MemAccess};
-use std::borrow::Cow;
 
 use crate::asc::{AdvanceStoreCache, AscData, AscLookup};
-use crate::config::{MultipassConfig, RestartStrategy};
+use crate::config::{FaultClass, MultipassConfig, RestartStrategy};
 use crate::entry::{MpEntry, RsResult};
 
 /// One operand read during advance execution: its value and taint, or
@@ -153,10 +152,10 @@ impl<'a> Core<'a> {
         let observes = probe.observes();
         let machine = config.machine;
         let mut base = InOrderStage::new(case, &machine, machine.multipass_iq);
-        if let Some(n) = config.fault_warp_cache_latency {
+        if let Some(n) = config.fault_index(FaultClass::WarpedCacheLatency) {
             base.mem.inject_warp_latency(n);
         }
-        if let Some(n) = config.fault_lose_mshr_dealloc {
+        if let Some(n) = config.fault_index(FaultClass::LostMshrDealloc) {
             base.mem.inject_lost_mshr_dealloc(n);
         }
         Core {
@@ -203,7 +202,7 @@ impl<'a> Core<'a> {
     /// future, wedging every consumer of `d`.
     fn pend_load(&mut self, d: Reg, complete_at: u64) {
         let mut at = complete_at;
-        if let Some(n) = self.cfg.fault_drop_wakeup {
+        if let Some(n) = self.cfg.fault_index(FaultClass::DroppedWakeup) {
             if self.load_pends == n {
                 at = u64::MAX / 2;
             }
@@ -218,7 +217,7 @@ impl<'a> Core<'a> {
     /// ready.
     fn pend_exec(&mut self, d: Reg, ready_at: u64) {
         let mut at = ready_at;
-        if let Some(n) = self.cfg.fault_drop_ready_insert {
+        if let Some(n) = self.cfg.fault_index(FaultClass::DroppedReadyInsert) {
             if self.exec_pends == n {
                 at = u64::MAX / 2;
             }
@@ -230,7 +229,7 @@ impl<'a> Core<'a> {
     /// Publishes one issued-and-retired instruction: its issue and
     /// register writeback when the probe observes the pipeline, then the
     /// retirement. `event` is built only when the probe observes it.
-    fn publish_retire(&mut self, event: impl FnOnce(&Self) -> RetireEvent<'a>) {
+    fn publish_retire(&mut self, event: impl FnOnce(&Self) -> RetireEvent) {
         if !self.retire_enabled {
             return;
         }
@@ -474,7 +473,9 @@ impl<'a> Core<'a> {
                             }
                         } else if let Some(d) = inst.writes() {
                             let mut v = v;
-                            if self.cfg.fault_corrupt_rs_merge == Some(self.base.stats.rs_reuses) {
+                            if self.cfg.fault_index(FaultClass::RegisterBitFlip)
+                                == Some(self.base.stats.rs_reuses)
+                            {
                                 // Deliberate single-bit corruption used to
                                 // exercise the ff-debug triage path.
                                 v ^= 1;
@@ -503,7 +504,7 @@ impl<'a> Core<'a> {
                     seq,
                     cycle: now,
                     pc,
-                    inst: Cow::Borrowed(inst),
+                    inst: *inst,
                     qp_true: None,
                     wrote,
                     stored,
@@ -744,7 +745,9 @@ impl<'a> Core<'a> {
                         // making the forwarded value data speculative (§3.6).
                         let mut s_bit = self.deferred_store.is_some_and(|d| d > store_seq);
                         if s_bit {
-                            if self.cfg.fault_stale_asc_forward == Some(self.speculative_forwards) {
+                            if self.cfg.fault_index(FaultClass::StaleAscForward)
+                                == Some(self.speculative_forwards)
+                            {
                                 // Injected stale forward: the value skips
                                 // rally's value-wise verify.
                                 s_bit = false;
@@ -1426,7 +1429,7 @@ mod tests {
             fn on_writeback(&mut self, _: u64, _: Reg, _: u64) {
                 self.others += 1;
             }
-            fn on_retire(&mut self, _: &RetireEvent<'_>) {
+            fn on_retire(&mut self, _: &RetireEvent) {
                 self.retires += 1;
             }
             fn on_mode(&mut self, _: u64, _: RetireMode) {

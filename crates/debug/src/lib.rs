@@ -34,12 +34,11 @@
 use std::fmt;
 
 use ff_engine::{
-    EpisodeWindow, ExecutionModel, Observes, PipelineProbe, RetireEvent, RetireMode, RetireRing,
-    RunResult, SimCase,
+    ExecutionModel, Observes, PipelineProbe, RetireEvent, RetireRing, RunResult, SimCase,
 };
 use ff_isa::eval::effective_address;
 use ff_isa::interp::Interpreter;
-use ff_isa::{Inst, Op, Pc, Reg};
+use ff_isa::{Op, Pc, Reg};
 
 /// How many retirements before the divergence are retained for the report.
 pub const HISTORY_LEN: usize = 16;
@@ -139,33 +138,23 @@ impl fmt::Display for DivergenceKind {
 /// golden execution.
 #[derive(Clone, Debug)]
 pub struct Divergence {
-    /// Retired dynamic sequence number of the divergent instruction.
-    pub seq: u64,
-    /// Model cycle at which it retired.
-    pub cycle: u64,
-    /// Its pc.
-    pub pc: Pc,
-    /// The instruction itself.
-    pub inst: Inst,
-    /// Pipeline mode the model was in when it retired.
-    pub mode: RetireMode,
-    /// Whether the result was merged from the multipass result store.
-    pub merged: bool,
-    /// The advance-episode window active at retirement (multipass only).
-    pub episode: Option<EpisodeWindow>,
+    /// The divergent retirement: its sequence number, cycle, pc,
+    /// instruction, pipeline mode, merge flag and advance-episode window.
+    pub event: RetireEvent,
     /// What differed.
     pub kind: DivergenceKind,
     /// The retirements leading up to (and including) the divergent one,
     /// oldest first.
-    pub history: Vec<RetireEvent<'static>>,
+    pub history: Vec<RetireEvent>,
 }
 
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "first divergence at retired seq #{} (cycle {}):", self.seq, self.cycle)?;
-        writeln!(f, "  {} `{}`", self.pc, self.inst)?;
-        write!(f, "  mode: {}{}", self.mode, if self.merged { " (merged result)" } else { "" })?;
-        match self.episode {
+        let ev = &self.event;
+        writeln!(f, "first divergence at retired seq #{} (cycle {}):", ev.seq, ev.cycle)?;
+        writeln!(f, "  {} `{}`", ev.pc, ev.inst)?;
+        write!(f, "  mode: {}{}", ev.mode, if ev.merged { " (merged result)" } else { "" })?;
+        match ev.episode {
             Some(ep) => writeln!(f, ", episode {ep}")?,
             None => writeln!(f)?,
         }
@@ -206,22 +195,11 @@ impl<'a> LockstepChecker<'a> {
         self.divergence.as_ref()
     }
 
-    /// Consumes the checker, returning the divergence.
-    pub fn into_divergence(self) -> Option<Divergence> {
-        self.divergence
-    }
-
-    fn diverge(&mut self, event: &RetireEvent<'_>, kind: DivergenceKind) {
+    fn diverge(&mut self, event: &RetireEvent, kind: DivergenceKind) {
         self.divergence = Some(Divergence {
-            seq: event.seq,
-            cycle: event.cycle,
-            pc: event.pc,
-            inst: event.inst.as_ref().clone(),
-            mode: event.mode,
-            merged: event.merged,
-            episode: event.episode,
+            event: *event,
             kind,
-            history: self.ring.events().cloned().collect(),
+            history: self.ring.events().copied().collect(),
         });
     }
 
@@ -313,7 +291,7 @@ impl PipelineProbe for LockstepChecker<'_> {
         if self.divergence.is_some() {
             return; // frozen on the first divergence
         }
-        self.ring.push(event.clone());
+        self.ring.push(*event);
         self.check(event);
     }
 }
@@ -381,12 +359,15 @@ pub fn compare_model(model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> Comp
     let result =
         model.run_observed(case, &mut checker).unwrap_or_else(|e| panic!("{e} — runaway program?"));
 
-    let mut golden = Interpreter::with_state(case.program, case.initial_state());
-    golden.run(case.max_insts).expect("golden interpreter failed on workload program");
+    // The checker's interpreter stopped stepping at the divergence (if
+    // any); run it on to the golden end of the program.
+    let LockstepChecker { interp: mut golden, divergence, .. } = checker;
+    let fuel = case.max_insts.saturating_sub(golden.retired());
+    golden.run(fuel).expect("golden interpreter failed on workload program");
 
     ComparisonReport {
         model: model.name(),
-        divergence: checker.into_divergence(),
+        divergence,
         model_retired: result.stats.retired,
         golden_retired: golden.retired(),
         final_state_eq: result.final_state.semantically_eq(golden.state()),
@@ -398,9 +379,9 @@ pub fn compare_model(model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> Comp
 mod tests {
     use super::*;
     use ff_baselines::InOrder;
-    use ff_engine::MachineConfig;
-    use ff_isa::{MemoryImage, Program};
-    use ff_multipass::{Multipass, MultipassConfig};
+    use ff_engine::{MachineConfig, RetireMode};
+    use ff_isa::{Inst, MemoryImage, Program};
+    use ff_multipass::{FaultClass, Multipass, MultipassConfig};
 
     /// The Figure 1 shape: a pointer chase whose long misses open advance
     /// episodes, with enough independent work behind the stall for the
@@ -470,8 +451,10 @@ mod tests {
         // indices until one hits (Nop/Store merges pass the counter by).
         let mut found = None;
         for n in 0..64 {
-            let mut cfg = MultipassConfig::new(MachineConfig::default());
-            cfg.fault_corrupt_rs_merge = Some(n);
+            let cfg = MultipassConfig {
+                fault: Some((FaultClass::RegisterBitFlip, n)),
+                ..MultipassConfig::new(MachineConfig::default())
+            };
             let mut model = Multipass::with_config(cfg);
             let report = compare_model(&mut model, &case);
             if report.divergence.is_some() {
@@ -484,18 +467,18 @@ mod tests {
 
         // The fault flips bit 0 of a merged value: a register divergence
         // on a merged retirement, caught at that exact instruction.
-        assert!(d.merged, "fault was injected at a merge:\n{report}");
+        assert!(d.event.merged, "fault was injected at a merge:\n{report}");
         let DivergenceKind::Register { reg, expected, actual } = &d.kind else {
             panic!("expected a register divergence, got:\n{report}");
         };
         assert_eq!(*actual, *expected ^ 1, "fault XORs bit 0:\n{report}");
-        assert_eq!(d.mode, RetireMode::Rally, "merges retire in rally mode:\n{report}");
-        assert!(d.episode.is_some(), "rally retirement carries an episode window:\n{report}");
+        assert_eq!(d.event.mode, RetireMode::Rally, "merges retire in rally mode:\n{report}");
+        assert!(d.event.episode.is_some(), "rally retirement carries an episode window:\n{report}");
         assert!(!d.history.is_empty());
 
         // The rendered report names seq, register, and mode.
         let text = report.to_string();
-        assert!(text.contains(&format!("seq #{}", d.seq)), "{text}");
+        assert!(text.contains(&format!("seq #{}", d.event.seq)), "{text}");
         assert!(text.contains(&reg.to_string()), "{text}");
         assert!(text.contains("rally"), "{text}");
     }
@@ -513,7 +496,7 @@ mod tests {
             seq: 0,
             cycle: 0,
             pc,
-            inst: std::borrow::Cow::Owned(Inst::new(Op::Halt)),
+            inst: Inst::new(Op::Halt),
             qp_true: Some(true),
             wrote: None,
             stored: None,

@@ -129,7 +129,7 @@ pub trait PipelineProbe {
 
     /// An instruction retired. Events arrive in retirement (program)
     /// order with non-decreasing cycles, nothing more.
-    fn on_retire(&mut self, event: &RetireEvent<'_>) {
+    fn on_retire(&mut self, event: &RetireEvent) {
         let _ = event;
     }
 

@@ -8,12 +8,13 @@
 //! retired dynamic instruction to the run's
 //! [`PipelineProbe::on_retire`] — its location, the register it wrote, the
 //! store it performed, and (for multipass) the mode and advance-episode
-//! window active at retirement. A probe that wants nothing else answers
-//! [`Observes::Retirements`]; [`RetireRing`] is one. The `ff-debug` crate
-//! consumes these events to run a golden interpreter in lockstep and report
-//! the *first divergence* of a buggy model.
+//! window active at retirement. Events are plain `Copy` values holding a
+//! copy of the retired instruction, so a probe keeps one by copying it.
+//! A probe that wants nothing else answers [`Observes::Retirements`];
+//! [`RetireRing`] is one. The `ff-debug` crate consumes these events to
+//! run a golden interpreter in lockstep and report the *first divergence*
+//! of a buggy model.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -68,20 +69,17 @@ impl fmt::Display for EpisodeWindow {
 /// One architecturally retired dynamic instruction.
 ///
 /// The event fires once per retired instruction whenever the run's probe
-/// observes retirements, so the instruction itself is carried as a
-/// [`Cow`]: models borrow it straight out of the program (no per-retire
-/// clone on the hot path), while observers that outlive the retirement
-/// call [`RetireEvent::into_owned`] to detach it.
-#[derive(Clone, Debug)]
-pub struct RetireEvent<'a> {
+/// observes retirements.
+#[derive(Clone, Copy, Debug)]
+pub struct RetireEvent {
     /// Position in the dynamic instruction stream (0-based).
     pub seq: u64,
     /// Cycle at which the instruction retired.
     pub cycle: u64,
     /// Static location.
     pub pc: Pc,
-    /// The retired instruction, usually borrowed from the program.
-    pub inst: Cow<'a, Inst>,
+    /// The retired instruction.
+    pub inst: Inst,
     /// Qualifying-predicate outcome, when the model evaluated it at
     /// retirement. `None` when the retirement merged a preserved result
     /// whose predicate was resolved during an earlier pass.
@@ -100,47 +98,9 @@ pub struct RetireEvent<'a> {
     pub episode: Option<EpisodeWindow>,
 }
 
-impl RetireEvent<'_> {
-    /// Detaches the event from the program it borrows, cloning the
-    /// instruction if it was borrowed. Only observers that *retain*
-    /// events (rings, divergence reports) pay this copy.
-    pub fn into_owned(self) -> RetireEvent<'static> {
-        RetireEvent {
-            seq: self.seq,
-            cycle: self.cycle,
-            pc: self.pc,
-            inst: Cow::Owned(self.inst.into_owned()),
-            qp_true: self.qp_true,
-            wrote: self.wrote,
-            stored: self.stored,
-            mode: self.mode,
-            merged: self.merged,
-            episode: self.episode,
-        }
-    }
-
-    /// Like [`RetireEvent::into_owned`] but from a shared reference:
-    /// every field except the instruction is `Copy`, so detaching costs
-    /// exactly one `Inst` clone — never an intermediate whole-event clone.
-    pub fn to_detached(&self) -> RetireEvent<'static> {
-        RetireEvent {
-            seq: self.seq,
-            cycle: self.cycle,
-            pc: self.pc,
-            inst: Cow::Owned(self.inst.as_ref().clone()),
-            qp_true: self.qp_true,
-            wrote: self.wrote,
-            stored: self.stored,
-            mode: self.mode,
-            merged: self.merged,
-            episode: self.episode,
-        }
-    }
-}
-
-impl fmt::Display for RetireEvent<'_> {
+impl fmt::Display for RetireEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{:<6} cy{:<8} {} `{}`", self.seq, self.cycle, self.pc, self.inst.as_ref())?;
+        write!(f, "#{:<6} cy{:<8} {} `{}`", self.seq, self.cycle, self.pc, self.inst)?;
         match self.qp_true {
             Some(true) => {}
             Some(false) => write!(f, " [qp=false]")?,
@@ -166,7 +126,7 @@ impl fmt::Display for RetireEvent<'_> {
 /// divergence without retaining the entire (possibly huge) dynamic stream.
 #[derive(Clone, Debug)]
 pub struct RetireRing {
-    events: VecDeque<RetireEvent<'static>>,
+    events: VecDeque<RetireEvent>,
     capacity: usize,
     total: u64,
 }
@@ -178,13 +138,8 @@ impl RetireRing {
         RetireRing { events: VecDeque::with_capacity(capacity), capacity, total: 0 }
     }
 
-    /// Records one event (detaching it from its program), evicting the
-    /// oldest when full.
-    pub fn push(&mut self, event: RetireEvent<'_>) {
-        self.push_owned(event.into_owned());
-    }
-
-    fn push_owned(&mut self, event: RetireEvent<'static>) {
+    /// Records one event, evicting the oldest when full.
+    pub fn push(&mut self, event: RetireEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
         }
@@ -193,12 +148,12 @@ impl RetireRing {
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &RetireEvent<'static>> {
+    pub fn events(&self) -> impl Iterator<Item = &RetireEvent> {
         self.events.iter()
     }
 
     /// The most recent event, if any.
-    pub fn last(&self) -> Option<&RetireEvent<'static>> {
+    pub fn last(&self) -> Option<&RetireEvent> {
         self.events.back()
     }
 
@@ -223,8 +178,8 @@ impl PipelineProbe for RetireRing {
         Observes::Retirements
     }
 
-    fn on_retire(&mut self, event: &RetireEvent<'_>) {
-        self.push_owned(event.to_detached());
+    fn on_retire(&mut self, event: &RetireEvent) {
+        self.push(*event);
     }
 }
 
@@ -233,7 +188,7 @@ mod tests {
     use super::*;
     use ff_isa::{Op, Program};
 
-    fn event(seq: u64) -> RetireEvent<'static> {
+    fn event(seq: u64) -> RetireEvent {
         let mut p = Program::new();
         let b = p.add_block();
         p.push(b, Inst::new(Op::Nop));
@@ -242,7 +197,7 @@ mod tests {
             seq,
             cycle: seq * 2,
             pc,
-            inst: Cow::Owned(Inst::new(Op::Nop)),
+            inst: Inst::new(Op::Nop),
             qp_true: Some(true),
             wrote: None,
             stored: None,

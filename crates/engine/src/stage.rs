@@ -25,7 +25,6 @@
 //!
 //! Each model drives the stage with its own loop and adds only its policy.
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use ff_frontend::{FetchUnit, Gshare};
@@ -109,13 +108,13 @@ impl<'p> Issued<'p> {
         cycle: u64,
         mode: RetireMode,
         episode: Option<EpisodeWindow>,
-    ) -> RetireEvent<'p> {
+    ) -> RetireEvent {
         let inst = self.head.inst;
         RetireEvent {
             seq: self.head.seq,
             cycle,
             pc: self.head.pc,
-            inst: Cow::Borrowed(inst),
+            inst: *inst,
             qp_true: Some(self.qp_true),
             wrote: inst.writes().filter(|_| self.qp_true).map(|d| (d, state.read(d))),
             stored: self.stored,

@@ -369,7 +369,7 @@ impl Sentinel for Retirements<'_> {
         "retirements"
     }
 
-    fn on_retire(&mut self, event: &RetireEvent<'_>, _: &mut Reporter<'_>) {
+    fn on_retire(&mut self, event: &RetireEvent, _: &mut Reporter<'_>) {
         self.0.on_retire(event);
     }
 }

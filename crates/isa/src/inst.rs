@@ -30,7 +30,7 @@ pub const MAX_SRCS: usize = 2;
 /// stop bit): the baseline in-order pipeline never issues instructions from
 /// different groups in the same cycle, while multipass regrouping (paper
 /// §3.2) may dynamically merge groups without reordering.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Inst {
     op: Op,
     qp: Reg,

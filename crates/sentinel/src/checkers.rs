@@ -419,8 +419,8 @@ impl Sentinel for GoldenSentinel<'_> {
         self.checker.on_retire(event);
         if let Some(d) = self.checker.divergence() {
             v.report(
-                d.cycle,
-                format!("diverged from golden interpreter at seq #{}: {}", d.seq, d.kind),
+                d.event.cycle,
+                format!("diverged from golden interpreter at seq #{}: {}", d.event.seq, d.kind),
             );
             self.reported = true;
         }

@@ -1,10 +1,10 @@
 //! Deterministic seeded fault injection.
 //!
-//! Each [`FaultClass`] arms one of the `fault_*` hooks on
-//! [`MultipassConfig`]; the hook silently corrupts the `N`-th occurrence of
-//! its event (a result-store merge, a load wakeup, ...). Determinism is the
-//! point: a `(class, index)` pair always corrupts the same dynamic event,
-//! so a detection proved in a test stays proved in CI and a missed
+//! A [`FaultClass`] and an index `N` arm [`MultipassConfig::fault`]; the
+//! multipass pipeline then silently corrupts the `N`-th occurrence of the
+//! class's event (a result-store merge, a load wakeup, ...). Determinism
+//! is the point: a `(class, index)` pair always corrupts the same dynamic
+//! event, so a detection proved in a test stays proved in CI and a missed
 //! detection is replayable.
 //!
 //! The coverage contract — every fault class is caught by at least one
@@ -15,7 +15,7 @@
 
 use ff_engine::SimCase;
 use ff_isa::{MemoryImage, Program};
-use ff_multipass::{Multipass, MultipassConfig};
+use ff_multipass::{FaultClass, Multipass, MultipassConfig};
 
 use crate::{check_model, demo, SentinelReport};
 
@@ -24,88 +24,23 @@ use crate::{check_model, demo, SentinelReport};
 /// that a warped-latency run (~100k stalled cycles) still completes.
 pub const FAULT_CYCLE_BUDGET: u64 = 400_000;
 
-/// The injectable fault classes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultClass {
-    /// The `N`-th result-store merge XORs the merged value with 1 —
-    /// silent architectural register corruption.
-    RegisterBitFlip,
-    /// The `N`-th architectural load wakeup is dropped: its destination
-    /// register stays pending essentially forever.
-    DroppedWakeup,
-    /// The `N`-th data read's completion is warped far past any legal
-    /// hierarchy latency.
-    WarpedCacheLatency,
-    /// The `N`-th MSHR allocation is never deallocated.
-    LostMshrDealloc,
-    /// The `N`-th ASC forward that should carry the data-speculation (S)
-    /// bit forwards without it, skipping rally verification.
-    StaleAscForward,
-    /// The `N`-th execution-op wakeup insertion is dropped: the
-    /// destination register never transitions back to ready, modeling a
-    /// lost insertion into a wakeup-driven ready set.
-    DroppedReadyInsert,
+/// The sentinels expected to catch `class`.
+pub fn expected_sentinels(class: FaultClass) -> &'static [&'static str] {
+    match class {
+        FaultClass::RegisterBitFlip => &["golden"],
+        FaultClass::DroppedWakeup => &["scoreboard-srf"],
+        FaultClass::WarpedCacheLatency => &["scoreboard-srf"],
+        FaultClass::LostMshrDealloc => &["mshr"],
+        FaultClass::StaleAscForward => &["asc"],
+        FaultClass::DroppedReadyInsert => &["scoreboard-srf"],
+    }
 }
 
-impl FaultClass {
-    /// All six classes.
-    pub const ALL: [FaultClass; 6] = [
-        FaultClass::RegisterBitFlip,
-        FaultClass::DroppedWakeup,
-        FaultClass::WarpedCacheLatency,
-        FaultClass::LostMshrDealloc,
-        FaultClass::StaleAscForward,
-        FaultClass::DroppedReadyInsert,
-    ];
-
-    /// Stable short name (used by the CLI and CI).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultClass::RegisterBitFlip => "reg-flip",
-            FaultClass::DroppedWakeup => "dropped-wakeup",
-            FaultClass::WarpedCacheLatency => "warp-latency",
-            FaultClass::LostMshrDealloc => "lost-mshr",
-            FaultClass::StaleAscForward => "stale-asc",
-            FaultClass::DroppedReadyInsert => "dropped-ready-insert",
-        }
-    }
-
-    /// Parses a fault-class name.
-    pub fn parse(s: &str) -> Option<FaultClass> {
-        FaultClass::ALL.into_iter().find(|c| c.name() == s)
-    }
-
-    /// The sentinels expected to catch this class.
-    pub fn expected_sentinels(self) -> &'static [&'static str] {
-        match self {
-            FaultClass::RegisterBitFlip => &["golden"],
-            FaultClass::DroppedWakeup => &["scoreboard-srf"],
-            FaultClass::WarpedCacheLatency => &["scoreboard-srf"],
-            FaultClass::LostMshrDealloc => &["mshr"],
-            FaultClass::StaleAscForward => &["asc"],
-            FaultClass::DroppedReadyInsert => &["scoreboard-srf"],
-        }
-    }
-
-    /// Arms this fault on the `index`-th occurrence of its event.
-    pub fn apply(self, cfg: &mut MultipassConfig, index: u64) {
-        match self {
-            FaultClass::RegisterBitFlip => cfg.fault_corrupt_rs_merge = Some(index),
-            FaultClass::DroppedWakeup => cfg.fault_drop_wakeup = Some(index),
-            FaultClass::WarpedCacheLatency => cfg.fault_warp_cache_latency = Some(index),
-            FaultClass::LostMshrDealloc => cfg.fault_lose_mshr_dealloc = Some(index),
-            FaultClass::StaleAscForward => cfg.fault_stale_asc_forward = Some(index),
-            FaultClass::DroppedReadyInsert => cfg.fault_drop_ready_insert = Some(index),
-        }
-    }
-
-    /// The demo kernel guaranteed to reach this class's fault site at
-    /// index 0.
-    pub fn workload(self) -> (Program, MemoryImage) {
-        match self {
-            FaultClass::StaleAscForward => demo::forwarding(),
-            _ => demo::chase(32),
-        }
+/// The demo kernel guaranteed to reach `class`'s fault site at index 0.
+fn workload(class: FaultClass) -> (Program, MemoryImage) {
+    match class {
+        FaultClass::StaleAscForward => demo::forwarding(),
+        _ => demo::chase(32),
     }
 }
 
@@ -143,10 +78,9 @@ impl FaultInjector {
 /// Runs this class's demo kernel on the multipass model with the fault
 /// armed at `index`, under the full checker set.
 pub fn run_faulted(class: FaultClass, index: u64) -> SentinelReport {
-    let (p, mem) = class.workload();
+    let (p, mem) = workload(class);
     let case = SimCase::new(&p, mem).with_cycle_budget(FAULT_CYCLE_BUDGET);
-    let mut cfg = MultipassConfig::default();
-    class.apply(&mut cfg, index);
+    let cfg = MultipassConfig { fault: Some((class, index)), ..MultipassConfig::default() };
     let mut model = Multipass::with_config(cfg);
     check_model(&mut model, &case)
 }
@@ -154,5 +88,5 @@ pub fn run_faulted(class: FaultClass, index: u64) -> SentinelReport {
 /// Whether `report` shows the fault was caught by a sentinel expected to
 /// catch this class.
 pub fn detected(class: FaultClass, report: &SentinelReport) -> bool {
-    class.expected_sentinels().iter().any(|s| report.fired(s))
+    expected_sentinels(class).iter().any(|s| report.fired(s))
 }

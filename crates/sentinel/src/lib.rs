@@ -50,7 +50,8 @@ pub use checkers::{
     AccountingSentinel, AscSentinel, EpochSentinel, GoldenSentinel, MshrSentinel,
     RetireOrderSentinel, ScoreboardSrfSentinel,
 };
-pub use fault::{detected, run_faulted, FaultClass, FaultInjector};
+pub use fault::{detected, expected_sentinels, run_faulted, FaultInjector};
+pub use ff_multipass::FaultClass;
 
 /// One invariant violation observed during a run.
 #[derive(Clone, Debug)]

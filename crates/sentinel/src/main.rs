@@ -6,7 +6,7 @@
 //!     set; exit nonzero on any violation.
 //!
 //! ff-sentinel fault <class|all> [--seed N]
-//!     Prove the named fault class (or all five) is caught: index 0 must
+//!     Prove the named fault class (or every class) is caught: index 0 must
 //!     fire and be detected by the expected checker, and every seeded
 //!     fault site that perturbs the run must be detected too.
 //! ```
@@ -16,11 +16,19 @@ use std::process::ExitCode;
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
 use ff_engine::{ExecutionModel, MachineConfig};
 use ff_multipass::{Multipass, MultipassConfig};
-use ff_sentinel::{check_model, detected, run_faulted, FaultClass, FaultInjector};
+use ff_sentinel::{
+    check_model, detected, expected_sentinels, run_faulted, FaultClass, FaultInjector,
+};
 use ff_workloads::{Scale, Workload};
 
-const USAGE: &str = "usage: ff-sentinel <clean [--scale test|paper] | fault <class|all> [--seed N]>
-fault classes: reg-flip dropped-wakeup warp-latency lost-mshr stale-asc";
+fn usage() -> String {
+    let classes: Vec<&str> = FaultClass::ALL.iter().map(|c| c.name()).collect();
+    format!(
+        "usage: ff-sentinel <clean [--scale test|paper] | fault <class|all> [--seed N]>\n\
+         fault classes: {}",
+        classes.join(" ")
+    )
+}
 
 /// The seven execution models, mirroring the experiment suite's roster.
 fn models() -> Vec<Box<dyn ExecutionModel>> {
@@ -70,7 +78,7 @@ fn prove_class(class: FaultClass, seed: u64) -> bool {
         println!(
             "MISSED {}[0]: expected {:?} to fire; violations: {:?}",
             class.name(),
-            class.expected_sentinels(),
+            expected_sentinels(class),
             report.violations
         );
         return false;
@@ -78,7 +86,7 @@ fn prove_class(class: FaultClass, seed: u64) -> bool {
     let v = report
         .violations
         .iter()
-        .find(|v| class.expected_sentinels().contains(&v.sentinel))
+        .find(|v| expected_sentinels(class).contains(&v.sentinel))
         .expect("detected implies a matching violation");
     println!("caught {}[0] by [{}] at cycle {}", class.name(), v.sentinel, v.cycle);
 
@@ -98,7 +106,7 @@ fn prove_class(class: FaultClass, seed: u64) -> bool {
             println!(
                 "MISSED {}[{index}]: run perturbed but expected {:?} silent; violations: {:?}",
                 c.name(),
-                c.expected_sentinels(),
+                expected_sentinels(c),
                 r.violations
             );
             return false;
@@ -115,7 +123,7 @@ fn cmd_fault(class_arg: &str, seed: u64) -> ExitCode {
         match FaultClass::parse(class_arg) {
             Some(c) => vec![c],
             None => {
-                eprintln!("unknown fault class `{class_arg}`\n{USAGE}");
+                eprintln!("unknown fault class `{class_arg}`\n{}", usage());
                 return ExitCode::FAILURE;
             }
         }
@@ -140,12 +148,12 @@ fn main() -> ExitCode {
                         Some("test") => scale = Scale::Test,
                         Some("paper") => scale = Scale::Paper,
                         _ => {
-                            eprintln!("--scale needs `test` or `paper`\n{USAGE}");
+                            eprintln!("--scale needs `test` or `paper`\n{}", usage());
                             return ExitCode::FAILURE;
                         }
                     },
                     other => {
-                        eprintln!("unknown flag `{other}`\n{USAGE}");
+                        eprintln!("unknown flag `{other}`\n{}", usage());
                         return ExitCode::FAILURE;
                     }
                 }
@@ -154,7 +162,7 @@ fn main() -> ExitCode {
         }
         Some("fault") => {
             let Some(class_arg) = args.get(1) else {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
             let mut seed = 0xf1ea;
@@ -164,12 +172,12 @@ fn main() -> ExitCode {
                     "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                         Some(s) => seed = s,
                         None => {
-                            eprintln!("--seed needs an integer\n{USAGE}");
+                            eprintln!("--seed needs an integer\n{}", usage());
                             return ExitCode::FAILURE;
                         }
                     },
                     other => {
-                        eprintln!("unknown flag `{other}`\n{USAGE}");
+                        eprintln!("unknown flag `{other}`\n{}", usage());
                         return ExitCode::FAILURE;
                     }
                 }
@@ -177,8 +185,26 @@ fn main() -> ExitCode {
             cmd_fault(class_arg, seed)
         }
         _ => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_fault_class() {
+        let text = usage();
+        let listed = text.lines().find_map(|l| l.strip_prefix("fault classes: ")).unwrap();
+        for class in FaultClass::ALL {
+            assert!(
+                listed.split(' ').any(|n| n == class.name()),
+                "{} missing:\n{text}",
+                class.name()
+            );
         }
     }
 }

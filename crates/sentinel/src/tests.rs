@@ -1,25 +1,13 @@
-use ff_baselines::{InOrder, OutOfOrder, Runahead};
 use ff_engine::{
     CycleObs, ExecutionModel, MachineConfig, PipelineProbe, RetireMode, RunResult, SimCase,
 };
-use ff_multipass::{Multipass, MultipassConfig};
+use ff_experiments::ModelKind;
+use ff_multipass::Multipass;
 use ff_workloads::{Scale, Workload};
 
-use crate::{check_model, demo, detected, fault, run_faulted, FaultClass, FaultInjector};
+use crate::{check_model, demo, detected, expected_sentinels, fault, run_faulted};
+use crate::{FaultClass, FaultInjector};
 use crate::{Sentinel, SentinelSuite, Violation, MAX_VIOLATIONS};
-
-fn all_models() -> Vec<Box<dyn ExecutionModel>> {
-    let m = MachineConfig::default();
-    vec![
-        Box::new(InOrder::new(m)),
-        Box::new(Runahead::new(m)),
-        Box::new(OutOfOrder::new(m)),
-        Box::new(OutOfOrder::realistic(m)),
-        Box::new(Multipass::new(m)),
-        Box::new(Multipass::with_config(MultipassConfig::without_regrouping(m))),
-        Box::new(Multipass::with_config(MultipassConfig::without_restart(m))),
-    ]
-}
 
 #[test]
 fn clean_runs_report_zero_violations_across_all_models() {
@@ -27,7 +15,8 @@ fn clean_runs_report_zero_violations_across_all_models() {
     // `ff-sentinel clean` binary sweeps all twelve in CI.
     for bench in ["mcf", "gzip", "art"] {
         let w = Workload::by_name(bench, Scale::Test).unwrap();
-        for model in &mut all_models() {
+        for kind in ModelKind::ALL {
+            let mut model = kind.build(MachineConfig::default());
             let report = check_model(model.as_mut(), &w.sim_case());
             assert!(
                 report.outcome.is_ok(),
@@ -83,7 +72,7 @@ fn every_fault_class_is_detected_at_index_zero() {
             detected(class, &report),
             "{}: expected {:?} to fire, got {:?} (outcome {:?})",
             class.name(),
-            class.expected_sentinels(),
+            expected_sentinels(class),
             report.violations,
             report.outcome.as_ref().err()
         );
@@ -103,7 +92,7 @@ fn seeded_fault_sites_are_detected_whenever_they_fire() {
             detected(class, &report),
             "{}[{index}]: perturbed run not caught by {:?}: {:?}",
             class.name(),
-            class.expected_sentinels(),
+            expected_sentinels(class),
             report.violations
         );
     }

@@ -10,7 +10,7 @@
 //! `inspect_workload`), `<model>` one of `inorder`, `runahead`, `ooo`,
 //! `ooo-real`, `mp`, `mp-noregroup`, `mp-norestart`. The optional
 //! `fault-index` injects a single-bit corruption into the N-th multipass
-//! result-store merge (`MultipassConfig::fault_corrupt_rs_merge`) so the
+//! result-store merge (`FaultClass::RegisterBitFlip`) so the
 //! triage output can be demonstrated on a healthy tree.
 //!
 //! `--bundle` loads a crash bundle written by a failed `ff-campaign` job
@@ -27,7 +27,7 @@ use flea_flicker::engine::{ExecutionModel, MachineConfig, SimCase};
 use flea_flicker::experiments::{HierKind, ModelKind, Suite};
 use flea_flicker::harness::job::parse_scale;
 use flea_flicker::harness::CrashBundle;
-use flea_flicker::multipass::{Multipass, MultipassConfig};
+use flea_flicker::multipass::{FaultClass, Multipass, MultipassConfig};
 use flea_flicker::workloads::{Scale, Workload};
 
 fn usage() -> ExitCode {
@@ -117,7 +117,7 @@ fn main() -> ExitCode {
 
     let machine = MachineConfig::itanium2_base();
     let mp_config = |mut c: MultipassConfig| {
-        c.fault_corrupt_rs_merge = fault;
+        c.fault = fault.map(|n| (FaultClass::RegisterBitFlip, n));
         c
     };
     let mut model: Box<dyn ExecutionModel> = match model_name.as_str() {

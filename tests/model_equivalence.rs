@@ -3,11 +3,10 @@
 //! golden interpreter's. This is the repository's primary correctness
 //! oracle — the timing models are also functional interpreters.
 
-use flea_flicker::baselines::{InOrder, OutOfOrder, Runahead};
 use flea_flicker::engine::{ExecutionModel, MachineConfig, SimCase};
+use flea_flicker::experiments::ModelKind;
 use flea_flicker::isa::interp::Interpreter;
 use flea_flicker::isa::ArchState;
-use flea_flicker::multipass::{Multipass, MultipassConfig};
 use flea_flicker::workloads::{Scale, Workload};
 
 fn interpreter_state(w: &Workload) -> (ArchState, u64) {
@@ -20,22 +19,8 @@ fn interpreter_state(w: &Workload) -> (ArchState, u64) {
     (i.into_state(), retired)
 }
 
-fn models(machine: MachineConfig) -> Vec<(&'static str, Box<dyn ExecutionModel>)> {
-    vec![
-        ("inorder", Box::new(InOrder::new(machine))),
-        ("runahead", Box::new(Runahead::new(machine))),
-        ("ooo", Box::new(OutOfOrder::new(machine))),
-        ("ooo-realistic", Box::new(OutOfOrder::realistic(machine))),
-        ("multipass", Box::new(Multipass::new(machine))),
-        (
-            "multipass-noregroup",
-            Box::new(Multipass::with_config(MultipassConfig::without_regrouping(machine))),
-        ),
-        (
-            "multipass-norestart",
-            Box::new(Multipass::with_config(MultipassConfig::without_restart(machine))),
-        ),
-    ]
+fn models(machine: MachineConfig) -> impl Iterator<Item = (&'static str, Box<dyn ExecutionModel>)> {
+    ModelKind::ALL.into_iter().map(move |kind| (kind.name(), kind.build(machine)))
 }
 
 #[test]

@@ -9,12 +9,13 @@
 
 use proptest::prelude::*;
 
-use flea_flicker::baselines::{InOrder, OutOfOrder, Runahead};
+use flea_flicker::baselines::{InOrder, Runahead};
 use flea_flicker::compiler::{compile, CompilerOptions};
 use flea_flicker::engine::{ExecutionModel, MachineConfig, SimCase};
+use flea_flicker::experiments::ModelKind;
 use flea_flicker::isa::interp::Interpreter;
 use flea_flicker::isa::{ArchState, Inst, MemoryImage, Op, Program, Reg};
-use flea_flicker::multipass::{Multipass, MultipassConfig};
+use flea_flicker::multipass::Multipass;
 
 /// One randomly generated body instruction.
 #[derive(Clone, Debug)]
@@ -125,22 +126,10 @@ fn initial_memory() -> MemoryImage {
     m
 }
 
-fn all_models(machine: MachineConfig) -> Vec<(&'static str, Box<dyn ExecutionModel>)> {
-    vec![
-        ("inorder", Box::new(InOrder::new(machine))),
-        ("runahead", Box::new(Runahead::new(machine))),
-        ("ooo", Box::new(OutOfOrder::new(machine))),
-        ("ooo-real", Box::new(OutOfOrder::realistic(machine))),
-        ("mp", Box::new(Multipass::new(machine))),
-        (
-            "mp-noregroup",
-            Box::new(Multipass::with_config(MultipassConfig::without_regrouping(machine))),
-        ),
-        (
-            "mp-norestart",
-            Box::new(Multipass::with_config(MultipassConfig::without_restart(machine))),
-        ),
-    ]
+fn all_models(
+    machine: MachineConfig,
+) -> impl Iterator<Item = (&'static str, Box<dyn ExecutionModel>)> {
+    ModelKind::ALL.into_iter().map(move |kind| (kind.name(), kind.build(machine)))
 }
 
 /// Runs every model on the case and returns a first-divergence triage

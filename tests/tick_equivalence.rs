@@ -8,33 +8,19 @@
 
 use std::fmt::Write as _;
 
-use flea_flicker::baselines::{InOrder, OutOfOrder, Runahead};
 use flea_flicker::engine::probe::{AscForwardObs, CycleObs, MemAccessObs, PipelineProbe};
 use flea_flicker::engine::{
     ExecutionModel, MachineConfig, Observes, RetireEvent, RetireMode, RunResult, SimCase, TickMode,
 };
+use flea_flicker::experiments::{HierKind, ModelKind};
 use flea_flicker::harness::artifact::render_sim_artifact;
 use flea_flicker::harness::JobSpec;
 use flea_flicker::isa::Reg;
-use flea_flicker::multipass::{Multipass, MultipassConfig};
+use flea_flicker::multipass::Multipass;
 use flea_flicker::workloads::{Scale, Workload};
 
-fn models(machine: MachineConfig) -> Vec<(&'static str, Box<dyn ExecutionModel>)> {
-    vec![
-        ("inorder", Box::new(InOrder::new(machine))),
-        ("runahead", Box::new(Runahead::new(machine))),
-        ("ooo", Box::new(OutOfOrder::new(machine))),
-        ("ooo-realistic", Box::new(OutOfOrder::realistic(machine))),
-        ("multipass", Box::new(Multipass::new(machine))),
-        (
-            "multipass-noregroup",
-            Box::new(Multipass::with_config(MultipassConfig::without_regrouping(machine))),
-        ),
-        (
-            "multipass-norestart",
-            Box::new(Multipass::with_config(MultipassConfig::without_restart(machine))),
-        ),
-    ]
+fn models(machine: MachineConfig) -> impl Iterator<Item = (&'static str, Box<dyn ExecutionModel>)> {
+    ModelKind::ALL.into_iter().map(move |kind| (kind.name(), kind.build(machine)))
 }
 
 /// Records the entire retirement stream as rendered lines, so two runs can
@@ -49,7 +35,7 @@ impl PipelineProbe for RetireStream {
         Observes::Retirements
     }
 
-    fn on_retire(&mut self, event: &RetireEvent<'_>) {
+    fn on_retire(&mut self, event: &RetireEvent) {
         self.lines.push(event.to_string());
     }
 }
@@ -118,7 +104,6 @@ const GRID_ARTIFACT_DIGEST: u64 = 0xdd01_225f_2ce5_87bd;
 /// across commits by [`GRID_ARTIFACT_DIGEST`].
 #[test]
 fn artifacts_are_byte_identical_across_tick_modes() {
-    use flea_flicker::experiments::{HierKind, ModelKind};
     use flea_flicker::harness::job::fnv1a64;
     let machine = MachineConfig::itanium2_base();
     let mut grid = String::new();
@@ -197,7 +182,7 @@ impl PipelineProbe for StreamProbe {
         self.lines.push(format!("wb seq={seq} reg={reg} cy={cycle}"));
     }
 
-    fn on_retire(&mut self, event: &RetireEvent<'_>) {
+    fn on_retire(&mut self, event: &RetireEvent) {
         self.lines.push(format!("retire {event}"));
     }
 
