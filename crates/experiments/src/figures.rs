@@ -87,7 +87,7 @@ fn breakdown(result: &ff_engine::RunResult, norm: f64) -> [f64; 4] {
 }
 
 /// Runs the Figure 6 experiment over any result source (the serial
-/// [`Suite`] or a campaign artifact store).
+/// [`Suite`](crate::Suite) or a campaign artifact store).
 pub fn figure6<S: ResultSource + ?Sized>(suite: &mut S) -> Figure6 {
     let benches = suite.benchmarks();
     let mut rows = Vec::new();

@@ -2,9 +2,10 @@
 //! the loop-unrolling study, the §4.2 memory-consistency claim, and the
 //! seed-sensitivity sweep.
 //!
-//! Each report renders to a `String` so it can be produced identically by
-//! the `ff-bench` targets (serial, printed to stdout) and by `ff-campaign`
-//! (parallel, checkpointed under `results/campaign/`).
+//! Each report renders to a `String`, which `ff-campaign run` writes into
+//! `results/`. The self-contained sweeps ([`ablation_structures`],
+//! [`unroll_effect`]) run as campaign report jobs; [`memory_consistency`]
+//! and [`seed_sensitivity`] are rendered from the campaign's simulations.
 
 use std::fmt::Write as _;
 

@@ -72,6 +72,17 @@ impl ModelKind {
         })
     }
 
+    /// The multipass configuration of the three multipass variants over
+    /// `machine`, or `None` for the other models.
+    pub fn multipass_config(self, machine: MachineConfig) -> Option<MultipassConfig> {
+        match self {
+            ModelKind::Multipass => Some(MultipassConfig::new(machine)),
+            ModelKind::MpNoRegroup => Some(MultipassConfig::without_regrouping(machine)),
+            ModelKind::MpNoRestart => Some(MultipassConfig::without_restart(machine)),
+            _ => None,
+        }
+    }
+
     /// Builds a boxed model instance over `machine`.
     pub fn build(self, machine: MachineConfig) -> Box<dyn ExecutionModel> {
         match self {
@@ -79,13 +90,9 @@ impl ModelKind {
             ModelKind::Runahead => Box::new(Runahead::new(machine)),
             ModelKind::Ooo => Box::new(OutOfOrder::new(machine)),
             ModelKind::OooRealistic => Box::new(OutOfOrder::realistic(machine)),
-            ModelKind::Multipass => Box::new(Multipass::new(machine)),
-            ModelKind::MpNoRegroup => {
-                Box::new(Multipass::with_config(MultipassConfig::without_regrouping(machine)))
-            }
-            ModelKind::MpNoRestart => {
-                Box::new(Multipass::with_config(MultipassConfig::without_restart(machine)))
-            }
+            ModelKind::Multipass | ModelKind::MpNoRegroup | ModelKind::MpNoRestart => Box::new(
+                Multipass::with_config(self.multipass_config(machine).expect("a multipass model")),
+            ),
         }
     }
 }

@@ -22,7 +22,7 @@ pub struct FetchedInst {
     /// Static location of the instruction.
     pub pc: Pc,
     /// The operation (a plain `Copy` — backends that need operand registers
-    /// re-read the full [`Inst`] via `program.inst(pc)`, which avoids
+    /// re-read the full [`Inst`](ff_isa::Inst) via `program.inst(pc)`, which avoids
     /// cloning the register arrays through every buffered entry).
     pub op: Op,
     /// Whether the instruction carries a non-trivial qualifying predicate.

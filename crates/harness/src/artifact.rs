@@ -201,7 +201,7 @@ pub fn parse_sim_artifact(spec: &JobSpec, text: &str) -> Result<RunResult, Strin
             // describes the host-side implementation, not the modeled
             // machine, and is deliberately excluded from artifacts so the
             // content-addressed store stays stable across simulator
-            // optimizations. It surfaces through `BENCH_*.json` instead.
+            // optimizations. `tests/tick_equivalence.rs` pins it instead.
             select_visits: 0,
             alloc_count: 0,
         },

@@ -69,9 +69,9 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// `.tmp-*` sibling, are fsynced, renamed over the final name, and the
 /// parent directory is fsynced so the rename itself survives a crash. A
 /// concurrent reader sees either no file or a complete one; a crash at
-/// any point leaves at worst an orphaned temp file, swept by
-/// [`sweep_tmp`] on the next store open. All I/O routes through
-/// [`chaos`], so the chaos suite exercises exactly this code path.
+/// any point leaves at worst an orphaned temp file, swept by the next
+/// [`ShardedStore::open`]. All I/O routes through [`chaos`], so the
+/// chaos suite exercises exactly this code path.
 ///
 /// # Errors
 ///

@@ -17,7 +17,13 @@
 //! memo check is [`ShardedStore::contains`], and a miss runs through
 //! [`ff_harness::execute_job`] (attempts, publish, crash bundle) with
 //! [`ff_harness::attempt_job`] as the executor, so a served artifact is
-//! byte-identical to a CLI-produced one by construction. Under
+//! byte-identical to a CLI-produced one by construction. Claiming a job
+//! holds the scheduler lock only for the quarantine and in-flight gates;
+//! the memo check reads and verifies the artifact on the worker, outside
+//! the lock, so a hit never blocks `submit`, `status`, `health` or the
+//! other workers behind disk I/O. A job that parks behind a claimed hash
+//! resolves with its claimant: as a `hit` when the claimant's memo check
+//! hits, as `dedup` when the claimant simulates. Under
 //! `--quarantine-after` the hash-keyed ledger in the store root is shared
 //! across every campaign and gated live as each job is claimed: a config
 //! quarantined by one tenant (or by a CLI run) is skipped, and reported
@@ -73,7 +79,8 @@ pub struct Counters {
     pub hits: AtomicU64,
     /// Jobs that had to simulate (no artifact existed).
     pub misses: AtomicU64,
-    /// Jobs parked behind an identical in-flight config hash.
+    /// Jobs parked behind an identical config hash that simulated,
+    /// counted when the simulation resolves them.
     pub inflight_dedup: AtomicU64,
     /// Simulations that completed and published an artifact.
     pub sims_ok: AtomicU64,
@@ -157,13 +164,14 @@ struct Inner {
     /// Round-robin rotation of campaign ids that may still have queued
     /// jobs. An id appears at most once.
     rotation: VecDeque<String>,
-    /// Config hashes currently simulating → the jobs parked behind them.
+    /// Config hashes claimed by a worker → the jobs parked behind them.
     inflight: BTreeMap<u64, Vec<(String, usize)>>,
     next_serial: u64,
     stopping: bool,
 }
 
-/// A claimed unit of work: simulate `spec`, then publish under `hash`.
+/// A claimed unit of work: memo-check `spec`, on a miss simulate it and
+/// publish under `hash`.
 struct Task {
     campaign: String,
     index: usize,
@@ -396,8 +404,8 @@ impl Scheduler {
     }
 
     /// Claims the next runnable job in round-robin campaign order,
-    /// resolving hits/waiters/quarantined jobs inline until a job that
-    /// actually needs simulation turns up (or nothing is queued).
+    /// resolving quarantined jobs and parking waiters inline until a job
+    /// whose hash no worker holds turns up (or nothing is queued).
     fn claim(&self, inner: &mut Inner) -> Option<Task> {
         // Each pass pops one campaign; a campaign with remaining queued
         // work is pushed back, giving rotation fairness. Every iteration
@@ -428,26 +436,10 @@ impl Scheduler {
                 continue;
             }
 
-            // Memoization gate: an existing artifact is a hit, shared
-            // with every past campaign and CLI run against this store.
-            if self.store.contains(&spec) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                campaign.jobs[index].state = JobState::Hit;
-                if let Some(mut ledger) = self.lock_quarantine() {
-                    ledger.record(&spec, JobStatus::Cached);
-                }
-                if more_queued {
-                    inner.rotation.push_back(id);
-                }
-                continue;
-            }
-
-            // In-flight gate: an identical hash already simulating means
-            // this job parks and resolves when the runner publishes.
+            // In-flight gate: an identical hash already claimed means
+            // this job parks and resolves with the claimant.
             if let Some(waiters) = inner.inflight.get_mut(&hash) {
                 waiters.push((id.clone(), index));
-                self.counters.inflight_dedup.fetch_add(1, Ordering::Relaxed);
-                let campaign = inner.campaigns.get_mut(&id).expect("campaign exists");
                 campaign.jobs[index].state = JobState::Waiting;
                 if more_queued {
                     inner.rotation.push_back(id);
@@ -455,10 +447,8 @@ impl Scheduler {
                 continue;
             }
 
-            // A real miss: this worker simulates it.
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+            // This worker claims the hash; `execute` memo-checks it.
             inner.inflight.insert(hash, Vec::new());
-            let campaign = inner.campaigns.get_mut(&id).expect("campaign exists");
             campaign.jobs[index].state = JobState::Running;
             if more_queued {
                 inner.rotation.push_back(id.clone());
@@ -487,33 +477,30 @@ impl Scheduler {
         }
     }
 
-    /// Runs one claimed task outside the scheduler lock, publishes on
-    /// success, and resolves the task plus every parked waiter.
+    /// Runs one claimed task outside the scheduler lock: the memo check,
+    /// then on a miss the simulation and publish. Resolves the task plus
+    /// every parked waiter.
     fn execute(&self, ctx: &mut JobContext, task: Task) {
-        let (spec, exec) = (&task.spec, &self.opts.exec);
-        let outcome = execute_job(&self.store, spec, self.opts.attempts, exec, |_| {
-            (self.executor)(ctx, spec, exec)
-        });
-        if let Some(mut ledger) = self.lock_quarantine() {
-            ledger.record(spec, outcome.status);
-            if let Err(e) = ledger.save(self.store.root()) {
-                eprintln!("ff-server: warning: could not save quarantine ledger: {e}");
+        // Memoization gate: an existing artifact is a hit, shared with
+        // every past campaign and CLI run against this store.
+        let (state, waiter_state) = if self.store.contains(&task.spec) {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(mut ledger) = self.lock_quarantine() {
+                ledger.record(&task.spec, JobStatus::Cached);
             }
-        }
-        let (state, waiter_state) = match outcome.error {
-            None => {
-                self.counters.sims_ok.fetch_add(1, Ordering::Relaxed);
-                (JobState::Ok, JobState::Dedup)
-            }
-            Some(err) => {
-                self.counters.sims_failed.fetch_add(1, Ordering::Relaxed);
-                let message = format!("deduplicated onto a failed run: {}", err.message);
-                let waiter = JobState::Failed(JobError { message, ..err.clone() });
-                (JobState::Failed(err), waiter)
-            }
+            (JobState::Hit, JobState::Hit)
+        } else {
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+            self.simulate(ctx, &task.spec)
         };
         let mut inner = self.lock_inner();
         let waiters = inner.inflight.remove(&task.hash).unwrap_or_default();
+        let parked = if state == JobState::Hit {
+            &self.counters.hits
+        } else {
+            &self.counters.inflight_dedup
+        };
+        parked.fetch_add(waiters.len() as u64, Ordering::Relaxed);
         let mut resolve = |id: &str, index: usize, state: JobState| {
             if let Some(job) = inner.campaigns.get_mut(id).and_then(|c| c.jobs.get_mut(index)) {
                 job.state = state;
@@ -525,6 +512,33 @@ impl Scheduler {
         }
         drop(inner);
         self.work.notify_all();
+    }
+
+    /// Simulates and publishes one memo miss, returning the states of the
+    /// job and of its parked waiters.
+    fn simulate(&self, ctx: &mut JobContext, spec: &JobSpec) -> (JobState, JobState) {
+        let exec = &self.opts.exec;
+        let outcome = execute_job(&self.store, spec, self.opts.attempts, exec, |_| {
+            (self.executor)(ctx, spec, exec)
+        });
+        if let Some(mut ledger) = self.lock_quarantine() {
+            ledger.record(spec, outcome.status);
+            if let Err(e) = ledger.save(self.store.root()) {
+                eprintln!("ff-server: warning: could not save quarantine ledger: {e}");
+            }
+        }
+        match outcome.error {
+            None => {
+                self.counters.sims_ok.fetch_add(1, Ordering::Relaxed);
+                (JobState::Ok, JobState::Dedup)
+            }
+            Some(err) => {
+                self.counters.sims_failed.fetch_add(1, Ordering::Relaxed);
+                let message = format!("deduplicated onto a failed run: {}", err.message);
+                let waiter = JobState::Failed(JobError { message, ..err.clone() });
+                (JobState::Failed(err), waiter)
+            }
+        }
     }
 
     /// Builds the checkpoint report for one campaign: terminal jobs keep
@@ -608,8 +622,10 @@ mod tests {
     use super::*;
     use ff_experiments::{HierKind, ModelKind};
     use ff_harness::campaign::JobFilter;
+    use ff_harness::chaos::{self, ChaosPolicy, Fault, FsOp};
     use ff_harness::JobError;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
     /// A fresh store directory under the system temp dir, removed when
@@ -736,9 +752,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let (second, _) = scheduler.submit(&req).unwrap();
-        // The duplicate must park as a waiter, not start a second sim.
+        // The duplicate must park as a waiter, not start a second sim:
+        // its hash is claimed, so `running` can only mean parked.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while scheduler.counters().inflight_dedup.load(Ordering::Relaxed) == 0 {
+        while count_of(&scheduler.status(&second).unwrap(), "running") == 0 {
             assert!(Instant::now() < deadline, "duplicate was never deduplicated");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -751,6 +768,94 @@ mod tests {
         assert_eq!(scheduler.counters().inflight_dedup.load(Ordering::Relaxed), 1);
         assert_eq!(scheduler.counters().misses.load(Ordering::Relaxed), 1);
         scheduler.shutdown();
+    }
+
+    /// Parks every artifact read under `scope`: reports each parked read
+    /// on `parked` and holds it until the `release` sender is dropped.
+    struct ParkReads {
+        scope: String,
+        parked: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl ChaosPolicy for ParkReads {
+        fn decide(&self, op: FsOp, path: &std::path::Path) -> Option<Fault> {
+            if op == FsOp::Read && path.to_string_lossy().contains(&self.scope) {
+                let _ = self.parked.lock().unwrap().send(());
+                let _ = self.release.lock().unwrap().recv();
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn a_memo_check_blocks_neither_status_nor_health() {
+        let dir = temp_dir("memo-unlocked");
+        let sims = Arc::new(AtomicUsize::new(0));
+        let first = Scheduler::start_with_executor(
+            ShardedStore::open(&*dir).unwrap(),
+            SchedulerOptions { workers: 1, ..SchedulerOptions::default() },
+            counting_executor(Arc::clone(&sims)),
+        );
+        let req = request(ModelKind::InOrder, &["gzip"]);
+        let ids: Vec<String> = (0..2).map(|_| first.submit(&req).unwrap().0).collect();
+        for id in &ids {
+            wait_done(&first, id);
+        }
+        first.shutdown();
+
+        // A restarted scheduler resumes both campaigns. One worker's memo
+        // check of the published artifact parks inside the read; the
+        // other worker parks the second campaign's job behind its hash.
+        let store = ShardedStore::open(&*dir).unwrap();
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let guard = chaos::install(Arc::new(ParkReads {
+            scope: dir.to_string_lossy().into_owned(),
+            parked: Mutex::new(parked_tx),
+            release: Mutex::new(release_rx),
+        }));
+        let resumed = Scheduler::start_with_executor(
+            store,
+            SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
+            counting_executor(Arc::clone(&sims)),
+        );
+        parked.recv_timeout(Duration::from_secs(30)).expect("the memo check never read");
+
+        // The policy decides under chaos's global lock, so until the
+        // release this thread must do no chaos-routed I/O. The latch is
+        // released before any assertion, so a blocked scheduler fails
+        // the test instead of hanging it.
+        let (answered_tx, answered) = mpsc::channel();
+        let asker = {
+            let (scheduler, id) = (Arc::clone(&resumed), ids[0].clone());
+            std::thread::spawn(move || {
+                let _ = (scheduler.status(&id), scheduler.health());
+                let _ = answered_tx.send(());
+            })
+        };
+        let unblocked = answered.recv_timeout(Duration::from_secs(5)).is_ok();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while unblocked && count_of(&resumed.status(&ids[1]).unwrap(), "running") == 0 {
+            assert!(Instant::now() < deadline, "the duplicate was never claimed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(release);
+        asker.join().unwrap();
+        assert!(unblocked, "status and health waited on the memo check's read");
+
+        // The parked duplicate resolves with the claimant, as a hit.
+        for id in &ids {
+            let status = wait_done(&resumed, id);
+            assert_eq!(count_of(&status, "hit"), 1, "status: {}", status.render());
+        }
+        assert_eq!(sims.load(Ordering::SeqCst), 1, "the memo check must prevent re-simulation");
+        let counters = resumed.counters();
+        assert_eq!(counters.hits.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.misses.load(Ordering::Relaxed), 0);
+        assert_eq!(counters.inflight_dedup.load(Ordering::Relaxed), 0);
+        resumed.shutdown();
+        drop(guard);
     }
 
     #[test]

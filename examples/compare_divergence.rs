@@ -7,11 +7,12 @@
 //! ```
 //!
 //! `<workload>` is a workload name (`mcf`, `bzip2`, ... — see
-//! `inspect_workload`), `<model>` one of `inorder`, `runahead`, `ooo`,
-//! `ooo-real`, `mp`, `mp-noregroup`, `mp-norestart`. The optional
+//! `inspect_workload`), `<model>` a campaign model name (`inorder`,
+//! `runahead`, `ooo`, `ooo-realistic`, `mp`, `mp-noregroup`,
+//! `mp-norestart`; any spelling `ModelKind::parse` accepts). The optional
 //! `fault-index` injects a single-bit corruption into the N-th multipass
-//! result-store merge (`FaultClass::RegisterBitFlip`) so the
-//! triage output can be demonstrated on a healthy tree.
+//! result-store merge (`FaultClass::RegisterBitFlip`) so the triage output
+//! can be demonstrated on a healthy tree.
 //!
 //! `--bundle` loads a crash bundle written by a failed `ff-campaign` job
 //! (under `<out>/bundles/`), prints the recorded failure context, rebuilds
@@ -21,19 +22,19 @@
 
 use std::process::ExitCode;
 
-use flea_flicker::baselines::{InOrder, OutOfOrder, Runahead};
 use flea_flicker::debug::compare_model;
 use flea_flicker::engine::{ExecutionModel, MachineConfig, SimCase};
 use flea_flicker::experiments::{HierKind, ModelKind, Suite};
 use flea_flicker::harness::job::parse_scale;
 use flea_flicker::harness::CrashBundle;
-use flea_flicker::multipass::{FaultClass, Multipass, MultipassConfig};
+use flea_flicker::multipass::{FaultClass, Multipass};
 use flea_flicker::workloads::{Scale, Workload};
 
 fn usage() -> ExitCode {
     eprintln!("usage: compare_divergence <workload> <model> [fault-index]");
     eprintln!("       compare_divergence --bundle <path>");
-    eprintln!("  models: inorder runahead ooo ooo-real mp mp-noregroup mp-norestart");
+    let models: Vec<&str> = ModelKind::ALL.iter().map(|m| m.name()).collect();
+    eprintln!("  models: {}", models.join(" "));
     ExitCode::FAILURE
 }
 
@@ -115,32 +116,22 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let machine = MachineConfig::itanium2_base();
-    let mp_config = |mut c: MultipassConfig| {
-        c.fault = fault.map(|n| (FaultClass::RegisterBitFlip, n));
-        c
+    let Some(kind) = ModelKind::parse(model_name) else {
+        eprintln!("unknown model `{model_name}`");
+        return usage();
     };
-    let mut model: Box<dyn ExecutionModel> = match model_name.as_str() {
-        "inorder" => Box::new(InOrder::new(machine)),
-        "runahead" => Box::new(Runahead::new(machine)),
-        "ooo" => Box::new(OutOfOrder::new(machine)),
-        "ooo-real" => Box::new(OutOfOrder::realistic(machine)),
-        "mp" => Box::new(Multipass::with_config(mp_config(MultipassConfig::new(machine)))),
-        "mp-noregroup" => Box::new(Multipass::with_config(mp_config(
-            MultipassConfig::without_regrouping(machine),
-        ))),
-        "mp-norestart" => {
-            Box::new(Multipass::with_config(mp_config(MultipassConfig::without_restart(machine))))
+    let machine = MachineConfig::itanium2_base();
+    let mut model: Box<dyn ExecutionModel> = match (kind.multipass_config(machine), fault) {
+        (Some(mut config), fault) => {
+            config.fault = fault.map(|n| (FaultClass::RegisterBitFlip, n));
+            Box::new(Multipass::with_config(config))
         }
-        other => {
-            eprintln!("unknown model `{other}`");
+        (None, None) => kind.build(machine),
+        (None, Some(_)) => {
+            eprintln!("fault injection only applies to multipass models");
             return usage();
         }
     };
-    if fault.is_some() && !model_name.starts_with("mp") {
-        eprintln!("fault injection only applies to multipass models");
-        return usage();
-    }
 
     let case = SimCase::new(&w.program, w.mem.clone());
     let report = compare_model(&mut *model, &case);

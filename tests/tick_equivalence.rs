@@ -60,15 +60,34 @@ fn first_diff(a: &[String], b: &[String]) -> String {
     format!("stream lengths differ: polling={} event={}", a.len(), b.len())
 }
 
+/// Simulator work per model over the 12 test-scale kernels (base
+/// hierarchy, seed 0, event-driven): Σ `select_visits` and Σ
+/// `alloc_count`, in [`ModelKind::ALL`] order. Both counts are
+/// host-independent, so a change that makes the simulator do more work
+/// per simulated cycle moves this table on every host. Update it only in
+/// a change that moves the work on purpose, and say so in that change's
+/// description; host time is measured by perfbench, not here.
+const GRID_WORK: [(&str, u64, u64); 7] = [
+    ("inorder", 502_389, 0),
+    ("runahead", 199_943, 12),
+    ("ooo", 231_689, 60),
+    ("ooo-realistic", 144_732, 60),
+    ("MP", 274_738, 12),
+    ("MP-noregroup", 270_200, 12),
+    ("MP-norestart", 419_076, 12),
+];
+
 /// The acceptance grid: every model x every benchmark, event-driven runs
 /// must reproduce the polling runs' results, retirement streams, and
-/// rendered campaign artifacts byte for byte.
+/// rendered campaign artifacts byte for byte. The grid's summed work
+/// counts are pinned by [`GRID_WORK`].
 #[test]
 fn event_driven_matches_polling_on_every_grid_point() {
     let machine = MachineConfig::itanium2_base();
+    let mut work = ModelKind::ALL.map(|kind| (kind.name(), 0, 0));
     for w in Workload::all(Scale::Test) {
         let case = SimCase::new(&w.program, w.mem.clone());
-        for (name, mut model) in models(machine) {
+        for ((name, mut model), sums) in models(machine).zip(&mut work) {
             let (polled, polled_stream) = run_with(&mut *model, &case, TickMode::Polling);
             let (event, event_stream) = run_with(&mut *model, &case, TickMode::EventDriven);
             let at = format!("{name} on {}", w.name);
@@ -84,8 +103,21 @@ fn event_driven_matches_polling_on_every_grid_point() {
                 "retirement streams diverge: {at}\n{}",
                 first_diff(&polled_stream, &event_stream)
             );
+            sums.1 += event.activity.select_visits;
+            sums.2 += event.activity.alloc_count;
         }
     }
+    let moved: Vec<&str> = work
+        .iter()
+        .zip(GRID_WORK)
+        .filter(|(got, want)| **got != *want)
+        .map(|(got, _)| got.0)
+        .collect();
+    let mut table = String::new();
+    for (name, visits, allocs) in &work {
+        writeln!(table, "    ({name:?}, {visits}, {allocs}),").unwrap();
+    }
+    assert!(moved.is_empty(), "grid work moved for {moved:?}; fresh GRID_WORK rows:\n{table}");
 }
 
 /// FNV-1a digest of the 84 polled grid artifacts (every `ModelKind` x
