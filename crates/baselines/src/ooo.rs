@@ -317,6 +317,7 @@ impl ExecutionModel for OutOfOrder {
 
         let mispredict_penalty = cfg.mispredict_penalty + cfg.ooo_extra_stages;
         let mut now: u64 = 0;
+        let mut loop_passes: u64 = 0;
 
         while !retired_halt {
             if now >= cycle_cap {
@@ -325,6 +326,7 @@ impl ExecutionModel for OutOfOrder {
                     retired: stats.retired,
                 });
             }
+            loop_passes += 1;
 
             // ---- fetch ----
             let fetch_pc = if now >= fetch_blocked_until && waiting_branch.is_none() {
@@ -719,6 +721,7 @@ impl ExecutionModel for OutOfOrder {
             // The run is over: move the stream's final state out instead of
             // cloning the whole memory image.
             final_state: trace.into_state(),
+            loop_passes,
         };
         probe.on_run_end(&result);
         Ok(result)

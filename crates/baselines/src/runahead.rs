@@ -45,11 +45,9 @@ use crate::inorder::issue_group;
 /// when valid and ready, `None` when poisoned or still in flight. A live
 /// SRF slot is a value only if valid and ready; an empty one falls back to
 /// the architectural file, whose in-flight writers are unavailable *now*
-/// but may arrive during the episode.
+/// but may arrive during the episode. A hardwired register has no SRF
+/// slot and is always ready, so it reads its architectural constant.
 fn spec_read(srf: &Srf, stage: &InOrderStage<'_>, r: Reg) -> Option<u64> {
-    if r.is_hardwired() {
-        return Some(stage.state.read(r));
-    }
     match srf.probe(r) {
         Some(SrfVal::Valid { value, ready_at, .. }) if ready_at <= stage.now => Some(value),
         Some(_) => None,

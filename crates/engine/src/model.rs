@@ -116,6 +116,12 @@ pub struct RunResult {
     /// Final architectural state — must be semantically equal to the golden
     /// interpreter's for every model.
     pub final_state: ArchState,
+    /// Simulator host work: iterations of the model's cycle loop. A polled
+    /// run makes one pass per simulated cycle; the event-driven tick folds
+    /// each fast-forwarded window into the pass before it. So, unlike the
+    /// counters above, this one differs between tick modes, and it is
+    /// never rendered into an artifact.
+    pub loop_passes: u64,
 }
 
 /// A cycle-level execution model (in-order, runahead, multipass,

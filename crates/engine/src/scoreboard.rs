@@ -17,10 +17,13 @@ pub enum PendingKind {
     Exec,
 }
 
-/// Per-register ready cycles for all three register files.
+/// Per-register ready cycles for all three register files, indexed by
+/// [`Reg::flat_index`].
 ///
 /// A register is *ready at cycle `t`* when its most recent writer's result
-/// is available for bypass at `t`. Hardwired registers are always ready.
+/// is available for bypass at `t`. Hardwired registers are always ready:
+/// [`Scoreboard::set_pending`] drops them, so their slots stay at cycle 0
+/// and no lookup has to test for them.
 ///
 /// # Examples
 ///
@@ -58,17 +61,13 @@ impl Scoreboard {
     /// Whether `reg` is ready at cycle `now`.
     #[inline]
     pub fn ready(&self, reg: Reg, now: u64) -> bool {
-        reg.is_hardwired() || self.ready_at[reg.flat_index()] <= now
+        self.ready_at[reg.flat_index()] <= now
     }
 
     /// The cycle at which `reg` becomes ready.
     #[inline]
     pub fn ready_cycle(&self, reg: Reg) -> u64 {
-        if reg.is_hardwired() {
-            0
-        } else {
-            self.ready_at[reg.flat_index()]
-        }
+        self.ready_at[reg.flat_index()]
     }
 
     /// Marks `reg` as written by an operation whose result is available at
@@ -111,6 +110,11 @@ impl Scoreboard {
 /// when all of its operands (and its destination, for §3.5 WAW
 /// scoreboarding) are ready.
 ///
+/// The registers are checked in a fixed order: the qualifying predicate,
+/// the sources in operand order, then the destination; the first pending
+/// one names the stall. An unpredicated instruction's `p0` and a hardwired
+/// destination are never pending, so they need no test of their own.
+///
 /// `RESTART` is an architectural no-op and never interlocks here; only the
 /// multipass advance pipeline gives it meaning.
 #[inline]
@@ -118,22 +122,15 @@ pub fn operand_stall(inst: &Inst, sb: &Scoreboard, now: u64) -> Option<StallKind
     if matches!(inst.op(), Op::Restart) {
         return None;
     }
-    let classify = |r: Reg| match sb.pending_kind(r, now) {
+    let stall = |r: Reg| match sb.pending_kind(r, now) {
         PendingKind::None => None,
         PendingKind::Load => Some(StallKind::Load),
         PendingKind::Exec => Some(StallKind::Other),
     };
-    for r in inst.reads() {
-        if let Some(k) = classify(r) {
-            return Some(k);
-        }
-    }
-    if let Some(d) = inst.writes() {
-        if let Some(k) = classify(d) {
-            return Some(k);
-        }
-    }
-    None
+    stall(inst.qp_reg())
+        .or_else(|| inst.src_n(0).and_then(stall))
+        .or_else(|| inst.src_n(1).and_then(stall))
+        .or_else(|| inst.dst_reg().and_then(stall))
 }
 
 /// The earliest future cycle at which one of `inst`'s interlocked
@@ -148,18 +145,19 @@ pub fn operand_wake(inst: &Inst, sb: &Scoreboard, now: u64) -> Option<u64> {
     if matches!(inst.op(), Op::Restart) {
         return None;
     }
+    // An absent operand is ready at cycle 0, like a hardwired one.
+    let ready = |r: Option<Reg>| r.map_or(0, |r| sb.ready_cycle(r));
+    let cycles = [
+        sb.ready_cycle(inst.qp_reg()),
+        ready(inst.src_n(0)),
+        ready(inst.src_n(1)),
+        ready(inst.dst_reg()),
+    ];
     let mut wake: Option<u64> = None;
-    let mut consider = |r: Reg| {
-        let rc = sb.ready_cycle(r);
-        if rc > now {
-            wake = Some(wake.map_or(rc, |w: u64| w.min(rc)));
+    for c in cycles {
+        if c > now && wake.is_none_or(|w| c < w) {
+            wake = Some(c);
         }
-    };
-    for r in inst.reads() {
-        consider(r);
-    }
-    if let Some(d) = inst.writes() {
-        consider(d);
     }
     wake
 }

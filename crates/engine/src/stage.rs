@@ -62,6 +62,8 @@ pub struct InOrderStage<'p> {
     pub now: u64,
     /// A `HALT` has retired.
     pub halted: bool,
+    /// Passes through the model's cycle loop ([`RunResult::loop_passes`]).
+    loop_passes: u64,
     mispredict_penalty: u64,
 }
 
@@ -144,12 +146,13 @@ impl<'p> InOrderStage<'p> {
             activity: Activity::new(),
             now: 0,
             halted: false,
+            loop_passes: 0,
             mispredict_penalty: machine.mispredict_penalty,
         }
     }
 
-    /// Top of a cycle: the cycle watchdog and instruction budget, then
-    /// fetch and the FU pool. Returns the sequence numbers fetched.
+    /// Top of a cycle-loop pass: the cycle watchdog and instruction budget,
+    /// then fetch and the FU pool. Returns the sequence numbers fetched.
     #[inline]
     pub fn begin_cycle(
         &mut self,
@@ -163,6 +166,7 @@ impl<'p> InOrderStage<'p> {
             });
         }
         assert!(self.stats.retired < case.max_insts, "instruction budget exceeded");
+        self.loop_passes += 1;
         let fetched_from = self.fetch.next_seq();
         self.fetch.tick(self.program, &mut self.mem, self.now);
         self.fu.new_cycle(self.now);
@@ -417,6 +421,7 @@ impl<'p> InOrderStage<'p> {
             activity: self.activity,
             mem_stats: self.mem.final_stats(),
             final_state: self.state,
+            loop_passes: self.loop_passes,
         }
     }
 }

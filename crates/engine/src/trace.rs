@@ -190,16 +190,14 @@ impl<'p> TraceStream<'p> {
         let state = &mut self.state;
         let qp_true = state.read(inst.qp_reg()) != 0;
         let mut reg_deps = DepList::default();
+        // Hardwired registers never get a writer (`writes` drops them), so
+        // an unpredicated instruction's `p0` adds no dependence.
         let mut depend_on = |r: Reg| {
-            if !r.is_hardwired() {
-                if let Some(w) = self.last_writer[r.flat_index()] {
-                    reg_deps.insert(w);
-                }
+            if let Some(w) = self.last_writer[r.flat_index()] {
+                reg_deps.insert(w);
             }
         };
-        if inst.is_predicated() {
-            depend_on(inst.qp_reg());
-        }
+        depend_on(inst.qp_reg());
         if qp_true {
             inst.srcs().for_each(&mut depend_on);
         }

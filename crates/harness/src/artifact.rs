@@ -220,6 +220,7 @@ pub fn parse_sim_artifact(spec: &JobSpec, text: &str) -> Result<RunResult, Strin
             mshr_leaked: u64_field(m, "mshr_leaked")?,
         },
         final_state: ArchState::new(),
+        loop_passes: 0,
     })
 }
 
@@ -309,6 +310,7 @@ mod tests {
             },
             mem_stats: MemStats { data_accesses: 321, l1d_misses: 12, ..MemStats::default() },
             final_state: ArchState::new(),
+            loop_passes: 0,
         }
     }
 

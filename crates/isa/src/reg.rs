@@ -36,8 +36,11 @@ impl fmt::Display for RegClass {
     }
 }
 
-/// An architectural register identifier: a class plus an index within the
-/// class's file.
+/// An architectural register identifier, held as its dense slot over all
+/// three register files ([`Reg::flat_index`]). Indexing a per-register
+/// table and the hardwired test never dispatch on the class;
+/// [`Reg::class`] and [`Reg::index`] are derived from the slot. Slots
+/// order registers by class, then index.
 ///
 /// # Examples
 ///
@@ -51,9 +54,13 @@ impl fmt::Display for RegClass {
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg {
-    class: RegClass,
-    index: u8,
+    flat: u16,
 }
+
+/// First flat slot of the floating-point file.
+const FP_BASE: usize = NUM_INT_REGS;
+/// First flat slot of the predicate file.
+const PRED_BASE: usize = NUM_INT_REGS + NUM_FP_REGS;
 
 impl Reg {
     /// Creates an integer register identifier.
@@ -64,7 +71,7 @@ impl Reg {
     #[inline]
     pub fn int(index: u8) -> Self {
         assert!((index as usize) < NUM_INT_REGS, "integer register index {index} out of range");
-        Reg { class: RegClass::Int, index }
+        Reg { flat: index as u16 }
     }
 
     /// Creates a floating-point register identifier.
@@ -75,7 +82,7 @@ impl Reg {
     #[inline]
     pub fn fp(index: u8) -> Self {
         assert!((index as usize) < NUM_FP_REGS, "fp register index {index} out of range");
-        Reg { class: RegClass::Fp, index }
+        Reg { flat: (FP_BASE + index as usize) as u16 }
     }
 
     /// Creates a predicate register identifier.
@@ -86,38 +93,43 @@ impl Reg {
     #[inline]
     pub fn pred(index: u8) -> Self {
         assert!((index as usize) < NUM_PRED_REGS, "predicate register index {index} out of range");
-        Reg { class: RegClass::Pred, index }
+        Reg { flat: (PRED_BASE + index as usize) as u16 }
     }
 
     /// The register's class.
     #[inline]
     pub fn class(&self) -> RegClass {
-        self.class
+        match self.flat as usize {
+            f if f < FP_BASE => RegClass::Int,
+            f if f < PRED_BASE => RegClass::Fp,
+            _ => RegClass::Pred,
+        }
     }
 
     /// The register's index within its class's file.
     #[inline]
     pub fn index(&self) -> u8 {
-        self.index
+        let base = match self.class() {
+            RegClass::Int => 0,
+            RegClass::Fp => FP_BASE,
+            RegClass::Pred => PRED_BASE,
+        };
+        (self.flat as usize - base) as u8
     }
 
     /// Whether this register is a hardwired constant (`r0` = 0, `p0` = true).
     /// Writes to hardwired registers are ignored by all models.
     #[inline]
     pub fn is_hardwired(&self) -> bool {
-        self.index == 0 && matches!(self.class, RegClass::Int | RegClass::Pred)
+        self.flat == R0.flat || self.flat == P0.flat
     }
 
-    /// A dense index over all three register files, useful for flat
-    /// scoreboard / A-bit vectors: integer registers occupy `0..128`,
+    /// The register's dense slot over all three register files, for flat
+    /// per-register tables: integer registers occupy `0..128`,
     /// floating-point `128..256`, predicates `256..320`.
     #[inline]
     pub fn flat_index(&self) -> usize {
-        match self.class {
-            RegClass::Int => self.index as usize,
-            RegClass::Fp => NUM_INT_REGS + self.index as usize,
-            RegClass::Pred => NUM_INT_REGS + NUM_FP_REGS + self.index as usize,
-        }
+        self.flat as usize
     }
 
     /// Total number of flat register slots (see [`Reg::flat_index`]).
@@ -130,15 +142,8 @@ impl Reg {
     /// Panics if `flat >= Reg::FLAT_COUNT`.
     #[inline]
     pub fn from_flat_index(flat: usize) -> Self {
-        if flat < NUM_INT_REGS {
-            Reg::int(flat as u8)
-        } else if flat < NUM_INT_REGS + NUM_FP_REGS {
-            Reg::fp((flat - NUM_INT_REGS) as u8)
-        } else if flat < Self::FLAT_COUNT {
-            Reg::pred((flat - NUM_INT_REGS - NUM_FP_REGS) as u8)
-        } else {
-            panic!("flat register index {flat} out of range");
-        }
+        assert!(flat < Self::FLAT_COUNT, "flat register index {flat} out of range");
+        Reg { flat: flat as u16 }
     }
 }
 
@@ -150,23 +155,28 @@ impl fmt::Debug for Reg {
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.class {
-            RegClass::Int => write!(f, "r{}", self.index),
-            RegClass::Fp => write!(f, "f{}", self.index),
-            RegClass::Pred => write!(f, "p{}", self.index),
-        }
+        let prefix = match self.class() {
+            RegClass::Int => 'r',
+            RegClass::Fp => 'f',
+            RegClass::Pred => 'p',
+        };
+        write!(f, "{prefix}{}", self.index())
     }
 }
 
 /// The always-true qualifying predicate `p0`.
-pub const P0: Reg = Reg { class: RegClass::Pred, index: 0 };
+pub const P0: Reg = Reg { flat: PRED_BASE as u16 };
 
 /// The always-zero integer register `r0`.
-pub const R0: Reg = Reg { class: RegClass::Int, index: 0 };
+pub const R0: Reg = Reg { flat: 0 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn all() -> impl Iterator<Item = Reg> {
+        (0..Reg::FLAT_COUNT).map(Reg::from_flat_index)
+    }
 
     #[test]
     fn flat_index_round_trips() {
@@ -174,6 +184,60 @@ mod tests {
             let r = Reg::from_flat_index(flat);
             assert_eq!(r.flat_index(), flat);
         }
+    }
+
+    #[test]
+    fn every_slot_round_trips_through_its_class_constructor() {
+        for r in all() {
+            let rebuilt = match r.class() {
+                RegClass::Int => Reg::int(r.index()),
+                RegClass::Fp => Reg::fp(r.index()),
+                RegClass::Pred => Reg::pred(r.index()),
+            };
+            assert_eq!(rebuilt, r);
+            assert_eq!(rebuilt.flat_index(), r.flat_index());
+        }
+        assert_eq!(all().filter(|r| r.class() == RegClass::Int).count(), NUM_INT_REGS);
+        assert_eq!(all().filter(|r| r.class() == RegClass::Fp).count(), NUM_FP_REGS);
+        assert_eq!(all().filter(|r| r.class() == RegClass::Pred).count(), NUM_PRED_REGS);
+    }
+
+    #[test]
+    fn hardwired_is_exactly_r0_and_p0() {
+        let hardwired: Vec<Reg> = all().filter(Reg::is_hardwired).collect();
+        assert_eq!(hardwired, [R0, P0]);
+    }
+
+    #[test]
+    fn display_and_debug_are_class_prefix_and_index() {
+        for (flat, r) in all().enumerate() {
+            let want = match flat {
+                f if f < 128 => format!("r{f}"),
+                f if f < 256 => format!("f{}", f - 128),
+                f => format!("p{}", f - 256),
+            };
+            assert_eq!(r.to_string(), want);
+            assert_eq!(format!("{r:?}"), want);
+        }
+    }
+
+    #[test]
+    fn slot_order_is_class_then_index() {
+        for a in all() {
+            for b in all() {
+                assert_eq!(
+                    a.cmp(&b),
+                    (a.class(), a.index()).cmp(&(b.class(), b.index())),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn flat_index_out_of_range_panics() {
+        let _ = Reg::from_flat_index(Reg::FLAT_COUNT);
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub struct MshrFile {
     capacity: usize,
     /// `(line_address, complete_at)` pairs for in-flight misses.
     entries: Vec<(u64, u64)>,
+    /// The latest `complete_at` ever allocated: no miss is in flight at or
+    /// after it, so the lookups answer without a scan once it has passed.
+    horizon: u64,
     allocations: u64,
     merges: u64,
     full_stalls: u64,
@@ -52,6 +55,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
+            horizon: 0,
             allocations: 0,
             merges: 0,
             full_stalls: 0,
@@ -107,6 +111,7 @@ impl MshrFile {
             self.pinned = Some((line, complete_at));
         }
         self.entries.push((line, complete_at));
+        self.horizon = self.horizon.max(complete_at);
         self.allocations += 1;
         self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
         MshrOutcome::Allocated { complete_at }
@@ -121,6 +126,9 @@ impl MshrFile {
     /// If `line` has a miss in flight at `now`, its completion cycle.
     #[inline]
     pub fn in_flight(&self, line: u64, now: u64) -> Option<u64> {
+        if self.horizon <= now {
+            return None;
+        }
         self.entries.iter().find(|&&(l, done)| l == line && done > now).map(|&(_, d)| d)
     }
 
@@ -168,6 +176,9 @@ impl MshrFile {
     /// so fast-forwarded windows never skip past one.
     #[inline]
     pub fn next_fill_at(&self, now: u64) -> Option<u64> {
+        if self.horizon <= now {
+            return None;
+        }
         self.entries.iter().map(|&(_, done)| done).filter(|&d| d > now).min()
     }
 }
@@ -237,6 +248,64 @@ mod tests {
         assert_eq!(m.allocations(), 2);
         assert_eq!(m.releases(), 1);
         assert_eq!(m.live(), 1);
+    }
+
+    /// [`MshrFile::in_flight`] by a scan of every resident entry.
+    fn scan_in_flight(m: &MshrFile, line: u64, now: u64) -> Option<u64> {
+        m.entries.iter().find(|&&(l, d)| l == line && d > now).map(|&(_, d)| d)
+    }
+
+    /// [`MshrFile::next_fill_at`] by a scan of every resident entry.
+    fn scan_next_fill(m: &MshrFile, now: u64) -> Option<u64> {
+        m.entries.iter().map(|&(_, d)| d).filter(|&d| d > now).min()
+    }
+
+    #[test]
+    fn horizon_short_circuit_matches_a_full_scan() {
+        for seed in 1..=16u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut m = MshrFile::new(1 + seed as usize % 8);
+            let lost = seed % 5;
+            m.inject_lost_dealloc(lost);
+            let mut now = 0u64;
+            for step in 0..2_000 {
+                let r = next();
+                match r % 16 {
+                    0 => m.drain(),
+                    1..=3 => m.expire(now),
+                    _ => {
+                        let line = (r >> 8) % 8 * 64;
+                        let _ = m.request(line, now, now + 1 + (r >> 16) % 300);
+                    }
+                }
+                now += (r >> 32) % 40;
+                // Probe on both sides of the horizon.
+                for at in [now, now + 1, now + 150, now + 400] {
+                    for line in (0..8).map(|l| l * 64) {
+                        assert_eq!(
+                            m.in_flight(line, at),
+                            scan_in_flight(&m, line, at),
+                            "seed {seed} step {step} line {line} at {at}"
+                        );
+                    }
+                    assert_eq!(
+                        m.next_fill_at(at),
+                        scan_next_fill(&m, at),
+                        "seed {seed} step {step}"
+                    );
+                }
+            }
+            assert!(m.allocations() > lost, "seed {seed}: the lost deallocation never fired");
+            m.drain();
+            assert_eq!(m.live(), 1, "seed {seed}: the pinned entry must survive the drain");
+            assert_eq!(m.next_fill_at(now), scan_next_fill(&m, now));
+        }
     }
 
     #[test]
