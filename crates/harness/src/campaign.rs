@@ -9,7 +9,6 @@
 //! [`Quarantine`] ledger only under `--quarantine-after`, and resolve a
 //! miss through [`execute_job`].
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -273,28 +272,6 @@ impl JobFilter {
     }
 }
 
-/// Per-worker state: a lazily generated workload cache, so a worker
-/// generates each (bench, scale, seed) workload once no matter how many
-/// grid points reuse it. Public so `ff-server` workers thread one through
-/// [`attempt_job`] exactly like the batch pool does; a server worker sees
-/// jobs of every scale over its lifetime, so the scale is part of the key.
-pub struct JobContext {
-    workloads: BTreeMap<(&'static str, Scale, u64), Workload>,
-}
-
-impl JobContext {
-    /// An empty per-worker context.
-    pub fn new() -> Self {
-        JobContext { workloads: BTreeMap::new() }
-    }
-}
-
-impl Default for JobContext {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// What a failed attempt leaves behind for the crash-bundle writer: the
 /// trailing retirements and any sentinel violations. Filled only by the
 /// deterministic replay of a failed attempt (see [`attempt_job`]), so a
@@ -375,7 +352,6 @@ impl Sentinel for Retirements<'_> {
 }
 
 fn compute_artifact(
-    state: &mut JobContext,
     spec: &JobSpec,
     exec: &ExecOptions,
     observer: &mut dyn PipelineProbe,
@@ -383,11 +359,12 @@ fn compute_artifact(
 ) -> Result<String, JobError> {
     match &spec.kind {
         JobKind::Sim { model, hier, bench, seed } => {
-            let scale = spec.scale;
-            let w = state.workloads.entry((bench, scale, *seed)).or_insert_with(|| {
-                Workload::by_name_seeded(bench, scale, *seed).expect("plan uses known benchmarks")
-            });
-            let mut case = ff_engine::SimCase::new(&w.program, w.mem.clone());
+            // Each job generates its own workload (a few ms) rather than
+            // keeping one per worker: the case takes the input image, and
+            // the run's state shares its unwritten pages copy-on-write.
+            let w = Workload::by_name_seeded(bench, spec.scale, *seed)
+                .expect("plan uses known benchmarks");
+            let mut case = ff_engine::SimCase::new(&w.program, w.mem);
             if let Some(budget) = exec.cycle_budget {
                 case = case.with_cycle_budget(budget);
             }
@@ -449,15 +426,14 @@ fn compute_artifact(
 /// [`FailureInjection::times`] attempts); the replay sees the same
 /// injection.
 pub fn attempt_job(
-    state: &mut JobContext,
     spec: &JobSpec,
     exec: &ExecOptions,
     inject: Option<(&FailureInjection, u32)>,
 ) -> Attempt {
-    let result = run_isolated(state, spec, exec, inject, &mut NullProbe, &mut Vec::new());
+    let result = run_isolated(spec, exec, inject, &mut NullProbe, &mut Vec::new());
     let mut debris = AttemptDebris::new();
     if result.as_ref().is_err_and(|e| e.kind != JobErrorKind::Other) {
-        let _ = run_isolated(state, spec, exec, inject, &mut debris.ring, &mut debris.violations);
+        let _ = run_isolated(spec, exec, inject, &mut debris.ring, &mut debris.violations);
     }
     Attempt { result, debris }
 }
@@ -465,7 +441,6 @@ pub fn attempt_job(
 /// Runs `spec` once inside the unwind boundary, reporting retirements to
 /// `observer` and sentinel violations to `violations`.
 fn run_isolated(
-    state: &mut JobContext,
     spec: &JobSpec,
     exec: &ExecOptions,
     inject: Option<(&FailureInjection, u32)>,
@@ -483,7 +458,7 @@ fn run_isolated(
                 return Err(JobError::other(format!("injected failure (attempt {attempt})")));
             }
         }
-        compute_artifact(state, spec, exec, observer, violations)
+        compute_artifact(spec, exec, observer, violations)
     }))
     .unwrap_or_else(|payload| {
         let msg = payload
@@ -578,15 +553,15 @@ pub fn run_campaign(jobs: &[JobSpec], opts: &CampaignOptions) -> std::io::Result
     let raw = run_jobs(
         jobs,
         opts.workers,
-        |_wid| JobContext::new(),
-        |state, i, spec| {
+        |_| (),
+        |_, i, spec| {
             let outcome = if let Some(skip) = &skips[i] {
                 JobOutcome::unrun(spec, JobStatus::Quarantined, Some(skip.clone()))
             } else if !opts.force && store.contains(spec) {
                 JobOutcome::unrun(spec, JobStatus::Cached, None)
             } else {
                 execute_job(&store, spec, opts.attempts, &opts.exec, |n| {
-                    attempt_job(state, spec, &opts.exec, opts.inject.as_ref().map(|f| (f, n)))
+                    attempt_job(spec, &opts.exec, opts.inject.as_ref().map(|f| (f, n)))
                 })
             };
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;

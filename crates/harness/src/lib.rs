@@ -73,7 +73,7 @@ pub mod store;
 pub use bundle::{list_bundles, CrashBundle};
 pub use campaign::{
     attempt_job, execute_job, full_grid, run_campaign, Attempt, CampaignOptions, CampaignReport,
-    ExecOptions, FailureInjection, JobContext, JobFilter, JobOutcome, JobStatus,
+    ExecOptions, FailureInjection, JobFilter, JobOutcome, JobStatus,
 };
 pub use error::{JobError, JobErrorKind};
 pub use integrity::FsckReport;

@@ -474,6 +474,14 @@ fn cmd_status(cli: &Cli) -> ExitCode {
     }
 }
 
+/// The peak resident set size in MiB, from the `VmHWM` line of a
+/// `/proc/<pid>/status` text.
+fn peak_rss_mib(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 fn cmd_run(cli: &Cli) -> ExitCode {
     let jobs = plan(cli);
     if jobs.is_empty() {
@@ -508,8 +516,13 @@ fn cmd_run(cli: &Cli) -> ExitCode {
         eprintln!("ff-campaign: writing manifest: {e}");
         return ExitCode::FAILURE;
     }
+    // Where the kernel reports it, the process's peak memory ends the line.
+    let peak = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| peak_rss_mib(&status))
+        .map_or_else(String::new, |mib| format!(", peak RSS {mib:.1} MiB"));
     eprintln!(
-        "ff-campaign: {} ok, {} cached, {} failed, {} quarantined in {:.1}s",
+        "ff-campaign: {} ok, {} cached, {} failed, {} quarantined in {:.1}s{peak}",
         report.ok(),
         report.cached(),
         report.failed(),
@@ -570,5 +583,18 @@ fn main() -> ExitCode {
         "fetch" => cmd_fetch(&cli),
         "render" => cmd_remote_render(&cli),
         _ => unreachable!("parse_cli validated the command"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::peak_rss_mib;
+
+    #[test]
+    fn peak_rss_is_read_from_vm_hwm() {
+        let status =
+            "Name:\tff-campaign\nVmPeak:\t  204800 kB\nVmHWM:\t   24780 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(peak_rss_mib(status), Some(24780.0 / 1024.0));
+        assert_eq!(peak_rss_mib("Name:\tff-campaign\n"), None);
     }
 }

@@ -20,11 +20,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `run` panicked yields `None` in its slot; all other jobs still run and
 /// return normally.
 ///
-/// `init(worker_id)` builds one per-worker state value (e.g. a workload
-/// cache) that is threaded through every job that worker executes. A
-/// panic leaves that state in place — `run` must tolerate state touched
-/// by a panicked predecessor (the campaign's workload cache is only ever
-/// appended to, so this holds trivially).
+/// `init(worker_id)` builds one per-worker state value (e.g. a tracer)
+/// that is threaded through every job that worker executes; the campaign
+/// runner keeps none and passes `|_| ()`. A panic leaves that state in
+/// place — `run` must tolerate state touched by a panicked predecessor.
 pub fn run_jobs<J, S, R>(
     jobs: &[J],
     workers: usize,

@@ -9,8 +9,9 @@ use ff_engine::{RetireRing, SimCase};
 use ff_experiments::{HierKind, ModelKind, Suite};
 use ff_harness::bundle::BUNDLE_RETIREMENTS;
 use ff_harness::{
-    attempt_job, full_grid, list_bundles, manifest::render_manifest, run_campaign, CampaignOptions,
-    CrashBundle, ExecOptions, FailureInjection, JobContext, JobErrorKind, JobSpec, JobStatus,
+    attempt_job, full_grid, list_bundles, manifest::render_manifest, run_campaign,
+    store::ShardedStore, CampaignOptions, CrashBundle, ExecOptions, FailureInjection, JobErrorKind,
+    JobSpec, JobStatus,
 };
 use ff_workloads::{Scale, Workload};
 
@@ -396,19 +397,23 @@ fn full_grid_hashes_are_unique_across_scales() {
     }
 }
 
-/// One worker context serves jobs of both scales (an `ff-server` worker
-/// keeps its context for life): a paper-scale job that follows the
-/// test-scale job of the same benchmark and seed must simulate the
-/// paper-scale program, not the cached test-scale one.
+/// A worker serves jobs of both scales (an `ff-server` worker lives for
+/// the whole service): a paper-scale job that follows the test-scale job
+/// of the same benchmark and seed on one worker must simulate the
+/// paper-scale program, not the test-scale one.
 #[test]
-fn job_context_caches_workloads_per_scale() {
+fn one_worker_runs_each_scale_on_its_own_workload() {
     let job = |scale| JobSpec::sim(ModelKind::InOrder, HierKind::Base, "gzip", 0, scale);
-    let exec = ExecOptions::default();
-    let mut shared = JobContext::new();
-    let test = attempt_job(&mut shared, &job(Scale::Test), &exec, None).result.unwrap();
-    let paper = attempt_job(&mut shared, &job(Scale::Paper), &exec, None).result.unwrap();
-    let fresh =
-        attempt_job(&mut JobContext::new(), &job(Scale::Paper), &exec, None).result.unwrap();
+    let dir = temp_dir("scales");
+    let mut opts = CampaignOptions::new(Scale::Test, &dir);
+    opts.workers = 1;
+    let report = run_campaign(&[job(Scale::Test), job(Scale::Paper)], &opts).unwrap();
+    assert_eq!(report.ok(), 2);
+    let store = ShardedStore::open(&dir).unwrap();
+    let test = store.read(&job(Scale::Test)).unwrap();
+    let paper = store.read(&job(Scale::Paper)).unwrap();
+    let fresh = attempt_job(&job(Scale::Paper), &ExecOptions::default(), None).result.unwrap();
     assert_eq!(paper, fresh);
     assert_ne!(paper, test);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -13,10 +13,17 @@
 //! rather than a hash-table slot per word. Each page carries a written-bit
 //! mask, which keeps [`MemoryImage::written_words`], `==` and
 //! [`MemoryImage::iter`] exact: an explicit zero store is a written word.
+//!
+//! Pages are reference-counted and copied on write: cloning an image bumps
+//! one count per page, and a store copies its page only while another
+//! image still shares it. A workload's input image, the `SimCase` built
+//! from it and the run's architectural state therefore hold one copy of
+//! every page the run never writes.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Word size of every memory access, in bytes.
 pub const WORD_BYTES: u64 = 8;
@@ -35,8 +42,8 @@ struct Page {
 }
 
 impl Page {
-    fn zeroed() -> Box<Page> {
-        Box::new(Page { words: [0; PAGE_WORDS], written: [0; PAGE_WORDS / 64] })
+    fn zeroed() -> Arc<Page> {
+        Arc::new(Page { words: [0; PAGE_WORDS], written: [0; PAGE_WORDS / 64] })
     }
 
     fn is_written(&self, slot: usize) -> bool {
@@ -80,7 +87,7 @@ impl Hasher for PageHasher {
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct MemoryImage {
-    pages: HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>,
+    pages: HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
 }
 
 /// Splits a byte address into its page number and word slot in the page.
@@ -110,11 +117,12 @@ impl MemoryImage {
     }
 
     /// Stores a 64-bit word at the word containing byte address `addr`,
-    /// returning the previous value.
+    /// returning the previous value. A page shared with a clone is copied
+    /// first, so the store is never seen through another image.
     #[inline]
     pub fn store(&mut self, addr: u64, value: u64) -> u64 {
         let (page, slot) = locate(addr);
-        let p = self.pages.entry(page).or_insert_with(Page::zeroed);
+        let p = Arc::make_mut(self.pages.entry(page).or_insert_with(Page::zeroed));
         p.written[slot / 64] |= 1 << (slot % 64);
         std::mem::replace(&mut p.words[slot], value)
     }
@@ -137,10 +145,11 @@ impl MemoryImage {
     /// Compares two images as mathematical functions (treating absent words
     /// as zero), so an explicit zero store equals an untouched word.
     pub fn semantically_eq(&self, other: &MemoryImage) -> bool {
-        // Unwritten words are zero, so whole pages compare directly.
+        // Unwritten words are zero, so whole pages compare directly, and a
+        // page the two images share needs no compare at all.
         let covers = |a: &MemoryImage, b: &MemoryImage| {
             a.pages.iter().all(|(page, p)| match b.pages.get(page) {
-                Some(q) => p.words == q.words,
+                Some(q) => Arc::ptr_eq(p, q) || p.words == q.words,
                 None => p.words.iter().all(|&w| w == 0),
             })
         };
@@ -212,6 +221,95 @@ mod tests {
         assert_ne!(a, b, "an explicit zero store is a written word");
         a.store(8, 1);
         assert!(!a.semantically_eq(&b));
+    }
+
+    /// A seeded run of clones, stores and loads over four pages, checked
+    /// after every step against a reference map per live image: a clone
+    /// shares every page, a store unshares its own page only (and copies
+    /// nothing when the page is not shared), and `==`, `semantically_eq`,
+    /// `written_words` and `iter` agree with the references.
+    #[test]
+    fn copy_on_write_matches_reference_maps() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        type Reference = BTreeMap<u64, u64>;
+        let pages_of = |m: &MemoryImage| -> BTreeMap<u64, *const Page> {
+            m.pages.iter().map(|(&n, p)| (n, Arc::as_ptr(p))).collect()
+        };
+        // Written words with a zero value read like unwritten ones.
+        let nonzero = |r: &Reference| -> Reference {
+            r.iter().filter(|(_, &v)| v != 0).map(|(&a, &v)| (a, v)).collect()
+        };
+        let check = |m: &MemoryImage, r: &Reference| {
+            assert_eq!(m.written_words(), r.len());
+            let mut listed: Vec<(u64, u64)> = m.iter().collect();
+            listed.sort_unstable();
+            assert_eq!(listed, r.iter().map(|(&a, &v)| (a, v)).collect::<Vec<_>>());
+            let rebuilt: MemoryImage = r.iter().map(|(&a, &v)| (a, v)).collect();
+            assert!(*m == rebuilt && m.semantically_eq(&rebuilt));
+        };
+
+        let mut rng = StdRng::seed_from_u64(0xc0u64);
+        let mut live: Vec<(MemoryImage, Reference)> = vec![(MemoryImage::new(), Reference::new())];
+        let mut unshared = 0;
+        for _ in 0..3000 {
+            let i = rng.gen_range(0..live.len());
+            match rng.gen_range(0..10u32) {
+                0..=1 if live.len() < 6 => {
+                    let copy = live[i].clone();
+                    assert_eq!(
+                        pages_of(&copy.0),
+                        pages_of(&live[i].0),
+                        "a clone shares every page"
+                    );
+                    live.push(copy);
+                }
+                0..=1 => {
+                    live.swap_remove(i);
+                }
+                2..=6 => {
+                    // A few words per page, so stores revisit each other.
+                    let addr = (rng.gen_range(0..4u64) << PAGE_SHIFT) + rng.gen_range(0..8u64) * 8;
+                    let value = if rng.gen_bool(0.25) { 0 } else { rng.gen_range(1..1000u64) };
+                    let (page, _) = locate(addr);
+                    let before = pages_of(&live[i].0);
+                    let shared =
+                        live[i].0.pages.get(&page).is_some_and(|p| Arc::strong_count(p) > 1);
+                    let others: Vec<_> = live.iter().map(|(m, _)| pages_of(m)).collect();
+                    let (m, r) = &mut live[i];
+                    let prev = r.insert(addr, value).unwrap_or(0);
+                    assert_eq!(m.store(addr, value), prev);
+                    assert_eq!(Arc::strong_count(&m.pages[&page]), 1, "a stored page is unshared");
+                    let after = pages_of(m);
+                    for (n, ptr) in &before {
+                        let moved = after[n] != *ptr;
+                        assert_eq!(moved, *n == page && shared, "page {n} after a store to {page}");
+                    }
+                    unshared += usize::from(shared);
+                    for (j, (m, _)) in live.iter().enumerate().filter(|&(j, _)| j != i) {
+                        assert_eq!(pages_of(m), others[j], "a store never touches another image");
+                    }
+                }
+                _ => {
+                    let (m, r) = &live[i];
+                    let addr = (rng.gen_range(0..5u64) << PAGE_SHIFT) + rng.gen_range(0..8u64) * 8;
+                    assert_eq!(m.load(addr), r.get(&addr).copied().unwrap_or(0));
+                }
+            }
+            for (m, r) in &live {
+                check(m, r);
+            }
+            let values: Vec<Reference> = live.iter().map(|(_, r)| nonzero(r)).collect();
+            for ((a, ra), va) in live.iter().zip(&values) {
+                for ((b, rb), vb) in live.iter().zip(&values) {
+                    assert_eq!(a == b, ra == rb);
+                    assert_eq!(a.semantically_eq(b), va == vb);
+                }
+            }
+        }
+        assert!(unshared > 100, "only {unshared} stores hit a shared page");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use ff_harness::campaign::{attempt_job, execute_job, ExecOptions, JobContext};
+use ff_harness::campaign::{attempt_job, execute_job, ExecOptions};
 use ff_harness::job::{scale_name, JobSpec};
 use ff_harness::json::Json;
 use ff_harness::quarantine::Quarantine;
@@ -179,10 +179,10 @@ struct Task {
     hash: u64,
 }
 
-/// The execution hook: maps `(context, spec, exec)` to a finished
+/// The execution hook: maps `(spec, exec)` to a finished
 /// [`Attempt`]. Production uses [`ff_harness::attempt_job`]; tests swap
 /// in latched executors to freeze jobs mid-flight deterministically.
-pub type Executor = dyn Fn(&mut JobContext, &JobSpec, &ExecOptions) -> Attempt + Send + Sync;
+pub type Executor = dyn Fn(&JobSpec, &ExecOptions) -> Attempt + Send + Sync;
 
 /// The scheduler: shared store, counters, the quarantine ledger (loaded
 /// only under `--quarantine-after`), and the worker pool. Construct with
@@ -203,11 +203,7 @@ impl Scheduler {
     /// Starts the scheduler and its worker pool over `store`, resuming
     /// any checkpointed campaigns found under `<store>/campaigns/`.
     pub fn start(store: ShardedStore, opts: SchedulerOptions) -> Arc<Scheduler> {
-        Self::start_with_executor(
-            store,
-            opts,
-            Box::new(|ctx, spec, exec| attempt_job(ctx, spec, exec, None)),
-        )
+        Self::start_with_executor(store, opts, Box::new(|spec, exec| attempt_job(spec, exec, None)))
     }
 
     /// [`Scheduler::start`] with a custom executor (tests).
@@ -458,7 +454,6 @@ impl Scheduler {
     }
 
     fn worker_loop(&self) {
-        let mut ctx = JobContext::new();
         loop {
             let task = {
                 let mut inner = self.lock_inner();
@@ -473,14 +468,14 @@ impl Scheduler {
                         self.work.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
-            self.execute(&mut ctx, task);
+            self.execute(task);
         }
     }
 
     /// Runs one claimed task outside the scheduler lock: the memo check,
     /// then on a miss the simulation and publish. Resolves the task plus
     /// every parked waiter.
-    fn execute(&self, ctx: &mut JobContext, task: Task) {
+    fn execute(&self, task: Task) {
         // Memoization gate: an existing artifact is a hit, shared with
         // every past campaign and CLI run against this store.
         let (state, waiter_state) = if self.store.contains(&task.spec) {
@@ -491,7 +486,7 @@ impl Scheduler {
             (JobState::Hit, JobState::Hit)
         } else {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            self.simulate(ctx, &task.spec)
+            self.simulate(&task.spec)
         };
         let mut inner = self.lock_inner();
         let waiters = inner.inflight.remove(&task.hash).unwrap_or_default();
@@ -516,10 +511,10 @@ impl Scheduler {
 
     /// Simulates and publishes one memo miss, returning the states of the
     /// job and of its parked waiters.
-    fn simulate(&self, ctx: &mut JobContext, spec: &JobSpec) -> (JobState, JobState) {
+    fn simulate(&self, spec: &JobSpec) -> (JobState, JobState) {
         let exec = &self.opts.exec;
         let outcome = execute_job(&self.store, spec, self.opts.attempts, exec, |_| {
-            (self.executor)(ctx, spec, exec)
+            (self.executor)(spec, exec)
         });
         if let Some(mut ledger) = self.lock_quarantine() {
             ledger.record(spec, outcome.status);
@@ -674,7 +669,7 @@ mod tests {
 
     /// A counting executor that returns a tiny synthetic artifact.
     fn counting_executor(count: Arc<AtomicUsize>) -> Box<Executor> {
-        Box::new(move |_ctx, spec, _exec| {
+        Box::new(move |spec, _exec| {
             count.fetch_add(1, Ordering::SeqCst);
             Attempt::synthetic(Ok(format!("{{\"synthetic\": \"{}\"}}\n", spec.id())))
         })
@@ -734,7 +729,7 @@ mod tests {
             SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
             Box::new({
                 let sims = Arc::clone(&sims);
-                move |_ctx, spec, _exec| {
+                move |spec, _exec| {
                     sims.fetch_add(1, Ordering::SeqCst);
                     entered_e.store(true, Ordering::SeqCst);
                     while !release_e.load(Ordering::SeqCst) {
@@ -867,7 +862,7 @@ mod tests {
         let scheduler = Scheduler::start_with_executor(
             ShardedStore::open(&*dir).unwrap(),
             SchedulerOptions { workers: 1, ..SchedulerOptions::default() },
-            Box::new(move |_ctx, spec, _exec| {
+            Box::new(move |spec, _exec| {
                 while !go_e.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -940,9 +935,7 @@ mod tests {
                 quarantine_after: Some(2),
                 ..SchedulerOptions::default()
             },
-            Box::new(|_ctx, _spec, _exec| {
-                Attempt::synthetic(Err(JobError::other("synthetic failure")))
-            }),
+            Box::new(|_spec, _exec| Attempt::synthetic(Err(JobError::other("synthetic failure")))),
         );
         let req = request(ModelKind::MpNoRegroup, &["gap"]);
         for expected in ["failed", "failed", "quarantined"] {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ff_experiments::{HierKind, ModelKind};
-use ff_harness::campaign::{attempt_job, ExecOptions, JobContext, JobFilter};
+use ff_harness::campaign::{attempt_job, ExecOptions, JobFilter};
 use ff_harness::job::{JobKind, JobSpec};
 use ff_harness::json::Json;
 use ff_harness::quarantine::QUARANTINE_NAME;
@@ -119,13 +119,12 @@ fn http_submission_memoizes_and_serves_byte_identical_artifacts() {
 
     // Every artifact the server serves must be byte-identical to what a
     // direct in-process run of the same job produces.
-    let mut ctx = JobContext::new();
     let exec = ExecOptions::default();
     for job in &status.jobs {
         let served = fetch_artifact(&url, &job.hash).expect("fetch");
         let spec =
             request.expand().into_iter().find(|s| s.id() == job.id).expect("job spec in expansion");
-        let direct = attempt_job(&mut ctx, &spec, &exec, None).result.expect("direct run");
+        let direct = attempt_job(&spec, &exec, None).result.expect("direct run");
         assert_eq!(served, direct, "artifact for {} must match a direct run", job.id);
     }
 
@@ -284,7 +283,7 @@ fn the_cli_quarantine_ledger_gates_the_server_only_under_the_flag() {
     let batch_error = batch.outcomes[0].error.as_ref().expect("quarantine error").to_string();
 
     let failing = |runs: Arc<AtomicUsize>| -> Box<ff_server::scheduler::Executor> {
-        Box::new(move |_ctx, _spec, _exec| {
+        Box::new(move |_spec, _exec| {
             runs.fetch_add(1, Ordering::SeqCst);
             Attempt::synthetic(Err(JobError::other("synthetic failure")))
         })
