@@ -58,12 +58,7 @@ pub(crate) fn issue_group(
             stage.sb.set_pending(d, ready_at, kind);
         }
         if let Some(observer) = observer.as_deref_mut() {
-            observer.on_retire(&done.event(
-                &stage.state,
-                stage.now,
-                RetireMode::Architectural,
-                None,
-            ));
+            observer.on_retire(&done.event(stage.now, RetireMode::Architectural, None));
         }
         issued += 1;
         if stage.halted || done.flushed || head.inst.ends_group() {

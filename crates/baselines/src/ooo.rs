@@ -35,47 +35,82 @@ use ff_engine::{
     TraceStream,
 };
 use ff_frontend::Gshare;
-use ff_isa::{FuClass, Op};
+use ff_isa::FuClass;
 use ff_mem::{AccessKind, MemAccess, MemorySystem};
 
-/// Which scheduling-queue organization the model uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WindowKind {
-    /// One unified window (idealized model, Table 2: 128 entries).
-    Unified,
-    /// Three decentralized queues of 16 entries each (§5.2).
-    Decentralized,
+/// The scheduling queues of one model variant, as one table.
+#[derive(Clone, Copy, Debug)]
+struct Queues {
+    /// One unified window, or three queues (memory / floating point /
+    /// integer and branch).
+    count: usize,
+    /// Entries per queue.
+    entries: usize,
+    /// Instructions each queue may select per cycle.
+    selects: u32,
+    /// An entry is freed when its instruction issues; otherwise it is held
+    /// until the result returns.
+    release_at_issue: bool,
+    /// Cycles between a producer's completion and its consumers' issue.
+    wakeup_delay: u64,
+}
+
+impl Queues {
+    /// The queue `ti` dispatches into.
+    fn of(&self, ti: &TraceInst<'_>) -> usize {
+        if self.count == 1 {
+            return 0;
+        }
+        match ti.inst.op().fu_class() {
+            FuClass::Mem => 0,
+            FuClass::Fp => 1,
+            FuClass::Int | FuClass::Branch => 2,
+        }
+    }
 }
 
 /// The out-of-order execution model.
 #[derive(Clone, Debug)]
 pub struct OutOfOrder {
     config: MachineConfig,
-    kind: WindowKind,
+    name: &'static str,
+    queues: Queues,
     tick: TickMode,
 }
 
 impl OutOfOrder {
-    /// The idealized model of §5.1 (Figure 6's `OOO` bars).
+    /// The idealized model of §5.1 (Figure 6's `OOO` bars): one unified
+    /// window (Table 2: 128 entries) whose entries are freed at issue, and
+    /// scheduling and register read folded into the REG stage
+    /// ("eliminating the need for speculative wakeup").
     pub fn new(config: MachineConfig) -> Self {
-        OutOfOrder { config, kind: WindowKind::Unified, tick: TickMode::default() }
+        let queues = Queues {
+            count: 1,
+            entries: config.ooo_window,
+            selects: config.issue_width,
+            release_at_issue: true,
+            wakeup_delay: 0,
+        };
+        OutOfOrder { config, name: "ooo", queues, tick: TickMode::default() }
     }
 
     /// The realistic decentralized variant of §5.2: three 16-entry
-    /// scheduling queues (memory / integer / floating point). Unlike the
-    /// idealized window, a queue entry is held until its instruction's
-    /// result returns, so long cache misses fill the small queues quickly —
-    /// "the more quickly filled scheduling resources" of §5.2.
+    /// scheduling queues (memory / integer / floating point), each
+    /// selecting at most two instructions per cycle. Unlike the idealized
+    /// window, a queue entry is held until its instruction's result
+    /// returns, so long cache misses fill the small queues quickly — "the
+    /// more quickly filled scheduling resources" of §5.2 — and a
+    /// non-speculative wakeup/select loop separates a producer's
+    /// completion from its consumers' issue.
     pub fn realistic(config: MachineConfig) -> Self {
-        OutOfOrder { config, kind: WindowKind::Decentralized, tick: TickMode::default() }
-    }
-
-    fn queue_of(inst: &TraceInst<'_>) -> usize {
-        match inst.inst.op().fu_class() {
-            FuClass::Mem => 0,
-            FuClass::Fp => 1,
-            FuClass::Int | FuClass::Branch => 2,
-        }
+        let queues = Queues {
+            count: 3,
+            entries: config.ooo_decentralized_queue,
+            selects: 2,
+            release_at_issue: false,
+            wakeup_delay: 2,
+        };
+        OutOfOrder { config, name: "ooo-realistic", queues, tick: TickMode::default() }
     }
 }
 
@@ -243,10 +278,7 @@ fn timer_push(
 
 impl ExecutionModel for OutOfOrder {
     fn name(&self) -> &'static str {
-        match self.kind {
-            WindowKind::Unified => "ooo",
-            WindowKind::Decentralized => "ooo-realistic",
-        }
+        self.name
     }
 
     fn set_tick_mode(&mut self, mode: TickMode) {
@@ -258,7 +290,7 @@ impl ExecutionModel for OutOfOrder {
         case: &SimCase<'_>,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
-        let cfg = &self.config;
+        let (cfg, queues) = (&self.config, self.queues);
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
         let mut trace = TraceStream::new(case.program, case.initial_state(), case.max_insts);
         let retire = probe.observes() >= Observes::Retirements;
@@ -269,14 +301,7 @@ impl ExecutionModel for OutOfOrder {
         let mut stats = RunStats::default();
         let mut activity = Activity::new();
 
-        // The idealized model folds scheduling and register read into the
-        // REG stage ("eliminating the need for speculative wakeup", §5.1);
-        // the realistic design pays a non-speculative wakeup/select loop
-        // between a producer's completion and its consumers' issue.
-        let wakeup_delay: u64 = match self.kind {
-            WindowKind::Unified => 0,
-            WindowKind::Decentralized => 2,
-        };
+        let wakeup_delay = queues.wakeup_delay;
         let mut win = Window::new(cfg.ooo_rob + cfg.inorder_buffer, cfg.issue_width, wakeup_delay);
 
         // Front end: the fetch stop, plus the decode pipe — the window's
@@ -294,20 +319,14 @@ impl ExecutionModel for OutOfOrder {
         // only `ready`, so its cost scales with instructions that *become*
         // ready rather than window size × cycles, and the containers are
         // pre-sized to the window bound so steady state never allocates.
-        let window_cap = match self.kind {
-            WindowKind::Unified => cfg.ooo_window,
-            WindowKind::Decentralized => 3 * cfg.ooo_decentralized_queue,
-        }
-        .min(cfg.ooo_rob)
-            + 1;
+        let window_cap = (queues.count * queues.entries).min(cfg.ooo_rob) + 1;
         let mut ready: Vec<usize> = Vec::with_capacity(window_cap);
         let mut woken: Vec<usize> = Vec::with_capacity(window_cap);
         let mut merged: Vec<usize> = Vec::with_capacity(window_cap);
         let mut timer: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(window_cap);
-        let mut window_len = 0usize;
         activity.alloc_count += 5; // the trace window and four scheduling containers
         let mut queue_len = [0usize; 3];
-        // Decentralized queues hold entries until completion: in-flight
+        // Queues that hold entries until completion: in-flight
         // (complete_at, queue) pairs pending release.
         let mut queue_release: Vec<(u64, usize)> = Vec::new();
         // Reorder buffer: dispatched, not yet retired (contiguous range
@@ -347,7 +366,7 @@ impl ExecutionModel for OutOfOrder {
                         {
                             let Some(ti) = trace.next() else { break };
                             let ti = ti.expect(TRACE_FAILED);
-                            let (seq, pc, taken) = (ti.seq as usize, ti.pc, ti.taken);
+                            let (seq, pc, taken) = (ti.seq as usize, ti.pc, ti.effect.taken);
                             let conditional = ti.is_conditional_branch();
                             win.push(ti, now + 1 + cfg.ooo_extra_stages, &mut activity);
                             fetched += 1;
@@ -387,21 +406,11 @@ impl ExecutionModel for OutOfOrder {
                 if rob_tail - win.rob_head >= cfg.ooo_rob {
                     break; // ROB full
                 }
-                match self.kind {
-                    WindowKind::Unified => {
-                        if window_len >= cfg.ooo_window {
-                            break;
-                        }
-                    }
-                    WindowKind::Decentralized => {
-                        let q = Self::queue_of(&win[idx].ti);
-                        if queue_len[q] >= cfg.ooo_decentralized_queue {
-                            break;
-                        }
-                        queue_len[q] += 1;
-                    }
+                let q = queues.of(&win[idx].ti);
+                if queue_len[q] >= queues.entries {
+                    break;
                 }
-                window_len += 1;
+                queue_len[q] += 1;
                 match win.classify(idx) {
                     Err(p) => {
                         win[idx].next_waiter = win[p].first_waiter;
@@ -462,8 +471,7 @@ impl ExecutionModel for OutOfOrder {
                 woken.clear();
             }
             let mut issued = 0u32;
-            // Decentralized queues have narrow select ports: at most two
-            // instructions issue from each 16-entry queue per cycle.
+            // Each queue has its own select ports.
             let mut queue_issued = [0u32; 3];
             let mut kept = 0usize;
             let mut r = 0usize;
@@ -473,8 +481,9 @@ impl ExecutionModel for OutOfOrder {
                 }
                 let idx = ready[r];
                 let ti = &win[idx].ti;
+                let q = queues.of(ti);
                 activity.select_visits += 1;
-                if self.kind == WindowKind::Decentralized && queue_issued[Self::queue_of(ti)] >= 2 {
+                if queue_issued[q] >= queues.selects {
                     ready[kept] = idx;
                     kept += 1;
                     r += 1;
@@ -493,8 +502,7 @@ impl ExecutionModel for OutOfOrder {
                     continue;
                 }
                 // Loads access the hierarchy; MSHR exhaustion retries later.
-                let done_at = if ti.qp_true && ti.inst.op().is_load() {
-                    let addr = ti.addr.expect("executed load has an address");
+                let done_at = if let Some(addr) = ti.effect.loaded {
                     activity.store_buffer_searches += 1;
                     match mem.access(addr, AccessKind::DataRead, now) {
                         MemAccess::Done { complete_at, .. } => complete_at,
@@ -505,29 +513,28 @@ impl ExecutionModel for OutOfOrder {
                             continue;
                         }
                     }
-                } else if ti.qp_true && ti.inst.op().is_store() {
-                    let addr = ti.addr.expect("executed store has an address");
+                } else if let Some((addr, _)) = ti.effect.stored {
                     activity.load_buffer_searches += 1;
                     let _ = mem.access(addr, AccessKind::DataWrite, now);
                     now + 1
-                } else if ti.qp_true {
+                } else if ti.effect.qp_true {
                     now + ti.inst.op().latency() as u64
                 } else {
                     now + 1 // predicated off: flows through in one cycle
                 };
                 debug_assert!(done_at > now, "results are never visible in their issue cycle");
-                stats.executions += u64::from(ti.qp_true);
+                stats.executions += u64::from(ti.effect.qp_true);
                 activity.issue_selections += 1;
                 activity.wakeup_broadcasts += 1;
                 activity.regfile_reads += ti.inst.reads().count() as u64;
                 if ti.inst.writes().is_some() {
                     activity.regfile_writes += 1;
                 }
-                if self.kind == WindowKind::Decentralized {
-                    // The queue entry is released when the result returns.
-                    let q = Self::queue_of(ti);
+                queue_issued[q] += 1;
+                if queues.release_at_issue {
+                    queue_len[q] -= 1;
+                } else {
                     queue_release.push((done_at, q));
-                    queue_issued[q] += 1;
                 }
                 win[idx].complete = done_at;
                 // A resolved mispredicted branch releases fetch.
@@ -551,7 +558,6 @@ impl ExecutionModel for OutOfOrder {
                         Ok(t) => timer_push(&mut timer, &mut activity, t, widx),
                     }
                 }
-                window_len -= 1;
                 issued += 1;
                 r += 1;
             }
@@ -563,17 +569,15 @@ impl ExecutionModel for OutOfOrder {
             }
             ready.truncate(kept);
 
-            // ---- release completed decentralized-queue entries ----
-            if self.kind == WindowKind::Decentralized {
-                queue_release.retain(|&(done, q)| {
-                    if done <= now {
-                        queue_len[q] -= 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
+            // ---- release completed queue entries ----
+            queue_release.retain(|&(done, q)| {
+                if done <= now {
+                    queue_len[q] -= 1;
+                    false
+                } else {
+                    true
+                }
+            });
 
             // ---- retire (in order) ----
             let mut retired_now = 0;
@@ -582,18 +586,16 @@ impl ExecutionModel for OutOfOrder {
                 && win[win.rob_head].complete <= now
             {
                 let ti = &win[win.rob_head].ti;
-                if matches!(ti.inst.op(), Op::Halt) && ti.qp_true {
-                    retired_halt = true;
-                }
+                retired_halt |= ti.effect.halted;
                 if retire {
                     probe.on_retire(&RetireEvent {
                         seq: ti.seq,
                         cycle: now,
                         pc: ti.pc,
                         inst: *ti.inst,
-                        qp_true: Some(ti.qp_true),
-                        wrote: ti.wrote,
-                        stored: ti.stored,
+                        qp_true: Some(ti.effect.qp_true),
+                        wrote: ti.effect.wrote,
+                        stored: ti.effect.stored,
                         mode: RetireMode::Architectural,
                         merged: false,
                         episode: None,
@@ -646,13 +648,8 @@ impl ExecutionModel for OutOfOrder {
                             wake = wake.min(ready_at);
                         } else {
                             let rob_full = rob_tail - win.rob_head >= cfg.ooo_rob;
-                            let slot_full = match self.kind {
-                                WindowKind::Unified => window_len >= cfg.ooo_window,
-                                WindowKind::Decentralized => {
-                                    queue_len[Self::queue_of(&win[rob_tail].ti)]
-                                        >= cfg.ooo_decentralized_queue
-                                }
-                            };
+                            let slot_full =
+                                queue_len[queues.of(&win[rob_tail].ti)] >= queues.entries;
                             if !rob_full && !slot_full {
                                 break 'ff; // would dispatch: poll
                             }
@@ -733,7 +730,7 @@ mod tests {
     use super::*;
     use crate::inorder::InOrder;
     use ff_isa::interp::Interpreter;
-    use ff_isa::{ArchState, Inst, MemoryImage, Program, Reg};
+    use ff_isa::{ArchState, Inst, MemoryImage, Op, Program, Reg};
 
     /// A dependent chain of loads (chase) plus independent work the OOO
     /// window can reorder around.

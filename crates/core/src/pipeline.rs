@@ -545,9 +545,7 @@ impl<'a> Core<'a> {
                     self.after_fetch_flush();
                     flushed = true;
                 }
-                self.publish_retire(|core| {
-                    done.event(&core.base.state, now, core.mode, core.episode_window(seq))
-                });
+                self.publish_retire(|core| done.event(now, core.mode, core.episode_window(seq)));
                 self.drop_entry(seq);
                 self.base.activity.iq_reads += 1;
                 issued += 1;

@@ -36,9 +36,8 @@ use std::fmt;
 use ff_engine::{
     ExecutionModel, Observes, PipelineProbe, RetireEvent, RetireRing, RunResult, SimCase,
 };
-use ff_isa::eval::effective_address;
 use ff_isa::interp::Interpreter;
-use ff_isa::{Op, Pc, Reg};
+use ff_isa::{Pc, Reg};
 
 /// How many retirements before the divergence are retained for the report.
 pub const HISTORY_LEN: usize = 16;
@@ -219,64 +218,49 @@ impl<'a> LockstepChecker<'a> {
             return;
         }
 
-        // Golden pre-step facts: predicate outcome and store effect.
-        let inst = &event.inst;
-        let state = self.interp.state();
-        let golden_qp = state.read(inst.qp_reg()) != 0;
-        let golden_store = if golden_qp && matches!(inst.op(), Op::Store) {
-            let base = state.read(inst.src_n(0).expect("store has a base"));
-            let data = state.read(inst.src_n(1).expect("store has data"));
-            Some((effective_address(base, inst.imm_val()), data))
-        } else {
-            None
+        // The golden step: predicate outcome, register write and store.
+        let golden = match self.interp.step() {
+            Ok(effect) => effect.expect("a halted interpreter was ruled out above"),
+            Err(e) => {
+                self.diverge(event, DivergenceKind::GoldenError(e.to_string()));
+                return;
+            }
         };
 
         // 3. Predicate (when the model resolved it at retirement; merged
         // multipass results resolved it during an earlier pass).
         if let Some(model_qp) = event.qp_true {
-            if model_qp != golden_qp {
+            if model_qp != golden.qp_true {
                 self.diverge(
                     event,
-                    DivergenceKind::Predicate { expected: golden_qp, actual: model_qp },
+                    DivergenceKind::Predicate { expected: golden.qp_true, actual: model_qp },
                 );
                 return;
             }
         }
 
-        if let Err(e) = self.interp.step() {
-            self.diverge(event, DivergenceKind::GoldenError(e.to_string()));
-            return;
-        }
-
         // 4. Register write, against the golden post-step register file.
-        match event.wrote {
-            Some((reg, actual)) => {
+        match (event.wrote, golden.wrote) {
+            (Some((reg, actual)), _) => {
                 let expected = self.interp.state().read(reg);
                 if actual != expected {
                     self.diverge(event, DivergenceKind::Register { reg, expected, actual });
                     return;
                 }
             }
-            None => {
-                if golden_qp {
-                    if let Some(reg) = inst.writes() {
-                        // A merged Nop (or a model bug) dropped the write.
-                        // Hardwired destinations are writable in name only.
-                        if !reg.is_hardwired() && !matches!(inst.op(), Op::Store) {
-                            let expected = self.interp.state().read(reg);
-                            self.diverge(event, DivergenceKind::MissingWrite { reg, expected });
-                            return;
-                        }
-                    }
-                }
+            // A merged Nop (or a model bug) dropped the write.
+            (None, Some((reg, expected))) => {
+                self.diverge(event, DivergenceKind::MissingWrite { reg, expected });
+                return;
             }
+            (None, None) => {}
         }
 
         // 5. Store effect.
-        if event.stored != golden_store {
+        if event.stored != golden.stored {
             self.diverge(
                 event,
-                DivergenceKind::Store { expected: golden_store, actual: event.stored },
+                DivergenceKind::Store { expected: golden.stored, actual: event.stored },
             );
         }
     }
@@ -380,7 +364,7 @@ mod tests {
     use super::*;
     use ff_baselines::InOrder;
     use ff_engine::{MachineConfig, RetireMode};
-    use ff_isa::{Inst, MemoryImage, Program};
+    use ff_isa::{Inst, MemoryImage, Op, Program};
     use ff_multipass::{FaultClass, Multipass, MultipassConfig};
 
     /// The Figure 1 shape: a pointer chase whose long misses open advance
@@ -481,6 +465,25 @@ mod tests {
         assert!(text.contains(&format!("seq #{}", d.event.seq)), "{text}");
         assert!(text.contains(&reg.to_string()), "{text}");
         assert!(text.contains("rally"), "{text}");
+    }
+
+    /// A predicate holds 0 or 1 whatever value is written to it, and
+    /// every model must report the value it holds.
+    #[test]
+    fn predicate_writes_are_reported_as_held() {
+        let mut p = Program::new();
+        let b = p.add_block();
+        p.push(b, Inst::new(Op::MovImm).dst(Reg::pred(1)).imm(42).stop());
+        p.push(b, Inst::new(Op::Halt).stop());
+        let case = SimCase::new(&p, MemoryImage::new());
+        let models: [&mut dyn ExecutionModel; 2] = [
+            &mut InOrder::new(MachineConfig::default()),
+            &mut ff_baselines::OutOfOrder::new(MachineConfig::default()),
+        ];
+        for model in models {
+            let report = compare_model(model, &case);
+            assert!(report.is_clean(), "{report}");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`Activity`] — per-structure access counters consumed by the Wattch
 //!   power models in `ff-power`;
 //! * [`TraceStream`] — the dynamic trace with dataflow and memory
-//!   dependence links, stepped one instruction at a time for the
-//!   trace-driven out-of-order timing models;
+//!   dependence links, stepped one instruction at a time through
+//!   [`ff_isa::interp::execute`] for the trace-driven out-of-order timing
+//!   models;
 //! * [`ExecutionModel`] — the trait every pipeline model implements, and
 //!   [`SimCase`]/[`RunResult`] — its input/output types;
 //! * [`PipelineProbe`] — the one observer a run takes: the retirement
@@ -25,9 +26,9 @@
 //!   observations for the `ff-sentinel` checkers, each probe saying which
 //!   it wants ([`Observes`]);
 //! * [`InOrderStage`] — the baseline in-order pipeline the in-order,
-//!   runahead and multipass models share: one architectural execute step,
-//!   one head-readiness and head-wake rule, and one stalled-head skip
-//!   analysis (DESIGN.md §7c);
+//!   runahead and multipass models share: one issue step around
+//!   [`ff_isa::interp::execute`], one head-readiness and head-wake rule,
+//!   and one stalled-head skip analysis (DESIGN.md §7c);
 //! * [`Srf`] — the speculative register file (A-bits, I-bits) both
 //!   speculative passes write: multipass advance mode and runahead
 //!   pre-execution;

@@ -7,12 +7,14 @@
 //! that baseline: the machine state plus the two pieces every such model
 //! shares, written once:
 //!
-//! * [`InOrderStage::execute`] — the architectural execute step for the
-//!   head instruction: scoreboard interlock, FU arbitration, then branch
-//!   resolution, load (with MSHR retry), store, ALU, or the predicated-off
-//!   branch. Per-model differences enter as inputs (predictor training,
-//!   the stream a branch is checked against); values some models route
-//!   differently come back in [`Issued`] for the caller to apply.
+//! * [`InOrderStage::execute`] — the issue step for the head instruction:
+//!   scoreboard interlock, FU arbitration, the architectural step itself
+//!   ([`ff_isa::interp::execute`], with loads and stores reaching the
+//!   cache hierarchy through its access hook and an MSHR refusal replaying
+//!   the head), then branch resolution. Per-model differences enter as
+//!   inputs (predictor training, the stream a branch is checked against);
+//!   values some models route differently come back in [`Issued`] for the
+//!   caller to apply.
 //! * [`InOrderStage::head_ready`] / [`InOrderStage::head_wake`] — when
 //!   the instruction a stalled pipeline waits on could issue, and the
 //!   earliest cycle that can change: runahead's episode exit and
@@ -28,7 +30,7 @@
 use std::ops::Range;
 
 use ff_frontend::{FetchUnit, Gshare};
-use ff_isa::eval::{alu, effective_address};
+use ff_isa::interp::{execute, successor, Access, Effect};
 use ff_isa::{ArchState, Inst, Op, Pc, Program, Reg};
 use ff_mem::{AccessKind, HitLevel, MemAccess, MemorySystem};
 
@@ -87,39 +89,35 @@ pub struct Head<'p> {
 pub struct Issued<'p> {
     /// The retired instruction.
     pub head: Head<'p>,
-    /// Its qualifying predicate was true.
-    pub qp_true: bool,
+    /// What it did to architectural state.
+    pub effect: Effect,
     /// The scoreboard write it schedules, `(reg, ready_at, kind)`. The
     /// caller applies it ([`Scoreboard::set_pending`]); multipass routes it
     /// through its fault-injection hooks.
     pub pend: Option<(Reg, u64, PendingKind)>,
     /// The completed data access, `(complete_at, level)`.
     pub access: Option<(u64, HitLevel)>,
-    /// Address and data stored.
-    pub stored: Option<(u64, u64)>,
     /// A mispredicted branch flushed fetch behind it.
     pub flushed: bool,
 }
 
 impl<'p> Issued<'p> {
-    /// The retirement event, reading the written value from `state`.
+    /// The retirement event.
     #[inline]
     pub fn event(
         &self,
-        state: &ArchState,
         cycle: u64,
         mode: RetireMode,
         episode: Option<EpisodeWindow>,
     ) -> RetireEvent {
-        let inst = self.head.inst;
         RetireEvent {
             seq: self.head.seq,
             cycle,
             pc: self.head.pc,
-            inst: *inst,
-            qp_true: Some(self.qp_true),
-            wrote: inst.writes().filter(|_| self.qp_true).map(|d| (d, state.read(d))),
-            stored: self.stored,
+            inst: *self.head.inst,
+            qp_true: Some(self.effect.qp_true),
+            wrote: self.effect.wrote,
+            stored: self.effect.stored,
             mode,
             merged: false,
             episode,
@@ -209,60 +207,43 @@ impl<'p> InOrderStage<'p> {
         if !self.fu.try_issue(inst, now) {
             return Err(StallKind::Other);
         }
-        let qp_true = self.state.read(inst.qp_reg()) != 0;
         self.activity.regfile_reads += inst.reads().count() as u64;
-        let mut done =
-            Issued { head: *head, qp_true, pend: None, access: None, stored: None, flushed: false };
-        // A predicated-off branch still resolves (not taken) against the
-        // prediction; any other predicated-off instruction is a no-op.
-        let branch = match inst.op() {
-            Op::Br { target } if qp_true => Some((self.program.first_pc_from(*target), true)),
-            Op::Br { .. } => Some((self.program.next_pc(head.pc), false)),
-            _ if !qp_true => None,
-            Op::Halt => {
-                self.halted = true;
-                None
-            }
-            Op::Load | Op::LoadFp => {
-                let base = self.state.read(inst.src_n(0).expect("load base"));
-                let addr = effective_address(base, inst.imm_val());
-                match self.mem.access(addr, AccessKind::DataRead, now) {
-                    MemAccess::Done { complete_at, level } => {
-                        let v = self.state.mem.load(addr);
-                        done.pend = self.write_back(inst, v, complete_at, PendingKind::Load);
-                        done.access = Some((complete_at, level));
-                    }
-                    // MSHRs full: replay next cycle. The FU slot is
-                    // wasted, as in hardware.
-                    MemAccess::Retry => return Err(StallKind::Other),
+        let mem = &mut self.mem;
+        let mut access = None;
+        let effect = execute(&mut self.state, inst, |a| match a {
+            Access::Load(addr) => match mem.access(addr, AccessKind::DataRead, now) {
+                MemAccess::Done { complete_at, level } => {
+                    access = Some((complete_at, level));
+                    Ok(())
                 }
-                None
+                // MSHRs full: replay next cycle, before the load has any
+                // architectural effect. The FU slot is wasted, as in
+                // hardware.
+                MemAccess::Retry => Err(StallKind::Other),
+            },
+            Access::Store(addr) => {
+                let _ = mem.access(addr, AccessKind::DataWrite, now);
+                Ok(())
             }
-            Op::Store => {
-                let base = self.state.read(inst.src_n(0).expect("store base"));
-                let data = self.state.read(inst.src_n(1).expect("store data"));
-                let addr = effective_address(base, inst.imm_val());
-                self.state.mem.store(addr, data);
-                let _ = self.mem.access(addr, AccessKind::DataWrite, now);
-                done.stored = Some((addr, data));
-                self.stats.executions += 1;
-                None
-            }
-            Op::Nop | Op::Restart => None,
-            op => {
-                let a = inst.src_n(0).map(|r| self.state.read(r)).unwrap_or(0);
-                let b = inst.src_n(1).map(|r| self.state.read(r)).unwrap_or(0);
-                let ready_at = now + op.latency() as u64;
-                done.pend = self.write_back(
-                    inst,
-                    alu(op, a, b, inst.imm_val()),
-                    ready_at,
-                    PendingKind::Exec,
-                );
-                None
-            }
-        };
-        if let Some((actual_next, taken)) = branch {
+        })?;
+        let mut done = Issued { head: *head, effect, pend: None, access, flushed: false };
+        let (op, taken) = (inst.op(), effect.taken);
+        self.halted |= effect.halted;
+        if effect.qp_true && !matches!(op, Op::Br { .. } | Op::Halt | Op::Nop | Op::Restart) {
+            self.stats.executions += 1;
+        }
+        if let Some((d, _)) = effect.wrote {
+            // Only a load makes a data access that leaves a result.
+            let (ready_at, kind) = match access {
+                Some((complete_at, _)) => (complete_at, PendingKind::Load),
+                None => (now + op.latency() as u64, PendingKind::Exec),
+            };
+            self.activity.regfile_writes += 1;
+            done.pend = Some((d, ready_at, kind));
+        }
+        // A branch resolves even when predicated off (not taken).
+        if let Op::Br { .. } = op {
+            let actual_next = successor(self.program, head.pc, inst, taken);
             // Only a predicated branch is conditional (the hardwired
             // predicate always reads true): count it and train on it.
             if inst.is_predicated() {
@@ -281,23 +262,6 @@ impl<'p> InOrderStage<'p> {
         self.fetch.pop_front();
         self.stats.retired += 1;
         Ok(done)
-    }
-
-    /// Writes an executed result, returning the scoreboard write it
-    /// schedules.
-    #[inline]
-    fn write_back(
-        &mut self,
-        inst: &Inst,
-        v: u64,
-        ready_at: u64,
-        kind: PendingKind,
-    ) -> Option<(Reg, u64, PendingKind)> {
-        self.stats.executions += 1;
-        let d = inst.writes()?;
-        self.state.write(d, v);
-        self.activity.regfile_writes += 1;
-        Some((d, ready_at, kind))
     }
 
     /// Charges one polled issue cycle: to execution if anything issued,

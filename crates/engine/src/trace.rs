@@ -15,9 +15,10 @@
 //! and a last-store map, both bounded by the program's footprint rather
 //! than its length.
 
+use std::convert::Infallible;
 use std::ops::Deref;
 
-use ff_isa::eval::{alu, effective_address};
+use ff_isa::interp::{execute, successor, Access, Effect};
 use ff_isa::{ArchState, Inst, MemoryImage, Op, Pc, Program, Reg};
 
 /// The register producers of one dynamic instruction, in ascending
@@ -62,23 +63,15 @@ pub struct TraceInst<'p> {
     pub pc: Pc,
     /// The static instruction, borrowed from the program.
     pub inst: &'p Inst,
-    /// Whether the qualifying predicate evaluated true.
-    pub qp_true: bool,
+    /// What the instruction did to architectural state.
+    pub effect: Effect,
     /// Sequence numbers of the register producers this instruction must
-    /// wait for: the qualifying predicate and, when `qp_true`, each source.
+    /// wait for: the qualifying predicate and, when it read true, each
+    /// source.
     pub reg_deps: DepList,
     /// Sequence number of the most recent store to the same word, for loads
     /// (perfect memory disambiguation, per the idealized model).
     pub mem_dep: Option<u64>,
-    /// Effective address for memory operations that executed.
-    pub addr: Option<u64>,
-    /// For branches: whether it was taken.
-    pub taken: bool,
-    /// Destination register and value written, when the instruction
-    /// architecturally wrote one.
-    pub wrote: Option<(Reg, u64)>,
-    /// Address and data stored, for stores that executed.
-    pub stored: Option<(u64, u64)>,
 }
 
 impl TraceInst<'_> {
@@ -187,8 +180,6 @@ impl<'p> TraceStream<'p> {
     /// Executes the next instruction and records its dataflow links.
     fn step(&mut self, pc: Pc, inst: &'p Inst) -> TraceInst<'p> {
         let seq = self.seq;
-        let state = &mut self.state;
-        let qp_true = state.read(inst.qp_reg()) != 0;
         let mut reg_deps = DepList::default();
         // Hardwired registers never get a writer (`writes` drops them), so
         // an unpredicated instruction's `p0` adds no dependence.
@@ -197,64 +188,32 @@ impl<'p> TraceStream<'p> {
                 reg_deps.insert(w);
             }
         };
+        // Register links are recorded against the state before the step,
+        // so an instruction that overwrites a source depends on that
+        // source's previous producer, not on itself.
         depend_on(inst.qp_reg());
-        if qp_true {
+        if self.state.read(inst.qp_reg()) != 0 {
             inst.srcs().for_each(&mut depend_on);
-        }
-
-        let mut addr = None;
-        let mut mem_dep = None;
-        let mut taken = false;
-        let mut wrote = None;
-        let mut stored = None;
-        let mut next = self.program.next_pc(pc);
-
-        if qp_true {
-            match inst.op() {
-                Op::Halt => self.halted = true,
-                Op::Br { target } => {
-                    taken = true;
-                    next = self.program.first_pc_from(*target);
-                }
-                Op::Load | Op::LoadFp => {
-                    let base = state.read(inst.src_n(0).expect("load base"));
-                    let a = effective_address(base, inst.imm_val());
-                    addr = Some(a);
-                    mem_dep = self.last_store.load(a).checked_sub(1);
-                    let v = state.mem.load(a);
-                    if let Some(d) = inst.writes() {
-                        state.write(d, v);
-                        wrote = Some((d, v));
-                    }
-                }
-                Op::Store => {
-                    let base = state.read(inst.src_n(0).expect("store base"));
-                    let data = state.read(inst.src_n(1).expect("store data"));
-                    let a = effective_address(base, inst.imm_val());
-                    addr = Some(a);
-                    state.mem.store(a, data);
-                    stored = Some((a, data));
-                    self.last_store.store(a, seq + 1);
-                }
-                Op::Nop | Op::Restart => {}
-                op => {
-                    let a = inst.src_n(0).map(|r| state.read(r)).unwrap_or(0);
-                    let b = inst.src_n(1).map(|r| state.read(r)).unwrap_or(0);
-                    let v = alu(op, a, b, inst.imm_val());
-                    if let Some(d) = inst.writes() {
-                        state.write(d, v);
-                        wrote = Some((d, v));
-                    }
-                }
-            }
             if let Some(d) = inst.writes() {
                 self.last_writer[d.flat_index()] = Some(seq);
             }
         }
-
+        // Memory dataflow links come from the access hook, which sees each
+        // load and store address as it is computed.
+        let (last_store, mut mem_dep) = (&mut self.last_store, None);
+        let Ok(effect) = execute(&mut self.state, inst, |access| {
+            match access {
+                Access::Load(a) => mem_dep = last_store.load(a).checked_sub(1),
+                Access::Store(a) => {
+                    last_store.store(a, seq + 1);
+                }
+            }
+            Ok::<_, Infallible>(())
+        });
+        self.halted = effect.halted;
         self.seq += 1;
-        self.pc = next;
-        TraceInst { seq, pc, inst, qp_true, reg_deps, mem_dep, addr, taken, wrote, stored }
+        self.pc = successor(self.program, pc, inst, effect.taken);
+        TraceInst { seq, pc, inst, effect, reg_deps, mem_dep }
     }
 }
 
@@ -371,7 +330,7 @@ mod tests {
         p.push(b, Inst::new(Op::Halt));
         let (t, fin) = drain(&p, ArchState::new(), 100).unwrap();
         let mv = &t[1];
-        assert!(!mv.qp_true); // p2 was never written -> false
+        assert!(!mv.effect.qp_true); // p2 was never written -> false
         assert!(mv.reg_deps.is_empty()); // p2 has no producer
         assert_eq!(fin.int(3), 0);
     }
@@ -382,8 +341,8 @@ mod tests {
         let (t, _) = drain(&p, s, 100_000).unwrap();
         let branches: Vec<_> = t.iter().filter(|i| i.is_conditional_branch()).collect();
         assert_eq!(branches.len(), 4);
-        assert!(branches[..3].iter().all(|b| b.taken));
-        assert!(!branches[3].taken);
+        assert!(branches[..3].iter().all(|b| b.effect.taken));
+        assert!(!branches[3].effect.taken);
     }
 
     #[test]
@@ -395,9 +354,8 @@ mod tests {
         p.push(b, Inst::new(Op::Store).src(Reg::int(2)).src(Reg::int(3)).qp(Reg::pred(2)));
         p.push(b, Inst::new(Op::Halt));
         let (t, _) = drain(&p, ArchState::new(), 100).unwrap();
-        assert!(!t[0].qp_true);
-        assert_eq!(t[0].addr, None);
-        assert_eq!(t[1].addr, None);
+        assert_eq!(t[0].effect, Effect::default());
+        assert_eq!(t[1].effect, Effect::default());
         assert_eq!(t[0].mem_dep, None);
     }
 

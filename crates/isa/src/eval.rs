@@ -1,8 +1,11 @@
 //! Functional evaluation of operations.
 //!
-//! These helpers give every pipeline model (in-order, runahead, out-of-order,
-//! multipass) a single authoritative definition of operand semantics, so the
-//! timing models cannot drift from the golden interpreter.
+//! These helpers are the single authoritative definition of operand
+//! semantics. Whole non-speculative instructions go through
+//! [`crate::interp::execute`], which is built on them; the speculative
+//! executors (runahead pre-execution, multipass advance), which read
+//! poisoned or deferred operands, call them directly. Either way no timing
+//! model can drift from the golden interpreter.
 
 use crate::op::Op;
 

@@ -44,7 +44,13 @@ struct Cli {
     port_file: Option<String>,
 }
 
-fn parse_args() -> Result<Cli, String> {
+/// Parses `flag`'s value as a count of at least 1.
+fn count<T: std::str::FromStr + From<u8> + PartialOrd>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().ok().filter(|n| *n >= T::from(1)).ok_or_else(|| format!("{flag} needs a number >= 1"))
+}
+
+/// Parses the command line, `args` excluding the program name.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         addr: "127.0.0.1:7878".to_string(),
         store: "results/store".to_string(),
@@ -54,15 +60,13 @@ fn parse_args() -> Result<Cli, String> {
         quarantine_after: None,
         port_file: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
-            "--addr" => cli.addr = value("--addr")?,
-            "--store" => cli.store = value("--store")?,
-            "--jobs" => {
-                cli.jobs = Some(value("--jobs")?.parse().map_err(|_| "--jobs needs a number")?);
-            }
+            "--addr" => cli.addr = value("--addr")?.clone(),
+            "--store" => cli.store = value("--store")?.clone(),
+            "--jobs" => cli.jobs = Some(count("--jobs", value("--jobs")?)?),
             "--retries" => {
                 cli.retries =
                     value("--retries")?.parse().map_err(|_| "--retries needs a number")?;
@@ -76,13 +80,10 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--sentinels" => cli.exec.sentinels = true,
             "--quarantine-after" => {
-                cli.quarantine_after = Some(
-                    value("--quarantine-after")?
-                        .parse()
-                        .map_err(|_| "--quarantine-after needs a number")?,
-                );
+                cli.quarantine_after =
+                    Some(count("--quarantine-after", value("--quarantine-after")?)?);
             }
-            "--port-file" => cli.port_file = Some(value("--port-file")?),
+            "--port-file" => cli.port_file = Some(value("--port-file")?.clone()),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -120,7 +121,7 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
+    let cli = match parse_args(&std::env::args().skip(1).collect::<Vec<_>>()) {
         Ok(cli) => cli,
         Err(msg) => {
             eprintln!("ff-server: {msg}");
@@ -160,4 +161,29 @@ fn main() -> ExitCode {
     server.shutdown();
     println!("ff-server: checkpoint complete");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_workers_are_rejected() {
+        assert_eq!(parse(&["--jobs", "2"]).unwrap().jobs, Some(2));
+        assert_eq!(parse(&["--jobs", "0"]).err().unwrap(), "--jobs needs a number >= 1");
+        assert!(parse(&["--jobs", "many"]).is_err());
+    }
+
+    #[test]
+    fn a_zero_quarantine_threshold_is_rejected() {
+        assert_eq!(parse(&["--quarantine-after", "3"]).unwrap().quarantine_after, Some(3));
+        assert_eq!(
+            parse(&["--quarantine-after", "0"]).err().unwrap(),
+            "--quarantine-after needs a number >= 1"
+        );
+    }
 }

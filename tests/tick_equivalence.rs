@@ -80,35 +80,44 @@ const GRID_WORK: [(&str, u64, u64, u64); 7] = [
     ("MP-norestart", 419_076, 12, 106_158),
 ];
 
-/// The acceptance grid: every model x every benchmark, event-driven runs
-/// must reproduce the polling runs' results, retirement streams, and
-/// rendered campaign artifacts byte for byte. The grid's summed work
-/// counts are pinned by [`GRID_WORK`].
+/// The machine of the campaign's `hier` grid points.
+fn machine_for(hier: HierKind) -> MachineConfig {
+    MachineConfig::itanium2_base().with_hierarchy(hier.config())
+}
+
+/// The acceptance grid: every model x every benchmark x every hierarchy,
+/// event-driven runs must reproduce the polling runs' results and
+/// retirement streams. The base hierarchy's summed work counts are pinned
+/// by [`GRID_WORK`].
 #[test]
 fn event_driven_matches_polling_on_every_grid_point() {
-    let machine = MachineConfig::itanium2_base();
+    let workloads = Workload::all(Scale::Test);
     let mut work = ModelKind::ALL.map(|kind| (kind.name(), 0, 0, 0));
-    for w in Workload::all(Scale::Test) {
-        let case = SimCase::new(&w.program, w.mem.clone());
-        for ((name, mut model), sums) in models(machine).zip(&mut work) {
-            let (polled, polled_stream) = run_with(&mut *model, &case, TickMode::Polling);
-            let (event, event_stream) = run_with(&mut *model, &case, TickMode::EventDriven);
-            let at = format!("{name} on {}", w.name);
-            assert_eq!(polled.stats, event.stats, "stats diverge: {at}");
-            assert_eq!(polled.activity, event.activity, "activity diverges: {at}");
-            assert_eq!(polled.mem_stats, event.mem_stats, "mem stats diverge: {at}");
-            assert!(
-                polled.final_state.semantically_eq(&event.final_state),
-                "final state diverges: {at}"
-            );
-            assert!(
-                polled_stream == event_stream,
-                "retirement streams diverge: {at}\n{}",
-                first_diff(&polled_stream, &event_stream)
-            );
-            sums.1 += event.activity.select_visits;
-            sums.2 += event.activity.alloc_count;
-            sums.3 += event.loop_passes;
+    for hier in HierKind::ALL {
+        for w in &workloads {
+            let case = SimCase::new(&w.program, w.mem.clone());
+            for ((name, mut model), sums) in models(machine_for(hier)).zip(&mut work) {
+                let (polled, polled_stream) = run_with(&mut *model, &case, TickMode::Polling);
+                let (event, event_stream) = run_with(&mut *model, &case, TickMode::EventDriven);
+                let at = format!("{name} on {} ({})", w.name, hier.name());
+                assert_eq!(polled.stats, event.stats, "stats diverge: {at}");
+                assert_eq!(polled.activity, event.activity, "activity diverges: {at}");
+                assert_eq!(polled.mem_stats, event.mem_stats, "mem stats diverge: {at}");
+                assert!(
+                    polled.final_state.semantically_eq(&event.final_state),
+                    "final state diverges: {at}"
+                );
+                assert!(
+                    polled_stream == event_stream,
+                    "retirement streams diverge: {at}\n{}",
+                    first_diff(&polled_stream, &event_stream)
+                );
+                if hier == HierKind::Base {
+                    sums.1 += event.activity.select_visits;
+                    sums.2 += event.activity.alloc_count;
+                    sums.3 += event.loop_passes;
+                }
+            }
         }
     }
     let moved: Vec<&str> = work
@@ -131,43 +140,60 @@ fn event_driven_matches_polling_on_every_grid_point() {
 /// moves this value has changed what the simulator computes.
 const GRID_ARTIFACT_DIGEST: u64 = 0xdd01_225f_2ce5_87bd;
 
+/// The same digest over the 168 polled config1 and config2 artifacts, in
+/// grid order (config1 first). Config2's small caches keep the MSHRs
+/// fuller than the base hierarchy does, so more loads take the refused
+/// access path; the same update rule applies.
+const SLOW_HIERARCHY_ARTIFACT_DIGEST: u64 = 0x27a3_bafc_2bce_fb61;
+
 /// The campaign artifact for a grid point must not depend on the tick
 /// mode: artifacts are content-addressed and compared byte-for-byte by
-/// resume and by cross-run diffing. Every kernel × every model — the
+/// resume and by cross-run diffing. Every hierarchy × kernel × model — the
 /// artifact layer deliberately excludes the simulator's
 /// self-instrumentation counters, so this also pins the store format
 /// against instrumentation changes. The polled artifacts are also pinned
-/// across commits by [`GRID_ARTIFACT_DIGEST`].
+/// across commits by [`GRID_ARTIFACT_DIGEST`] and
+/// [`SLOW_HIERARCHY_ARTIFACT_DIGEST`].
 #[test]
 fn artifacts_are_byte_identical_across_tick_modes() {
     use flea_flicker::harness::job::fnv1a64;
-    let machine = MachineConfig::itanium2_base();
-    let mut grid = String::new();
-    for w in Workload::all(Scale::Test) {
-        let case = SimCase::new(&w.program, w.mem.clone());
-        for model_kind in ModelKind::ALL {
-            let spec = JobSpec::sim(model_kind, HierKind::Base, w.name, 0, Scale::Test);
-            let render = |tick| {
-                let mut model = model_kind.build(machine);
-                model.set_tick_mode(tick);
-                render_sim_artifact(&spec, &model.try_run(&case).unwrap())
-            };
-            let polled = render(TickMode::Polling);
-            let event = render(TickMode::EventDriven);
-            assert_eq!(
-                polled,
-                event,
-                "artifact bytes diverge for {} on {}",
-                model_kind.name(),
-                w.name
-            );
-            grid.push_str(&polled);
+    let workloads = Workload::all(Scale::Test);
+    let (mut base, mut slow) = (String::new(), String::new());
+    for hier in HierKind::ALL {
+        let grid = if hier == HierKind::Base { &mut base } else { &mut slow };
+        for w in &workloads {
+            let case = SimCase::new(&w.program, w.mem.clone());
+            for model_kind in ModelKind::ALL {
+                let spec = JobSpec::sim(model_kind, hier, w.name, 0, Scale::Test);
+                let render = |tick| {
+                    let mut model = model_kind.build(machine_for(hier));
+                    model.set_tick_mode(tick);
+                    render_sim_artifact(&spec, &model.try_run(&case).unwrap())
+                };
+                let polled = render(TickMode::Polling);
+                let event = render(TickMode::EventDriven);
+                assert_eq!(
+                    polled,
+                    event,
+                    "artifact bytes diverge for {} on {} ({})",
+                    model_kind.name(),
+                    w.name,
+                    hier.name()
+                );
+                grid.push_str(&polled);
+            }
         }
     }
-    let digest = fnv1a64(grid.as_bytes());
+    let digest = fnv1a64(base.as_bytes());
     assert_eq!(
         digest, GRID_ARTIFACT_DIGEST,
         "grid artifact digest moved: {digest:#018x} (see GRID_ARTIFACT_DIGEST)"
+    );
+    let digest = fnv1a64(slow.as_bytes());
+    assert_eq!(
+        digest, SLOW_HIERARCHY_ARTIFACT_DIGEST,
+        "config1+config2 artifact digest moved: {digest:#018x} \
+         (see SLOW_HIERARCHY_ARTIFACT_DIGEST)"
     );
 }
 
