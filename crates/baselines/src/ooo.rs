@@ -626,16 +626,14 @@ impl ExecutionModel for OutOfOrder {
                 'ff: {
                     // Fetch facing a full decode pipe re-reads its line every
                     // cycle and fetches nothing until dispatch drains the
-                    // pipe. With a 1-cycle L1I a hit leaves fetch unblocked,
-                    // so those re-reads are charged in bulk below.
+                    // pipe. An L1I hit (one cycle at most) leaves fetch
+                    // unblocked, so those re-reads are charged in bulk below.
                     let mut refetch = None;
                     let mut wake = if trace.is_done() || waiting_branch.is_some() {
                         u64::MAX
                     } else if now < fetch_blocked_until {
                         fetch_blocked_until
-                    } else if win.end() - rob_tail >= cfg.inorder_buffer
-                        && cfg.hierarchy.l1i.latency <= 1
-                    {
+                    } else if win.end() - rob_tail >= cfg.inorder_buffer {
                         let Ok(Some((pc, _))) = trace.peek() else { break 'ff };
                         refetch = Some(pc.fetch_address());
                         u64::MAX

@@ -28,9 +28,9 @@
 //! stage's [`ff_engine::InOrderStage::head_ready`] plus an E-bit arm.
 
 use ff_engine::{
-    AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel, InFlightIndex, InOrderStage,
-    MachineConfig, MemAccessObs, Observes, PendingKind, PipelineProbe, RetireEvent, RetireMode,
-    RunError, RunResult, SimCase, Srf, SrfVal, StallKind, TickMode,
+    AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel, InOrderStage, MachineConfig,
+    MemAccessObs, Observes, PendingKind, PipelineProbe, RetireEvent, RetireMode, RunError,
+    RunResult, SimCase, Srf, SrfVal, StallKind, TickMode,
 };
 use ff_isa::eval::{alu, effective_address};
 use ff_isa::{Inst, Op, Pc, Reg};
@@ -38,7 +38,7 @@ use ff_mem::{AccessKind, MemAccess};
 
 use crate::asc::{AdvanceStoreCache, AscData, AscLookup};
 use crate::config::{FaultClass, MultipassConfig, RestartStrategy};
-use crate::entry::{MpEntry, RsResult};
+use crate::entry::{EntryRing, MpEntry, RsResult};
 
 /// One operand read during advance execution: its value and taint, or
 /// `None` when the producer was deferred (I-bit) or is an outstanding
@@ -94,13 +94,9 @@ struct Core<'a> {
     base: InOrderStage<'a>,
     srf: Srf,
     asc: AdvanceStoreCache,
-    /// Multipass per-instruction state, keyed by sequence number. The
-    /// ring-buffer index exploits monotonic seq allocation: it iterates in
-    /// ascending seq order (so squash/drop stay bit-for-bit deterministic,
-    /// exactly like the `BTreeMap` it replaced) and, sized to the fetch
-    /// buffer span, performs zero heap allocation per instruction in
-    /// steady state (DESIGN.md §7e).
-    entries: InFlightIndex<MpEntry>,
+    /// Multipass per-instruction state, keyed by sequence number, in a
+    /// fixed ring that shadows the fetch buffer (DESIGN.md §7e).
+    entries: EntryRing,
     /// The pipeline mode (paper Figure 3); retirements and the probe's
     /// mode timeline report it as is.
     mode: RetireMode,
@@ -163,10 +159,9 @@ impl<'a> Core<'a> {
             base,
             srf: Srf::new(),
             asc: AdvanceStoreCache::new(config.asc_entries, config.asc_assoc),
-            // In-flight seqs span at most the fetch buffer (entries are
-            // created at issue and dropped at DEQ/squash), so sizing the
-            // ring to it makes steady-state allocation zero.
-            entries: InFlightIndex::with_span(machine.multipass_iq + 2),
+            // Live seqs span at most the fetch buffer (entries are
+            // claimed at issue and freed at DEQ/squash).
+            entries: EntryRing::new(machine.multipass_iq + 2),
             mode: RetireMode::Architectural,
             peek: 0,
             trigger: 0,
@@ -273,12 +268,8 @@ impl<'a> Core<'a> {
         self.probe.on_cycle(&obs);
     }
 
-    fn entry(&self, seq: u64) -> MpEntry {
-        self.entries.get(seq).copied().unwrap_or_default()
-    }
-
     fn set_smaq(&mut self, seq: u64, addr: u64) {
-        let e = self.entries.get_or_default(seq);
+        let e = self.entries.get_mut(seq);
         if e.smaq_addr.is_none() {
             self.smaq_count += 1;
             self.base.activity.smaq_accesses += 1;
@@ -294,11 +285,10 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Removes multipass state for every entry with `seq >= from`, in
-    /// ascending seq order (matching the old `BTreeMap` range scan).
+    /// Removes multipass state for every entry with `seq >= from`.
     fn squash_entries_from(&mut self, from: u64) {
         let smaq_count = &mut self.smaq_count;
-        self.entries.squash_from(from, |_, e| {
+        self.entries.squash_from(from, |e| {
             if e.smaq_addr.is_some() {
                 *smaq_count = smaq_count.saturating_sub(1);
             }
@@ -346,7 +336,7 @@ impl<'a> Core<'a> {
     /// E-bit head waits for its preserved result; any other head is the
     /// baseline's [`InOrderStage::head_ready`].
     fn head_issueable(&self) -> bool {
-        let ent = self.entry(self.base.fetch.head_seq());
+        let ent = self.entries.get(self.base.fetch.head_seq());
         if ent.e_bit {
             ent.rs_available(self.base.now)
         } else {
@@ -359,7 +349,7 @@ impl<'a> Core<'a> {
     /// point: an E-bit head's result arrival, else the baseline's
     /// [`InOrderStage::head_wake`].
     fn head_wake(&self) -> u64 {
-        let ent = self.entry(self.base.fetch.head_seq());
+        let ent = self.entries.get(self.base.fetch.head_seq());
         if ent.e_bit {
             ent.rs_ready_at
         } else {
@@ -415,7 +405,7 @@ impl<'a> Core<'a> {
             let Some(head) = self.base.select_head() else { break };
             let (seq, pc, inst) = (head.seq, head.pc, head.inst);
             let ends_group = inst.ends_group();
-            let ent = self.entry(seq);
+            let ent = self.entries.get(seq);
 
             // Crossing a compiler stop bit requires regrouping.
             if issued > 0 && prev_ended_group {
@@ -626,7 +616,7 @@ impl<'a> Core<'a> {
         snap: u16,
     ) -> Result<Slot, Stop> {
         let now = self.base.now;
-        let ent = self.entry(seq);
+        let ent = self.entries.get(seq);
 
         // ---- merge previously preserved results ----
         if ent.e_bit {
@@ -673,7 +663,7 @@ impl<'a> Core<'a> {
                 };
                 if inst.is_predicated() && !ent.branch_trained {
                     self.base.fetch.predictor_mut().update(pc, snap, taken);
-                    self.entries.get_or_default(seq).branch_trained = true;
+                    self.entries.get_mut(seq).branch_trained = true;
                 }
                 if ent.resolved_next.unwrap_or(predicted_next) != actual_next {
                     // Early mispredict resolution: redirect fetch.
@@ -681,7 +671,7 @@ impl<'a> Core<'a> {
                     let resume_at = now + self.cfg.machine.mispredict_penalty;
                     self.base.fetch.flush_after(seq, actual_next, resume_at, snap, taken);
                     self.after_fetch_flush();
-                    self.entries.get_or_default(seq).resolved_next = Some(actual_next);
+                    self.entries.get_mut(seq).resolved_next = Some(actual_next);
                     // The pass continues at the corrected stream once it
                     // is refetched.
                     self.peek = seq + 1;
@@ -924,7 +914,7 @@ impl<'a> Core<'a> {
     /// Preserves `result` in `seq`'s result store entry, setting its E-bit.
     #[inline]
     fn preserve(&mut self, seq: u64, result: RsResult, ready_at: u64, s_bit: bool, tainted: bool) {
-        let e = self.entries.get_or_default(seq);
+        let e = self.entries.get_mut(seq);
         e.e_bit = true;
         e.result = Some(result);
         e.rs_ready_at = ready_at;
@@ -1030,7 +1020,7 @@ impl<'a> Core<'a> {
                 RetireMode::Architectural | RetireMode::Rally => {
                     // An E-bit head merges, or stalls on a preserved result
                     // in flight, which enters advance mode this very cycle.
-                    if self.entry(self.base.fetch.head_seq()).e_bit {
+                    if self.entries.get(self.base.fetch.head_seq()).e_bit {
                         return;
                     }
                     // Otherwise the baseline's analysis, where a load stall
@@ -1124,10 +1114,7 @@ impl<'a> Core<'a> {
         self.base.activity.iq_writes = self.base.fetch.fetched();
         self.base.activity.srf_reads = self.srf.read_count();
         self.base.activity.srf_writes = self.srf.write_count();
-        // Growth events of the in-flight entry ring: 1 for the initial
-        // allocation, and nothing further once warm (the steady-state
-        // zero-allocation invariant, asserted in tests/tick_equivalence.rs).
-        self.base.activity.alloc_count += self.entries.alloc_events();
+        self.base.activity.alloc_count += 1; // the entry ring's single allocation
         Ok(self.base.finish())
     }
 }

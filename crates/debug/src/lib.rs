@@ -194,6 +194,11 @@ impl<'a> LockstepChecker<'a> {
         self.divergence.as_ref()
     }
 
+    /// The golden interpreter, stepped once per checked retirement.
+    pub fn golden(&self) -> &Interpreter<'a> {
+        &self.interp
+    }
+
     fn diverge(&mut self, event: &RetireEvent, kind: DivergenceKind) {
         self.divergence = Some(Divergence {
             event: *event,

@@ -55,7 +55,7 @@ pub struct Activity {
     /// ready sets this scales with instructions that *become* ready, not
     /// with window size x cycles.
     pub select_visits: u64,
-    /// Growth events of in-flight state containers (slab/ring/overlay).
+    /// Allocation and growth events of in-flight state containers.
     /// Zero per retired instruction once the pipeline reaches steady state.
     pub alloc_count: u64,
 }

@@ -31,9 +31,7 @@
 //!   and one stalled-head skip analysis (DESIGN.md §7c);
 //! * [`Srf`] — the speculative register file (A-bits, I-bits) both
 //!   speculative passes write: multipass advance mode and runahead
-//!   pre-execution;
-//! * [`InFlightIndex`] — the allocation-free in-flight state container
-//!   backing the steady-state zero-allocation invariant (DESIGN.md §7e).
+//!   pre-execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +43,6 @@ pub mod model;
 pub mod probe;
 pub mod retire;
 pub mod scoreboard;
-pub mod slab;
 pub mod srf;
 pub mod stage;
 pub mod stats;
@@ -58,7 +55,6 @@ pub use model::{ExecutionModel, RunError, RunResult, SimCase, TickMode};
 pub use probe::{AscForwardObs, CycleObs, MemAccessObs, NullProbe, Observes, PipelineProbe};
 pub use retire::{EpisodeWindow, RetireEvent, RetireMode, RetireRing};
 pub use scoreboard::{operand_stall, operand_wake, PendingKind, Scoreboard};
-pub use slab::InFlightIndex;
 pub use srf::{Srf, SrfVal};
 pub use stage::{Head, InOrderStage, Issued};
 pub use stats::{RunStats, StallKind};

@@ -130,7 +130,19 @@ pub struct MemorySystem {
 
 impl MemorySystem {
     /// Creates a memory system with cold caches.
+    ///
+    /// # Panics
+    ///
+    /// If the L1I latency is above one cycle. Fetch reads any later
+    /// completion as a miss, waits for it and accesses the line again, so
+    /// a slower hit would never deliver a fetch group.
     pub fn new(config: HierarchyConfig) -> Self {
+        assert!(
+            config.l1i.latency <= 1,
+            "an L1I latency of {} cycles is unsupported: fetch reads a hit slower than one \
+             cycle as a miss and never delivers",
+            config.l1i.latency
+        );
         MemorySystem {
             config,
             l1i: Cache::new(config.l1i),

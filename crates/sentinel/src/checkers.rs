@@ -425,4 +425,23 @@ impl Sentinel for GoldenSentinel<'_> {
             self.reported = true;
         }
     }
+
+    /// A stream that matched retirement by retirement can still stop
+    /// short: the golden run must have halted, in the model's final state.
+    fn on_run_end(&mut self, result: &RunResult, v: &mut Reporter<'_>) {
+        if self.reported {
+            return;
+        }
+        let golden = self.checker.golden();
+        let cycle = result.stats.cycles;
+        if !golden.is_halted() {
+            v.report(
+                cycle,
+                format!("run ended after {} retirements, before the golden Halt", golden.retired()),
+            );
+        }
+        if !result.final_state.semantically_eq(golden.state()) {
+            v.report(cycle, "final state differs from the golden interpreter's".to_string());
+        }
+    }
 }

@@ -1,73 +1,25 @@
-//! `ff-sentinel` — invariant-checked smoke runs and fault-detection proofs.
+//! `ff-sentinel` — fault-detection proofs for the invariant checkers.
 //!
 //! ```text
-//! ff-sentinel clean [--scale test|paper]
-//!     Run every execution model over every workload with the full checker
-//!     set; exit nonzero on any violation.
-//!
 //! ff-sentinel fault <class|all> [--seed N]
 //!     Prove the named fault class (or every class) is caught: index 0 must
 //!     fire and be detected by the expected checker, and every seeded
 //!     fault site that perturbs the run must be detected too.
 //! ```
+//!
+//! Clean runs are checked by `ff-campaign run --sentinels`.
 
 use std::process::ExitCode;
 
-use ff_baselines::{InOrder, OutOfOrder, Runahead};
-use ff_engine::{ExecutionModel, MachineConfig};
-use ff_multipass::{Multipass, MultipassConfig};
-use ff_sentinel::{
-    check_model, detected, expected_sentinels, run_faulted, FaultClass, FaultInjector,
-};
-use ff_workloads::{Scale, Workload};
+use ff_sentinel::{detected, expected_sentinels, run_faulted, FaultClass, FaultInjector};
 
 fn usage() -> String {
     let classes: Vec<&str> = FaultClass::ALL.iter().map(|c| c.name()).collect();
     format!(
-        "usage: ff-sentinel <clean [--scale test|paper] | fault <class|all> [--seed N]>\n\
+        "usage: ff-sentinel fault <class|all> [--seed N]\n\
          fault classes: {}",
         classes.join(" ")
     )
-}
-
-/// The seven execution models, mirroring the experiment suite's roster.
-fn models() -> Vec<Box<dyn ExecutionModel>> {
-    let m = MachineConfig::default();
-    vec![
-        Box::new(InOrder::new(m)),
-        Box::new(Runahead::new(m)),
-        Box::new(OutOfOrder::new(m)),
-        Box::new(OutOfOrder::realistic(m)),
-        Box::new(Multipass::new(m)),
-        Box::new(Multipass::with_config(MultipassConfig::without_regrouping(m))),
-        Box::new(Multipass::with_config(MultipassConfig::without_restart(m))),
-    ]
-}
-
-fn cmd_clean(scale: Scale) -> ExitCode {
-    let workloads = Workload::all(scale);
-    let mut runs = 0u64;
-    let mut bad = 0u64;
-    for model in &mut models() {
-        for w in &workloads {
-            let report = check_model(model.as_mut(), &w.sim_case());
-            runs += 1;
-            if let Err(e) = &report.outcome {
-                bad += 1;
-                println!("FAIL {model} / {bench}: {e}", model = model.name(), bench = w.name);
-            }
-            for v in report.violations.iter() {
-                bad += 1;
-                println!("FAIL {model} / {bench}: {v}", model = model.name(), bench = w.name);
-            }
-        }
-    }
-    if bad > 0 {
-        println!("clean sweep: {bad} violation(s) across {runs} runs");
-        return ExitCode::FAILURE;
-    }
-    println!("clean sweep: {runs} runs, zero violations");
-    ExitCode::SUCCESS
 }
 
 fn prove_class(class: FaultClass, seed: u64) -> bool {
@@ -139,27 +91,6 @@ fn cmd_fault(class_arg: &str, seed: u64) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("clean") => {
-            let mut scale = Scale::Test;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--scale" => match it.next().map(String::as_str) {
-                        Some("test") => scale = Scale::Test,
-                        Some("paper") => scale = Scale::Paper,
-                        _ => {
-                            eprintln!("--scale needs `test` or `paper`\n{}", usage());
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    other => {
-                        eprintln!("unknown flag `{other}`\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            cmd_clean(scale)
-        }
         Some("fault") => {
             let Some(class_arg) = args.get(1) else {
                 eprintln!("{}", usage());

@@ -11,8 +11,8 @@ use crate::{Sentinel, SentinelSuite, Violation, MAX_VIOLATIONS};
 
 #[test]
 fn clean_runs_report_zero_violations_across_all_models() {
-    // A representative subset of workloads keeps this test quick; the
-    // `ff-sentinel clean` binary sweeps all twelve in CI.
+    // A representative subset of workloads keeps this test quick; CI's
+    // `ff-campaign run --all --scale test --sentinels` sweeps all twelve.
     for bench in ["mcf", "gzip", "art"] {
         let w = Workload::by_name(bench, Scale::Test).unwrap();
         for kind in ModelKind::ALL {
@@ -32,6 +32,32 @@ fn clean_runs_report_zero_violations_across_all_models() {
             );
         }
     }
+}
+
+#[test]
+fn golden_sentinel_catches_a_stream_that_stops_before_halt() {
+    // Every retirement but the final `Halt` reaches the suite, so each
+    // one matches the golden step and only the end-of-run check can fire.
+    struct WithholdHalt<'a>(SentinelSuite<'a>);
+    impl PipelineProbe for WithholdHalt<'_> {
+        fn on_retire(&mut self, event: &ff_engine::RetireEvent) {
+            if !matches!(event.inst.op(), ff_isa::Op::Halt) {
+                self.0.on_retire(event);
+            }
+        }
+        fn on_run_end(&mut self, result: &RunResult) {
+            self.0.on_run_end(result);
+        }
+    }
+    let w = Workload::by_name("gzip", Scale::Test).unwrap();
+    let case = w.sim_case();
+    let mut probe = WithholdHalt(SentinelSuite::with_golden(&case));
+    ModelKind::InOrder.build(MachineConfig::default()).run_observed(&case, &mut probe).unwrap();
+    let violations = probe.0.into_violations();
+    assert!(
+        violations.iter().any(|v| v.sentinel == "golden" && v.message.contains("golden Halt")),
+        "{violations:?}"
+    );
 }
 
 #[test]

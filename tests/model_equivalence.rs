@@ -66,6 +66,22 @@ fn models_are_deterministic() {
     }
 }
 
+/// Fetch reads an L1I hit slower than one cycle as a miss and never
+/// delivers, so such a hierarchy is rejected when a run builds its memory
+/// system instead of spinning to the cycle budget.
+#[test]
+#[should_panic(expected = "L1I latency of 2 cycles is unsupported")]
+fn an_l1i_latency_above_one_cycle_is_rejected() {
+    use flea_flicker::mem::HierarchyConfig;
+    let w = Workload::by_name("gzip", Scale::Test).unwrap();
+    let mut h = HierarchyConfig::itanium2_base();
+    h.l1i.latency = 2;
+    let machine = MachineConfig::itanium2_base().with_hierarchy(h);
+    let case = SimCase::new(&w.program, w.mem.clone()).with_cycle_budget(200_000);
+    let r = ModelKind::Multipass.build(machine).try_run(&case);
+    panic!("a run with a 2-cycle L1I returned {:?}", r.map(|r| r.stats.retired));
+}
+
 #[test]
 fn alternative_hierarchies_preserve_semantics() {
     use flea_flicker::mem::HierarchyConfig;
