@@ -13,11 +13,12 @@
 //! Wrong-path work affects timing through branch-resolution bubbles but
 //! does not pollute the caches, consistent with the idealization.
 //!
-//! Fetch pulls one trace entry at a time into a window that holds only the
-//! in-flight span — the reorder buffer, the decode pipe behind it, and the
+//! Each cycle runs five stage methods over one `Window` — fetch, dispatch,
+//! select/issue, queue release, retire — then one skip built from the
+//! stages' own predicates (DESIGN.md §7c). The window holds only the
+//! in-flight span: the reorder buffer, the decode pipe behind it, and the
 //! few just-retired entries whose results a consumer may still be waiting
-//! to see — together with each entry's completion cycle and wakeup links.
-//! The window is sized to that bound up front, so a run's memory does not
+//! to see. It is sized to that bound up front, so a run's memory does not
 //! grow with the program's length.
 //!
 //! [`OutOfOrder::realistic`] models §5.2's more practical design:
@@ -34,7 +35,7 @@ use ff_engine::{
     RetireMode, RunError, RunResult, RunStats, SimCase, StallKind, TickMode, TraceInst,
     TraceStream,
 };
-use ff_frontend::Gshare;
+use ff_frontend::{fetch_group, redirect_resume, Gshare};
 use ff_isa::FuClass;
 use ff_mem::{AccessKind, MemAccess, MemorySystem};
 
@@ -134,9 +135,9 @@ struct Slot<'p> {
     next_waiter: usize,
 }
 
-/// The in-flight span of the trace, indexed by sequence number: up to
-/// `retain` retired entries, then the reorder buffer, then the decode
-/// pipe. Its end is the next sequence number fetch will pull.
+/// The in-flight span of the trace by sequence number — up to `retain`
+/// retired entries, the reorder buffer `rob_head..rob_tail`, then the
+/// decode pipe — and the scheduling state over it.
 ///
 /// Retired entries stay only as long as their completion cycle can still
 /// delay a consumer: with at most `issue_width` retirements per cycle,
@@ -144,39 +145,68 @@ struct Slot<'p> {
 /// retired more than `wakeup_delay` cycles before any cycle that can
 /// classify a consumer, so its result is already visible and the exact
 /// cycle cannot change a wakeup decision.
+///
+/// A dispatched, un-issued entry waits on one unissued producer, in the
+/// `timer` until its dependences are visible, or in the oldest-first
+/// `ready` list, the only one select walks. Each stage acts on one
+/// `*_wake` predicate; [`Window::quiescent_until`] skips on exactly those.
 struct Window<'p> {
     /// Sequence number of `slots[0]`.
     base: usize,
-    /// The reorder-buffer head: the next sequence number to retire.
     rob_head: usize,
-    /// Cycles between a producer's completion and its consumers' issue.
-    wakeup_delay: u64,
-    /// Retired entries kept: `wakeup_delay * issue_width`.
+    /// The next sequence number to dispatch.
+    rob_tail: usize,
+    rob_size: usize,
+    decode_size: usize,
+    queues: Queues,
     retain: usize,
     slots: VecDeque<Slot<'p>>,
+    ready: Vec<usize>,
+    /// Entries woken this cycle, merged into `ready` before select.
+    woken: Vec<usize>,
+    merged: Vec<usize>,
+    /// `(cycle, seq)`: an entry whose last dependence becomes visible then.
+    timer: BinaryHeap<Reverse<(u64, usize)>>,
+    queue_len: [usize; 3],
+    /// Held queue entries pending release: `(complete_at, queue)`.
+    queue_release: Vec<(u64, usize)>,
 }
 
 impl<'p> Window<'p> {
-    /// A window pre-sized for `in_flight` ROB and decode entries plus the
-    /// retained retired ones.
-    fn new(in_flight: usize, issue_width: u32, wakeup_delay: u64) -> Self {
-        let retain = wakeup_delay as usize * issue_width as usize;
-        let slots = VecDeque::with_capacity(in_flight + retain);
-        Window { base: 0, rob_head: 0, wakeup_delay, retain, slots }
+    /// An empty window, every container pre-sized to its bound.
+    fn new(machine: &MachineConfig, queues: Queues, activity: &mut Activity) -> Self {
+        let retain = queues.wakeup_delay as usize * machine.issue_width as usize;
+        let in_flight = machine.ooo_rob + machine.inorder_buffer;
+        let window_cap = (queues.count * queues.entries).min(machine.ooo_rob) + 1;
+        activity.alloc_count += 5; // the trace window and four scheduling containers
+        Window {
+            base: 0,
+            rob_head: 0,
+            rob_tail: 0,
+            rob_size: machine.ooo_rob,
+            decode_size: machine.inorder_buffer,
+            queues,
+            retain,
+            slots: VecDeque::with_capacity(in_flight + retain),
+            ready: Vec::with_capacity(window_cap),
+            woken: Vec::with_capacity(window_cap),
+            merged: Vec::with_capacity(window_cap),
+            timer: BinaryHeap::with_capacity(window_cap),
+            queue_len: [0; 3],
+            queue_release: Vec::new(),
+        }
     }
 
-    /// One past the youngest fetched sequence number.
-    fn end(&self) -> usize {
-        self.base + self.slots.len()
+    /// Whether the decode pipe is full: fetch takes nothing.
+    fn decode_full(&self) -> bool {
+        self.base + self.slots.len() - self.rob_tail >= self.decode_size
     }
 
     /// Appends a freshly fetched entry, counting growth past the pre-sized
     /// bound as an allocation event.
     fn push(&mut self, ti: TraceInst<'p>, dispatch_at: u64, activity: &mut Activity) {
-        debug_assert_eq!(ti.seq as usize, self.end());
-        if self.slots.len() == self.slots.capacity() {
-            activity.alloc_count += 1;
-        }
+        debug_assert_eq!(ti.seq as usize, self.base + self.slots.len());
+        activity.alloc_count += u64::from(self.slots.len() == self.slots.capacity());
         self.slots.push_back(Slot {
             ti,
             dispatch_at,
@@ -184,6 +214,157 @@ impl<'p> Window<'p> {
             first_waiter: NO_WAITER,
             next_waiter: NO_WAITER,
         });
+    }
+
+    /// The cycle the decode-pipe head can dispatch: its arrival, or `now`
+    /// once it has arrived and the ROB and its queue have room. `u64::MAX`
+    /// when the pipe is empty or full capacity holds it, which only a
+    /// retirement or a queue release (wake events of their own) clears.
+    fn dispatch_wake(&self, now: u64) -> u64 {
+        let Some(head) = self.slots.get(self.rob_tail - self.base) else { return u64::MAX };
+        if head.dispatch_at > now {
+            head.dispatch_at
+        } else if self.rob_tail - self.rob_head >= self.rob_size
+            || self.queue_len[self.queues.of(&head.ti)] >= self.queues.entries
+        {
+            u64::MAX
+        } else {
+            now
+        }
+    }
+
+    /// Moves the decode-pipe head into the ROB and its queue in cycle `now`.
+    fn dispatch(&mut self, now: u64, activity: &mut Activity) {
+        let idx = self.rob_tail;
+        self.rob_tail += 1;
+        self.queue_len[self.queues.of(&self[idx].ti)] += 1;
+        self.schedule(idx, now, activity);
+        // Rename: one RAT lookup per source, one update per destination.
+        let inst = self[idx].ti.inst;
+        activity.rat_reads += inst.reads().count() as u64;
+        if inst.writes().is_some() {
+            activity.rat_writes += 1;
+        }
+    }
+
+    /// Links un-issued entry `idx` behind its first unissued producer, or
+    /// wakes it now, or times it to its last dependence's visibility.
+    fn schedule(&mut self, idx: usize, now: u64, activity: &mut Activity) {
+        match self.classify(idx) {
+            Err(p) => {
+                self[idx].next_waiter = self[p].first_waiter;
+                self[p].first_waiter = idx;
+            }
+            Ok(t) if t <= now => {
+                activity.alloc_count += u64::from(self.woken.len() == self.woken.capacity());
+                self.woken.push(idx);
+            }
+            Ok(t) => {
+                activity.alloc_count += u64::from(self.timer.len() == self.timer.capacity());
+                self.timer.push(Reverse((t, idx)));
+            }
+        }
+    }
+
+    /// Completion cycle of `seq`; an evicted entry's result is visible to
+    /// every consumer still in flight (see [`Window`]), reported as 0.
+    fn complete(&self, seq: usize) -> u64 {
+        seq.checked_sub(self.base).map_or(0, |i| self.slots[i].complete)
+    }
+
+    /// `Err(producer)`, the first dependence of entry `idx` that has not
+    /// issued, else `Ok(wake_at)`, the first cycle at which every
+    /// dependence is visible through the bypass network.
+    fn classify(&self, idx: usize) -> Result<u64, usize> {
+        let ti = &self[idx].ti;
+        let mut wake_at = 0u64;
+        for &d in ti.reg_deps.iter().chain(ti.mem_dep.as_ref()) {
+            let c = self.complete(d as usize);
+            if c == NOT_DONE {
+                return Err(d as usize);
+            }
+            wake_at = wake_at.max(c + self.queues.wakeup_delay);
+        }
+        Ok(wake_at)
+    }
+
+    /// The earliest wakeup-timer expiry (`u64::MAX` when none is set).
+    fn timer_wake(&self) -> u64 {
+        self.timer.peek().map_or(u64::MAX, |&Reverse((t, _))| t)
+    }
+
+    /// Merges the entries woken by `now` into the sorted ready list.
+    fn wake_due(&mut self, now: u64, activity: &mut Activity) {
+        while self.timer_wake() <= now {
+            let Some(Reverse((_, idx))) = self.timer.pop() else { break };
+            activity.alloc_count += u64::from(self.woken.len() == self.woken.capacity());
+            self.woken.push(idx);
+        }
+        if self.woken.is_empty() {
+            return;
+        }
+        let (ready, woken, merged) = (&mut self.ready, &mut self.woken, &mut self.merged);
+        woken.sort_unstable();
+        activity.alloc_count += u64::from(merged.capacity() < ready.len() + woken.len());
+        merged.clear();
+        let (mut a, mut b) = (0usize, 0usize);
+        while a < ready.len() && b < woken.len() {
+            if ready[a] < woken[b] {
+                merged.push(ready[a]);
+                a += 1;
+            } else {
+                merged.push(woken[b]);
+                b += 1;
+            }
+        }
+        merged.extend_from_slice(&ready[a..]);
+        merged.extend_from_slice(&woken[b..]);
+        std::mem::swap(ready, merged);
+        woken.clear();
+    }
+
+    /// Books entry `idx` of queue `q` as issued in cycle `now`, completing
+    /// at `done_at`, and re-schedules its waiters. None lands in this
+    /// cycle's select: the result is visible at `now + 1` at the earliest.
+    fn issue(&mut self, idx: usize, q: usize, done_at: u64, now: u64, activity: &mut Activity) {
+        debug_assert!(done_at > now, "results are never visible in their issue cycle");
+        if self.queues.release_at_issue {
+            self.queue_len[q] -= 1;
+        } else {
+            self.queue_release.push((done_at, q));
+        }
+        self[idx].complete = done_at;
+        let mut waiter = std::mem::replace(&mut self[idx].first_waiter, NO_WAITER);
+        while waiter != NO_WAITER {
+            let next = self[waiter].next_waiter;
+            self.schedule(waiter, now, activity);
+            waiter = next;
+        }
+    }
+
+    /// The earliest pending queue release (`u64::MAX` when none).
+    fn release_wake(&self) -> u64 {
+        self.queue_release.iter().map(|&(done, _)| done).min().unwrap_or(u64::MAX)
+    }
+
+    /// Frees the held queue entries whose results have returned by `now`.
+    fn release(&mut self, now: u64) {
+        let queue_len = &mut self.queue_len;
+        self.queue_release.retain(|&(done, q)| {
+            if done <= now {
+                queue_len[q] -= 1;
+            }
+            done > now
+        });
+    }
+
+    /// The cycle the ROB head can retire (`u64::MAX` if it has not issued).
+    fn retire_wake(&self) -> u64 {
+        if self.rob_head < self.rob_tail {
+            self[self.rob_head].complete
+        } else {
+            u64::MAX
+        }
     }
 
     /// Retires the ROB head in cycle `now` and evicts retired entries
@@ -194,48 +375,31 @@ impl<'p> Window<'p> {
             let evicted = self.slots.pop_front().expect("retired entries are in the window");
             // The next classification happens at `now + 1` at the earliest.
             debug_assert!(
-                evicted.complete + self.wakeup_delay <= now,
+                evicted.complete + self.queues.wakeup_delay <= now,
                 "evicted a result a consumer could still be waiting to see"
             );
             self.base += 1;
         }
     }
 
-    /// Completion cycle of `seq`; an evicted entry's result is visible to
-    /// every consumer still in flight (see [`Window`]), reported as 0.
-    fn complete(&self, seq: usize) -> u64 {
-        if seq < self.base {
-            0
-        } else {
-            self[seq].complete
+    /// The back end's skip analysis (DESIGN.md §7c): the first cycle after
+    /// `now` at which a dispatch, a timer, a queue release or a retirement
+    /// comes due; `None` when one is due now or select has a ready entry.
+    /// Waiter-linked entries wait on a producer that has not issued.
+    fn quiescent_until(&self, now: u64) -> Option<u64> {
+        if !self.ready.is_empty() {
+            return None;
         }
-    }
-
-    /// Classifies entry `idx` for the wakeup-driven ready state: if any
-    /// dependence has not issued yet, returns `Err(producer)` for the first
-    /// such producer (the entry links into that producer's waiter list and
-    /// is re-classified when it issues); otherwise returns `Ok(wake_at)`,
-    /// the first cycle at which every dependence is visible through the
-    /// bypass network.
-    fn classify(&self, idx: usize) -> Result<u64, usize> {
-        let ti = &self[idx].ti;
-        let mut wake_at = 0u64;
-        for &d in ti.reg_deps.iter().chain(ti.mem_dep.as_ref()) {
-            let c = self.complete(d as usize);
-            if c == NOT_DONE {
-                return Err(d as usize);
-            }
-            wake_at = wake_at.max(c + self.wakeup_delay);
-        }
-        Ok(wake_at)
+        let wake = self.dispatch_wake(now).min(self.timer_wake());
+        let wake = wake.min(self.release_wake()).min(self.retire_wake());
+        (wake > now).then_some(wake)
     }
 
     /// Stall class of a cycle that issued nothing (paper §5.2: charge the
-    /// oldest instruction). The oldest's producers have all retired, so an
-    /// oldest that has not issued is never waiting on a load: only an
-    /// executing load at the head is a load stall.
-    fn idle_stall(&self, rob_tail: usize) -> StallKind {
-        if self.rob_head >= rob_tail {
+    /// oldest instruction). The oldest's producers have all retired, so
+    /// only an executing load at the head is a load stall.
+    fn idle_stall(&self) -> StallKind {
+        if self.rob_head >= self.rob_tail {
             return StallKind::FrontEnd;
         }
         let head = &self[self.rob_head];
@@ -261,19 +425,260 @@ impl<'p> IndexMut<usize> for Window<'p> {
     }
 }
 
-/// Pushes onto the wakeup timer, counting heap growth as an allocation
-/// event (the heap is pre-sized to the window bound, so steady state never
-/// grows).
-fn timer_push(
-    timer: &mut BinaryHeap<Reverse<(u64, usize)>>,
-    activity: &mut Activity,
-    t: u64,
-    idx: usize,
-) {
-    if timer.len() == timer.capacity() {
-        activity.alloc_count += 1;
+/// One out-of-order run: the stage methods over the window and the
+/// structures they share.
+struct Core<'p> {
+    trace: TraceStream<'p>,
+    mem: MemorySystem,
+    predictor: Gshare,
+    fu: FuPool,
+    stats: RunStats,
+    activity: Activity,
+    win: Window<'p>,
+    /// Fetch waits until this cycle (an I-miss, a redirect, a refill).
+    fetch_blocked_until: u64,
+    /// A mispredicted branch stops fetch until it resolves.
+    waiting_branch: Option<usize>,
+    machine: MachineConfig,
+    now: u64,
+    /// A `HALT` has retired.
+    halted: bool,
+    loop_passes: u64,
+}
+
+impl<'p> Core<'p> {
+    fn new(machine: &MachineConfig, queues: Queues, case: &SimCase<'p>) -> Self {
+        let mut activity = Activity::new();
+        let win = Window::new(machine, queues, &mut activity);
+        Core {
+            trace: TraceStream::new(case.program, case.initial_state(), case.max_insts),
+            mem: MemorySystem::new(machine.hierarchy),
+            predictor: Gshare::new(machine.gshare_entries),
+            fu: FuPool::new(machine),
+            stats: RunStats::default(),
+            activity,
+            win,
+            fetch_blocked_until: 0,
+            waiting_branch: None,
+            machine: *machine,
+            now: 0,
+            halted: false,
+            loop_passes: 0,
+        }
     }
-    timer.push(Reverse((t, idx)));
+
+    /// Top of a cycle-loop pass: the cycle watchdog, then the FU pool.
+    fn begin_cycle(&mut self, cycle_cap: u64) -> Result<(), RunError> {
+        if self.now >= cycle_cap {
+            let retired = self.stats.retired;
+            return Err(RunError::CycleBudgetExceeded { limit: cycle_cap, retired });
+        }
+        self.loop_passes += 1;
+        self.fu.new_cycle(self.now);
+        Ok(())
+    }
+
+    /// The cycle fetch next reads the I-cache: `u64::MAX` once the trace
+    /// has ended or while a mispredicted branch is unresolved.
+    fn fetch_wake(&self) -> u64 {
+        if self.trace.is_done() || self.waiting_branch.is_some() {
+            return u64::MAX;
+        }
+        self.fetch_blocked_until
+    }
+
+    /// Fetch: one group of up to `fetch_width` entries into the decode
+    /// pipe, ended by a taken or mispredicted branch.
+    fn fetch(&mut self) {
+        let now = self.now;
+        if self.fetch_wake() > now {
+            return;
+        }
+        let Some((pc, _)) = self.trace.peek().expect(TRACE_FAILED) else { return };
+        if let Some(retry_at) = fetch_group(&mut self.mem, pc, now) {
+            self.fetch_blocked_until = retry_at;
+            return;
+        }
+        let mut fetched = 0;
+        while fetched < self.machine.fetch_width && !self.win.decode_full() {
+            let Some(ti) = self.trace.next() else { break };
+            let ti = ti.expect(TRACE_FAILED);
+            let (seq, pc, taken) = (ti.seq as usize, ti.pc, ti.effect.taken);
+            let conditional = ti.is_conditional_branch();
+            // Decode, then the extra rename and schedule stages.
+            let dispatch_at = now + 1 + self.machine.ooo_extra_stages;
+            self.win.push(ti, dispatch_at, &mut self.activity);
+            fetched += 1;
+            if conditional {
+                self.stats.branches += 1;
+                let (pred, snap) = self.predictor.predict(pc);
+                self.predictor.update(pc, snap, taken);
+                if pred != taken {
+                    self.stats.mispredicts += 1;
+                    self.predictor.repair(snap, taken);
+                    self.waiting_branch = Some(seq);
+                    break;
+                }
+            }
+            if taken {
+                self.fetch_blocked_until = redirect_resume(now);
+                break;
+            }
+        }
+    }
+
+    /// Dispatch: up to `issue_width` entries, in order, into the ROB.
+    fn dispatch(&mut self) {
+        let mut dispatched = 0;
+        while dispatched < self.machine.issue_width && self.win.dispatch_wake(self.now) <= self.now
+        {
+            self.win.dispatch(self.now, &mut self.activity);
+            dispatched += 1;
+        }
+    }
+
+    /// Select: up to `issue_width` ready entries, oldest first, within each
+    /// queue's select ports. Returns the number issued.
+    fn issue(&mut self) -> u32 {
+        let now = self.now;
+        self.win.wake_due(now, &mut self.activity);
+        let (mut issued, mut queue_issued) = (0u32, [0u32; 3]);
+        let (mut kept, mut r) = (0usize, 0usize);
+        while r < self.win.ready.len() && issued < self.machine.issue_width {
+            let idx = self.win.ready[r];
+            r += 1;
+            let q = self.win.queues.of(&self.win[idx].ti);
+            self.activity.select_visits += 1;
+            let done_at =
+                if queue_issued[q] < self.win.queues.selects { self.execute(idx) } else { None };
+            let Some(done_at) = done_at else {
+                self.win.ready[kept] = idx;
+                kept += 1;
+                continue;
+            };
+            queue_issued[q] += 1;
+            issued += 1;
+            self.win.issue(idx, q, done_at, now, &mut self.activity);
+            // A resolved mispredicted branch releases fetch.
+            if self.waiting_branch == Some(idx) {
+                self.waiting_branch = None;
+                let penalty = self.machine.mispredict_penalty + self.machine.ooo_extra_stages;
+                self.fetch_blocked_until = done_at + penalty;
+            }
+        }
+        // Entries past the width cutoff stay ready, still oldest-first.
+        self.win.ready.drain(kept..r);
+        issued
+    }
+
+    /// The cycle entry `idx`'s result becomes visible if it issues now:
+    /// `None` when no FU is free or the MSHRs refuse a load.
+    fn execute(&mut self, idx: usize) -> Option<u64> {
+        let now = self.now;
+        let ti = &self.win[idx].ti;
+        // Ready-list membership implies every dependence is visible.
+        debug_assert!(ti.reg_deps.iter().chain(ti.mem_dep.as_ref()).all(|&d| {
+            let c = self.win.complete(d as usize);
+            c != NOT_DONE && c + self.win.queues.wakeup_delay <= now
+        }));
+        if !self.fu.try_issue(ti.inst, now) {
+            return None;
+        }
+        let done_at = if let Some(addr) = ti.effect.loaded {
+            self.activity.store_buffer_searches += 1;
+            match self.mem.access(addr, AccessKind::DataRead, now) {
+                MemAccess::Done { complete_at, .. } => complete_at,
+                MemAccess::Retry => return None,
+            }
+        } else if let Some((addr, _)) = ti.effect.stored {
+            self.activity.load_buffer_searches += 1;
+            let _ = self.mem.access(addr, AccessKind::DataWrite, now);
+            now + 1
+        } else if ti.effect.qp_true {
+            now + ti.inst.op().latency() as u64
+        } else {
+            now + 1 // predicated off: flows through in one cycle
+        };
+        self.stats.executions += u64::from(ti.effect.qp_true);
+        self.activity.issue_selections += 1;
+        self.activity.wakeup_broadcasts += 1;
+        self.activity.regfile_reads += ti.inst.reads().count() as u64;
+        if ti.inst.writes().is_some() {
+            self.activity.regfile_writes += 1;
+        }
+        Some(done_at)
+    }
+
+    /// Retire: up to `issue_width` completed entries, in order.
+    fn retire(&mut self, probe: &mut dyn PipelineProbe, observe: bool) {
+        let mut retired = 0;
+        while retired < self.machine.issue_width && self.win.retire_wake() <= self.now {
+            let ti = &self.win[self.win.rob_head].ti;
+            self.halted |= ti.effect.halted;
+            if observe {
+                let mode = RetireMode::Architectural;
+                probe.on_retire(&RetireEvent::executed(
+                    ti.seq, ti.pc, *ti.inst, &ti.effect, self.now, mode, None,
+                ));
+            }
+            self.stats.retired += 1;
+            self.win.retire_head(self.now);
+            retired += 1;
+        }
+    }
+
+    /// Charges the cycle — to execution if anything issued, else to the
+    /// oldest instruction (paper §5.2) — and moves to the next.
+    fn end_cycle(&mut self, issued: u32) {
+        let kind = if issued > 0 { StallKind::Execution } else { self.win.idle_stall() };
+        self.stats.breakdown.charge(kind);
+        self.now += 1;
+    }
+
+    /// Event-driven fast-forward (DESIGN.md §7c) to the first cycle at which
+    /// fetch, the back end or an MSHR fill can act. Fetch facing a full
+    /// decode pipe re-reads its line each cycle and has no wake of its own:
+    /// the re-reads are charged in bulk unless the first would miss.
+    fn fast_forward(&mut self, cycle_cap: u64) {
+        let now = self.now;
+        let mut fetch_wake = self.fetch_wake();
+        let mut refetch = None;
+        if fetch_wake <= now {
+            if !self.win.decode_full() {
+                return; // fetch would take entries: poll
+            }
+            let Ok(Some((pc, _))) = self.trace.peek() else { return };
+            refetch = Some(pc.fetch_address());
+            fetch_wake = u64::MAX;
+        }
+        let Some(back_wake) = self.win.quiescent_until(now) else { return };
+        let wake = fetch_wake.min(back_wake).min(self.mem.next_mshr_fill(now)).min(cycle_cap);
+        if wake <= now {
+            return;
+        }
+        if let Some(addr) = refetch {
+            if !self.mem.repeat_ifetch_hits(addr, now, wake - now) {
+                return;
+            }
+        }
+        self.stats.breakdown.charge_n(self.win.idle_stall(), wake - now);
+        self.now = wake;
+    }
+
+    /// The run's result once the program has halted.
+    fn finish(mut self) -> RunResult {
+        self.stats.cycles = self.now;
+        self.activity.cycles = self.now;
+        RunResult {
+            stats: self.stats,
+            activity: self.activity,
+            mem_stats: self.mem.final_stats(),
+            // The run is over: move the stream's final state out instead of
+            // cloning the whole memory image.
+            final_state: self.trace.into_state(),
+            loop_passes: self.loop_passes,
+        }
+    }
 }
 
 impl ExecutionModel for OutOfOrder {
@@ -290,434 +695,22 @@ impl ExecutionModel for OutOfOrder {
         case: &SimCase<'_>,
         probe: &mut dyn PipelineProbe,
     ) -> Result<RunResult, RunError> {
-        let (cfg, queues) = (&self.config, self.queues);
-        let cycle_cap = case.cycle_cap(cfg.max_cycles);
-        let mut trace = TraceStream::new(case.program, case.initial_state(), case.max_insts);
-        let retire = probe.observes() >= Observes::Retirements;
-
-        let mut mem = MemorySystem::new(cfg.hierarchy);
-        let mut predictor = Gshare::new(cfg.gshare_entries);
-        let mut fu = FuPool::new(cfg);
-        let mut stats = RunStats::default();
-        let mut activity = Activity::new();
-
-        let wakeup_delay = queues.wakeup_delay;
-        let mut win = Window::new(cfg.ooo_rob + cfg.inorder_buffer, cfg.issue_width, wakeup_delay);
-
-        // Front end: the fetch stop, plus the decode pipe — the window's
-        // entries from `rob_tail` to its end, each dispatchable from its
-        // `dispatch_at` cycle.
-        let mut fetch_blocked_until: u64 = 0;
-        // A mispredicted branch stops fetch until it resolves; `Some(idx)`.
-        let mut waiting_branch: Option<usize> = None;
-
-        // Scheduling window, held as wakeup-driven ready state instead of a
-        // per-cycle-scanned vector: an un-issued entry is (a) linked into
-        // the intrusive waiter list of one still-unissued producer, (b)
-        // parked in the wakeup timer until its last dependence becomes
-        // visible, or (c) in the oldest-first `ready` list. Select walks
-        // only `ready`, so its cost scales with instructions that *become*
-        // ready rather than window size × cycles, and the containers are
-        // pre-sized to the window bound so steady state never allocates.
-        let window_cap = (queues.count * queues.entries).min(cfg.ooo_rob) + 1;
-        let mut ready: Vec<usize> = Vec::with_capacity(window_cap);
-        let mut woken: Vec<usize> = Vec::with_capacity(window_cap);
-        let mut merged: Vec<usize> = Vec::with_capacity(window_cap);
-        let mut timer: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(window_cap);
-        activity.alloc_count += 5; // the trace window and four scheduling containers
-        let mut queue_len = [0usize; 3];
-        // Queues that hold entries until completion: in-flight
-        // (complete_at, queue) pairs pending release.
-        let mut queue_release: Vec<(u64, usize)> = Vec::new();
-        // Reorder buffer: dispatched, not yet retired (contiguous range
-        // from `win.rob_head`).
-        let mut rob_tail: usize = 0; // next to dispatch
-        let mut retired_halt = false;
-
-        let mispredict_penalty = cfg.mispredict_penalty + cfg.ooo_extra_stages;
-        let mut now: u64 = 0;
-        let mut loop_passes: u64 = 0;
-
-        while !retired_halt {
-            if now >= cycle_cap {
-                return Err(RunError::CycleBudgetExceeded {
-                    limit: cycle_cap,
-                    retired: stats.retired,
-                });
-            }
-            loop_passes += 1;
-
-            // ---- fetch ----
-            let fetch_pc = if now >= fetch_blocked_until && waiting_branch.is_none() {
-                trace.peek().expect(TRACE_FAILED).map(|(pc, _)| pc)
-            } else {
-                None
-            };
-            if let Some(pc) = fetch_pc {
-                // One I-cache access for the fetch group.
-                match mem.access(pc.fetch_address(), AccessKind::InstFetch, now) {
-                    MemAccess::Done { complete_at, .. } if complete_at > now + 1 => {
-                        fetch_blocked_until = complete_at;
-                    }
-                    MemAccess::Retry => fetch_blocked_until = now + 1,
-                    MemAccess::Done { .. } => {
-                        let mut fetched = 0;
-                        while fetched < cfg.fetch_width && win.end() - rob_tail < cfg.inorder_buffer
-                        {
-                            let Some(ti) = trace.next() else { break };
-                            let ti = ti.expect(TRACE_FAILED);
-                            let (seq, pc, taken) = (ti.seq as usize, ti.pc, ti.effect.taken);
-                            let conditional = ti.is_conditional_branch();
-                            win.push(ti, now + 1 + cfg.ooo_extra_stages, &mut activity);
-                            fetched += 1;
-                            if conditional {
-                                stats.branches += 1;
-                                let (pred, snap) = predictor.predict(pc);
-                                predictor.update(pc, snap, taken);
-                                if pred != taken {
-                                    stats.mispredicts += 1;
-                                    predictor.repair(snap, taken);
-                                    // Fetch stops until this branch resolves.
-                                    waiting_branch = Some(seq);
-                                    break;
-                                }
-                                if taken {
-                                    // Redirect bubble on a taken branch.
-                                    fetch_blocked_until = now + 2;
-                                    break;
-                                }
-                            } else if taken {
-                                // Unconditional taken branch: redirect bubble.
-                                fetch_blocked_until = now + 2;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // ---- dispatch (in order, bounded by window/queues and ROB) ----
-            let mut dispatched = 0;
-            while dispatched < cfg.issue_width {
-                let idx = rob_tail;
-                if idx == win.end() || win[idx].dispatch_at > now {
-                    break;
-                }
-                if rob_tail - win.rob_head >= cfg.ooo_rob {
-                    break; // ROB full
-                }
-                let q = queues.of(&win[idx].ti);
-                if queue_len[q] >= queues.entries {
-                    break;
-                }
-                queue_len[q] += 1;
-                match win.classify(idx) {
-                    Err(p) => {
-                        win[idx].next_waiter = win[p].first_waiter;
-                        win[p].first_waiter = idx;
-                    }
-                    Ok(t) if t <= now => {
-                        if woken.len() == woken.capacity() {
-                            activity.alloc_count += 1;
-                        }
-                        woken.push(idx);
-                    }
-                    Ok(t) => timer_push(&mut timer, &mut activity, t, idx),
-                }
-                rob_tail += 1;
-                dispatched += 1;
-                // Rename activity: one RAT lookup per source, one update per
-                // destination.
-                let inst = win[idx].ti.inst;
-                activity.rat_reads += inst.reads().count() as u64;
-                if inst.writes().is_some() {
-                    activity.rat_writes += 1;
-                }
-            }
-
-            // ---- issue (oldest-first select from the ready list) ----
-            fu.new_cycle(now);
-            // Drain due wakeup timers and merge the newly-woken entries
-            // (plus any dispatched-ready ones) into the sorted ready list.
-            while let Some(&Reverse((t, idx))) = timer.peek() {
-                if t > now {
-                    break;
-                }
-                timer.pop();
-                if woken.len() == woken.capacity() {
-                    activity.alloc_count += 1;
-                }
-                woken.push(idx);
-            }
-            if !woken.is_empty() {
-                woken.sort_unstable();
-                if merged.capacity() < ready.len() + woken.len() {
-                    activity.alloc_count += 1;
-                }
-                merged.clear();
-                let (mut a, mut b) = (0usize, 0usize);
-                while a < ready.len() && b < woken.len() {
-                    if ready[a] < woken[b] {
-                        merged.push(ready[a]);
-                        a += 1;
-                    } else {
-                        merged.push(woken[b]);
-                        b += 1;
-                    }
-                }
-                merged.extend_from_slice(&ready[a..]);
-                merged.extend_from_slice(&woken[b..]);
-                std::mem::swap(&mut ready, &mut merged);
-                woken.clear();
-            }
-            let mut issued = 0u32;
-            // Each queue has its own select ports.
-            let mut queue_issued = [0u32; 3];
-            let mut kept = 0usize;
-            let mut r = 0usize;
-            while r < ready.len() {
-                if issued >= cfg.issue_width {
-                    break;
-                }
-                let idx = ready[r];
-                let ti = &win[idx].ti;
-                let q = queues.of(ti);
-                activity.select_visits += 1;
-                if queue_issued[q] >= queues.selects {
-                    ready[kept] = idx;
-                    kept += 1;
-                    r += 1;
-                    continue;
-                }
-                // Ready-list membership implies every dependence is visible;
-                // the old per-cycle re-check is now an invariant.
-                debug_assert!(ti.reg_deps.iter().chain(ti.mem_dep.as_ref()).all(|&d| {
-                    let c = win.complete(d as usize);
-                    c != NOT_DONE && c + wakeup_delay <= now
-                }));
-                if !fu.try_issue(ti.inst, now) {
-                    ready[kept] = idx;
-                    kept += 1;
-                    r += 1;
-                    continue;
-                }
-                // Loads access the hierarchy; MSHR exhaustion retries later.
-                let done_at = if let Some(addr) = ti.effect.loaded {
-                    activity.store_buffer_searches += 1;
-                    match mem.access(addr, AccessKind::DataRead, now) {
-                        MemAccess::Done { complete_at, .. } => complete_at,
-                        MemAccess::Retry => {
-                            ready[kept] = idx;
-                            kept += 1;
-                            r += 1;
-                            continue;
-                        }
-                    }
-                } else if let Some((addr, _)) = ti.effect.stored {
-                    activity.load_buffer_searches += 1;
-                    let _ = mem.access(addr, AccessKind::DataWrite, now);
-                    now + 1
-                } else if ti.effect.qp_true {
-                    now + ti.inst.op().latency() as u64
-                } else {
-                    now + 1 // predicated off: flows through in one cycle
-                };
-                debug_assert!(done_at > now, "results are never visible in their issue cycle");
-                stats.executions += u64::from(ti.effect.qp_true);
-                activity.issue_selections += 1;
-                activity.wakeup_broadcasts += 1;
-                activity.regfile_reads += ti.inst.reads().count() as u64;
-                if ti.inst.writes().is_some() {
-                    activity.regfile_writes += 1;
-                }
-                queue_issued[q] += 1;
-                if queues.release_at_issue {
-                    queue_len[q] -= 1;
-                } else {
-                    queue_release.push((done_at, q));
-                }
-                win[idx].complete = done_at;
-                // A resolved mispredicted branch releases fetch.
-                if waiting_branch == Some(idx) {
-                    waiting_branch = None;
-                    fetch_blocked_until = done_at + mispredict_penalty;
-                }
-                // Wake this producer's waiters: each re-classifies onto its
-                // next unissued producer or into the wakeup timer (never
-                // into this cycle's ready set — results land at now+1 or
-                // later, so in-flight select order is undisturbed).
-                let mut wtr = std::mem::replace(&mut win[idx].first_waiter, NO_WAITER);
-                while wtr != NO_WAITER {
-                    let widx = wtr;
-                    wtr = win[widx].next_waiter;
-                    match win.classify(widx) {
-                        Err(p) => {
-                            win[widx].next_waiter = win[p].first_waiter;
-                            win[p].first_waiter = widx;
-                        }
-                        Ok(t) => timer_push(&mut timer, &mut activity, t, widx),
-                    }
-                }
-                issued += 1;
-                r += 1;
-            }
-            // Entries past the width cutoff stay ready, still oldest-first.
-            while r < ready.len() {
-                ready[kept] = ready[r];
-                kept += 1;
-                r += 1;
-            }
-            ready.truncate(kept);
-
-            // ---- release completed queue entries ----
-            queue_release.retain(|&(done, q)| {
-                if done <= now {
-                    queue_len[q] -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-
-            // ---- retire (in order) ----
-            let mut retired_now = 0;
-            while retired_now < cfg.issue_width as usize
-                && win.rob_head < rob_tail
-                && win[win.rob_head].complete <= now
-            {
-                let ti = &win[win.rob_head].ti;
-                retired_halt |= ti.effect.halted;
-                if retire {
-                    probe.on_retire(&RetireEvent {
-                        seq: ti.seq,
-                        cycle: now,
-                        pc: ti.pc,
-                        inst: *ti.inst,
-                        qp_true: Some(ti.effect.qp_true),
-                        wrote: ti.effect.wrote,
-                        stored: ti.effect.stored,
-                        mode: RetireMode::Architectural,
-                        merged: false,
-                        episode: None,
-                    });
-                }
-                stats.retired += 1;
-                win.retire_head(now);
-                retired_now += 1;
-            }
-
-            // ---- attribution (paper §5.2: charge the oldest instruction) ----
-            if issued > 0 {
-                stats.breakdown.charge(StallKind::Execution);
-            } else {
-                stats.breakdown.charge(win.idle_stall(rob_tail));
-            }
-
-            now += 1;
-
-            // Event-driven fast-forward: skip ahead while every pipeline
-            // section is provably idle — fetch blocked, drained or facing a
-            // full decode pipe, dispatch capacity-blocked, no window entry's
-            // dependences visible, no retirement or queue release due. The
-            // wake set collects every cycle at which any of those facts can
-            // change; attribution is constant inside the window and
-            // bulk-charged.
-            if self.tick == TickMode::EventDriven && !retired_halt {
-                'ff: {
-                    // Fetch facing a full decode pipe re-reads its line every
-                    // cycle and fetches nothing until dispatch drains the
-                    // pipe. An L1I hit (one cycle at most) leaves fetch
-                    // unblocked, so those re-reads are charged in bulk below.
-                    let mut refetch = None;
-                    let mut wake = if trace.is_done() || waiting_branch.is_some() {
-                        u64::MAX
-                    } else if now < fetch_blocked_until {
-                        fetch_blocked_until
-                    } else if win.end() - rob_tail >= cfg.inorder_buffer {
-                        let Ok(Some((pc, _))) = trace.peek() else { break 'ff };
-                        refetch = Some(pc.fetch_address());
-                        u64::MAX
-                    } else {
-                        break 'ff; // fetch would access the I-cache: poll
-                    };
-                    if rob_tail < win.end() {
-                        let ready_at = win[rob_tail].dispatch_at;
-                        if ready_at > now {
-                            wake = wake.min(ready_at);
-                        } else {
-                            let rob_full = rob_tail - win.rob_head >= cfg.ooo_rob;
-                            let slot_full =
-                                queue_len[queues.of(&win[rob_tail].ti)] >= queues.entries;
-                            if !rob_full && !slot_full {
-                                break 'ff; // would dispatch: poll
-                            }
-                            // Capacity clears only via retirement or queue
-                            // release, both already in the wake set below.
-                        }
-                    }
-                    // A window entry wakes when its last finite dependence
-                    // becomes visible; a dependence that has not issued
-                    // cannot complete inside a quiescent window. The
-                    // wakeup-driven state answers this in O(1): waiter-
-                    // linked entries are unknowable, the timer heap's
-                    // minimum is the next dependence-visible cycle, and a
-                    // non-empty ready list means the select loop must act.
-                    if !ready.is_empty() {
-                        break 'ff; // issueable now: the select loop acts
-                    }
-                    if let Some(&Reverse((t, _))) = timer.peek() {
-                        if t <= now {
-                            break 'ff;
-                        }
-                        wake = wake.min(t);
-                    }
-                    if win.rob_head < rob_tail {
-                        let c = win[win.rob_head].complete;
-                        if c != NOT_DONE {
-                            if c <= now {
-                                break 'ff; // would retire: poll
-                            }
-                            wake = wake.min(c);
-                        }
-                    }
-                    for &(done, _) in &queue_release {
-                        if done > now {
-                            wake = wake.min(done);
-                        } else {
-                            break 'ff; // release due this cycle: poll
-                        }
-                    }
-                    wake = wake.min(mem.next_mshr_fill(now)).min(cycle_cap);
-                    if wake <= now {
-                        break 'ff;
-                    }
-                    // Charge the skipped fetches, or poll if the first one
-                    // would miss the L1I or merge with a miss in flight: a
-                    // polled cycle would then block fetch.
-                    if let Some(addr) = refetch {
-                        if !mem.repeat_ifetch_hits(addr, now, wake - now) {
-                            break 'ff;
-                        }
-                    }
-                    // Attribution for an idle cycle, identical to the
-                    // polled path with issued == 0.
-                    stats.breakdown.charge_n(win.idle_stall(rob_tail), wake - now);
-                    now = wake;
-                }
+        let cycle_cap = case.cycle_cap(self.config.max_cycles);
+        let observe_retire = probe.observes() >= Observes::Retirements;
+        let mut core = Core::new(&self.config, self.queues, case);
+        while !core.halted {
+            core.begin_cycle(cycle_cap)?;
+            core.fetch();
+            core.dispatch();
+            let issued = core.issue();
+            core.win.release(core.now);
+            core.retire(probe, observe_retire);
+            core.end_cycle(issued);
+            if self.tick == TickMode::EventDriven && !core.halted {
+                core.fast_forward(cycle_cap);
             }
         }
-
-        stats.cycles = now;
-        activity.cycles = now;
-        let result = RunResult {
-            stats,
-            activity,
-            mem_stats: mem.final_stats(),
-            // The run is over: move the stream's final state out instead of
-            // cloning the whole memory image.
-            final_state: trace.into_state(),
-            loop_passes,
-        };
+        let result = core.finish();
         probe.on_run_end(&result);
         Ok(result)
     }

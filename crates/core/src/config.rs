@@ -93,8 +93,6 @@ pub struct MultipassConfig {
     /// Memory instructions beyond this many in-flight advance entries are
     /// deferred to a later pass.
     pub smaq_entries: usize,
-    /// Pipeline-flush penalty for a value-misspeculation (S-bit mismatch).
-    pub flush_penalty: u64,
     /// Enable issue regrouping (§3.2). Disabled for the Figure 8 ablation.
     pub enable_regrouping: bool,
     /// How advance restart (§3.3) is triggered.
@@ -120,7 +118,6 @@ impl MultipassConfig {
             asc_entries: 64,
             asc_assoc: 2,
             smaq_entries: 128,
-            flush_penalty: machine.mispredict_penalty,
             enable_regrouping: true,
             restart: RestartStrategy::Compiler,
             waw_skip_srf: true,

@@ -451,7 +451,7 @@ impl<'a> Core<'a> {
                                 self.squash_entries_from(seq);
                                 self.clear_pass_state();
                                 self.peek_high = self.peek_high.min(seq);
-                                self.stall_until = now + self.cfg.flush_penalty;
+                                self.stall_until = now + self.cfg.machine.mispredict_penalty;
                                 stall = Some(StallKind::Other);
                                 break;
                             }

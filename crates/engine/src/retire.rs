@@ -18,6 +18,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use ff_isa::interp::Effect;
 use ff_isa::{Inst, Pc, Reg};
 
 use crate::probe::{Observes, PipelineProbe};
@@ -96,6 +97,35 @@ pub struct RetireEvent {
     pub merged: bool,
     /// The advance-episode window, when one is active (multipass rally).
     pub episode: Option<EpisodeWindow>,
+}
+
+impl RetireEvent {
+    /// The event of an instruction that executed to retirement rather than
+    /// merging a preserved result: its location and what its [`Effect`]
+    /// did to architectural state, retired in `cycle` under `mode`.
+    #[inline]
+    pub fn executed(
+        seq: u64,
+        pc: Pc,
+        inst: Inst,
+        effect: &Effect,
+        cycle: u64,
+        mode: RetireMode,
+        episode: Option<EpisodeWindow>,
+    ) -> RetireEvent {
+        RetireEvent {
+            seq,
+            cycle,
+            pc,
+            inst,
+            qp_true: Some(effect.qp_true),
+            wrote: effect.wrote,
+            stored: effect.stored,
+            mode,
+            merged: false,
+            episode,
+        }
+    }
 }
 
 impl fmt::Display for RetireEvent {

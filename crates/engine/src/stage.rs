@@ -110,18 +110,8 @@ impl<'p> Issued<'p> {
         mode: RetireMode,
         episode: Option<EpisodeWindow>,
     ) -> RetireEvent {
-        RetireEvent {
-            seq: self.head.seq,
-            cycle,
-            pc: self.head.pc,
-            inst: *self.head.inst,
-            qp_true: Some(self.effect.qp_true),
-            wrote: self.effect.wrote,
-            stored: self.effect.stored,
-            mode,
-            merged: false,
-            episode,
-        }
+        let Head { seq, pc, inst, .. } = self.head;
+        RetireEvent::executed(seq, pc, *inst, &self.effect, cycle, mode, episode)
     }
 }
 

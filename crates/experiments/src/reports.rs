@@ -230,7 +230,7 @@ pub fn unroll_effect() -> String {
 /// benchmark under multipass and the share of cycles they cost.
 pub fn memory_consistency<S: ResultSource + ?Sized>(src: &mut S, scale: Scale) -> String {
     let machine = MachineConfig::itanium2_base();
-    let flush_penalty = MultipassConfig::new(machine).flush_penalty;
+    let flush_penalty = machine.mispredict_penalty;
     let mut out = String::new();
     let _ =
         writeln!(out, "=== §4.2: value-based memory-consistency flushes ({scale:?} scale) ===\n");

@@ -47,17 +47,44 @@ impl FetchedInst {
     }
 }
 
+/// The I-cache side of the fetch group that starts at `pc` in cycle `now`:
+/// one access for the whole group. `None` when the group is delivered this
+/// cycle (an L1I hit); otherwise the cycle at which fetch may retry — when
+/// a slower answer (an L1I miss) completes, or the next cycle when the
+/// MSHRs refuse the access.
+///
+/// [`FetchUnit::tick`] and the trace-driven out-of-order front end both
+/// fetch through this rule.
+#[inline]
+pub fn fetch_group(mem: &mut MemorySystem, pc: Pc, now: u64) -> Option<u64> {
+    match mem.access(pc.fetch_address(), AccessKind::InstFetch, now) {
+        MemAccess::Done { complete_at, .. } if complete_at > now + 1 => Some(complete_at),
+        MemAccess::Done { .. } => None,
+        MemAccess::Retry => Some(now + 1),
+    }
+}
+
+/// The cycle fetch resumes at after a taken branch ends the group fetched
+/// in cycle `now`: the target is fetched a cycle later (one redirect
+/// bubble).
+#[inline]
+pub const fn redirect_resume(now: u64) -> u64 {
+    now + 2
+}
+
 /// Fetch engine plus instruction buffer.
 ///
 /// Timing rules:
 /// * at most one I-cache access per cycle, covering up to `width`
-///   sequential instructions;
+///   sequential instructions ([`fetch_group`]);
 /// * an L1I miss blocks fetch until the miss completes;
 /// * a predicted-taken branch ends the fetch group; fetch resumes at the
-///   target next cycle (one redirect bubble);
+///   target next cycle ([`redirect_resume`]);
 /// * the buffer is bounded; fetch stalls when full;
 /// * a backend-initiated flush ([`FetchUnit::flush_after`]) squashes younger
-///   entries and blocks fetch for the supplied refill penalty.
+///   entries and blocks fetch for the supplied refill penalty. The block
+///   never shortens a pending one: correct-path fetch after a flush still
+///   waits for an I-miss the squashed path started.
 #[derive(Clone, Debug)]
 pub struct FetchUnit {
     buffer: VecDeque<FetchedInst>,
@@ -70,7 +97,6 @@ pub struct FetchUnit {
     blocked_until: u64,
     fetched_halt: bool,
     stat_fetched: u64,
-    stat_icache_stall_cycles: u64,
     stat_squashed: u64,
 }
 
@@ -93,7 +119,6 @@ impl FetchUnit {
             blocked_until: 0,
             fetched_halt: false,
             stat_fetched: 0,
-            stat_icache_stall_cycles: 0,
             stat_squashed: 0,
         }
     }
@@ -111,20 +136,9 @@ impl FetchUnit {
         if self.buffer.len() >= self.capacity {
             return;
         }
-        // One I-cache access for the whole fetch group.
-        match mem.access(pc.fetch_address(), AccessKind::InstFetch, now) {
-            MemAccess::Done { complete_at, .. } => {
-                if complete_at > now + 1 {
-                    // L1I miss: group delivered when the miss returns.
-                    self.stat_icache_stall_cycles += complete_at - (now + 1);
-                    self.blocked_until = complete_at;
-                    return;
-                }
-            }
-            MemAccess::Retry => {
-                self.blocked_until = now + 1;
-                return;
-            }
+        if let Some(retry_at) = fetch_group(mem, pc, now) {
+            self.blocked_until = retry_at;
+            return;
         }
 
         for _ in 0..self.width {
@@ -187,8 +201,7 @@ impl FetchUnit {
                     pc = next;
                     self.fetch_pc = Some(next);
                     if redirect {
-                        // Taken branch ends the group with a redirect bubble.
-                        self.blocked_until = now + 2;
+                        self.blocked_until = redirect_resume(now);
                         return;
                     }
                 }
@@ -335,11 +348,6 @@ impl FetchUnit {
     pub fn squashed(&self) -> u64 {
         self.stat_squashed
     }
-
-    /// Cycles fetch was blocked by L1I misses.
-    pub fn icache_stall_cycles(&self) -> u64 {
-        self.stat_icache_stall_cycles
-    }
 }
 
 #[cfg(test)]
@@ -381,7 +389,6 @@ mod tests {
         // Cycle 0: cold I-miss blocks the first group.
         f.tick(&p, &mut m, 0);
         assert_eq!(f.len(), 0);
-        assert!(f.icache_stall_cycles() > 0);
         fill(&mut f, &p, &mut m, 6, 1_000);
         assert!(f.len() >= 6);
         assert_eq!(f.get(0).unwrap().pc, Pc::ENTRY);
@@ -489,7 +496,14 @@ mod tests {
         let (mut f, mut m) = unit(&p, 64);
         // Cycle 0 starts a cold I-miss (blocked until ~145).
         f.tick(&p, &mut m, 0);
-        assert!(f.blocked_at(100));
+        let fill = f.quiescent_until(1).expect("fetch waits on the miss");
+        assert!(fill > 100);
+        // A flush whose resume comes before the pending fill stays blocked
+        // until the fill: the squashed path's I-miss holds correct-path
+        // fetch too.
+        f.flush_after(u64::MAX, Some(Pc::ENTRY), 50, 0, false);
+        assert!(f.blocked_at(fill - 1));
+        assert!(!f.blocked_at(fill));
         // A flush with a later resume keeps the later block.
         f.flush_after(u64::MAX, Some(Pc::ENTRY), 300, 0, false);
         assert!(f.blocked_at(299));

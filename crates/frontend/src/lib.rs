@@ -23,5 +23,5 @@
 pub mod fetch;
 pub mod gshare;
 
-pub use fetch::{FetchUnit, FetchedInst};
+pub use fetch::{fetch_group, redirect_resume, FetchUnit, FetchedInst};
 pub use gshare::Gshare;

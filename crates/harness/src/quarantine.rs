@@ -33,12 +33,6 @@ use crate::json::Json;
 /// The ledger file name inside the campaign output directory.
 pub const QUARANTINE_NAME: &str = "quarantine.json";
 
-/// The ledger format version. Version 1 keyed strikes by job-id string;
-/// version 2 keys them by config hash. A v1 ledger loads as empty (the
-/// ledger is advisory and degrades gracefully; at worst a previously
-/// quarantined config gets one more trial).
-pub const QUARANTINE_FORMAT: u64 = 2;
-
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Entry {
     strikes: u64,
@@ -61,9 +55,9 @@ impl Quarantine {
         Self::default()
     }
 
-    /// Loads the ledger from `dir`. A missing, corrupt, or pre-v2 file is
-    /// an empty ledger — quarantine degrades gracefully, it never blocks
-    /// a run.
+    /// Loads the ledger from `dir`. A missing or corrupt file is an empty
+    /// ledger, and an entry whose key is not a hex config hash is skipped —
+    /// quarantine degrades gracefully, it never blocks a run.
     pub fn load(dir: &Path) -> Quarantine {
         let Ok(text) = std::fs::read_to_string(dir.join(QUARANTINE_NAME)) else {
             return Quarantine::new();
@@ -71,9 +65,6 @@ impl Quarantine {
         let Ok(doc) = Json::parse(&text) else {
             return Quarantine::new();
         };
-        if doc.get("format").and_then(Json::as_u64) != Some(QUARANTINE_FORMAT) {
-            return Quarantine::new();
-        }
         let mut strikes = BTreeMap::new();
         if let Some(Json::Obj(pairs)) = doc.get("strikes") {
             for (hash_hex, entry) in pairs {
@@ -139,10 +130,7 @@ impl Quarantine {
                 )
             })
             .collect();
-        let doc = Json::obj(vec![
-            ("format", Json::U64(QUARANTINE_FORMAT)),
-            ("strikes", Json::Obj(pairs)),
-        ]);
+        let doc = Json::obj(vec![("strikes", Json::Obj(pairs))]);
         crate::store::durable_write(&dir.join(QUARANTINE_NAME), &doc.render())
     }
 }
@@ -211,16 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn missing_corrupt_or_v1_ledger_is_empty() {
+    fn missing_or_corrupt_ledger_is_empty() {
         let dir = std::env::temp_dir().join(format!("ff-quarantine-bad-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         assert_eq!(Quarantine::load(&dir), Quarantine::new());
         std::fs::write(dir.join(QUARANTINE_NAME), "not json").unwrap();
-        assert_eq!(Quarantine::load(&dir), Quarantine::new());
-        // A v1 (id-keyed) ledger loads as empty rather than mis-keying.
-        let v1 = "{\n  \"format\": 1,\n  \"strikes\": {\n    \"mcf/MP/base/s0@test\": 3\n  }\n}\n";
-        std::fs::write(dir.join(QUARANTINE_NAME), v1).unwrap();
         assert_eq!(Quarantine::load(&dir), Quarantine::new());
         std::fs::remove_dir_all(&dir).unwrap();
     }

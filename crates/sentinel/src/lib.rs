@@ -5,9 +5,9 @@
 //! rather than crash. This crate makes corruption *loud*:
 //!
 //! * a pluggable [`Sentinel`] framework: checkers observe a run through
-//!   the engine's [`PipelineProbe`] wiring (hooks at fetch, issue,
-//!   writeback, retire, per-cycle snapshots, memory completions, and ASC
-//!   forwards) and report [`Violation`]s without perturbing timing;
+//!   the engine's [`PipelineProbe`] wiring (hooks at retire, per-cycle
+//!   snapshots, memory completions, ASC forwards and run end) and report
+//!   [`Violation`]s without perturbing timing;
 //! * six concrete checkers ([`checkers`]): in-order retirement, scoreboard
 //!   / SRF consistency, ASC capacity and S-bit soundness, MSHR
 //!   leak/double-free, pass-epoch monotonicity, and counter/activity
@@ -40,7 +40,6 @@ use ff_engine::{
     AscForwardObs, CycleObs, ExecutionModel, MemAccessObs, PipelineProbe, RetireEvent, RunError,
     RunResult, SimCase,
 };
-use ff_isa::Reg;
 
 pub mod checkers;
 pub mod demo;
@@ -94,21 +93,6 @@ pub trait Sentinel {
     /// Short stable name ("retire-order", "mshr", ...), used in reports
     /// and by fault-detection tests.
     fn name(&self) -> &'static str;
-
-    /// An instruction entered the fetch buffer.
-    fn on_fetch(&mut self, seq: u64, cycle: u64, v: &mut Reporter<'_>) {
-        let _ = (seq, cycle, v);
-    }
-
-    /// An instruction issued.
-    fn on_issue(&mut self, seq: u64, cycle: u64, v: &mut Reporter<'_>) {
-        let _ = (seq, cycle, v);
-    }
-
-    /// An instruction wrote an architectural register.
-    fn on_writeback(&mut self, seq: u64, reg: Reg, cycle: u64, v: &mut Reporter<'_>) {
-        let _ = (seq, reg, cycle, v);
-    }
 
     /// An instruction retired.
     fn on_retire(&mut self, event: &RetireEvent, v: &mut Reporter<'_>) {
@@ -212,18 +196,6 @@ impl Default for SentinelSuite<'_> {
 }
 
 impl PipelineProbe for SentinelSuite<'_> {
-    fn on_fetch(&mut self, seq: u64, cycle: u64) {
-        self.each(|s, r| s.on_fetch(seq, cycle, r));
-    }
-
-    fn on_issue(&mut self, seq: u64, cycle: u64) {
-        self.each(|s, r| s.on_issue(seq, cycle, r));
-    }
-
-    fn on_writeback(&mut self, seq: u64, reg: Reg, cycle: u64) {
-        self.each(|s, r| s.on_writeback(seq, reg, cycle, r));
-    }
-
     fn on_retire(&mut self, event: &RetireEvent) {
         self.each(|s, r| s.on_retire(event, r));
     }
