@@ -178,7 +178,7 @@ impl<'p> Window<'p> {
         let retain = queues.wakeup_delay as usize * machine.issue_width as usize;
         let in_flight = machine.ooo_rob + machine.inorder_buffer;
         let window_cap = (queues.count * queues.entries).min(machine.ooo_rob) + 1;
-        activity.alloc_count += 5; // the trace window and four scheduling containers
+        activity.alloc_count += 6; // the trace window and five scheduling containers
         Window {
             base: 0,
             rob_head: 0,
@@ -193,7 +193,7 @@ impl<'p> Window<'p> {
             merged: Vec::with_capacity(window_cap),
             timer: BinaryHeap::with_capacity(window_cap),
             queue_len: [0; 3],
-            queue_release: Vec::new(),
+            queue_release: Vec::with_capacity(window_cap),
         }
     }
 
@@ -331,6 +331,8 @@ impl<'p> Window<'p> {
         if self.queues.release_at_issue {
             self.queue_len[q] -= 1;
         } else {
+            let full = self.queue_release.len() == self.queue_release.capacity();
+            activity.alloc_count += u64::from(full);
             self.queue_release.push((done_at, q));
         }
         self[idx].complete = done_at;
@@ -977,7 +979,7 @@ mod tests {
             // Only the pre-sized containers allocate: the trace window and
             // the scheduling state never grow, however long the trace.
             assert_eq!(a.activity.alloc_count, b.activity.alloc_count);
-            assert_eq!(b.activity.alloc_count, 5);
+            assert_eq!(b.activity.alloc_count, 6);
         }
     }
 

@@ -24,14 +24,15 @@
 //! sweeps orphaned `.tmp-*` files left by crashed writers, and
 //! moves corrupt files into a `corrupt/` ledger directory so the
 //! scheduler transparently re-simulates them as memoization misses
-//! (self-healing). The same routine backs `ff-campaign fsck` and the
-//! `ff-server` startup scan.
+//! (self-healing). The same walk backs `ff-campaign fsck`, the
+//! `ff-server` startup scan (which opens the store through it) and, with
+//! verification off, the sweep of every `ShardedStore::open`.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::chaos;
-use crate::store::artifact_hash_of;
+use crate::store::{self, artifact_hash_of};
 
 /// The footer tag. A versioned format: v2 readers can accept v1 files.
 pub const FOOTER_TAG: &str = "#ff-checksum v1";
@@ -42,18 +43,65 @@ pub const CORRUPT_DIR: &str = "corrupt";
 /// The append-only ledger file inside [`CORRUPT_DIR`].
 pub const LEDGER_NAME: &str = "ledger.jsonl";
 
+/// The reflected CRC-64/XZ polynomial.
+const POLY: u64 = 0xC96C_5795_D787_0F42;
+
+/// The slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through it alone, and `CRC_TABLES[k][b]` the same
+/// byte followed by `k` zero bytes, so one lookup per table folds eight
+/// input bytes at once.
+static CRC_TABLES: [[u64; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-64/XZ (reflected, polynomial `0xC96C5795D7870F42`, init and
 /// xorout all-ones) — the checksum used by `xz` and compatible with
-/// `python3 -c 'import crcmod; …'` CI checks. Bitwise: artifacts are a
-/// few KB, table-free keeps the code obviously correct.
+/// `python3 -c 'import crcmod; …'` CI checks. Every verified read pays
+/// for it, so it runs slicing-by-8 (Kounavis & Berry): eight table
+/// lookups fold eight bytes with no dependent per-bit steps, and a
+/// byte-at-a-time tail handles the rest. The tables are built at compile
+/// time from the polynomial, and the tests pin the result to a bitwise oracle.
 pub fn crc64(bytes: &[u8]) -> u64 {
-    const POLY: u64 = 0xC96C_5795_D787_0F42;
+    let t = &CRC_TABLES;
     let mut crc = !0u64;
-    for &b in bytes {
-        crc ^= u64::from(b);
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-        }
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let w = crc ^ u64::from_le_bytes(word.try_into().expect("chunks of eight bytes"));
+        crc = t[7][(w & 0xff) as usize]
+            ^ t[6][((w >> 8) & 0xff) as usize]
+            ^ t[5][((w >> 16) & 0xff) as usize]
+            ^ t[4][((w >> 24) & 0xff) as usize]
+            ^ t[3][((w >> 32) & 0xff) as usize]
+            ^ t[2][((w >> 40) & 0xff) as usize]
+            ^ t[1][((w >> 48) & 0xff) as usize]
+            ^ t[0][(w >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u64::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -147,11 +195,12 @@ impl std::fmt::Display for ReadError {
 /// [`ReadError::Io`] when the file cannot be read, [`ReadError::Corrupt`]
 /// when it fails verification.
 pub fn read_verified(path: &Path) -> Result<(String, u64), ReadError> {
-    let text = chaos::read_to_string(path).map_err(ReadError::Io)?;
-    match open(&text) {
-        Ok((payload, crc)) => Ok((payload.to_string(), crc)),
-        Err(reason) => Err(ReadError::Corrupt(reason)),
-    }
+    let mut text = chaos::read_to_string(path).map_err(ReadError::Io)?;
+    let (len, crc) =
+        open(&text).map(|(payload, crc)| (payload.len(), crc)).map_err(ReadError::Corrupt)?;
+    // The payload is the text's prefix: drop the footer in place.
+    text.truncate(len);
+    Ok((text, crc))
 }
 
 /// Moves a corrupt artifact into `<root>/corrupt/` and appends a line to
@@ -221,65 +270,51 @@ impl FsckReport {
     }
 }
 
-/// Whether `name` is a shard directory name (`"00"`..`"ff"`).
-fn is_shard_dir(name: &str) -> bool {
-    name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-}
-
 /// Whether `name` is a writer temp file (see `durable_write`).
 pub fn is_tmp_name(name: &str) -> bool {
     name.starts_with(".tmp-")
 }
 
-/// Walks the store at `root` — the root itself plus every shard directory
-/// — verifying every artifact and sweeping every orphaned `.tmp-*`
-/// file. Corrupt artifacts are moved to `<root>/corrupt/` and ledgered;
-/// a subsequent campaign or server run transparently re-simulates them
-/// as memoization misses.
+/// Walks the store at `root` — the root, every directory directly under
+/// it (the shards among them) and every `campaigns/<id>/` — verifying
+/// every artifact and sweeping every orphaned `.tmp-*` file. Corrupt
+/// artifacts are moved to `<root>/corrupt/` and ledgered; a subsequent
+/// campaign or server run transparently re-simulates them as
+/// memoization misses.
 ///
 /// # Errors
 ///
 /// On a filesystem error scanning directories (per-file read failures
 /// are classified as corrupt, not fatal).
 pub fn fsck(root: &Path) -> std::io::Result<FsckReport> {
+    scan(root, true)
+}
+
+/// The one store walk behind [`fsck`] and the store's open-time sweep:
+/// sweeps orphaned temp files everywhere the walk goes and, when
+/// `verify` is set, verifies (and quarantines) every artifact.
+pub(crate) fn scan(root: &Path, verify: bool) -> std::io::Result<FsckReport> {
     let mut report = FsckReport::default();
-    let mut dirs = vec![root.to_path_buf()];
-    for entry in std::fs::read_dir(root)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        if is_shard_dir(&name.to_string_lossy()) && entry.path().is_dir() {
-            dirs.push(entry.path());
-        }
-    }
-    for dir in dirs {
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if !path.is_file() {
-                continue;
-            }
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if is_tmp_name(&name) {
-                std::fs::remove_file(&path)?;
-                report.orphan_tmp += 1;
-                continue;
-            }
-            if artifact_hash_of(&name).is_none() {
-                continue; // manifest.json, quarantine.json, bundles, …
-            }
-            match read_verified(&path) {
+    store::walk(root, |path, name, in_artifact_dir| {
+        if is_tmp_name(name) {
+            std::fs::remove_file(path)?;
+            report.orphan_tmp += 1;
+        } else if verify && in_artifact_dir && artifact_hash_of(name).is_some() {
+            // Anything else (manifest.json, quarantine.json, bundles, …)
+            // is not an artifact.
+            match read_verified(path) {
                 Ok(_) => report.ok += 1,
                 Err(e) => {
                     let reason = e.to_string();
                     let rel =
-                        path.strip_prefix(root).unwrap_or(&path).to_string_lossy().into_owned();
-                    quarantine_corrupt(root, &path, &reason)?;
+                        path.strip_prefix(root).unwrap_or(path).to_string_lossy().into_owned();
+                    quarantine_corrupt(root, path, &reason)?;
                     report.corrupt.push((rel, reason));
                 }
             }
         }
-    }
+        Ok(())
+    })?;
     report.corrupt.sort();
     Ok(report)
 }
@@ -295,10 +330,46 @@ mod tests {
         dir
     }
 
+    /// The definition of CRC-64/XZ, one dependent step per bit: the
+    /// oracle the table-driven [`crc64`] must equal.
+    fn crc64_bitwise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc ^= u64::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc64_matches_the_xz_check_vector() {
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(crc64_bitwise(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
+    }
+
+    #[test]
+    fn table_crc64_equals_the_bitwise_oracle() {
+        // Seeded xorshift64 bytes; every length 0..=80 covers empty input,
+        // tails alone, and whole words with every tail length, and each
+        // start offset 0..8 shifts the words off 8-byte alignment.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..96)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=80 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc64(bytes), crc64_bitwise(bytes), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]
@@ -367,11 +438,15 @@ mod tests {
         std::fs::create_dir_all(unsealed_path.parent().unwrap()).unwrap();
         std::fs::write(&unsealed_path, "{\"unsealed\": 1}\n").unwrap();
         std::fs::write(dir.join(".tmp-123-0-sim-x.json"), "partial").unwrap();
+        let campaign = dir.join(crate::store::CAMPAIGNS_DIR).join("c9");
+        std::fs::create_dir_all(&campaign).unwrap();
+        std::fs::write(campaign.join(".tmp-123-1-request.json"), "partial").unwrap();
         std::fs::write(dir.join("manifest.json"), "not json, not an artifact").unwrap();
 
         let report = fsck(&dir).unwrap();
         assert_eq!(report.ok, 1);
-        assert_eq!(report.orphan_tmp, 1);
+        assert_eq!(report.orphan_tmp, 2);
+        assert!(!campaign.join(".tmp-123-1-request.json").exists());
         assert_eq!(report.corrupt.len(), 2, "{report:?}");
         assert!(!report.clean());
         assert!(!bad_path.exists(), "corrupt artifact must be moved out");

@@ -128,7 +128,11 @@ impl JobSpec {
     /// The artifact file name under the campaign output directory, e.g.
     /// `sim-mcf-MP-base-s0-1a2b3c4d5e6f7081.json`.
     pub fn artifact_filename(&self) -> String {
-        let hash = self.config_hash();
+        self.artifact_filename_hashed(self.config_hash())
+    }
+
+    /// [`JobSpec::artifact_filename`] given `hash`, the spec's config hash.
+    pub(crate) fn artifact_filename_hashed(&self, hash: u64) -> String {
         match &self.kind {
             JobKind::Sim { model, hier, bench, seed } => {
                 format!("sim-{bench}-{}-{}-s{seed}-{hash:016x}.json", model.name(), hier.name())

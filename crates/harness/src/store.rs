@@ -19,7 +19,7 @@
 //!   experiments in `ff-experiments` render the same reports from stored
 //!   artifacts that `Suite` renders from live simulations.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -45,7 +45,12 @@ pub fn shard_name(hash: u64) -> String {
 
 /// The artifact path for `spec` in the sharded layout.
 pub fn sharded_path(root: &Path, spec: &JobSpec) -> PathBuf {
-    root.join(shard_name(spec.config_hash())).join(spec.artifact_filename())
+    sharded_path_hashed(root, spec, spec.config_hash())
+}
+
+/// [`sharded_path`] given `hash`, the spec's config hash.
+fn sharded_path_hashed(root: &Path, spec: &JobSpec, hash: u64) -> PathBuf {
+    root.join(shard_name(hash)).join(spec.artifact_filename_hashed(hash))
 }
 
 /// Finds an artifact by config hash alone (the `GET /jobs/{hash}` lookup):
@@ -53,14 +58,95 @@ pub fn sharded_path(root: &Path, spec: &JobSpec) -> PathBuf {
 /// [`artifact_hash_of`]) embedding `hash`. A [`durable_write`] temp file
 /// ends the same way but is never an artifact.
 pub fn find_by_hash(root: &Path, hash: u64) -> Option<PathBuf> {
-    let entries = std::fs::read_dir(root.join(shard_name(hash))).ok()?;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        if artifact_hash_of(&name.to_string_lossy()) == Some(hash) && entry.path().is_file() {
-            return Some(entry.path());
+    let entries = files_and_dirs(&root.join(shard_name(hash))).ok()?;
+    entries.flatten().find_map(|entry| {
+        (entry.is_file && artifact_hash_of(&entry.name) == Some(hash)).then_some(entry.path)
+    })
+}
+
+/// The directory under a store root holding per-campaign server state
+/// (`request.json` for resume, `manifest.json` checkpoints), one
+/// `<id>/` directory per campaign.
+pub const CAMPAIGNS_DIR: &str = "campaigns";
+
+/// Whether `name` is a shard directory name (`"00"`..`"ff"`).
+fn is_shard_dir(name: &str) -> bool {
+    name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+}
+
+/// One entry of a directory read by [`files_and_dirs`].
+struct Entry {
+    name: String,
+    path: PathBuf,
+    is_file: bool,
+    is_dir: bool,
+}
+
+/// The entries of `dir`, typed by the directory read itself: the file
+/// type comes with each entry, so no entry costs a `stat`. A symlink is
+/// followed (one `stat`), so it counts as whatever it points at, the way
+/// [`Path::is_file`] and [`Path::is_dir`] see it.
+fn files_and_dirs(dir: &Path) -> std::io::Result<impl Iterator<Item = std::io::Result<Entry>>> {
+    Ok(std::fs::read_dir(dir)?.map(|entry| {
+        let entry = entry?;
+        let path = entry.path();
+        let mut ty = entry.file_type()?;
+        if ty.is_symlink() {
+            // A dangling link stays a link: neither a file nor a directory.
+            if let Ok(meta) = std::fs::metadata(&path) {
+                ty = meta.file_type();
+            }
+        }
+        Ok(Entry {
+            name: entry.file_name().to_string_lossy().into_owned(),
+            is_file: ty.is_file(),
+            is_dir: ty.is_dir(),
+            path,
+        })
+    }))
+}
+
+/// The one store walk behind the open-time sweep and `fsck`
+/// ([`integrity::fsck`]): reads the root, every directory directly under
+/// it (the shards among them) and every [`CAMPAIGNS_DIR`]`/<id>/`
+/// directory, where a crash mid-submit leaves a temp file, each once.
+/// Calls `visit(path, name, in_artifact_dir)` for every regular file;
+/// `in_artifact_dir` holds in the root and the shard directories, the
+/// only places artifacts live (`corrupt/` keeps quarantined specimens
+/// under artifact names).
+///
+/// # Errors
+///
+/// On a filesystem error reading a directory, or the first error
+/// `visit` returns.
+pub(crate) fn walk(
+    root: &Path,
+    mut visit: impl FnMut(&Path, &str, bool) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    enum Dir {
+        Root,
+        Shard,
+        Campaigns,
+        Other,
+    }
+    let mut dirs = VecDeque::from([(root.to_path_buf(), Dir::Root)]);
+    while let Some((dir, kind)) = dirs.pop_front() {
+        for entry in files_and_dirs(&dir)? {
+            let entry = entry?;
+            if entry.is_file {
+                visit(&entry.path, &entry.name, matches!(kind, Dir::Root | Dir::Shard))?;
+            } else if entry.is_dir {
+                let sub = match kind {
+                    Dir::Root if is_shard_dir(&entry.name) => Dir::Shard,
+                    Dir::Root if entry.name == CAMPAIGNS_DIR => Dir::Campaigns,
+                    Dir::Root | Dir::Campaigns => Dir::Other,
+                    Dir::Shard | Dir::Other => continue,
+                };
+                dirs.push_back((entry.path, sub));
+            }
         }
     }
-    None
+    Ok(())
 }
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -70,8 +156,8 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// parent directory is fsynced so the rename itself survives a crash. A
 /// concurrent reader sees either no file or a complete one; a crash at
 /// any point leaves at worst an orphaned temp file, swept by the next
-/// [`ShardedStore::open`]. All I/O routes through [`chaos`], so the
-/// chaos suite exercises exactly this code path.
+/// [`ShardedStore::open`] or `fsck`. All I/O routes through [`chaos`], so
+/// the chaos suite exercises exactly this code path.
 ///
 /// # Errors
 ///
@@ -92,38 +178,6 @@ pub fn durable_write(path: &Path, text: &str) -> std::io::Result<()> {
     chaos::rename(&tmp, path)?;
     chaos::fsync_dir(dir);
     Ok(())
-}
-
-/// Removes orphaned `.tmp-*` files (crashed or torn writers) from the
-/// store root and every shard directory, returning how many were swept.
-/// Racing an in-flight writer is harmless-but-lossy: the writer's
-/// rename fails, the job reports a write error, and the retry loop or
-/// next resume re-produces the artifact.
-///
-/// # Errors
-///
-/// On a filesystem error scanning directories.
-fn sweep_tmp(root: &Path) -> std::io::Result<usize> {
-    let mut swept = 0;
-    let mut dirs = vec![root.to_path_buf()];
-    if let Ok(entries) = std::fs::read_dir(root) {
-        for entry in entries.flatten() {
-            if entry.path().is_dir() {
-                dirs.push(entry.path());
-            }
-        }
-    }
-    for dir in dirs {
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            if integrity::is_tmp_name(&name.to_string_lossy()) && entry.path().is_file() {
-                std::fs::remove_file(entry.path())?;
-                swept += 1;
-            }
-        }
-    }
-    Ok(swept)
 }
 
 /// Parses a config hash that must be *exactly* 16 lowercase hex chars —
@@ -173,7 +227,7 @@ pub struct StoreCounters {
     pub sealed_reads: AtomicU64,
     /// Corrupt artifacts detected (and moved to the `corrupt/` ledger).
     pub corrupt_detected: AtomicU64,
-    /// Orphaned `.tmp-*` files swept at open.
+    /// Orphaned `.tmp-*` files swept at open (and by `fsck`).
     pub tmp_swept: AtomicU64,
 }
 
@@ -192,22 +246,46 @@ impl StoreCounters {
 
 impl ShardedStore {
     /// Opens (creating if needed) the store rooted at `root`, sweeping
-    /// any orphaned `.tmp-*` files left by crashed writers.
+    /// any orphaned `.tmp-*` files left by crashed writers wherever the
+    /// `fsck` walk goes ([`integrity::fsck`]).
+    /// Racing an in-flight writer is harmless but lossy: the writer's
+    /// rename fails, the job reports a write error, and the retry loop or
+    /// next resume re-produces the artifact.
     ///
     /// # Errors
     ///
     /// On failure to create the root directory or scan it for the sweep.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let root = root.into();
+        Self::open_scanned(root.into(), false).map(|(store, _)| store)
+    }
+
+    /// Opens the store like [`ShardedStore::open`], but through the
+    /// `fsck` walk ([`integrity::fsck`]): one pass sweeps orphaned temp
+    /// files and verifies every artifact, quarantining the corrupt ones,
+    /// before anything trusts the memo cache. What it found is in the
+    /// report and in the counters.
+    ///
+    /// # Errors
+    ///
+    /// On failure to create the root directory or scan the store.
+    pub fn open_verified(
+        root: impl Into<PathBuf>,
+    ) -> std::io::Result<(Self, integrity::FsckReport)> {
+        Self::open_scanned(root.into(), true)
+    }
+
+    fn open_scanned(root: PathBuf, verify: bool) -> std::io::Result<(Self, integrity::FsckReport)> {
         std::fs::create_dir_all(&root)?;
-        let swept = sweep_tmp(&root)?;
+        let report = integrity::scan(&root, verify)?;
         let counters = StoreCounters::default();
-        counters.tmp_swept.store(swept as u64, Ordering::Relaxed);
-        Ok(ShardedStore {
+        counters.tmp_swept.store(report.orphan_tmp as u64, Ordering::Relaxed);
+        counters.corrupt_detected.store(report.corrupt.len() as u64, Ordering::Relaxed);
+        let store = ShardedStore {
             root,
             locks: (0..SHARD_COUNT).map(|_| Mutex::new(())).collect(),
             counters,
-        })
+        };
+        Ok((store, report))
     }
 
     /// The store's root directory.
@@ -253,10 +331,21 @@ impl ShardedStore {
         self.read(spec).is_some()
     }
 
+    /// [`ShardedStore::contains`] for a caller that already holds
+    /// `hash`, which must be `spec.config_hash()`.
+    pub fn contains_hashed(&self, spec: &JobSpec, hash: u64) -> bool {
+        self.read_hashed(spec, hash).is_some()
+    }
+
     /// Reads the artifact for `spec`, if present and intact.
     pub fn read(&self, spec: &JobSpec) -> Option<String> {
-        let _guard = self.lock(spec.config_hash());
-        self.read_verified_locked(&sharded_path(&self.root, spec))
+        self.read_hashed(spec, spec.config_hash())
+    }
+
+    fn read_hashed(&self, spec: &JobSpec, hash: u64) -> Option<String> {
+        debug_assert_eq!(hash, spec.config_hash());
+        let _guard = self.lock(hash);
+        self.read_verified_locked(&sharded_path_hashed(&self.root, spec, hash))
     }
 
     /// Reads an artifact by config hash alone, verifying integrity.
@@ -293,8 +382,9 @@ impl ShardedStore {
     /// On failure to create the shard directory or write/fsync/rename the
     /// file.
     pub fn publish(&self, spec: &JobSpec, text: &str) -> std::io::Result<PathBuf> {
-        let _guard = self.lock(spec.config_hash());
-        let path = sharded_path(&self.root, spec);
+        let hash = spec.config_hash();
+        let _guard = self.lock(hash);
+        let path = sharded_path_hashed(&self.root, spec, hash);
         std::fs::create_dir_all(path.parent().expect("sharded path has a parent"))?;
         durable_write(&path, &integrity::seal(text))?;
         Ok(path)
@@ -535,16 +625,48 @@ mod tests {
     fn open_sweeps_orphaned_tmp_files_and_counts_them() {
         let dir = temp_dir("sweep");
         let shard = dir.join("ab");
+        let campaign = dir.join(CAMPAIGNS_DIR).join("c3");
         std::fs::create_dir_all(&shard).unwrap();
+        std::fs::create_dir_all(&campaign).unwrap();
         std::fs::write(dir.join(".tmp-1-0-sim-x.json"), "partial").unwrap();
         std::fs::write(shard.join(".tmp-2-1-sim-y.json"), "partial").unwrap();
+        // A crash mid-submit leaves the checkpoint's temp file.
+        std::fs::write(campaign.join(".tmp-3-2-request.json"), "partial").unwrap();
         std::fs::write(dir.join("manifest.json"), "{}\n").unwrap();
+        // Footerless, so corrupt; the sweep-only open reads no artifact.
+        let unsealed = shard.join(format!("sim-x-{:016x}.json", 0xab00_u64 << 48));
+        std::fs::write(&unsealed, "{}\n").unwrap();
         let store = ShardedStore::open(&dir).unwrap();
-        assert_eq!(store.counters().tmp_swept.load(Ordering::Relaxed), 2);
+        assert_eq!(store.counters().tmp_swept.load(Ordering::Relaxed), 3);
         assert!(!dir.join(".tmp-1-0-sim-x.json").exists());
         assert!(!shard.join(".tmp-2-1-sim-y.json").exists());
+        assert!(!campaign.join(".tmp-3-2-request.json").exists());
         assert!(dir.join("manifest.json").exists(), "bystanders survive the sweep");
+        assert!(unsealed.exists(), "the sweep verifies nothing");
+        assert_eq!(store.counters().corrupt_detected.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn the_walk_follows_symlinks_as_the_paths_they_name() {
+        let dir = temp_dir("symlinks");
+        let elsewhere = temp_dir("symlinks-target");
+        // A shard directory that is a link to a directory elsewhere, holding
+        // a sealed artifact and an orphan, and a dangling link.
+        let spec = JobSpec::sim(ModelKind::Runahead, HierKind::Base, "twolf", 0, Scale::Test);
+        let shard = sharded_path(&dir, &spec).parent().unwrap().to_path_buf();
+        std::os::unix::fs::symlink(&elsewhere, &shard).unwrap();
+        std::fs::write(shard.join(spec.artifact_filename()), integrity::seal("{}\n")).unwrap();
+        std::fs::write(shard.join(".tmp-1-0-x"), "{\"torn").unwrap();
+        std::os::unix::fs::symlink(dir.join("nowhere"), dir.join(".tmp-1-1-dangling")).unwrap();
+
+        let report = integrity::fsck(&dir).unwrap();
+        assert_eq!((report.ok, report.corrupt.len(), report.orphan_tmp), (1, 0, 1), "{report:?}");
+        assert!(dir.join(".tmp-1-1-dangling").symlink_metadata().is_ok(), "not a file: kept");
+        assert_eq!(find_by_hash(&dir, spec.config_hash()), Some(sharded_path(&dir, &spec)));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&elsewhere).unwrap();
     }
 
     #[test]

@@ -65,12 +65,12 @@ impl Server {
         store_root: impl Into<std::path::PathBuf>,
         opts: SchedulerOptions,
     ) -> std::io::Result<Server> {
-        let store = ShardedStore::open(store_root)?;
-        // Startup integrity scan: quarantine anything corrupt *before*
-        // the scheduler starts trusting the memo cache, so a damaged
-        // artifact reads as a miss and re-simulates instead of being
-        // served. A clean store scans silently.
-        let scan = store.fsck()?;
+        // Startup integrity scan, in the walk that opens the store:
+        // sweep orphaned temp files and quarantine anything corrupt
+        // *before* the scheduler starts trusting the memo cache, so a
+        // damaged artifact reads as a miss and re-simulates instead of
+        // being served. A clean store scans silently.
+        let (store, scan) = ShardedStore::open_verified(store_root)?;
         if !scan.clean() {
             eprintln!("ff-server: store integrity scan: {}", scan.summary());
         }

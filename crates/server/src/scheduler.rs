@@ -44,9 +44,7 @@ use ff_harness::store::ShardedStore;
 use ff_harness::{write_manifest, Attempt, CampaignReport, JobError, JobOutcome, JobStatus};
 use ff_workloads::Scale;
 
-/// The directory under the store root holding per-campaign state
-/// (`request.json` for resume, `manifest.json` checkpoints).
-pub const CAMPAIGNS_DIR: &str = "campaigns";
+pub use ff_harness::store::CAMPAIGNS_DIR;
 
 /// Scheduler configuration.
 #[derive(Clone, Debug)]
@@ -111,8 +109,10 @@ enum JobState {
     Ok,
     Hit,
     Dedup,
-    Failed(JobError),
-    Quarantined(JobError),
+    // Boxed: failures are rare, and a server keeps every campaign's
+    // entries, so the common states stay small.
+    Failed(Box<JobError>),
+    Quarantined(Box<JobError>),
 }
 
 impl JobState {
@@ -137,7 +137,7 @@ impl JobState {
 
     fn error(&self) -> Option<&JobError> {
         match self {
-            JobState::Failed(err) | JobState::Quarantined(err) => Some(err),
+            JobState::Failed(err) | JobState::Quarantined(err) => Some(err.as_ref()),
             _ => None,
         }
     }
@@ -145,12 +145,18 @@ impl JobState {
 
 struct JobEntry {
     spec: JobSpec,
+    /// `spec.config_hash()`, computed once at enqueue.
+    hash: u64,
     state: JobState,
 }
 
 struct Campaign {
     scale: Scale,
     jobs: Vec<JobEntry>,
+    /// The next job to claim. Jobs are enqueued `Queued` and claimed in
+    /// order, and nothing else makes a job `Queued`, so every job from
+    /// here on is queued and every job before it is not.
+    next: usize,
 }
 
 impl Campaign {
@@ -299,9 +305,11 @@ impl Scheduler {
     }
 
     fn enqueue(inner: &mut Inner, id: String, scale: Scale, specs: Vec<JobSpec>) {
-        let jobs =
-            specs.into_iter().map(|spec| JobEntry { spec, state: JobState::Queued }).collect();
-        inner.campaigns.insert(id.clone(), Campaign { scale, jobs });
+        let jobs = specs
+            .into_iter()
+            .map(|spec| JobEntry { hash: spec.config_hash(), spec, state: JobState::Queued })
+            .collect();
+        inner.campaigns.insert(id.clone(), Campaign { scale, jobs, next: 0 });
         if !inner.rotation.contains(&id) {
             inner.rotation.push_back(id);
         }
@@ -358,7 +366,7 @@ impl Scheduler {
             .map(|job| {
                 let mut fields = vec![
                     ("id", Json::Str(job.spec.id())),
-                    ("hash", Json::Str(format!("{:016x}", job.spec.config_hash()))),
+                    ("hash", Json::Str(format!("{:016x}", job.hash))),
                     ("status", Json::Str(job.state.name().into())),
                 ];
                 if let Some(err) = job.state.error() {
@@ -410,13 +418,14 @@ impl Scheduler {
         loop {
             let id = inner.rotation.pop_front()?;
             let Some(campaign) = inner.campaigns.get_mut(&id) else { continue };
-            let Some(index) = campaign.jobs.iter().position(|j| j.state == JobState::Queued) else {
+            let index = campaign.next;
+            let Some(job) = campaign.jobs.get(index) else {
                 continue; // drained: leave out of the rotation
             };
-            let spec = campaign.jobs[index].spec.clone();
-            let hash = spec.config_hash();
-            let more_queued =
-                campaign.jobs.iter().skip(index + 1).any(|j| j.state == JobState::Queued);
+            debug_assert_eq!(job.state, JobState::Queued);
+            let (spec, hash) = (job.spec.clone(), job.hash);
+            campaign.next += 1;
+            let more_queued = campaign.next < campaign.jobs.len();
 
             // Quarantine gate: a config hash benched by *any* prior
             // campaign is skipped, not executed.
@@ -425,7 +434,7 @@ impl Scheduler {
                 .zip(self.opts.quarantine_after)
                 .and_then(|(ledger, threshold)| ledger.gate(&spec, threshold));
             if let Some(skip) = skip {
-                campaign.jobs[index].state = JobState::Quarantined(skip);
+                campaign.jobs[index].state = JobState::Quarantined(Box::new(skip));
                 if more_queued {
                     inner.rotation.push_back(id);
                 }
@@ -478,7 +487,7 @@ impl Scheduler {
     fn execute(&self, task: Task) {
         // Memoization gate: an existing artifact is a hit, shared with
         // every past campaign and CLI run against this store.
-        let (state, waiter_state) = if self.store.contains(&task.spec) {
+        let (state, waiter_state) = if self.store.contains_hashed(&task.spec, task.hash) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             if let Some(mut ledger) = self.lock_quarantine() {
                 ledger.record(&task.spec, JobStatus::Cached);
@@ -530,8 +539,8 @@ impl Scheduler {
             Some(err) => {
                 self.counters.sims_failed.fetch_add(1, Ordering::Relaxed);
                 let message = format!("deduplicated onto a failed run: {}", err.message);
-                let waiter = JobState::Failed(JobError { message, ..err.clone() });
-                (JobState::Failed(err), waiter)
+                let waiter = JobState::Failed(Box::new(JobError { message, ..err.clone() }));
+                (JobState::Failed(Box::new(err)), waiter)
             }
         }
     }

@@ -73,8 +73,8 @@ fn first_diff(a: &[String], b: &[String]) -> String {
 const GRID_WORK: [(&str, u64, u64, u64); 7] = [
     ("inorder", 502_389, 0, 52_030),
     ("runahead", 199_943, 12, 94_477),
-    ("ooo", 231_689, 60, 44_833),
-    ("ooo-realistic", 144_732, 60, 71_148),
+    ("ooo", 231_689, 72, 44_833),
+    ("ooo-realistic", 144_732, 72, 71_148),
     ("MP", 274_738, 12, 79_461),
     ("MP-noregroup", 270_200, 12, 99_048),
     ("MP-norestart", 419_076, 12, 106_158),
