@@ -12,6 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use ff_engine::{NullProbe, Observes, PipelineProbe, RetireEvent, RetireRing};
@@ -232,6 +233,28 @@ pub fn full_grid(scale: Scale) -> Vec<JobSpec> {
         }
     }
     jobs
+}
+
+/// [`full_grid`] for `scale` with each job's [`JobSpec::config_hash`],
+/// built on first use and then shared by the whole process. A campaign's
+/// plan is a subsequence of it (see [`crate::CampaignRequest::expand`]),
+/// so a long-running server's campaigns index this one copy instead of
+/// each holding and hashing its own.
+pub fn hashed_grid(scale: Scale) -> &'static [(JobSpec, u64)] {
+    static GRIDS: [OnceLock<Vec<(JobSpec, u64)>>; 2] = [OnceLock::new(), OnceLock::new()];
+    let slot = match scale {
+        Scale::Test => 0,
+        Scale::Paper => 1,
+    };
+    GRIDS[slot].get_or_init(|| {
+        full_grid(scale)
+            .into_iter()
+            .map(|spec| {
+                let hash = spec.config_hash();
+                (spec, hash)
+            })
+            .collect()
+    })
 }
 
 /// A sim-grid filter (`--filter model=MP bench=mcf`). Empty lists match

@@ -49,11 +49,12 @@ impl CampaignRequest {
     /// `full_grid` + filter expansion `ff-campaign run` performs, so a
     /// submitted campaign's config hashes match a local run's exactly.
     pub fn expand(&self) -> Vec<JobSpec> {
-        full_grid(self.scale)
-            .into_iter()
-            .filter(|j| self.filter.matches(j))
-            .filter(|j| self.reports || !matches!(j.kind, JobKind::Report { .. }))
-            .collect()
+        full_grid(self.scale).into_iter().filter(|j| self.selects(j)).collect()
+    }
+
+    /// Whether `spec`, a job of `full_grid(self.scale)`, is in the plan.
+    pub fn selects(&self, spec: &JobSpec) -> bool {
+        self.filter.matches(spec) && (self.reports || !matches!(spec.kind, JobKind::Report { .. }))
     }
 
     /// Renders the request as its wire JSON.

@@ -29,19 +29,29 @@
 //! quarantined by one tenant (or by a CLI run) is skipped, and reported
 //! as `quarantined`, when any other tenant resubmits it. Without the flag
 //! the scheduler never reads or writes the ledger.
+//!
+//! A server keeps every campaign it accepted, so a campaign costs only a
+//! few bytes per job: its jobs are indices into the process-wide
+//! [`hashed_grid`] of its scale, with one byte of state each and a sparse
+//! table of the errors of failed or quarantined jobs. `GET /healthz`
+//! reads counters kept where a job becomes terminal, so no operation
+//! walks the server's history.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use ff_harness::campaign::{attempt_job, execute_job, ExecOptions};
+use ff_harness::campaign::{attempt_job, execute_job, hashed_grid, ExecOptions};
+use ff_harness::chaos;
 use ff_harness::job::{scale_name, JobSpec};
 use ff_harness::json::Json;
+use ff_harness::manifest::{git_describe, render_manifest, MANIFEST_NAME};
 use ff_harness::quarantine::Quarantine;
 use ff_harness::remote::CampaignRequest;
 use ff_harness::store::ShardedStore;
-use ff_harness::{write_manifest, Attempt, CampaignReport, JobError, JobOutcome, JobStatus};
+use ff_harness::{durable_write, Attempt, CampaignReport, JobError, JobOutcome, JobStatus};
 use ff_workloads::Scale;
 
 pub use ff_harness::store::CAMPAIGNS_DIR;
@@ -99,9 +109,10 @@ impl Counters {
     }
 }
 
-/// Where one job stands. `Waiting` is the in-flight-dedup parking state;
-/// everything from `Ok` down is terminal.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Where one job stands, in one byte. `Waiting` is the in-flight-dedup
+/// parking state; everything from `Ok` down is terminal. The error of a
+/// `Failed` or `Quarantined` job sits in its campaign's `errors` table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum JobState {
     Queued,
     Running,
@@ -109,19 +120,17 @@ enum JobState {
     Ok,
     Hit,
     Dedup,
-    // Boxed: failures are rare, and a server keeps every campaign's
-    // entries, so the common states stay small.
-    Failed(Box<JobError>),
-    Quarantined(Box<JobError>),
+    Failed,
+    Quarantined,
 }
 
 impl JobState {
-    fn terminal(&self) -> bool {
+    fn terminal(self) -> bool {
         !matches!(self, JobState::Queued | JobState::Running | JobState::Waiting)
     }
 
     /// Protocol status string (see `remote::JobBrief::status`).
-    fn name(&self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             // A waiter's work is in flight on another worker; report it
@@ -130,43 +139,71 @@ impl JobState {
             JobState::Ok => "ok",
             JobState::Hit => "hit",
             JobState::Dedup => "dedup",
-            JobState::Failed(_) => "failed",
-            JobState::Quarantined(_) => "quarantined",
-        }
-    }
-
-    fn error(&self) -> Option<&JobError> {
-        match self {
-            JobState::Failed(err) | JobState::Quarantined(err) => Some(err.as_ref()),
-            _ => None,
+            JobState::Failed => "failed",
+            JobState::Quarantined => "quarantined",
         }
     }
 }
 
-struct JobEntry {
-    spec: JobSpec,
-    /// `spec.config_hash()`, computed once at enqueue.
-    hash: u64,
-    state: JobState,
-}
-
+/// One campaign's plan and progress. A job is named by its position in
+/// the plan (`index`); its spec and hash live in the shared grid.
 struct Campaign {
     scale: Scale,
-    jobs: Vec<JobEntry>,
+    /// The plan, as indices into `hashed_grid(scale)`, in grid order.
+    jobs: Vec<u16>,
+    /// Each job's state, by position in the plan.
+    states: Vec<JobState>,
+    /// The errors of failed and quarantined jobs, by position.
+    errors: BTreeMap<usize, JobError>,
     /// The next job to claim. Jobs are enqueued `Queued` and claimed in
     /// order, and nothing else makes a job `Queued`, so every job from
     /// here on is queued and every job before it is not.
     next: usize,
+    /// Jobs not yet terminal; the campaign is done at zero.
+    unfinished: usize,
 }
 
 impl Campaign {
+    /// The campaign of `request`'s plan. Builds the scale's grid on first
+    /// use, so call it outside the scheduler lock.
+    fn new(request: &CampaignRequest) -> Campaign {
+        let mut jobs: Vec<u16> = hashed_grid(request.scale)
+            .iter()
+            .enumerate()
+            .filter(|(_, (spec, _))| request.selects(spec))
+            .map(|(i, _)| u16::try_from(i).expect("the job grid fits u16 indices"))
+            .collect();
+        // The filtered collect over-allocates; the plan is kept for good.
+        jobs.shrink_to_fit();
+        Campaign {
+            scale: request.scale,
+            states: vec![JobState::Queued; jobs.len()],
+            unfinished: jobs.len(),
+            jobs,
+            errors: BTreeMap::new(),
+            next: 0,
+        }
+    }
+
+    /// The shared grid this campaign's plan indexes.
+    fn grid(&self) -> &'static [(JobSpec, u64)] {
+        hashed_grid(self.scale)
+    }
+
+    /// Job `index`'s spec and config hash.
+    fn job(&self, index: usize) -> &'static (JobSpec, u64) {
+        &self.grid()[usize::from(self.jobs[index])]
+    }
+
     fn done(&self) -> bool {
-        self.jobs.iter().all(|j| j.state.terminal())
+        self.unfinished == 0
     }
 }
 
 struct Inner {
     campaigns: BTreeMap<String, Campaign>,
+    /// How many of `campaigns` are done.
+    done: u64,
     /// Round-robin rotation of campaign ids that may still have queued
     /// jobs. An id appears at most once.
     rotation: VecDeque<String>,
@@ -176,12 +213,39 @@ struct Inner {
     stopping: bool,
 }
 
+impl Inner {
+    fn enqueue(&mut self, id: String, campaign: Campaign) {
+        if campaign.done() {
+            self.done += 1;
+        } else {
+            self.rotation.push_back(id.clone());
+        }
+        let replaced = self.campaigns.insert(id, campaign);
+        debug_assert!(replaced.is_none(), "campaign ids are never reused");
+    }
+
+    /// Moves job `index` of campaign `id` into the terminal `state`. Every
+    /// job becomes terminal here, which keeps the done counts exact.
+    fn settle(&mut self, id: &str, index: usize, state: JobState, error: Option<JobError>) {
+        let Some(campaign) = self.campaigns.get_mut(id) else { return };
+        debug_assert!(state.terminal() && !campaign.states[index].terminal());
+        campaign.states[index] = state;
+        if let Some(error) = error {
+            campaign.errors.insert(index, error);
+        }
+        campaign.unfinished -= 1;
+        if campaign.done() {
+            self.done += 1;
+        }
+    }
+}
+
 /// A claimed unit of work: memo-check `spec`, on a miss simulate it and
 /// publish under `hash`.
 struct Task {
     campaign: String,
     index: usize,
-    spec: JobSpec,
+    spec: &'static JobSpec,
     hash: u64,
 }
 
@@ -222,6 +286,7 @@ impl Scheduler {
         let scheduler = Arc::new(Scheduler {
             inner: Mutex::new(Inner {
                 campaigns: BTreeMap::new(),
+                done: 0,
                 rotation: VecDeque::new(),
                 inflight: BTreeMap::new(),
                 next_serial: 1,
@@ -280,39 +345,31 @@ impl Scheduler {
     fn resume_checkpointed(&self) {
         let dir = self.store.root().join(CAMPAIGNS_DIR);
         let Ok(entries) = std::fs::read_dir(&dir) else { return };
-        let mut resumed: Vec<(String, CampaignRequest)> = Vec::new();
+        let mut resumed: Vec<(String, Campaign)> = Vec::new();
+        let mut next_serial = 1;
         for entry in entries.flatten() {
             let id = entry.file_name().to_string_lossy().into_owned();
-            let Ok(text) = std::fs::read_to_string(entry.path().join("request.json")) else {
+            // Every `c<N>` name is taken, resumable or not: a new campaign
+            // must never reuse an unreadable checkpoint's directory.
+            if let Some(serial) = id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok()) {
+                next_serial = next_serial.max(serial.saturating_add(1));
+            }
+            let Ok(text) = chaos::read_to_string(&entry.path().join("request.json")) else {
                 continue;
             };
             let Ok(doc) = Json::parse(&text) else { continue };
             let Ok(request) = CampaignRequest::from_json(&doc) else { continue };
-            resumed.push((id, request));
+            resumed.push((id, Campaign::new(&request)));
         }
-        // Deterministic resume order, and the serial counter must clear
-        // every resumed id so new submissions never collide.
+        // Deterministic resume order.
         resumed.sort_by(|a, b| a.0.cmp(&b.0));
         let mut inner = self.lock_inner();
-        for (id, request) in resumed {
-            if let Some(serial) = id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok()) {
-                inner.next_serial = inner.next_serial.max(serial + 1);
-            }
-            Self::enqueue(&mut inner, id, request.scale, request.expand());
+        inner.next_serial = inner.next_serial.max(next_serial);
+        for (id, campaign) in resumed {
+            inner.enqueue(id, campaign);
         }
         drop(inner);
         self.work.notify_all();
-    }
-
-    fn enqueue(inner: &mut Inner, id: String, scale: Scale, specs: Vec<JobSpec>) {
-        let jobs = specs
-            .into_iter()
-            .map(|spec| JobEntry { hash: spec.config_hash(), spec, state: JobState::Queued })
-            .collect();
-        inner.campaigns.insert(id.clone(), Campaign { scale, jobs, next: 0 });
-        if !inner.rotation.contains(&id) {
-            inner.rotation.push_back(id);
-        }
     }
 
     /// Submits a campaign: expands the request, persists it for resume,
@@ -322,8 +379,8 @@ impl Scheduler {
     ///
     /// When the request matches no jobs or the scheduler is stopping.
     pub fn submit(&self, request: &CampaignRequest) -> Result<(String, usize), SubmitError> {
-        let specs = request.expand();
-        let total = specs.len();
+        let campaign = Campaign::new(request);
+        let total = campaign.jobs.len();
         if total == 0 {
             return Err(SubmitError::NoJobs);
         }
@@ -334,7 +391,7 @@ impl Scheduler {
             }
             let id = format!("c{}", inner.next_serial);
             inner.next_serial += 1;
-            Self::enqueue(&mut inner, id.clone(), request.scale, specs);
+            inner.enqueue(id.clone(), campaign);
             id
         };
         // Persist the spec so a restarted server resumes this campaign —
@@ -342,9 +399,9 @@ impl Scheduler {
         // either no checkpoint or a complete one, never a torn file
         // `resume_checkpointed` would silently skip.
         let dir = self.campaign_dir(&id);
-        if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| {
-            ff_harness::durable_write(&dir.join("request.json"), &request.to_json().render())
-        }) {
+        if let Err(e) = std::fs::create_dir_all(&dir)
+            .and_then(|()| durable_write(&dir.join("request.json"), &request.to_json().render()))
+        {
             eprintln!("ff-server: warning: could not persist campaign {id}: {e}");
         }
         self.work.notify_all();
@@ -357,19 +414,21 @@ impl Scheduler {
         let inner = self.lock_inner();
         let campaign = inner.campaigns.get(id)?;
         let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for job in &campaign.jobs {
-            *counts.entry(job.state.name()).or_insert(0) += 1;
+        for state in &campaign.states {
+            *counts.entry(state.name()).or_insert(0) += 1;
         }
         let jobs: Vec<Json> = campaign
-            .jobs
+            .states
             .iter()
-            .map(|job| {
+            .enumerate()
+            .map(|(index, state)| {
+                let (spec, hash) = campaign.job(index);
                 let mut fields = vec![
-                    ("id", Json::Str(job.spec.id())),
-                    ("hash", Json::Str(format!("{:016x}", job.hash))),
-                    ("status", Json::Str(job.state.name().into())),
+                    ("id", Json::Str(spec.id())),
+                    ("hash", Json::Str(format!("{hash:016x}"))),
+                    ("status", Json::Str(state.name().into())),
                 ];
-                if let Some(err) = job.state.error() {
+                if let Some(err) = campaign.errors.get(&index) {
                     fields.push(("error", Json::Str(err.to_string())));
                 }
                 Json::obj(fields)
@@ -387,17 +446,10 @@ impl Scheduler {
         ]))
     }
 
-    /// Whether every job of every campaign is terminal.
-    pub fn idle(&self) -> bool {
-        let inner = self.lock_inner();
-        inner.campaigns.values().all(Campaign::done)
-    }
-
     /// The `GET /healthz` document.
     pub fn health(&self) -> Json {
         let inner = self.lock_inner();
-        let campaigns = inner.campaigns.len() as u64;
-        let done = inner.campaigns.values().filter(|c| c.done()).count() as u64;
+        let (campaigns, done) = (inner.campaigns.len() as u64, inner.done);
         drop(inner);
         Json::obj(vec![
             ("status", Json::Str("ok".into())),
@@ -419,11 +471,11 @@ impl Scheduler {
             let id = inner.rotation.pop_front()?;
             let Some(campaign) = inner.campaigns.get_mut(&id) else { continue };
             let index = campaign.next;
-            let Some(job) = campaign.jobs.get(index) else {
+            if index == campaign.jobs.len() {
                 continue; // drained: leave out of the rotation
-            };
-            debug_assert_eq!(job.state, JobState::Queued);
-            let (spec, hash) = (job.spec.clone(), job.hash);
+            }
+            debug_assert_eq!(campaign.states[index], JobState::Queued);
+            let (spec, hash) = campaign.job(index);
             campaign.next += 1;
             let more_queued = campaign.next < campaign.jobs.len();
 
@@ -432,9 +484,9 @@ impl Scheduler {
             let skip = self
                 .lock_quarantine()
                 .zip(self.opts.quarantine_after)
-                .and_then(|(ledger, threshold)| ledger.gate(&spec, threshold));
+                .and_then(|(ledger, threshold)| ledger.gate(spec, threshold));
             if let Some(skip) = skip {
-                campaign.jobs[index].state = JobState::Quarantined(Box::new(skip));
+                inner.settle(&id, index, JobState::Quarantined, Some(skip));
                 if more_queued {
                     inner.rotation.push_back(id);
                 }
@@ -443,9 +495,9 @@ impl Scheduler {
 
             // In-flight gate: an identical hash already claimed means
             // this job parks and resolves with the claimant.
-            if let Some(waiters) = inner.inflight.get_mut(&hash) {
+            if let Some(waiters) = inner.inflight.get_mut(hash) {
                 waiters.push((id.clone(), index));
-                campaign.jobs[index].state = JobState::Waiting;
+                campaign.states[index] = JobState::Waiting;
                 if more_queued {
                     inner.rotation.push_back(id);
                 }
@@ -453,12 +505,12 @@ impl Scheduler {
             }
 
             // This worker claims the hash; `execute` memo-checks it.
-            inner.inflight.insert(hash, Vec::new());
-            campaign.jobs[index].state = JobState::Running;
+            inner.inflight.insert(*hash, Vec::new());
+            campaign.states[index] = JobState::Running;
             if more_queued {
                 inner.rotation.push_back(id.clone());
             }
-            return Some(Task { campaign: id, index, spec, hash });
+            return Some(Task { campaign: id, index, spec, hash: *hash });
         }
     }
 
@@ -487,40 +539,44 @@ impl Scheduler {
     fn execute(&self, task: Task) {
         // Memoization gate: an existing artifact is a hit, shared with
         // every past campaign and CLI run against this store.
-        let (state, waiter_state) = if self.store.contains_hashed(&task.spec, task.hash) {
+        let (state, error) = if self.store.contains_hashed(task.spec, task.hash) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             if let Some(mut ledger) = self.lock_quarantine() {
-                ledger.record(&task.spec, JobStatus::Cached);
+                ledger.record(task.spec, JobStatus::Cached);
             }
-            (JobState::Hit, JobState::Hit)
+            (JobState::Hit, None)
         } else {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            self.simulate(&task.spec)
-        };
-        let mut inner = self.lock_inner();
-        let waiters = inner.inflight.remove(&task.hash).unwrap_or_default();
-        let parked = if state == JobState::Hit {
-            &self.counters.hits
-        } else {
-            &self.counters.inflight_dedup
-        };
-        parked.fetch_add(waiters.len() as u64, Ordering::Relaxed);
-        let mut resolve = |id: &str, index: usize, state: JobState| {
-            if let Some(job) = inner.campaigns.get_mut(id).and_then(|c| c.jobs.get_mut(index)) {
-                job.state = state;
+            match self.simulate(task.spec) {
+                None => (JobState::Ok, None),
+                Some(err) => (JobState::Failed, Some(err)),
             }
         };
-        resolve(&task.campaign, task.index, state);
+        // A waiter takes a hit as a hit and a simulation as `dedup`, and
+        // fails with a failed claimant.
+        let (parked, waiter_state) = match state {
+            JobState::Hit => (&self.counters.hits, JobState::Hit),
+            JobState::Ok => (&self.counters.inflight_dedup, JobState::Dedup),
+            _ => (&self.counters.inflight_dedup, state),
+        };
+        let waiter_error = error.as_ref().map(|err| JobError {
+            message: format!("deduplicated onto a failed run: {}", err.message),
+            ..err.clone()
+        });
+        let mut inner = self.lock_inner();
+        let waiters = inner.inflight.remove(&task.hash).unwrap_or_default();
+        parked.fetch_add(waiters.len() as u64, Ordering::Relaxed);
+        inner.settle(&task.campaign, task.index, state, error);
         for (id, index) in waiters {
-            resolve(&id, index, waiter_state.clone());
+            inner.settle(&id, index, waiter_state, waiter_error.clone());
         }
         drop(inner);
         self.work.notify_all();
     }
 
-    /// Simulates and publishes one memo miss, returning the states of the
-    /// job and of its parked waiters.
-    fn simulate(&self, spec: &JobSpec) -> (JobState, JobState) {
+    /// Simulates and publishes one memo miss, returning its error if it
+    /// failed.
+    fn simulate(&self, spec: &JobSpec) -> Option<JobError> {
         let exec = &self.opts.exec;
         let outcome = execute_job(&self.store, spec, self.opts.attempts, exec, |_| {
             (self.executor)(spec, exec)
@@ -531,18 +587,13 @@ impl Scheduler {
                 eprintln!("ff-server: warning: could not save quarantine ledger: {e}");
             }
         }
-        match outcome.error {
-            None => {
-                self.counters.sims_ok.fetch_add(1, Ordering::Relaxed);
-                (JobState::Ok, JobState::Dedup)
-            }
-            Some(err) => {
-                self.counters.sims_failed.fetch_add(1, Ordering::Relaxed);
-                let message = format!("deduplicated onto a failed run: {}", err.message);
-                let waiter = JobState::Failed(Box::new(JobError { message, ..err.clone() }));
-                (JobState::Failed(Box::new(err)), waiter)
-            }
-        }
+        let sims = if outcome.error.is_none() {
+            &self.counters.sims_ok
+        } else {
+            &self.counters.sims_failed
+        };
+        sims.fetch_add(1, Ordering::Relaxed);
+        outcome.error
     }
 
     /// Builds the checkpoint report for one campaign: terminal jobs keep
@@ -550,17 +601,19 @@ impl Scheduler {
     /// [`JobStatus::Pending`].
     fn checkpoint_report(campaign: &Campaign) -> CampaignReport {
         let outcomes = campaign
-            .jobs
+            .states
             .iter()
-            .map(|job| {
-                let status = match &job.state {
+            .enumerate()
+            .map(|(index, state)| {
+                let status = match state {
                     JobState::Ok => JobStatus::Ok,
                     JobState::Hit | JobState::Dedup => JobStatus::Cached,
-                    JobState::Failed(_) => JobStatus::Failed,
-                    JobState::Quarantined(_) => JobStatus::Quarantined,
+                    JobState::Failed => JobStatus::Failed,
+                    JobState::Quarantined => JobStatus::Quarantined,
                     JobState::Queued | JobState::Running | JobState::Waiting => JobStatus::Pending,
                 };
-                JobOutcome::unrun(&job.spec, status, job.state.error().cloned())
+                let (spec, _) = campaign.job(index);
+                JobOutcome::unrun(spec, status, campaign.errors.get(&index).cloned())
             })
             .collect();
         CampaignReport { outcomes, wall_s: 0.0, workers: 0, scale: campaign.scale }
@@ -570,18 +623,25 @@ impl Scheduler {
     /// `<store>/campaigns/<id>/manifest.json`, in the same format
     /// `ff-campaign run` writes.
     pub fn checkpoint_all(&self) {
-        let inner = self.lock_inner();
-        let reports: Vec<(String, CampaignReport)> = inner
-            .campaigns
-            .iter()
-            .map(|(id, campaign)| (id.clone(), Self::checkpoint_report(campaign)))
-            .collect();
-        drop(inner);
-        for (id, report) in reports {
+        let ids: Vec<String> = self.lock_inner().campaigns.keys().cloned().collect();
+        if ids.is_empty() {
+            return;
+        }
+        // One `git describe` (a process spawn) for all the manifests. It
+        // describes the working directory's repository, as
+        // `write_manifest` does.
+        let git = git_describe(Path::new("."));
+        // One report at a time, so a long history is never materialized
+        // at once.
+        for id in ids {
+            let Some(report) = self.lock_inner().campaigns.get(&id).map(Self::checkpoint_report)
+            else {
+                continue;
+            };
             let dir = self.campaign_dir(&id);
-            if let Err(e) =
-                std::fs::create_dir_all(&dir).and_then(|()| write_manifest(&dir, &report))
-            {
+            if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| {
+                durable_write(&dir.join(MANIFEST_NAME), &render_manifest(&report, &git))
+            }) {
                 eprintln!("ff-server: warning: could not checkpoint campaign {id}: {e}");
             }
         }
@@ -776,6 +836,7 @@ mod tests {
 
     /// Parks every artifact read under `scope`: reports each parked read
     /// on `parked` and holds it until the `release` sender is dropped.
+    /// Checkpoint reads pass, so a scheduler over `scope` can start.
     struct ParkReads {
         scope: String,
         parked: Mutex<mpsc::Sender<()>>,
@@ -784,7 +845,9 @@ mod tests {
 
     impl ChaosPolicy for ParkReads {
         fn decide(&self, op: FsOp, path: &std::path::Path) -> Option<Fault> {
-            if op == FsOp::Read && path.to_string_lossy().contains(&self.scope) {
+            let artifact =
+                path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("sim-"));
+            if op == FsOp::Read && artifact && path.to_string_lossy().contains(&self.scope) {
                 let _ = self.parked.lock().unwrap().send(());
                 let _ = self.release.lock().unwrap().recv();
             }
@@ -951,6 +1014,165 @@ mod tests {
             let (id, _) = scheduler.submit(&req).unwrap();
             let status = wait_done(&scheduler, &id);
             assert_eq!(count_of(&status, expected), 1, "status: {}", status.render());
+        }
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn an_unreadable_checkpoint_is_skipped_and_its_id_never_reused() {
+        let dir = temp_dir("unreadable");
+        let sims = Arc::new(AtomicUsize::new(0));
+        let first = Scheduler::start_with_executor(
+            ShardedStore::open(&*dir).unwrap(),
+            SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
+            counting_executor(Arc::clone(&sims)),
+        );
+        let req = request(ModelKind::InOrder, &["gzip"]);
+        let ids: Vec<String> = (0..2).map(|_| first.submit(&req).unwrap().0).collect();
+        for id in &ids {
+            wait_done(&first, id);
+        }
+        first.shutdown();
+
+        // The restart's read of the first campaign's checkpoint fails.
+        let unreadable = dir.join(CAMPAIGNS_DIR).join(&ids[0]).join("request.json");
+        let guard = chaos::install(Arc::new(chaos::NthOp::new(
+            FsOp::Read,
+            Fault::Error,
+            unreadable.to_string_lossy(),
+            1,
+        )));
+        let resumed = Scheduler::start_with_executor(
+            ShardedStore::open(&*dir).unwrap(),
+            SchedulerOptions { workers: 2, ..SchedulerOptions::default() },
+            counting_executor(Arc::clone(&sims)),
+        );
+        drop(guard);
+        assert!(resumed.status(&ids[0]).is_none(), "the unreadable checkpoint must be skipped");
+        let status = wait_done(&resumed, &ids[1]);
+        assert_eq!(count_of(&status, "hit"), 1, "status: {}", status.render());
+        let (next, _) = resumed.submit(&req).unwrap();
+        assert!(!ids.contains(&next), "{next} reuses a checkpointed id");
+        assert_eq!(sims.load(Ordering::SeqCst), 1, "resume must not re-simulate");
+        resumed.shutdown();
+    }
+
+    /// Asserts that `/healthz`'s campaign counts equal a recount over the
+    /// status documents of `submitted`, that each document lists its
+    /// request's expansion in order, and that all campaigns index the one
+    /// shared grid.
+    fn assert_counters_match_a_recount(
+        scheduler: &Scheduler,
+        submitted: &[(String, CampaignRequest)],
+    ) -> Vec<Json> {
+        let docs: Vec<Json> =
+            submitted.iter().map(|(id, _)| scheduler.status(id).expect("campaign")).collect();
+        let health = scheduler.health();
+        let field = |k: &str| health.get(k).and_then(Json::as_u64).unwrap();
+        let done = docs.iter().filter(|d| matches!(d.get("done"), Some(Json::Bool(true)))).count();
+        assert_eq!(field("campaigns"), submitted.len() as u64, "health: {}", health.render());
+        assert_eq!(field("campaigns_done"), done as u64, "health: {}", health.render());
+        for ((id, request), doc) in submitted.iter().zip(&docs) {
+            let Some(Json::Arr(jobs)) = doc.get("jobs") else { panic!("{id} has no job list") };
+            let text = |j: &Json, k: &str| j.get(k).and_then(Json::as_str).unwrap().to_string();
+            let listed: Vec<(String, String)> =
+                jobs.iter().map(|j| (text(j, "id"), text(j, "hash"))).collect();
+            let expanded: Vec<(String, String)> = request
+                .expand()
+                .iter()
+                .map(|s| (s.id(), format!("{:016x}", s.config_hash())))
+                .collect();
+            assert_eq!(listed, expanded, "campaign {id}");
+        }
+        let inner = scheduler.lock_inner();
+        let grid = hashed_grid(Scale::Test);
+        assert!(inner.campaigns.values().all(|c| std::ptr::eq(c.grid(), grid)));
+        docs
+    }
+
+    #[test]
+    fn campaign_counters_equal_a_recount_through_every_terminal_state() {
+        const SEED: u64 = 0x5eed_0031;
+        let dir = temp_dir("recount");
+        let gated = request(ModelKind::Ooo, &["art"]);
+        let gated_id = gated.expand()[0].id();
+        let (entered, release) =
+            (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+        let (entered_e, release_e) = (Arc::clone(&entered), Arc::clone(&release));
+        let scheduler = Scheduler::start_with_executor(
+            ShardedStore::open(&*dir).unwrap(),
+            SchedulerOptions {
+                workers: 2,
+                quarantine_after: Some(2),
+                ..SchedulerOptions::default()
+            },
+            Box::new(move |spec, _exec| {
+                let id = spec.id();
+                if id.starts_with("gap/") {
+                    return Attempt::synthetic(Err(JobError::other("synthetic failure")));
+                }
+                if id == gated_id {
+                    entered_e.store(true, Ordering::SeqCst);
+                    while !release_e.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Attempt::synthetic(Ok(format!("{{\"synthetic\": \"{id}\"}}\n")))
+            }),
+        );
+
+        // Overlapping seeded filters. Each includes in-order `gap`, which
+        // always fails, so it fails twice and is then quarantined; a
+        // config seen before resolves as a hit.
+        let mut rng = SEED;
+        let mut coin = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng & 1 == 1
+        };
+        let mut submitted: Vec<(String, CampaignRequest)> = Vec::new();
+        for _ in 0..6 {
+            let mut req = request(ModelKind::InOrder, &["gap"]);
+            for model in [ModelKind::Runahead, ModelKind::Multipass] {
+                if coin() {
+                    req.filter.models.push(model);
+                }
+            }
+            for bench in ["gzip", "vpr", "mcf"] {
+                if coin() {
+                    req.filter.benches.push(bench.to_string());
+                }
+            }
+            let (id, _) = scheduler.submit(&req).unwrap();
+            wait_done(&scheduler, &id);
+            submitted.push((id, req));
+            assert_counters_match_a_recount(&scheduler, &submitted);
+        }
+
+        // Two racing campaigns on one config: the second parks behind the
+        // first, which the executor holds until both are counted.
+        let (first, _) = scheduler.submit(&gated).unwrap();
+        submitted.push((first.clone(), gated.clone()));
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (second, _) = scheduler.submit(&gated).unwrap();
+        submitted.push((second.clone(), gated.clone()));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while count_of(&scheduler.status(&second).unwrap(), "running") == 0 {
+            assert!(Instant::now() < deadline, "the duplicate was never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_counters_match_a_recount(&scheduler, &submitted);
+        release.store(true, Ordering::SeqCst);
+        wait_done(&scheduler, &first);
+        wait_done(&scheduler, &second);
+        let docs = assert_counters_match_a_recount(&scheduler, &submitted);
+
+        for state in ["ok", "hit", "dedup", "failed", "quarantined"] {
+            let seen: u64 = docs.iter().map(|d| count_of(d, state)).sum();
+            assert!(seen > 0, "no job ended `{state}` (seed {SEED:#x})");
         }
         scheduler.shutdown();
     }

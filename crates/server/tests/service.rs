@@ -515,6 +515,7 @@ fn a_restart_over_crash_damage_heals_without_resimulating_intact_artifacts() {
     assert!(store.join("corrupt").is_dir(), "quarantine ledger directory exists");
 
     let (id2, _) = submit_campaign(&url, &request).expect("resubmit");
+    assert_ne!(id2, id, "the unreadable checkpoint's id must not be handed out again");
     let status = wait_done(&url, &id2);
     assert_eq!(status.counts.get("hit"), Some(&1), "counts: {:?}", status.counts);
     assert_eq!(status.counts.get("ok"), Some(&1), "counts: {:?}", status.counts);
