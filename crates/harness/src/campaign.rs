@@ -257,6 +257,22 @@ pub fn hashed_grid(scale: Scale) -> &'static [(JobSpec, u64)] {
     })
 }
 
+/// The job of either scale's [`hashed_grid`] whose config hash is `hash`,
+/// found in a hash-ordered index over both grids, built on first use.
+pub(crate) fn grid_spec(hash: u64) -> Option<&'static JobSpec> {
+    static INDEX: OnceLock<Vec<(u64, &'static JobSpec)>> = OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        let mut index: Vec<_> = [Scale::Test, Scale::Paper]
+            .into_iter()
+            .flat_map(|scale| hashed_grid(scale).iter().map(|(spec, hash)| (*hash, spec)))
+            .collect();
+        index.sort_unstable_by_key(|&(hash, _)| hash);
+        index
+    });
+    let at = index.binary_search_by_key(&hash, |&(hash, _)| hash).ok()?;
+    Some(index[at].1)
+}
+
 /// A sim-grid filter (`--filter model=MP bench=mcf`). Empty lists match
 /// everything; report jobs pass only an unconstrained filter.
 #[derive(Clone, Debug, Default)]

@@ -256,6 +256,10 @@ impl std::fmt::Display for ServerUrl {
 /// Timeout for each client request (connect, read, write).
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// The reply buffer a request starts with: room for an artifact reply
+/// (~1.7 KiB); a larger reply grows it.
+const REPLY_CAPACITY: usize = 8 * 1024;
+
 /// A parsed HTTP response: status, body, and the transport-hardening
 /// headers the client honors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -269,19 +273,21 @@ pub struct HttpResponse {
     pub retry_after: Option<u64>,
 }
 
-/// Parses a complete raw HTTP/1.1 response. Verifies the body against
-/// `Content-Length` when the server sent one, so a connection reset
-/// mid-body surfaces as a (retryable) transport error rather than a
-/// silently truncated artifact.
+/// Parses a complete raw HTTP/1.1 response, keeping `text`'s buffer as
+/// the body. Verifies the body against `Content-Length` when the server
+/// sent one, so a connection reset mid-body surfaces as a (retryable)
+/// transport error rather than a silently truncated artifact.
 ///
 /// # Errors
 ///
 /// On a malformed head, bad status line, or a body/`Content-Length`
 /// mismatch.
-fn parse_response(text: &str) -> Result<HttpResponse, String> {
-    let (head, body) = text
-        .split_once("\r\n\r\n")
+fn parse_response(mut text: String) -> Result<HttpResponse, String> {
+    let head_len = text
+        .find("\r\n\r\n")
         .ok_or_else(|| "malformed response (no header/body split)".to_string())?;
+    let head = &text[..head_len];
+    let body_len = text.len() - head_len - 4;
     let status_line = head.lines().next().unwrap_or("");
     let code = status_line
         .split_whitespace()
@@ -300,14 +306,14 @@ fn parse_response(text: &str) -> Result<HttpResponse, String> {
         }
     }
     if let Some(expected) = content_length {
-        if body.len() != expected {
+        if body_len != expected {
             return Err(format!(
-                "truncated response: Content-Length {expected}, got {} bytes (connection reset?)",
-                body.len(),
+                "truncated response: Content-Length {expected}, got {body_len} bytes (connection reset?)",
             ));
         }
     }
-    Ok(HttpResponse { code, body: body.to_string(), retry_after })
+    text.drain(..head_len + 4);
+    Ok(HttpResponse { code, body: text, retry_after })
 }
 
 /// Performs one HTTP/1.1 request against the campaign service.
@@ -339,10 +345,11 @@ fn http_request_once(
         body.len(),
     );
     stream.write_all(request.as_bytes()).map_err(|e| format!("send to {url}: {e}"))?;
-    let mut raw = Vec::new();
+    // Sized for an artifact reply, so reading one takes no regrowth.
+    let mut raw = Vec::with_capacity(REPLY_CAPACITY);
     stream.read_to_end(&mut raw).map_err(|e| format!("read from {url}: {e}"))?;
     let text = String::from_utf8(raw).map_err(|_| format!("non-UTF-8 response from {url}"))?;
-    parse_response(&text).map_err(|e| format!("{e} from {url}"))
+    parse_response(text).map_err(|e| format!("{e} from {url}"))
 }
 
 /// Performs one HTTP/1.1 request against the campaign service, returning
@@ -566,21 +573,22 @@ mod tests {
     #[test]
     fn parse_response_reads_status_and_retry_after() {
         let r = parse_response(
-            "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 2\r\n\r\nno",
+            "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 2\r\n\r\nno"
+                .into(),
         )
         .unwrap();
         assert_eq!((r.code, r.retry_after, r.body.as_str()), (503, Some(2), "no"));
-        let r = parse_response("HTTP/1.1 200 OK\r\n\r\nhello").unwrap();
+        let r = parse_response("HTTP/1.1 200 OK\r\n\r\nhello".into()).unwrap();
         assert_eq!((r.code, r.retry_after, r.body.as_str()), (200, None, "hello"));
     }
 
     #[test]
     fn parse_response_rejects_bodies_truncated_against_content_length() {
-        let err =
-            parse_response("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial").unwrap_err();
+        let err = parse_response("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial".into())
+            .unwrap_err();
         assert!(err.contains("truncated response"), "{err}");
-        assert!(parse_response("no header split at all").is_err());
-        assert!(parse_response("BOGUS\r\n\r\nbody").is_err());
+        assert!(parse_response("no header split at all".into()).is_err());
+        assert!(parse_response("BOGUS\r\n\r\nbody".into()).is_err());
     }
 
     #[test]

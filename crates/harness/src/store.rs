@@ -29,6 +29,7 @@ use ff_experiments::{HierKind, ModelKind, ResultSource};
 use ff_workloads::{Scale, Workload};
 
 use crate::artifact::{parse_report_artifact, parse_sim_artifact};
+use crate::campaign::grid_spec;
 use crate::chaos;
 use crate::integrity::{self, ReadError};
 use crate::job::JobSpec;
@@ -310,7 +311,13 @@ impl ShardedStore {
     /// (self-healing: the next lookup is a memoization miss that
     /// re-simulates) and reads as absent. Caller holds the shard lock.
     fn read_verified_locked(&self, path: &Path) -> Option<String> {
-        match integrity::read_verified(path) {
+        self.settle_read(path, integrity::read_verified(path))
+    }
+
+    /// What [`ShardedStore::read_verified_locked`] makes of `read`, a
+    /// verified read of `path`.
+    fn settle_read(&self, path: &Path, read: Result<(String, u64), ReadError>) -> Option<String> {
+        match read {
             Ok((payload, _)) => {
                 self.counters.sealed_reads.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
@@ -348,9 +355,21 @@ impl ShardedStore {
         self.read_verified_locked(&sharded_path_hashed(&self.root, spec, hash))
     }
 
-    /// Reads an artifact by config hash alone, verifying integrity.
+    /// Reads an artifact by config hash alone, verifying integrity. A
+    /// hash of either scale's job grid ([`crate::campaign::hashed_grid`])
+    /// names its file, so that path is read directly; only a hash outside
+    /// both grids, or a grid file that is not there, is looked for by
+    /// [`find_by_hash`]'s shard scan. Any other read error or a corrupt
+    /// file is final.
     pub fn read_by_hash(&self, hash: u64) -> Option<String> {
         let _guard = self.lock(hash);
+        if let Some(spec) = grid_spec(hash) {
+            let path = sharded_path_hashed(&self.root, spec, hash);
+            match integrity::read_verified(&path) {
+                Err(ReadError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                read => return self.settle_read(&path, read),
+            }
+        }
         self.read_verified_locked(&find_by_hash(&self.root, hash)?)
     }
 
@@ -688,6 +707,61 @@ mod tests {
         // Republish: the store is whole again.
         store.publish(&spec, "{\"x\": 42}\n").unwrap();
         assert_eq!(store.read(&spec).unwrap(), "{\"x\": 42}\n");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_grid_hash_reads_the_file_its_grid_job_names() {
+        use std::sync::Arc;
+
+        use crate::chaos::{install, Fault, FsOp, NthOp};
+
+        let dir = temp_dir("gridread");
+        let store = ShardedStore::open(&dir).unwrap();
+        let corrupt = || store.counters().corrupt_detected.load(Ordering::Relaxed);
+        let spec = JobSpec::sim(ModelKind::Runahead, HierKind::Config2, "art", 0, Scale::Paper);
+        let hash = spec.config_hash();
+        assert_eq!(grid_spec(hash), Some(&spec));
+        let path = store.publish(&spec, "{\"x\": 7}\n").unwrap();
+        assert_eq!(store.read_by_hash(hash).unwrap(), "{\"x\": 7}\n");
+
+        // One flipped bit: absent, quarantined, counted once.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[2] ^= 1;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(store.read_by_hash(hash).is_none(), "a bit flip must not be served");
+        assert!(!path.exists(), "corrupt artifact must be healed away");
+        assert!(dir.join(crate::integrity::CORRUPT_DIR).join(spec.artifact_filename()).exists());
+        assert_eq!(corrupt(), 1);
+
+        // A read error is final. The fault hits only the first read, so a
+        // second attempt, or a shard scan that found the same file, would
+        // have read it.
+        store.publish(&spec, "{\"x\": 7}\n").unwrap();
+        {
+            let scope = path.to_string_lossy().into_owned();
+            let _chaos = install(Arc::new(NthOp::new(FsOp::Read, Fault::Error, scope, 1)));
+            assert!(store.read_by_hash(hash).is_none(), "one read, no retry, no scan");
+        }
+        assert!(path.exists(), "an I/O error quarantines nothing");
+        assert_eq!(corrupt(), 1);
+        assert_eq!(store.read_by_hash(hash).unwrap(), "{\"x\": 7}\n");
+
+        // A grid file missing from its path falls back to the shard scan.
+        std::fs::rename(&path, path.with_file_name(format!("sim-moved-{hash:016x}.json"))).unwrap();
+        assert_eq!(store.read_by_hash(hash).unwrap(), "{\"x\": 7}\n");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_hash_outside_both_grids_is_found_by_the_shard_scan() {
+        let dir = temp_dir("offgrid");
+        let store = ShardedStore::open(&dir).unwrap();
+        let spec = JobSpec::sim(ModelKind::Ooo, HierKind::Base, "vortex", 99, Scale::Test);
+        let hash = spec.config_hash();
+        assert_eq!(grid_spec(hash), None, "seed 99 is in neither grid");
+        store.publish(&spec, "{\"x\": 9}\n").unwrap();
+        assert_eq!(store.read_by_hash(hash).unwrap(), "{\"x\": 9}\n");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

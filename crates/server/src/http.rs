@@ -3,28 +3,33 @@
 //! The build environment is offline (no hyper, no tokio), and the
 //! campaign service needs exactly four routes with small JSON bodies, so
 //! this implements the minimal subset the `ff-harness` client speaks:
-//! `Content-Length` bodies, `Connection: close` per request, a fixed
-//! accept-thread + worker-thread model. No keep-alive, no chunked
-//! encoding, no TLS — additions the protocol does not need.
+//! `Content-Length` bodies, `Connection: close` per request, and a fixed
+//! set of threads that each accept and serve their own connections. No
+//! keep-alive, no chunked encoding, no TLS — additions the protocol does
+//! not need.
 //!
 //! What it *does* harden against, because a long-running service meets
 //! them in practice:
 //!
-//! * **oversized bodies** — rejected with `413 Payload Too Large` before
-//!   the body is read, so a hostile `Content-Length` cannot balloon
+//! * **oversized requests** — a body whose `Content-Length` passes
+//!   [`MAX_BODY`] is rejected with `413 Payload Too Large` before it is
+//!   read, and a request line plus headers longer than [`MAX_HEAD`] with
+//!   `431 Request Header Fields Too Large`, so no request can balloon
 //!   memory;
-//! * **overload** — accepted connections queue on a *bounded* channel;
-//!   when the queue is full the accept thread sheds the connection with
-//!   `503 Service Unavailable` plus a `Retry-After` header instead of
-//!   letting the backlog grow without bound (the `ff_harness::remote`
+//! * **overload** — at most `threads` requests are handled at once, and
+//!   accepted connections beyond those wait in a *bounded* queue; when
+//!   the queue is full the thread that accepted the connection sheds it
+//!   with `503 Service Unavailable` plus a `Retry-After` header instead
+//!   of letting the backlog grow without bound (the `ff_harness::remote`
 //!   client honors the header and retries idempotent requests);
 //! * **observability** — every request, shed, and error class ticks a
 //!   [`TransportCounters`] field, surfaced on `GET /healthz`.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,8 +48,12 @@ const DRAIN_LIMIT: usize = 64 * 1024;
 /// anything near this bound is hostile or corrupt).
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Largest accepted request head, the request line plus every header (a
+/// client's head is < 200 bytes).
+pub const MAX_HEAD: usize = 16 * 1024;
+
 /// Default bound on the accept queue: connections beyond
-/// `queue_cap + workers` in flight are shed with 503.
+/// `queue_cap + threads` in flight are shed with 503.
 const DEFAULT_QUEUE_CAP: usize = 64;
 
 /// The `Retry-After` seconds advertised when shedding load. Campaign
@@ -107,6 +116,7 @@ fn status_text(code: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -116,13 +126,14 @@ fn status_text(code: u16) -> &'static str {
 /// `GET /healthz` under `"transport"`.
 #[derive(Debug, Default)]
 pub struct TransportCounters {
-    /// Connections dequeued by a worker (parsed or not).
+    /// Connections a handler slot served (parsed or not).
     pub requests: AtomicU64,
-    /// Responses written with a 4xx status (including 413s).
+    /// Responses written with a 4xx status (including 413s and 431s).
     pub http_4xx: AtomicU64,
     /// Responses written with a 5xx status (excluding sheds).
     pub http_5xx: AtomicU64,
-    /// Connections shed by the accept thread with 503 (queue full).
+    /// Connections shed with 503 by the thread that accepted them,
+    /// because every handler slot was busy and the queue was full.
     pub shed: AtomicU64,
     /// Requests rejected with 413 for an oversized body.
     pub oversized: AtomicU64,
@@ -154,6 +165,8 @@ impl TransportCounters {
 pub enum RequestError {
     /// `Content-Length` exceeded [`MAX_BODY`] → `413`.
     TooLarge(String),
+    /// The request line and headers exceeded [`MAX_HEAD`] → `431`.
+    HeadTooLarge(String),
     /// Anything else malformed → `400`.
     Malformed(String),
 }
@@ -163,16 +176,18 @@ pub enum RequestError {
 /// # Errors
 ///
 /// [`RequestError::TooLarge`] when the declared body exceeds
-/// [`MAX_BODY`] (answered with 413 before reading the body), and
-/// [`RequestError::Malformed`] on a bad request line, bad header, or IO
-/// failure (answered with 400).
+/// [`MAX_BODY`] (answered with 413 before reading the body),
+/// [`RequestError::HeadTooLarge`] when the head runs past [`MAX_HEAD`]
+/// (answered with 431), and [`RequestError::Malformed`] on a bad request
+/// line, bad header, or IO failure (answered with 400).
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     let bad = |msg: String| RequestError::Malformed(msg);
     stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(|e| bad(e.to_string()))?;
     stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(|e| bad(e.to_string()))?;
     let mut reader = BufReader::new(stream);
+    let mut head = (&mut reader).take(MAX_HEAD as u64);
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| bad(e.to_string()))?;
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line".into()))?.to_ascii_uppercase();
     let target = parts.next().ok_or_else(|| bad("request line missing target".into()))?;
@@ -180,7 +195,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| bad(e.to_string()))?;
+        read_head_line(&mut head, &mut header)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -203,6 +218,21 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     Ok(Request { method, path, body })
 }
 
+/// Appends one line of the request head to `line`, failing once the head
+/// has used up its [`MAX_HEAD`] bytes without ending the line.
+fn read_head_line(
+    head: &mut Take<&mut BufReader<&mut TcpStream>>,
+    line: &mut String,
+) -> Result<(), RequestError> {
+    head.read_line(line).map_err(|e| RequestError::Malformed(e.to_string()))?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(RequestError::HeadTooLarge(format!(
+            "request head exceeds the {MAX_HEAD}-byte limit"
+        )));
+    }
+    Ok(())
+}
+
 /// Writes `response` to `stream` (best effort: a vanished client is not
 /// an error worth propagating).
 pub fn write_response(stream: &mut TcpStream, response: &Response) {
@@ -221,10 +251,11 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) {
 }
 
 /// Closes a connection whose request was answered before it was fully
-/// read (a 503 shed or a 413). Closing a socket with unread input makes
-/// the kernel send RST, which can discard the response before the client
-/// reads it; so half-close the write side (the client sees the response,
-/// then EOF) and drain the input, bounded in time and bytes, first.
+/// read (a 503 shed, a 413 or a 431). Closing a socket with unread input
+/// makes the kernel send RST, which can discard the response before the
+/// client reads it; so half-close the write side (the client sees the
+/// response, then EOF) and drain the input, bounded in time and bytes,
+/// first.
 fn close_unread(mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let deadline = Instant::now() + DRAIN_TIMEOUT;
@@ -245,7 +276,9 @@ fn close_unread(mut stream: TcpStream) {
 /// Tuning knobs for [`HttpServer::start_with`].
 #[derive(Clone, Debug)]
 pub struct HttpOptions {
-    /// HTTP worker threads.
+    /// Requests handled at once. The server runs one thread more than
+    /// this, all accepting, so a connection that arrives while every
+    /// handler is busy is still queued or shed at once.
     pub threads: usize,
     /// Accepted connections that may queue before load-shedding kicks in.
     pub queue_cap: usize,
@@ -257,22 +290,125 @@ impl Default for HttpOptions {
     }
 }
 
-/// The accept thread plus a fixed pool of HTTP worker threads. Accepted
-/// connections queue on a *bounded* channel; each worker reads one
-/// request, calls the handler, writes the response, and closes. When the
-/// queue is full, the accept thread itself answers `503` with
-/// `Retry-After` rather than queueing without bound.
+/// `threads + 1` identical threads, each blocking in `accept` on its own
+/// handle to the one listener, so the kernel wakes exactly one thread per
+/// connection and that thread serves it: read one request, call the
+/// handler, write the response, close. At most `threads` connections are
+/// served at once; a thread that accepts while all of them are busy
+/// queues the connection (at most `queue_cap`), or, when the queue is
+/// full, answers `503` with `Retry-After` itself rather than queueing
+/// without bound. A thread that finishes a request serves the queue
+/// before it accepts again.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// Handler slots taken and the accepted connections waiting for one.
+/// Both change under one lock, so a queued connection always has a busy
+/// thread that will pop it: the queue is non-empty only while every slot
+/// is taken, and a slot is given up only when the queue is empty.
+struct Slots {
+    busy: usize,
+    queue: VecDeque<TcpStream>,
+}
+
+/// What every accepting thread shares.
+struct Pool<H> {
+    stop: Arc<AtomicBool>,
+    threads: usize,
+    queue_cap: usize,
+    counters: Arc<TransportCounters>,
+    slots: Mutex<Slots>,
+    handler: H,
+}
+
+impl<H: Fn(&Request) -> Response> Pool<H> {
+    fn slots(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One accepting thread's loop, until [`HttpServer::shutdown`].
+    fn run(&self, listener: &TcpListener) {
+        while !self.stop.load(Ordering::SeqCst) {
+            let Ok((stream, _)) = listener.accept() else { continue };
+            if self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let mut next = self.admit(stream);
+            while let Some(stream) = next {
+                self.serve(stream);
+                next = self.release();
+            }
+        }
+    }
+
+    /// Takes a free handler slot for `stream` and hands it back to be
+    /// served, or queues it, or sheds it when the queue is full.
+    fn admit(&self, mut stream: TcpStream) -> Option<TcpStream> {
+        let mut slots = self.slots();
+        if slots.busy < self.threads {
+            slots.busy += 1;
+            return Some(stream);
+        }
+        if slots.queue.len() < self.queue_cap {
+            slots.queue.push_back(stream);
+            return None;
+        }
+        drop(slots);
+        // Writing the small 503 is cheap, and no handler is free to do it.
+        self.counters.shed.fetch_add(1, Ordering::Relaxed);
+        write_response(
+            &mut stream,
+            &Response::unavailable("server is at capacity; retry shortly", SHED_RETRY_AFTER_S),
+        );
+        close_unread(stream);
+        None
+    }
+
+    /// Passes this thread's slot to the oldest queued connection, or gives
+    /// it up when none waits. A stopping server drops the queue.
+    fn release(&self) -> Option<TcpStream> {
+        let mut slots = self.slots();
+        if self.stop.load(Ordering::SeqCst) {
+            slots.queue.clear();
+        }
+        let next = slots.queue.pop_front();
+        if next.is_none() {
+            slots.busy -= 1;
+        }
+        next
+    }
+
+    /// Reads one request from `stream`, answers it, and closes.
+    fn serve(&self, mut stream: TcpStream) {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let request = read_request(&mut stream);
+        // A 413 or 431 answers before the request is read to its end.
+        let unread =
+            matches!(request, Err(RequestError::TooLarge(_) | RequestError::HeadTooLarge(_)));
+        let response = match request {
+            Ok(request) => (self.handler)(&request),
+            Err(RequestError::TooLarge(msg)) => {
+                self.counters.oversized.fetch_add(1, Ordering::Relaxed);
+                Response::error(413, &msg)
+            }
+            Err(RequestError::HeadTooLarge(msg)) => Response::error(431, &msg),
+            Err(RequestError::Malformed(msg)) => Response::error(400, &msg),
+        };
+        self.counters.record_status(response.status);
+        write_response(&mut stream, &response);
+        if unread {
+            close_unread(stream);
+        }
+    }
 }
 
 impl HttpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept thread plus `threads` HTTP workers dispatching to `handler`,
-    /// with the default queue bound and throwaway counters.
+    /// Binds `addr` (use port 0 for an ephemeral port) and starts
+    /// `threads` concurrent handlers dispatching to `handler`, with the
+    /// default queue bound and throwaway counters.
     ///
     /// # Errors
     ///
@@ -303,70 +439,27 @@ impl HttpServer {
     {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let threads = opts.threads.max(1);
         let stop = Arc::new(AtomicBool::new(false));
-        let handler = Arc::new(handler);
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(opts.queue_cap.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..opts.threads.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&handler);
-                let counters = Arc::clone(&counters);
-                std::thread::spawn(move || loop {
-                    // Holding the receiver lock only while dequeuing keeps
-                    // workers independent once they own a connection.
-                    let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    let Ok(mut stream) = next else { return };
-                    counters.requests.fetch_add(1, Ordering::Relaxed);
-                    let request = read_request(&mut stream);
-                    // A 413 answers from the headers, leaving the body unread.
-                    let unread = matches!(request, Err(RequestError::TooLarge(_)));
-                    let response = match request {
-                        Ok(request) => handler(&request),
-                        Err(RequestError::TooLarge(msg)) => {
-                            counters.oversized.fetch_add(1, Ordering::Relaxed);
-                            Response::error(413, &msg)
-                        }
-                        Err(RequestError::Malformed(msg)) => Response::error(400, &msg),
-                    };
-                    counters.record_status(response.status);
-                    write_response(&mut stream, &response);
-                    if unread {
-                        close_unread(stream);
-                    }
-                })
+        let pool = Arc::new(Pool {
+            stop: Arc::clone(&stop),
+            threads,
+            queue_cap: opts.queue_cap.max(1),
+            counters,
+            slots: Mutex::new(Slots { busy: 0, queue: VecDeque::new() }),
+            handler,
+        });
+        let listeners =
+            (0..threads).map(|_| listener.try_clone()).collect::<Result<Vec<_>, _>>()?;
+        let threads = listeners
+            .into_iter()
+            .chain([listener])
+            .map(|listener| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || pool.run(&listener))
             })
             .collect();
-        let accept_stop = Arc::clone(&stop);
-        let accept_counters = Arc::clone(&counters);
-        let accept = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(mut stream)) => {
-                        // Shed from the accept thread: writing the small
-                        // 503 is cheap, and blocking here would stall all
-                        // accepts behind one slow backlog.
-                        accept_counters.shed.fetch_add(1, Ordering::Relaxed);
-                        write_response(
-                            &mut stream,
-                            &Response::unavailable(
-                                "server is at capacity; retry shortly",
-                                SHED_RETRY_AFTER_S,
-                            ),
-                        );
-                        close_unread(stream);
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => break,
-                }
-            }
-            // Dropping `tx` lets every idle worker's recv() fail and exit.
-        });
-        Ok(HttpServer { addr: local, stop, accept: Some(accept), workers })
+        Ok(HttpServer { addr: local, stop, threads })
     }
 
     /// The bound address (reports the real port when started with port 0).
@@ -374,18 +467,18 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stops accepting, drains the workers, and joins every thread.
-    /// In-flight requests complete; queued connections are dropped.
+    /// Stops accepting and joins every thread. In-flight requests
+    /// complete; queued connections are dropped.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The accept loop blocks in accept(); a throwaway connection to
-        // ourselves unblocks it so it can observe the stop flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        // Every thread blocks in accept(), or returns to it after its
+        // request; one throwaway connection each unblocks them all to
+        // observe the stop flag.
+        for _ in 0..self.threads.len() {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end HTTP tests: a real `Server` on an ephemeral port, driven
 //! through the same `ff_harness::remote` client the CLI uses, running
 //! real simulations at test scale — plus the transport-hardening
-//! scenarios: hash-shape validation, oversized-body rejection,
-//! load-shedding, retry-through-reset, and crash-damaged restarts.
+//! scenarios: hash-shape validation, oversized-body and oversized-head
+//! rejection, load-shedding, handler-slot concurrency, shutdown,
+//! retry-through-reset, and crash-damaged restarts.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -381,9 +382,9 @@ fn oversized_bodies_are_rejected_with_413_before_reading() {
     server.shutdown();
 }
 
-/// With one worker wedged and a one-deep accept queue full, the accept
-/// thread sheds the next connection with `503` + `Retry-After` instead
-/// of queueing without bound — and counts the shed.
+/// With the one handler wedged and a one-deep accept queue full, the
+/// thread that accepts the next connection sheds it with `503` +
+/// `Retry-After` instead of queueing without bound — and counts the shed.
 #[test]
 fn a_full_accept_queue_sheds_load_with_503_and_retry_after() {
     use std::sync::atomic::AtomicBool;
@@ -418,11 +419,11 @@ fn a_full_accept_queue_sheds_load_with_503_and_retry_after() {
         std::thread::sleep(Duration::from_millis(1));
     }
     // B: fills the one-deep queue. Once `connect` returns, B sits in the
-    // listener's accept queue, so the accept thread takes it before C.
+    // listener's accept queue, so the idle thread accepts it before C.
     let mut b = TcpStream::connect(http.addr()).expect("connect B");
     b.write_all(b"GET /b HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").expect("send B");
 
-    // C: must be shed by the accept thread, with the backoff hint.
+    // C: must be shed by the thread that accepts it, with the backoff hint.
     let mut stream = TcpStream::connect(http.addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     stream.write_all(b"GET /c HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").expect("send");
@@ -439,6 +440,110 @@ fn a_full_accept_queue_sheds_load_with_503_and_retry_after() {
     b.read_to_string(&mut response).expect("read B");
     assert!(response.starts_with("HTTP/1.1 200 "), "response: {response}");
     http.shutdown();
+}
+
+/// A request head past the 16 KiB bound is answered `431` without
+/// reading it to its end, and the server goes on serving.
+#[test]
+fn an_oversized_request_head_is_rejected_with_431() {
+    let store = temp_dir("bighead");
+    let (server, url) = start(&store);
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let filler = "a".repeat(64 * 1024);
+    // The server may answer before the line is sent in full.
+    let _ = write!(stream, "GET /healthz HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n");
+    let mut response = String::new();
+    let _ = stream.read_to_string(&mut response);
+    assert!(
+        response.starts_with("HTTP/1.1 431 "),
+        "response: {}",
+        &response[..80.min(response.len())]
+    );
+    assert!(response.contains("16384-byte limit"), "response: {response}");
+
+    assert_eq!(health_field(&url, "transport", "http_4xx"), 1);
+    assert_eq!(health_field(&url, "transport", "oversized"), 0);
+    server.shutdown();
+}
+
+/// Two handler slots under 32 concurrent clients: no more than two
+/// requests are ever handled at once, the rest wait in the queue, and
+/// every client gets its 200 without a shed.
+#[test]
+fn concurrent_clients_queue_for_the_handler_slots_without_shedding() {
+    use ff_server::{HttpOptions, HttpServer, Response, TransportCounters};
+
+    let active = Arc::new(AtomicUsize::new(0));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let (active_h, peak_h) = (Arc::clone(&active), Arc::clone(&peak));
+    let counters = Arc::new(TransportCounters::default());
+    let http = HttpServer::start_with(
+        "127.0.0.1:0",
+        HttpOptions { threads: 2, queue_cap: 64 },
+        Arc::clone(&counters),
+        move |_req| {
+            let now = active_h.fetch_add(1, Ordering::SeqCst) + 1;
+            peak_h.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(2));
+            active_h.fetch_sub(1, Ordering::SeqCst);
+            Response::ok("{}".to_string())
+        },
+    )
+    .expect("http server");
+    let url = ServerUrl::parse(&http.addr().to_string()).expect("url");
+
+    let clients: Vec<_> = (0..32)
+        .map(|n| {
+            let url = url.clone();
+            std::thread::spawn(move || http_request(&url, "GET", &format!("/{n}"), None))
+        })
+        .collect();
+    for client in clients {
+        assert_eq!(client.join().unwrap().expect("request").0, 200);
+    }
+    let peak = peak.load(Ordering::SeqCst);
+    assert!((1..=2).contains(&peak), "{peak} requests were handled at once");
+    assert_eq!(counters.requests.load(Ordering::SeqCst), 32);
+    assert_eq!(counters.shed.load(Ordering::SeqCst), 0);
+    http.shutdown();
+}
+
+/// `shutdown` joins every thread of an idle server at once, and a
+/// request in flight when it starts still gets its reply.
+#[test]
+fn shutdown_joins_idle_threads_at_once_and_finishes_a_request_in_flight() {
+    use std::sync::atomic::AtomicBool;
+
+    use ff_server::{HttpServer, Response};
+
+    let idle = HttpServer::start("127.0.0.1:0", 4, |_req| Response::ok("{}".to_string()))
+        .expect("http server");
+    let (joined, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        idle.shutdown();
+        let _ = joined.send(());
+    });
+    done.recv_timeout(Duration::from_secs(1)).expect("every thread joined within 1 s");
+
+    let entered = Arc::new(AtomicBool::new(false));
+    let entered_h = Arc::clone(&entered);
+    let http = HttpServer::start("127.0.0.1:0", 4, move |_req| {
+        entered_h.store(true, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(100));
+        Response::ok("{}".to_string())
+    })
+    .expect("http server");
+    let url = ServerUrl::parse(&http.addr().to_string()).expect("url");
+    let client = std::thread::spawn(move || http_request(&url, "GET", "/slow", None));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !entered.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "the request never reached the handler");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    http.shutdown();
+    assert_eq!(client.join().unwrap().expect("the request in flight completes").0, 200);
 }
 
 /// The retrying client survives connections reset mid-response: a
