@@ -14,8 +14,9 @@
 //! Everything is hand-rolled over `std::net::TcpStream` — the build
 //! environment is offline, so no HTTP or serde dependencies.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -273,21 +274,59 @@ pub struct HttpResponse {
     pub retry_after: Option<u64>,
 }
 
-/// Parses a complete raw HTTP/1.1 response, keeping `text`'s buffer as
-/// the body. Verifies the body against `Content-Length` when the server
-/// sent one, so a connection reset mid-body surfaces as a (retryable)
-/// transport error rather than a silently truncated artifact.
+/// Idle kept-alive connections one thread keeps, over all servers.
+const IDLE_PER_THREAD: usize = 4;
+
+thread_local! {
+    /// This thread's idle kept-alive connections, at most one per server
+    /// and [`IDLE_PER_THREAD`] in all, oldest first. Thread-local, so no
+    /// lock; bounded, so a thread that talks to many servers (a test
+    /// starting one per case) holds few sockets open.
+    static IDLE: RefCell<Vec<(ServerUrl, BufReader<TcpStream>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes this thread's idle connection to `url`, if it has one.
+fn take_idle(url: &ServerUrl) -> Option<BufReader<TcpStream>> {
+    IDLE.with_borrow_mut(|idle| {
+        let i = idle.iter().position(|(u, _)| u == url)?;
+        Some(idle.remove(i).1)
+    })
+}
+
+/// Keeps `conn` as this thread's idle connection to `url`, closing the
+/// oldest idle connection when the thread already holds the maximum.
+fn keep_idle(url: &ServerUrl, conn: BufReader<TcpStream>) {
+    IDLE.with_borrow_mut(|idle| {
+        if idle.len() == IDLE_PER_THREAD {
+            idle.remove(0);
+        }
+        idle.push((url.clone(), conn));
+    });
+}
+
+/// Reads one HTTP/1.1 response from `reader`: the head, then exactly
+/// `Content-Length` body bytes (everything to EOF when the server sent
+/// no length), so bytes past the reply stay unread on a kept connection.
+/// Returns the response and whether the server keeps the connection
+/// (`Connection: keep-alive` with a length-delimited body). A body cut
+/// short of its `Content-Length` surfaces as a (retryable) transport
+/// error rather than a silently truncated artifact.
 ///
 /// # Errors
 ///
-/// On a malformed head, bad status line, or a body/`Content-Length`
-/// mismatch.
-fn parse_response(mut text: String) -> Result<HttpResponse, String> {
-    let head_len = text
-        .find("\r\n\r\n")
-        .ok_or_else(|| "malformed response (no header/body split)".to_string())?;
-    let head = &text[..head_len];
-    let body_len = text.len() - head_len - 4;
+/// On an IO failure, a malformed head, a bad status line, or a body
+/// shorter than its `Content-Length`.
+fn read_response(reader: &mut impl BufRead) -> Result<(HttpResponse, bool), String> {
+    // Sized for an artifact reply, so reading one takes no regrowth.
+    let mut raw = Vec::with_capacity(REPLY_CAPACITY);
+    while !raw.ends_with(b"\r\n\r\n") {
+        let read = reader.read_until(b'\n', &mut raw).map_err(|e| format!("read failed: {e}"))?;
+        if read == 0 {
+            return Err("malformed response (no header/body split)".to_string());
+        }
+    }
+    let head_len = raw.len();
+    let head = std::str::from_utf8(&raw).map_err(|_| "non-UTF-8 response head".to_string())?;
     let status_line = head.lines().next().unwrap_or("");
     let code = status_line
         .split_whitespace()
@@ -296,6 +335,7 @@ fn parse_response(mut text: String) -> Result<HttpResponse, String> {
         .ok_or_else(|| format!("bad status line `{status_line}`"))?;
     let mut content_length = None;
     let mut retry_after = None;
+    let mut keep_alive = false;
     for line in head.lines().skip(1) {
         let Some((name, value)) = line.split_once(':') else { continue };
         let value = value.trim();
@@ -303,8 +343,16 @@ fn parse_response(mut text: String) -> Result<HttpResponse, String> {
             content_length = value.parse::<usize>().ok();
         } else if name.eq_ignore_ascii_case("retry-after") {
             retry_after = value.parse::<u64>().ok();
+        } else if name.eq_ignore_ascii_case("connection") {
+            keep_alive = value.eq_ignore_ascii_case("keep-alive");
         }
     }
+    match content_length {
+        Some(len) => reader.take(len as u64).read_to_end(&mut raw),
+        None => reader.read_to_end(&mut raw),
+    }
+    .map_err(|e| format!("read failed: {e}"))?;
+    let body_len = raw.len() - head_len;
     if let Some(expected) = content_length {
         if body_len != expected {
             return Err(format!(
@@ -312,11 +360,27 @@ fn parse_response(mut text: String) -> Result<HttpResponse, String> {
             ));
         }
     }
-    text.drain(..head_len + 4);
-    Ok(HttpResponse { code, body: text, retry_after })
+    raw.drain(..head_len);
+    let body = String::from_utf8(raw).map_err(|_| "non-UTF-8 response body".to_string())?;
+    Ok((HttpResponse { code, body, retry_after }, keep_alive && content_length.is_some()))
+}
+
+/// Parses a complete raw HTTP/1.1 response (see [`read_response`]).
+#[cfg(test)]
+fn parse_response(text: String) -> Result<HttpResponse, String> {
+    read_response(&mut text.as_bytes()).map(|(response, _)| response)
 }
 
 /// Performs one HTTP/1.1 request against the campaign service.
+///
+/// A GET asks to keep its connection and goes out on this thread's idle
+/// connection to `url` when there is one; the connection is kept again
+/// when the server's reply says so. A kept connection the server has
+/// closed meanwhile fails before any reply byte arrives (EOF, a reset or
+/// a failed send, not a timeout), and the GET is then sent once more on a
+/// fresh connection (no backoff; not a [`RetryPolicy`] attempt). Any
+/// other method is not idempotent, so it always opens a fresh connection
+/// and asks the server to close it.
 ///
 /// # Errors
 ///
@@ -328,6 +392,28 @@ fn http_request_once(
     path: &str,
     body: Option<&str>,
 ) -> Result<HttpResponse, String> {
+    let reuse = method == "GET";
+    let body = body.unwrap_or("");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {}:{}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
+        url.host,
+        url.port,
+        body.len(),
+        if reuse { "keep-alive" } else { "close" },
+    );
+    if let Some(mut conn) = reuse.then(|| take_idle(url)).flatten() {
+        let sent = conn.get_mut().write_all(request.as_bytes());
+        match sent.and_then(|()| conn.fill_buf().map(|reply| !reply.is_empty())) {
+            Ok(true) => return finish_request(url, conn),
+            // A server that is slow to answer is not a closed connection;
+            // sending again would only double the wait.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(format!("no reply from {url}: {e}"));
+            }
+            // EOF, a reset or a failed send: the server closed it.
+            _ => {}
+        }
+    }
     let addr = url
         .authority()
         .to_socket_addrs()
@@ -338,23 +424,26 @@ fn http_request_once(
         .map_err(|e| format!("connect {url}: {e}"))?;
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| e.to_string())?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| e.to_string())?;
-    let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        url.authority(),
-        body.len(),
-    );
     stream.write_all(request.as_bytes()).map_err(|e| format!("send to {url}: {e}"))?;
-    // Sized for an artifact reply, so reading one takes no regrowth.
-    let mut raw = Vec::with_capacity(REPLY_CAPACITY);
-    stream.read_to_end(&mut raw).map_err(|e| format!("read from {url}: {e}"))?;
-    let text = String::from_utf8(raw).map_err(|_| format!("non-UTF-8 response from {url}"))?;
-    parse_response(text).map_err(|e| format!("{e} from {url}"))
+    finish_request(url, BufReader::new(stream))
+}
+
+/// Reads the reply to a request sent on `conn`, and keeps the connection
+/// for this thread's next GET to `url` when the server keeps it open (it
+/// does so only for a request that asked).
+fn finish_request(url: &ServerUrl, mut conn: BufReader<TcpStream>) -> Result<HttpResponse, String> {
+    let (response, kept) = read_response(&mut conn).map_err(|e| format!("{e} from {url}"))?;
+    if kept {
+        keep_idle(url, conn);
+    }
+    Ok(response)
 }
 
 /// Performs one HTTP/1.1 request against the campaign service, returning
-/// `(status code, body)`. No retries: callers that want the hardened
-/// retry loop use [`http_get`] / [`http_get_with`].
+/// `(status code, body)`. A GET reuses this thread's kept-alive
+/// connection to `url` when it has one; every other method opens its own.
+/// No retries: callers that want the hardened retry loop use
+/// [`http_get`] / [`http_get_with`].
 ///
 /// # Errors
 ///
@@ -615,6 +704,52 @@ mod tests {
         let p = RetryPolicy { attempts: 3, base_delay_ms: 10, max_delay_ms: 100, seed: 1 };
         assert!(backoff_delay_ms(&p, 0, Some(2)) >= 2_000, "Retry-After floors the delay");
         assert!(backoff_delay_ms(&p, 0, Some(9999)) <= 10_000, "absurd Retry-After is capped");
+    }
+
+    /// A kept connection the server closed while it was idle fails before
+    /// any reply byte; the GET goes once more on a fresh connection and
+    /// succeeds, with no retry policy involved.
+    #[test]
+    fn a_kept_connection_the_server_closed_is_replaced_and_the_get_succeeds() {
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let url = ServerUrl::parse(&listener.local_addr().unwrap().to_string()).unwrap();
+        // Reads one request head; None at EOF.
+        let read_head = |conn: &mut BufReader<TcpStream>| {
+            let mut head = String::new();
+            while !head.ends_with("\r\n\r\n") {
+                if conn.read_line(&mut head).ok()? == 0 {
+                    return None;
+                }
+            }
+            Some(head)
+        };
+        let reply = |conn: &mut BufReader<TcpStream>, body: &str| {
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+                body.len()
+            );
+            conn.get_mut().write_all((head + body).as_bytes()).unwrap();
+        };
+        // The first connection answers one request, then reads the next
+        // and closes without a reply, as a server whose idle bound ran out
+        // just as the request arrived. The second connection answers.
+        let server = std::thread::spawn(move || {
+            let mut first = BufReader::new(listener.accept().unwrap().0);
+            let one = read_head(&mut first).unwrap();
+            reply(&mut first, "first");
+            let reused = read_head(&mut first).unwrap();
+            drop(first);
+            let mut second = BufReader::new(listener.accept().unwrap().0);
+            let resent = read_head(&mut second).unwrap();
+            reply(&mut second, "second");
+            [one, reused, resent].map(|h| h.lines().next().unwrap().to_string())
+        });
+        assert_eq!(http_request(&url, "GET", "/a", None).unwrap(), (200, "first".to_string()));
+        assert_eq!(http_request(&url, "GET", "/b", None).unwrap(), (200, "second".to_string()));
+        let lines = server.join().unwrap();
+        assert_eq!(lines, ["GET /a HTTP/1.1", "GET /b HTTP/1.1", "GET /b HTTP/1.1"]);
     }
 
     #[test]

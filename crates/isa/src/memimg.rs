@@ -127,6 +127,26 @@ impl MemoryImage {
         std::mem::replace(&mut p.words[slot], value)
     }
 
+    /// Stores `f(i)` at word `i` of the `words` consecutive words from the
+    /// word containing byte address `base`, in order: the same image as
+    /// `store(base + 8 * i, f(i))` for each `i`, but with one page lookup
+    /// and one copy-on-write check per page rather than per word.
+    pub fn fill(&mut self, base: u64, words: u64, mut f: impl FnMut(u64) -> u64) {
+        let mut addr = Self::word_addr(base);
+        let mut i = 0;
+        while i < words {
+            let (page, first) = locate(addr);
+            let n = (PAGE_WORDS - first).min(usize::try_from(words - i).unwrap_or(usize::MAX));
+            let p = Arc::make_mut(self.pages.entry(page).or_insert_with(Page::zeroed));
+            for slot in first..first + n {
+                p.words[slot] = f(i);
+                p.written[slot / 64] |= 1 << (slot % 64);
+                i += 1;
+            }
+            addr += n as u64 * WORD_BYTES;
+        }
+    }
+
     /// Number of words that have been written (footprint proxy).
     pub fn written_words(&self) -> usize {
         self.pages.values().flat_map(|p| p.written).map(|m| m.count_ones() as usize).sum()
@@ -310,6 +330,38 @@ mod tests {
             }
         }
         assert!(unshared > 100, "only {unshared} stores hit a shared page");
+    }
+
+    #[test]
+    fn fill_matches_per_word_stores_across_pages() {
+        let value = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        // Page-aligned, unaligned start slots (one a sub-word address),
+        // runs that end mid-page or span several pages, and zero words.
+        for (base, words) in
+            [(0x10_000, 512), (0x10_008, 1), (0x10_ff8, 2), (0x20_1f4, 1500), (0x30_000, 0)]
+        {
+            // Over an image that already holds a word in the range and one
+            // next to it, shared with a clone that must not change.
+            let mut filled = MemoryImage::new();
+            filled.store(base + 8, 7);
+            filled.store(base.wrapping_sub(8), 9);
+            let shared = filled.clone();
+            let mut stored = filled.clone();
+            filled.fill(base, words, value);
+            for i in 0..words {
+                stored.store(base + i * 8, value(i));
+            }
+            assert_eq!(filled, stored, "base {base:#x}, {words} words");
+            let sorted = |m: &MemoryImage| {
+                let mut words: Vec<_> = m.iter().collect();
+                words.sort_unstable();
+                words
+            };
+            assert_eq!(sorted(&filled), sorted(&stored), "base {base:#x}, {words} words");
+            assert_eq!(filled.written_words(), stored.written_words());
+            assert_eq!(shared.load(base + 8), 7, "the clone shares no filled page");
+            assert_eq!(shared.written_words(), 2);
+        }
     }
 
     #[test]

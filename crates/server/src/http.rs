@@ -3,10 +3,19 @@
 //! The build environment is offline (no hyper, no tokio), and the
 //! campaign service needs exactly four routes with small JSON bodies, so
 //! this implements the minimal subset the `ff-harness` client speaks:
-//! `Content-Length` bodies, `Connection: close` per request, and a fixed
-//! set of threads that each accept and serve their own connections. No
-//! keep-alive, no chunked encoding, no TLS — additions the protocol does
-//! not need.
+//! `Content-Length` bodies, one write per reply, and a fixed set of
+//! threads that each accept and serve their own connections. No chunked
+//! encoding, no TLS — additions the protocol does not need.
+//!
+//! **Connection lifetime.** A reply keeps its connection open
+//! (`Connection: keep-alive`) only when the request asked for it with
+//! `Connection: keep-alive`, the server is not stopping, and no accepted
+//! connection is waiting for a handler slot; otherwise it says
+//! `Connection: close` and the connection closes. A kept connection holds
+//! its handler slot while it waits for the next request, at most
+//! [`KEEP_ALIVE_IDLE`] for that request's first byte. A client that sends
+//! `Connection: close`, or no `Connection` header, gets one reply and a
+//! close.
 //!
 //! What it *does* harden against, because a long-running service meets
 //! them in practice:
@@ -15,17 +24,18 @@
 //!   [`MAX_BODY`] is rejected with `413 Payload Too Large` before it is
 //!   read, and a request line plus headers longer than [`MAX_HEAD`] with
 //!   `431 Request Header Fields Too Large`, so no request can balloon
-//!   memory;
-//! * **overload** — at most `threads` requests are handled at once, and
+//!   memory; either reply closes the connection;
+//! * **overload** — at most `threads` connections are served at once, and
 //!   accepted connections beyond those wait in a *bounded* queue; when
 //!   the queue is full the thread that accepted the connection sheds it
 //!   with `503 Service Unavailable` plus a `Retry-After` header instead
 //!   of letting the backlog grow without bound (the `ff_harness::remote`
 //!   client honors the header and retries idempotent requests);
-//! * **observability** — every request, shed, and error class ticks a
-//!   [`TransportCounters`] field, surfaced on `GET /healthz`.
+//! * **observability** — every connection, request, shed, and error class
+//!   ticks a [`TransportCounters`] field, surfaced on `GET /healthz`.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,6 +48,17 @@ use ff_harness::json::Json;
 /// Per-connection read/write timeout: a stalled client must never wedge
 /// an HTTP worker for good.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a kept-alive connection may wait for its next request, holding
+/// its handler slot, before the server closes it. The clients that reuse
+/// connections send their next request within 10 ms (perfbench's
+/// closed-loop client pauses at most 10 ms between polls; a render or a
+/// fetch GETs back to back), so 100 ms keeps their connections open.
+/// `ff-campaign submit --wait` polls every 200 ms, so its connection
+/// closes between polls instead of idling in a handler slot for most of
+/// each period. The bound is also the longest a queued connection waits
+/// behind an idle one, and the longest `shutdown` waits for one.
+pub const KEEP_ALIVE_IDLE: Duration = Duration::from_millis(100);
 
 /// How long, and how many bytes, an early reply drains of the unread
 /// request before closing (see [`close_unread`]).
@@ -126,7 +147,13 @@ fn status_text(code: u16) -> &'static str {
 /// `GET /healthz` under `"transport"`.
 #[derive(Debug, Default)]
 pub struct TransportCounters {
-    /// Connections a handler slot served (parsed or not).
+    /// Accepted connections a handler slot served (shed ones count in
+    /// `shed` instead). A kept-alive connection serves several requests,
+    /// so `requests - connections` is the number of requests that reused
+    /// a connection.
+    pub connections: AtomicU64,
+    /// Requests read, parsed or not; equal to `connections` when every
+    /// client sends one request per connection.
     pub requests: AtomicU64,
     /// Responses written with a 4xx status (including 413s and 431s).
     pub http_4xx: AtomicU64,
@@ -143,6 +170,7 @@ impl TransportCounters {
     /// The counters as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
+            ("connections", Json::U64(self.connections.load(Ordering::Relaxed))),
             ("requests", Json::U64(self.requests.load(Ordering::Relaxed))),
             ("http_4xx", Json::U64(self.http_4xx.load(Ordering::Relaxed))),
             ("http_5xx", Json::U64(self.http_5xx.load(Ordering::Relaxed))),
@@ -171,7 +199,10 @@ pub enum RequestError {
     Malformed(String),
 }
 
-/// Reads one request from `stream`.
+/// Reads one request from a connection's reader, and whether it asked to
+/// keep the connection (`Connection: keep-alive`). The reader is the
+/// connection's one buffer, so bytes it reads ahead of this request stay
+/// there for the next.
 ///
 /// # Errors
 ///
@@ -180,12 +211,9 @@ pub enum RequestError {
 /// [`RequestError::HeadTooLarge`] when the head runs past [`MAX_HEAD`]
 /// (answered with 431), and [`RequestError::Malformed`] on a bad request
 /// line, bad header, or IO failure (answered with 400).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<(Request, bool), RequestError> {
     let bad = |msg: String| RequestError::Malformed(msg);
-    stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(|e| bad(e.to_string()))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(|e| bad(e.to_string()))?;
-    let mut reader = BufReader::new(stream);
-    let mut head = (&mut reader).take(MAX_HEAD as u64);
+    let mut head = reader.take(MAX_HEAD as u64);
     let mut line = String::new();
     read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
@@ -193,6 +221,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     let target = parts.next().ok_or_else(|| bad("request line missing target".into()))?;
     let path = target.split('?').next().unwrap_or(target).to_string();
     let mut content_length = 0usize;
+    let mut keep_alive = false;
     loop {
         let mut header = String::new();
         read_head_line(&mut head, &mut header)?;
@@ -204,6 +233,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length =
                     value.trim().parse().map_err(|_| bad("bad Content-Length".into()))?;
+            } else if name.eq_ignore_ascii_case("connection") {
+                keep_alive = value.split(',').any(|t| t.trim().eq_ignore_ascii_case("keep-alive"));
             }
         }
     }
@@ -215,13 +246,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| bad(e.to_string()))?;
     let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body".into()))?;
-    Ok(Request { method, path, body })
+    Ok((Request { method, path, body }, keep_alive))
 }
 
 /// Appends one line of the request head to `line`, failing once the head
 /// has used up its [`MAX_HEAD`] bytes without ending the line.
-fn read_head_line(
-    head: &mut Take<&mut BufReader<&mut TcpStream>>,
+fn read_head_line<R: BufRead>(
+    head: &mut Take<&mut R>,
     line: &mut String,
 ) -> Result<(), RequestError> {
     head.read_line(line).map_err(|e| RequestError::Malformed(e.to_string()))?;
@@ -233,21 +264,28 @@ fn read_head_line(
     Ok(())
 }
 
-/// Writes `response` to `stream` (best effort: a vanished client is not
-/// an error worth propagating).
-pub fn write_response(stream: &mut TcpStream, response: &Response) {
-    let retry_after =
-        response.retry_after.map_or(String::new(), |seconds| format!("Retry-After: {seconds}\r\n"));
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n",
+/// Writes `response` to `stream` in one write, saying whether the
+/// connection stays open (best effort: a vanished client is not an error
+/// worth propagating). One write keeps head and body in one segment; two
+/// would leave the body waiting, under Nagle's algorithm, for the peer to
+/// ACK the head, which a delayed ACK can hold back for tens of
+/// milliseconds on a kept-alive connection.
+pub fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool) {
+    let mut reply = String::with_capacity(160 + response.body.len());
+    let _ = write!(
+        reply,
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         response.status,
         status_text(response.status),
         response.body.len(),
-        retry_after,
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(response.body.as_bytes());
-    let _ = stream.flush();
+    if let Some(seconds) = response.retry_after {
+        let _ = write!(reply, "Retry-After: {seconds}\r\n");
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let _ = write!(reply, "Connection: {connection}\r\n\r\n");
+    reply.push_str(&response.body);
+    let _ = stream.write_all(reply.as_bytes());
 }
 
 /// Closes a connection whose request was answered before it was fully
@@ -276,7 +314,7 @@ fn close_unread(mut stream: TcpStream) {
 /// Tuning knobs for [`HttpServer::start_with`].
 #[derive(Clone, Debug)]
 pub struct HttpOptions {
-    /// Requests handled at once. The server runs one thread more than
+    /// Connections served at once. The server runs one thread more than
     /// this, all accepting, so a connection that arrives while every
     /// handler is busy is still queued or shed at once.
     pub threads: usize,
@@ -292,13 +330,14 @@ impl Default for HttpOptions {
 
 /// `threads + 1` identical threads, each blocking in `accept` on its own
 /// handle to the one listener, so the kernel wakes exactly one thread per
-/// connection and that thread serves it: read one request, call the
-/// handler, write the response, close. At most `threads` connections are
-/// served at once; a thread that accepts while all of them are busy
-/// queues the connection (at most `queue_cap`), or, when the queue is
-/// full, answers `503` with `Retry-After` itself rather than queueing
-/// without bound. A thread that finishes a request serves the queue
-/// before it accepts again.
+/// connection and that thread serves it: read a request, call the
+/// handler, write the response, and either close or, on a kept-alive
+/// connection, wait for the next request (see the module docs). At most
+/// `threads` connections are served at once; a thread that accepts while
+/// all of them are busy queues the connection (at most `queue_cap`), or,
+/// when the queue is full, answers `503` with `Retry-After` itself rather
+/// than queueing without bound. A thread that finishes a connection
+/// serves the queue before it accepts again.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -362,6 +401,7 @@ impl<H: Fn(&Request) -> Response> Pool<H> {
         write_response(
             &mut stream,
             &Response::unavailable("server is at capacity; retry shortly", SHED_RETRY_AFTER_S),
+            false,
         );
         close_unread(stream);
         None
@@ -381,28 +421,68 @@ impl<H: Fn(&Request) -> Response> Pool<H> {
         next
     }
 
-    /// Reads one request from `stream`, answers it, and closes.
-    fn serve(&self, mut stream: TcpStream) {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let request = read_request(&mut stream);
-        // A 413 or 431 answers before the request is read to its end.
-        let unread =
-            matches!(request, Err(RequestError::TooLarge(_) | RequestError::HeadTooLarge(_)));
-        let response = match request {
-            Ok(request) => (self.handler)(&request),
-            Err(RequestError::TooLarge(msg)) => {
-                self.counters.oversized.fetch_add(1, Ordering::Relaxed);
-                Response::error(413, &msg)
+    /// Whether a reply may keep its connection: the server is not stopping
+    /// and no accepted connection waits for this thread's slot.
+    fn may_keep(&self) -> bool {
+        !self.stop.load(Ordering::SeqCst) && self.slots().queue.is_empty()
+    }
+
+    /// Serves `stream`'s requests in order until a reply closes it or it
+    /// waits longer than [`KEEP_ALIVE_IDLE`] for its next request.
+    fn serve(&self, stream: TcpStream) {
+        self.counters.connections.fetch_add(1, Ordering::Relaxed);
+        // Each reply is one write, sent at once rather than held back
+        // until the peer ACKs the previous one.
+        let _ = stream.set_nodelay(true);
+        let timeouts = stream
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)));
+        if timeouts.is_err() {
+            return;
+        }
+        // One buffer for the connection's lifetime: bytes it reads ahead
+        // belong to the next request.
+        let mut reader = BufReader::new(stream);
+        loop {
+            self.counters.requests.fetch_add(1, Ordering::Relaxed);
+            let request = read_request(&mut reader);
+            // A 413 or 431 answers before the request is read to its end.
+            let unread =
+                matches!(request, Err(RequestError::TooLarge(_) | RequestError::HeadTooLarge(_)));
+            let (response, keep) = match request {
+                Ok((request, keep_alive)) => {
+                    ((self.handler)(&request), keep_alive && self.may_keep())
+                }
+                Err(RequestError::TooLarge(msg)) => {
+                    self.counters.oversized.fetch_add(1, Ordering::Relaxed);
+                    (Response::error(413, &msg), false)
+                }
+                Err(RequestError::HeadTooLarge(msg)) => (Response::error(431, &msg), false),
+                Err(RequestError::Malformed(msg)) => (Response::error(400, &msg), false),
+            };
+            self.counters.record_status(response.status);
+            write_response(reader.get_mut(), &response, keep);
+            if unread {
+                close_unread(reader.into_inner());
+                return;
             }
-            Err(RequestError::HeadTooLarge(msg)) => Response::error(431, &msg),
-            Err(RequestError::Malformed(msg)) => Response::error(400, &msg),
-        };
-        self.counters.record_status(response.status);
-        write_response(&mut stream, &response);
-        if unread {
-            close_unread(stream);
+            if !keep || !next_request_arrives(&mut reader) {
+                return;
+            }
         }
     }
+}
+
+/// Waits at most [`KEEP_ALIVE_IDLE`] for the first byte of a kept
+/// connection's next request; false when the client closed the
+/// connection, stayed quiet, or failed.
+fn next_request_arrives(reader: &mut BufReader<TcpStream>) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    reader.get_ref().set_read_timeout(Some(KEEP_ALIVE_IDLE)).is_ok()
+        && reader.fill_buf().is_ok_and(|next| !next.is_empty())
+        && reader.get_ref().set_read_timeout(Some(IO_TIMEOUT)).is_ok()
 }
 
 impl HttpServer {
@@ -468,11 +548,13 @@ impl HttpServer {
     }
 
     /// Stops accepting and joins every thread. In-flight requests
-    /// complete; queued connections are dropped.
+    /// complete and their replies close; a kept-alive connection waiting
+    /// for its next request closes within [`KEEP_ALIVE_IDLE`]; queued
+    /// connections are dropped.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Every thread blocks in accept(), or returns to it after its
-        // request; one throwaway connection each unblocks them all to
+        // connection; one throwaway connection each unblocks them all to
         // observe the stop flag.
         for _ in 0..self.threads.len() {
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));

@@ -3,7 +3,8 @@
 //! real simulations at test scale — plus the transport-hardening
 //! scenarios: hash-shape validation, oversized-body and oversized-head
 //! rejection, load-shedding, handler-slot concurrency, shutdown,
-//! retry-through-reset, and crash-damaged restarts.
+//! kept-alive connections and their idle bound, retry-through-reset, and
+//! crash-damaged restarts.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -640,4 +641,230 @@ fn a_restart_over_crash_damage_heals_without_resimulating_intact_artifacts() {
     }
     assert!(health_field(&url, "transport", "requests") > 0);
     server.shutdown();
+}
+
+/// Sends `request` on a connection of its own and reads the reply to EOF,
+/// so a reply that does not close its connection fails the read.
+fn raw_exchange(addr: std::net::SocketAddr, request: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("the reply ends with EOF");
+    reply
+}
+
+/// Opens a connection, sends one `Connection: keep-alive` GET, reads its
+/// reply by `Content-Length`, checks that the reply keeps the connection,
+/// and hands the still-open connection back.
+fn kept_alive_connection(addr: std::net::SocketAddr) -> std::io::BufReader<TcpStream> {
+    use std::io::BufRead;
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut conn = std::io::BufReader::new(stream);
+    conn.get_mut()
+        .write_all(b"GET /a HTTP/1.1\r\nHost: test\r\nConnection: keep-alive\r\n\r\n")
+        .expect("send");
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        assert!(conn.read_line(&mut head).expect("read head") > 0, "EOF inside {head}");
+    }
+    assert!(head.starts_with("HTTP/1.1 200 "), "head: {head}");
+    assert!(head.contains("\r\nConnection: keep-alive\r\n"), "head: {head}");
+    let len = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|n| n.parse::<usize>().ok())
+        .expect("Content-Length");
+    let mut body = vec![0u8; len];
+    conn.read_exact(&mut body).expect("body");
+    conn
+}
+
+/// Whether the server has closed `conn`: a read ends (EOF or reset)
+/// instead of timing out.
+fn closed_by_server(conn: &mut impl Read) -> bool {
+    let mut rest = Vec::new();
+    match conn.read_to_end(&mut rest) {
+        Ok(_) => true,
+        Err(e) => {
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+        }
+    }
+}
+
+/// A trivial server whose handler answers every request with `{}`.
+fn echo_server(
+    threads: usize,
+    queue_cap: usize,
+) -> (ff_server::HttpServer, Arc<ff_server::TransportCounters>) {
+    use ff_server::{HttpOptions, HttpServer, Response, TransportCounters};
+
+    let counters = Arc::new(TransportCounters::default());
+    let http = HttpServer::start_with(
+        "127.0.0.1:0",
+        HttpOptions { threads, queue_cap },
+        Arc::clone(&counters),
+        |_req| Response::ok("{}".to_string()),
+    )
+    .expect("http server");
+    (http, counters)
+}
+
+/// N artifact GETs from one thread through `http_request` share one
+/// kept-alive connection: `requests` grows by N and `connections` by 1,
+/// and every body is the stored payload.
+#[test]
+fn gets_from_one_thread_share_one_kept_alive_connection() {
+    let store = temp_dir("keepalive");
+    let (server, url) = start(&store);
+    let request = tiny_request();
+    let (id, _) = submit_campaign(&url, &request).expect("submit");
+    let status = wait_done(&url, &id);
+    let sharded = ff_harness::store::ShardedStore::open(&*store).expect("store");
+    let want: Vec<(String, String)> = request
+        .expand()
+        .iter()
+        .map(|spec| {
+            let job = status.jobs.iter().find(|j| j.id == spec.id()).expect("job");
+            (job.hash.clone(), sharded.read(spec).expect("stored artifact"))
+        })
+        .collect();
+
+    let transport = Arc::clone(server.service().transport());
+    let counts = || {
+        (transport.connections.load(Ordering::SeqCst), transport.requests.load(Ordering::SeqCst))
+    };
+    let (connections, requests) = counts();
+    let gets = 5 * want.len();
+    // A fresh thread, so no connection this thread kept is reused.
+    let bodies = std::thread::spawn({
+        let (url, want) = (url.clone(), want.clone());
+        move || {
+            (0..gets)
+                .map(|i| {
+                    http_request(&url, "GET", &format!("/jobs/{}", want[i % want.len()].0), None)
+                })
+                .collect::<Vec<_>>()
+        }
+    })
+    .join()
+    .unwrap();
+    for (i, reply) in bodies.into_iter().enumerate() {
+        let (code, body) = reply.expect("GET");
+        assert_eq!(code, 200, "GET {i}: {body}");
+        assert_eq!(body, want[i % want.len()].1, "GET {i} must serve the stored payload");
+    }
+    assert_eq!(counts(), (connections + 1, requests + gets as u64));
+    server.shutdown();
+}
+
+/// Keep-alive is opt-in: a request without `Connection: keep-alive` gets
+/// `Connection: close` and then EOF.
+#[test]
+fn a_request_without_keep_alive_is_answered_with_close_then_eof() {
+    let (http, counters) = echo_server(2, 4);
+    for request in [
+        "GET /x HTTP/1.1\r\nHost: test\r\n\r\n",
+        "GET /x HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+    ] {
+        let reply = raw_exchange(http.addr(), request);
+        assert!(reply.starts_with("HTTP/1.1 200 "), "reply: {reply}");
+        assert!(reply.contains("\r\nConnection: close\r\n"), "reply: {reply}");
+        assert!(reply.ends_with("\r\n\r\n{}"), "reply: {reply}");
+    }
+    assert_eq!(counters.connections.load(Ordering::SeqCst), 2);
+    assert_eq!(counters.requests.load(Ordering::SeqCst), 2);
+    http.shutdown();
+}
+
+/// With one handler slot, a kept-alive connection that goes quiet gives
+/// the slot up after `KEEP_ALIVE_IDLE`, so a second client waits about
+/// that long, not the 30 s I/O timeout.
+#[test]
+fn an_idle_kept_alive_connection_yields_its_slot_within_the_idle_bound() {
+    use ff_server::http::KEEP_ALIVE_IDLE;
+
+    let (http, counters) = echo_server(1, 4);
+    let mut idle = kept_alive_connection(http.addr());
+    let asked = Instant::now();
+    let reply =
+        raw_exchange(http.addr(), "GET /b HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
+    let waited = asked.elapsed();
+    assert!(reply.starts_with("HTTP/1.1 200 "), "reply: {reply}");
+    assert!(
+        waited < KEEP_ALIVE_IDLE + Duration::from_secs(1),
+        "the second client waited {waited:?} behind an idle connection"
+    );
+    assert!(closed_by_server(&mut idle), "the idle connection must be closed");
+    assert_eq!(counters.connections.load(Ordering::SeqCst), 2);
+    http.shutdown();
+}
+
+/// `shutdown` joins within 1 s while a kept-alive connection sits idle,
+/// and that connection is closed.
+#[test]
+fn shutdown_with_an_idle_kept_alive_connection_joins_within_1s() {
+    let (http, _) = echo_server(4, 4);
+    let mut idle = kept_alive_connection(http.addr());
+    let (joined, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        http.shutdown();
+        let _ = joined.send(());
+    });
+    done.recv_timeout(Duration::from_secs(1)).expect("every thread joined within 1 s");
+    assert!(closed_by_server(&mut idle), "the idle connection must be closed");
+}
+
+/// A 413 or a 431 on a kept-alive connection answers `Connection: close`
+/// and closes it, since the rest of the request is left unread.
+#[test]
+fn a_413_or_431_on_a_kept_alive_connection_closes_it() {
+    let (http, counters) = echo_server(2, 4);
+    let too_long = format!(
+        "POST /c HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+        2 * 1024 * 1024
+    );
+    let too_wide = format!(
+        "GET /h HTTP/1.1\r\nConnection: keep-alive\r\nX-Filler: {}\r\n\r\n",
+        "a".repeat(64 * 1024)
+    );
+    for (request, status) in [(too_long, 413), (too_wide, 431)] {
+        let mut conn = kept_alive_connection(http.addr());
+        // The server may answer before the request is sent in full.
+        let _ = conn.get_mut().write_all(request.as_bytes());
+        let mut reply = String::new();
+        let _ = conn.read_to_string(&mut reply);
+        assert!(
+            reply.starts_with(&format!("HTTP/1.1 {status} ")),
+            "reply: {}",
+            &reply[..80.min(reply.len())]
+        );
+        assert!(reply.contains("\r\nConnection: close\r\n"), "reply: {reply}");
+        assert!(closed_by_server(&mut conn), "a {status} must close the connection");
+    }
+    assert_eq!(counters.connections.load(Ordering::SeqCst), 2);
+    assert_eq!(counters.requests.load(Ordering::SeqCst), 4);
+    assert_eq!(counters.http_4xx.load(Ordering::SeqCst), 2);
+    http.shutdown();
+}
+
+/// The client keeps one connection for its GETs, but every POST, which
+/// is not idempotent, opens a connection of its own.
+#[test]
+fn gets_reuse_one_connection_and_every_post_opens_its_own() {
+    let (http, counters) = echo_server(2, 4);
+    let url = ServerUrl::parse(&http.addr().to_string()).expect("url");
+    std::thread::spawn(move || {
+        for method in ["GET", "POST", "GET", "POST", "GET"] {
+            let (code, _) = http_request(&url, method, "/x", Some("{}")).expect("request");
+            assert_eq!(code, 200, "{method}");
+        }
+    })
+    .join()
+    .unwrap();
+    assert_eq!(counters.connections.load(Ordering::SeqCst), 3, "one for the GETs, one per POST");
+    assert_eq!(counters.requests.load(Ordering::SeqCst), 5);
+    http.shutdown();
 }

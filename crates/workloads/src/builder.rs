@@ -92,10 +92,7 @@ pub fn fill_array(
     words: u64,
     mut f: impl FnMut(&mut StdRng, u64) -> u64,
 ) {
-    for i in 0..words {
-        let v = f(rng, i);
-        mem.store(base + i * 8, v);
-    }
+    mem.fill(base, words, |i| f(rng, i));
 }
 
 /// Fills an index array with uniformly random values in `0..max`.
