@@ -36,7 +36,8 @@
 //!   re-renders from stored artifacts without re-simulating
 //!   ([`render_results::render_all`]);
 //! * **a service protocol** — [`remote`] holds the `ff-server` wire
-//!   protocol and a std-only HTTP client.
+//!   protocol and a std-only HTTP client, and [`http`] the HTTP/1.1
+//!   message framing that client and `ff-server` share.
 //!
 //! The `ff-campaign` binary is the CLI front end; the long-running
 //! service lives in the `ff-server` crate. Both resolve a job through the
@@ -60,6 +61,7 @@ pub mod bundle;
 pub mod campaign;
 pub mod chaos;
 pub mod error;
+pub mod http;
 pub mod integrity;
 pub mod job;
 pub mod json;

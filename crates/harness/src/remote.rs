@@ -12,11 +12,13 @@
 //! that renders a local artifact directory.
 //!
 //! Everything is hand-rolled over `std::net::TcpStream` — the build
-//! environment is offline, so no HTTP or serde dependencies.
+//! environment is offline, so no HTTP or serde dependencies. Messages are
+//! read and written by [`crate::http`], the codec `ff-server` uses too;
+//! this module keeps the client's connection reuse and its retry loop.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -24,6 +26,7 @@ use ff_experiments::{HierKind, ModelKind};
 use ff_workloads::{Scale, Workload};
 
 use crate::campaign::{full_grid, JobFilter};
+use crate::http::{read_response, write_request, Response};
 use crate::job::{parse_scale, scale_name, JobKind, JobSpec};
 use crate::json::Json;
 
@@ -257,23 +260,6 @@ impl std::fmt::Display for ServerUrl {
 /// Timeout for each client request (connect, read, write).
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The reply buffer a request starts with: room for an artifact reply
-/// (~1.7 KiB); a larger reply grows it.
-const REPLY_CAPACITY: usize = 8 * 1024;
-
-/// A parsed HTTP response: status, body, and the transport-hardening
-/// headers the client honors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HttpResponse {
-    /// HTTP status code.
-    pub code: u16,
-    /// Response body.
-    pub body: String,
-    /// The server's `Retry-After` (seconds), when present — the
-    /// load-shedding backpressure signal the retry loop honors.
-    pub retry_after: Option<u64>,
-}
-
 /// Idle kept-alive connections one thread keeps, over all servers.
 const IDLE_PER_THREAD: usize = 4;
 
@@ -304,73 +290,6 @@ fn keep_idle(url: &ServerUrl, conn: BufReader<TcpStream>) {
     });
 }
 
-/// Reads one HTTP/1.1 response from `reader`: the head, then exactly
-/// `Content-Length` body bytes (everything to EOF when the server sent
-/// no length), so bytes past the reply stay unread on a kept connection.
-/// Returns the response and whether the server keeps the connection
-/// (`Connection: keep-alive` with a length-delimited body). A body cut
-/// short of its `Content-Length` surfaces as a (retryable) transport
-/// error rather than a silently truncated artifact.
-///
-/// # Errors
-///
-/// On an IO failure, a malformed head, a bad status line, or a body
-/// shorter than its `Content-Length`.
-fn read_response(reader: &mut impl BufRead) -> Result<(HttpResponse, bool), String> {
-    // Sized for an artifact reply, so reading one takes no regrowth.
-    let mut raw = Vec::with_capacity(REPLY_CAPACITY);
-    while !raw.ends_with(b"\r\n\r\n") {
-        let read = reader.read_until(b'\n', &mut raw).map_err(|e| format!("read failed: {e}"))?;
-        if read == 0 {
-            return Err("malformed response (no header/body split)".to_string());
-        }
-    }
-    let head_len = raw.len();
-    let head = std::str::from_utf8(&raw).map_err(|_| "non-UTF-8 response head".to_string())?;
-    let status_line = head.lines().next().unwrap_or("");
-    let code = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse::<u16>().ok())
-        .ok_or_else(|| format!("bad status line `{status_line}`"))?;
-    let mut content_length = None;
-    let mut retry_after = None;
-    let mut keep_alive = false;
-    for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse::<usize>().ok();
-        } else if name.eq_ignore_ascii_case("retry-after") {
-            retry_after = value.parse::<u64>().ok();
-        } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = value.eq_ignore_ascii_case("keep-alive");
-        }
-    }
-    match content_length {
-        Some(len) => reader.take(len as u64).read_to_end(&mut raw),
-        None => reader.read_to_end(&mut raw),
-    }
-    .map_err(|e| format!("read failed: {e}"))?;
-    let body_len = raw.len() - head_len;
-    if let Some(expected) = content_length {
-        if body_len != expected {
-            return Err(format!(
-                "truncated response: Content-Length {expected}, got {body_len} bytes (connection reset?)",
-            ));
-        }
-    }
-    raw.drain(..head_len);
-    let body = String::from_utf8(raw).map_err(|_| "non-UTF-8 response body".to_string())?;
-    Ok((HttpResponse { code, body, retry_after }, keep_alive && content_length.is_some()))
-}
-
-/// Parses a complete raw HTTP/1.1 response (see [`read_response`]).
-#[cfg(test)]
-fn parse_response(text: String) -> Result<HttpResponse, String> {
-    read_response(&mut text.as_bytes()).map(|(response, _)| response)
-}
-
 /// Performs one HTTP/1.1 request against the campaign service.
 ///
 /// A GET asks to keep its connection and goes out on this thread's idle
@@ -391,18 +310,14 @@ fn http_request_once(
     method: &str,
     path: &str,
     body: Option<&str>,
-) -> Result<HttpResponse, String> {
+) -> Result<Response, String> {
     let reuse = method == "GET";
     let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {}:{}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
-        url.host,
-        url.port,
-        body.len(),
-        if reuse { "keep-alive" } else { "close" },
-    );
+    let send = |stream: &mut TcpStream| {
+        write_request(stream, method, path, &url.host, url.port, body, reuse)
+    };
     if let Some(mut conn) = reuse.then(|| take_idle(url)).flatten() {
-        let sent = conn.get_mut().write_all(request.as_bytes());
+        let sent = send(conn.get_mut());
         match sent.and_then(|()| conn.fill_buf().map(|reply| !reply.is_empty())) {
             Ok(true) => return finish_request(url, conn),
             // A server that is slow to answer is not a closed connection;
@@ -424,14 +339,14 @@ fn http_request_once(
         .map_err(|e| format!("connect {url}: {e}"))?;
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| e.to_string())?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| e.to_string())?;
-    stream.write_all(request.as_bytes()).map_err(|e| format!("send to {url}: {e}"))?;
+    send(&mut stream).map_err(|e| format!("send to {url}: {e}"))?;
     finish_request(url, BufReader::new(stream))
 }
 
 /// Reads the reply to a request sent on `conn`, and keeps the connection
 /// for this thread's next GET to `url` when the server keeps it open (it
 /// does so only for a request that asked).
-fn finish_request(url: &ServerUrl, mut conn: BufReader<TcpStream>) -> Result<HttpResponse, String> {
+fn finish_request(url: &ServerUrl, mut conn: BufReader<TcpStream>) -> Result<Response, String> {
     let (response, kept) = read_response(&mut conn).map_err(|e| format!("{e} from {url}"))?;
     if kept {
         keep_idle(url, conn);
@@ -455,7 +370,7 @@ pub fn http_request(
     body: Option<&str>,
 ) -> Result<(u16, String), String> {
     let r = http_request_once(url, method, path, body)?;
-    Ok((r.code, r.body))
+    Ok((r.status, r.body))
 }
 
 /// Retry policy for idempotent requests: bounded attempts with
@@ -521,12 +436,14 @@ pub fn http_get_with(url: &ServerUrl, path: &str, policy: &RetryPolicy) -> Resul
             )));
         }
         match http_request_once(url, "GET", path, None) {
-            Ok(r) if r.code == 200 => return Ok(r.body),
-            Ok(r) if r.code == 503 => {
+            Ok(r) if r.status == 200 => return Ok(r.body),
+            Ok(r) if r.status == 503 => {
                 last = format!("GET {path}: HTTP 503: {}", server_error(&r.body));
                 retry_after = r.retry_after;
             }
-            Ok(r) => return Err(format!("GET {path}: HTTP {}: {}", r.code, server_error(&r.body))),
+            Ok(r) => {
+                return Err(format!("GET {path}: HTTP {}: {}", r.status, server_error(&r.body)))
+            }
             Err(e) => {
                 last = e;
                 retry_after = None;
@@ -660,27 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_response_reads_status_and_retry_after() {
-        let r = parse_response(
-            "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 2\r\n\r\nno"
-                .into(),
-        )
-        .unwrap();
-        assert_eq!((r.code, r.retry_after, r.body.as_str()), (503, Some(2), "no"));
-        let r = parse_response("HTTP/1.1 200 OK\r\n\r\nhello".into()).unwrap();
-        assert_eq!((r.code, r.retry_after, r.body.as_str()), (200, None, "hello"));
-    }
-
-    #[test]
-    fn parse_response_rejects_bodies_truncated_against_content_length() {
-        let err = parse_response("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial".into())
-            .unwrap_err();
-        assert!(err.contains("truncated response"), "{err}");
-        assert!(parse_response("no header split at all".into()).is_err());
-        assert!(parse_response("BOGUS\r\n\r\nbody".into()).is_err());
-    }
-
-    #[test]
     fn backoff_grows_exponentially_with_bounded_jitter_and_cap() {
         let p = RetryPolicy { attempts: 5, base_delay_ms: 100, max_delay_ms: 1_000, seed: 42 };
         let d: Vec<u64> = (0..5).map(|a| backoff_delay_ms(&p, a, None)).collect();
@@ -715,22 +611,14 @@ mod tests {
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let url = ServerUrl::parse(&listener.local_addr().unwrap().to_string()).unwrap();
-        // Reads one request head; None at EOF.
+        // Reads one request's line; None at EOF.
         let read_head = |conn: &mut BufReader<TcpStream>| {
-            let mut head = String::new();
-            while !head.ends_with("\r\n\r\n") {
-                if conn.read_line(&mut head).ok()? == 0 {
-                    return None;
-                }
-            }
-            Some(head)
+            let (request, _) = crate::http::read_request(conn).ok()?;
+            Some(format!("{} {} HTTP/1.1", request.method, request.path))
         };
         let reply = |conn: &mut BufReader<TcpStream>, body: &str| {
-            let head = format!(
-                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-                body.len()
-            );
-            conn.get_mut().write_all((head + body).as_bytes()).unwrap();
+            let response = Response::ok(body.to_string());
+            crate::http::write_response(conn.get_mut(), &response, true).unwrap();
         };
         // The first connection answers one request, then reads the next
         // and closes without a reply, as a server whose idle bound ran out

@@ -11,7 +11,9 @@
 //! The stack, bottom up:
 //!
 //! * [`http`] — a hand-rolled `std::net` HTTP/1.1 layer (the build
-//!   environment is offline; no hyper/tokio).
+//!   environment is offline; no hyper/tokio): threads, handler slots,
+//!   keep-alive and shutdown, over the message codec in
+//!   [`ff_harness::http`] that the client shares.
 //! * [`scheduler`] — campaign expansion, round-robin fairness, in-flight
 //!   deduplication, memoization counters, the shared quarantine ledger
 //!   (only under `--quarantine-after`), and graceful-shutdown

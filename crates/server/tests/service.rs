@@ -3,8 +3,8 @@
 //! real simulations at test scale — plus the transport-hardening
 //! scenarios: hash-shape validation, oversized-body and oversized-head
 //! rejection, load-shedding, handler-slot concurrency, shutdown,
-//! kept-alive connections and their idle bound, retry-through-reset, and
-//! crash-damaged restarts.
+//! kept-alive connections and their idle bound, stalled requests and
+//! their deadline, retry-through-reset, and crash-damaged restarts.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -517,10 +517,9 @@ fn concurrent_clients_queue_for_the_handler_slots_without_shedding() {
 fn shutdown_joins_idle_threads_at_once_and_finishes_a_request_in_flight() {
     use std::sync::atomic::AtomicBool;
 
-    use ff_server::{HttpServer, Response};
+    use ff_server::{HttpOptions, HttpServer, Response, TransportCounters};
 
-    let idle = HttpServer::start("127.0.0.1:0", 4, |_req| Response::ok("{}".to_string()))
-        .expect("http server");
+    let (idle, _) = echo_server(4, 64);
     let (joined, done) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         idle.shutdown();
@@ -530,11 +529,16 @@ fn shutdown_joins_idle_threads_at_once_and_finishes_a_request_in_flight() {
 
     let entered = Arc::new(AtomicBool::new(false));
     let entered_h = Arc::clone(&entered);
-    let http = HttpServer::start("127.0.0.1:0", 4, move |_req| {
-        entered_h.store(true, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(100));
-        Response::ok("{}".to_string())
-    })
+    let http = HttpServer::start_with(
+        "127.0.0.1:0",
+        HttpOptions::default(),
+        Arc::new(TransportCounters::default()),
+        move |_req| {
+            entered_h.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(100));
+            Response::ok("{}".to_string())
+        },
+    )
     .expect("http server");
     let url = ServerUrl::parse(&http.addr().to_string()).expect("url");
     let client = std::thread::spawn(move || http_request(&url, "GET", "/slow", None));
@@ -815,6 +819,82 @@ fn shutdown_with_an_idle_kept_alive_connection_joins_within_1s() {
     });
     done.recv_timeout(Duration::from_secs(1)).expect("every thread joined within 1 s");
     assert!(closed_by_server(&mut idle), "the idle connection must be closed");
+}
+
+/// Four clients that each send one byte and stall hold all four handler
+/// slots of a real server, and a fifth connects and sends nothing. Each
+/// is answered `408` once its request deadline passes, counted as a 4xx,
+/// and a fresh `GET /healthz` is answered within the deadline plus 1 s.
+#[test]
+fn stalled_requests_get_408_and_free_their_slots_within_the_deadline() {
+    use ff_harness::http::REQUEST_DEADLINE;
+
+    let store = temp_dir("stalled");
+    let (server, url) = start(&store);
+    let connect = |first: &[u8]| {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        stream.write_all(first).expect("send");
+        stream
+    };
+    let mut stalled: Vec<TcpStream> = (0..4).map(|_| connect(b"G")).collect();
+    stalled.push(connect(b""));
+    let asked = Instant::now();
+    let reply = raw_exchange(
+        server.addr(),
+        "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+    );
+    let waited = asked.elapsed();
+    assert!(reply.starts_with("HTTP/1.1 200 "), "reply: {reply}");
+    assert!(
+        waited < REQUEST_DEADLINE + Duration::from_secs(1),
+        "/healthz waited {waited:?} behind stalled clients"
+    );
+    for (i, stream) in stalled.iter_mut().enumerate() {
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("the 408 ends with EOF");
+        assert!(reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "client {i}: {reply}");
+        assert!(reply.contains("\r\nConnection: close\r\n"), "client {i}: {reply}");
+    }
+    assert_eq!(health_field(&url, "transport", "http_4xx"), 5);
+    server.shutdown();
+}
+
+/// `shutdown` joins within the request deadline plus `KEEP_ALIVE_IDLE`
+/// while a client that sent one byte of its request stalls, and that
+/// client is answered `408`.
+#[test]
+fn shutdown_with_a_stalled_request_joins_within_the_deadline() {
+    use ff_harness::http::REQUEST_DEADLINE;
+    use ff_server::http::KEEP_ALIVE_IDLE;
+
+    let (http, counters) = echo_server(4, 4);
+    let mut stalled = TcpStream::connect(http.addr()).expect("connect");
+    stalled.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    stalled.write_all(b"G").expect("send");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counters.requests.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the stalled request never reached a handler");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Shut down partway through the stall, so the bound holds with room
+    // for a loaded host.
+    std::thread::sleep(Duration::from_millis(500));
+    // The client reads its reply and closes, as a client would.
+    let client = std::thread::spawn(move || {
+        let mut reply = String::new();
+        let _ = stalled.read_to_string(&mut reply);
+        reply
+    });
+    let (joined, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        http.shutdown();
+        let _ = joined.send(());
+    });
+    done.recv_timeout(REQUEST_DEADLINE + KEEP_ALIVE_IDLE)
+        .expect("every thread joined within the request deadline plus the idle bound");
+    let reply = client.join().unwrap();
+    assert!(reply.starts_with("HTTP/1.1 408 "), "reply: {reply}");
 }
 
 /// A 413 or a 431 on a kept-alive connection answers `Connection: close`
